@@ -150,4 +150,19 @@ cargo test -p sdj-core --offline -q --test chaos kind_confused_pair_decodes_to_e
 ./target/release/sdj-report --check results/RunReport_sessions.json \
     --expect-drain --expect-sessions 4
 
+echo "==> benchmark gate"
+# benchmark/ is a stand-alone package outside the workspace (its own
+# Cargo.lock and target directory), so none of the steps above compile it
+# and an API change in crates/* could break it unnoticed. Build it and run
+# its `quick` subcommand: all five workloads at 1/20 scale, every metric
+# name emitted and finite, every stream verified against the other engine
+# and the brute-force baselines; it exits non-zero otherwise. The per-metric
+# lines go to the log's tail only — the numbers of a scaled-down run mean
+# nothing. The benchmark refuses to start while any SDJ_* variable is set,
+# and this script documents SDJ_OVERHEAD_PCT as an override, so the
+# variables are dropped for this one command.
+mapfile -t sdj_vars < <(compgen -e | grep '^SDJ_' || true)
+env "${sdj_vars[@]/#/-u}" \
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- quick | tail -n 2
+
 echo "CI OK"

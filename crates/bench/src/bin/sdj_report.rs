@@ -557,6 +557,7 @@ fn run_report(args: &Args) -> Result<(), String> {
         ("queue_bytes_peak".into(), stats.queue_bytes_peak as u64),
         ("node_accesses".into(), stats.node_accesses),
         ("node_io".into(), stats.node_io),
+        ("sweep_expansions".into(), stats.sweep_expansions),
     ];
     // Registry-side counters from pass 1 (expansions, results, and — when
     // the bulk path ran — bulk.cells / bulk.cell_pairs_swept /

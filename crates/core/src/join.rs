@@ -337,7 +337,9 @@ where
             stats: JoinStats::default(),
             io_baseline,
             reported: 0,
-            done: false,
+            // `STOP AFTER 0` asks for nothing, seeded or resumed; otherwise
+            // `done` is only set once a report reaches the limit.
+            done: config.max_pairs == Some(0),
             error: None,
             window1: None,
             window2: None,
@@ -595,7 +597,7 @@ where
 
     /// Enqueues the initial root/root pair (Figure 3, line 2).
     fn seed(&mut self) {
-        if self.tree1.is_empty() || self.tree2.is_empty() {
+        if self.done || self.tree1.is_empty() || self.tree2.is_empty() {
             self.done = true;
             return;
         }
@@ -737,14 +739,14 @@ where
         matches!(self.config.order, ResultOrder::Ascending)
     }
 
-    /// The tightest known maximum key (query bound, estimator, and — for
-    /// ascending runs — the cross-worker shared bound), in the key domain.
     /// True when the lane-unrolled column kernels are selected
     /// ([`ExpansionPath::Lanes`]).
     fn lanes(&self) -> bool {
         matches!(self.config.expansion, ExpansionPath::Lanes)
     }
 
+    /// The tightest known maximum key (query bound, estimator, and — for
+    /// ascending runs — the cross-worker shared bound), in the key domain.
     pub(crate) fn effective_max_key(&self) -> f64 {
         let mut max = match &self.estimator {
             Some(est) => self.max_key.min(est.current_dmax()),
@@ -756,6 +758,35 @@ where
             }
         }
         max
+    }
+
+    /// Whether `Even` traversal opens *both* nodes of the equal-level `pair`
+    /// with the §2.2.2 plane sweep instead of one of them.
+    ///
+    /// The sweep pairs each entry with the entries of the other node whose
+    /// axis-0 gap fits under [`effective_max_key`](Self::effective_max_key):
+    /// a window `2·d_max` wide. It is chosen while that window is narrower
+    /// than the narrower of the two nodes, i.e. while the bound actually
+    /// cuts the cross product of entries. Then one-sided expansion is the
+    /// waste: it queues `fan-out` (object, leaf) pairs per leaf pair and
+    /// later opens the same leaf once per object. Under a looser bound — a
+    /// large `K` whose §2.2.4 estimate is still wide, a generous `Dmax`, or
+    /// no bound at all (Figure 6) — the sweep degenerates towards the full
+    /// cross product, all of it queued now at the bound of now, while the
+    /// one-sided expansion defers each object's pairs until they reach the
+    /// head of the queue and the bound has shrunk; it stays. Semi-joins stay
+    /// one-sided as well: their per-object `d_max` bounds and seen-set
+    /// filter prune a first-side object's (object, node) pairs before those
+    /// are ever opened, which a cross product of entries forfeits.
+    /// Descending runs key on MAXDIST, where a maximum-distance window
+    /// proves nothing.
+    fn sweeps_equal_levels(&self, pair: &Pair<D>) -> bool {
+        if !self.ascending() || self.semi.is_some() {
+            return false;
+        }
+        let width = pair.item1.rect().extent(0).min(pair.item2.rect().extent(0));
+        self.keys
+            .axis_gap_exceeds(0.5 * width, self.effective_max_key())
     }
 
     /// The shared bound's current value (a key), when one is attached and
@@ -1167,12 +1198,6 @@ where
         self.pending.push((key, pair));
     }
 
-    /// Moves staged pairs into the queue, growing its arena at most once.
-    /// Called after every expansion and at the end of each step, so the
-    /// queue is fully materialised whenever an element is popped or the
-    /// public accessors run. A hybrid-backend spill fault surfaces here; the
-    /// caller aborts the run, so the partially flushed batch is never
-    /// observed as output.
     /// Opens a phase span on the attached obs handle (no-op otherwise).
     #[inline]
     fn span_enter(&mut self, phase: Phase) {
@@ -1189,6 +1214,12 @@ where
         }
     }
 
+    /// Moves staged pairs into the queue, growing its arena at most once.
+    /// Called after every expansion and at the end of each step, so the
+    /// queue is fully materialised whenever an element is popped or the
+    /// public accessors run. A hybrid-backend spill fault surfaces here; the
+    /// caller aborts the run, so the partially flushed batch is never
+    /// observed as output.
     fn flush_pending(&mut self) -> sdj_storage::Result<()> {
         if self.pending.is_empty() {
             return Ok(());
@@ -1484,6 +1515,7 @@ where
     /// opened and their entries paired with a plane sweep restricted by the
     /// distance range.
     fn expand_both(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
+        self.stats.sweep_expansions += 1;
         self.span_enter(Phase::Expand);
         let r = match self.config.expansion {
             ExpansionPath::Batched | ExpansionPath::Lanes => self.expand_both_batched(pair),
@@ -2021,6 +2053,9 @@ where
                 let (l1, l2) = (*l1, *l2);
                 match self.config.traversal {
                     TraversalPolicy::Basic => self.expand_one(&pair, true)?,
+                    TraversalPolicy::Even if l1 == l2 && self.sweeps_equal_levels(&pair) => {
+                        self.expand_both(&pair)?;
+                    }
                     TraversalPolicy::Even => {
                         // Process the node at the shallower level (the
                         // one closer to its root); at equal levels, the

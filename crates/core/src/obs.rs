@@ -121,7 +121,10 @@ impl JoinObs {
         if self.detail {
             self.sink.emit(&Event::PairPopped { kind, dist });
         }
-        if self.pops.is_multiple_of(self.pop_sample_every) {
+        // The first pop is always sampled: a bounded run can reach its peak
+        // queue size within one stride, and a series that starts there has
+        // lost its growth phase.
+        if self.pops == 1 || self.pops.is_multiple_of(self.pop_sample_every) {
             self.sink.emit(&Event::QueueSampled {
                 pops: self.pops,
                 len: queue_len as u64,

@@ -51,6 +51,13 @@ pub struct JoinStats {
     /// became an actual prefetch read or hit is counted by the buffer pool,
     /// not here.
     pub prefetch_hints: u64,
+    /// Node/node pairs opened on both sides at once by the §2.2.2 plane
+    /// sweep: every node pair under `TraversalPolicy::Simultaneous`, and
+    /// under the default `Even` the equal-level pairs of a plain ascending
+    /// join popped while the known maximum distance was under half the
+    /// narrower node's axis-0 extent. Zero for semi-joins, descending runs
+    /// and bound-less runs under `Even`.
+    pub sweep_expansions: u64,
 }
 
 impl JoinStats {
@@ -85,6 +92,7 @@ impl JoinStats {
         self.filtered_self += other.filtered_self;
         self.sqrt_calls += other.sqrt_calls;
         self.prefetch_hints += other.prefetch_hints;
+        self.sweep_expansions += other.sweep_expansions;
     }
 }
 

@@ -2,9 +2,10 @@
 //! algorithms must produce exactly the distance-ordered results a nested
 //! loop over the raw data produces.
 
+use sdj_core::bulk::BulkDistanceJoin;
 use sdj_core::{
-    DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig, QueueBackend, ResultOrder, SemiConfig,
-    SemiFilter, SliceOracle, TiePolicy, TraversalPolicy,
+    AdaptiveDistanceJoin, DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig, QueueBackend,
+    ResultOrder, SemiConfig, SemiFilter, SliceOracle, TiePolicy, TraversalPolicy,
 };
 use sdj_datagen::{gaussian_clusters, tiger, uniform_points, unit_box};
 use sdj_geom::{Metric, Point, Segment, SpatialObject};
@@ -422,6 +423,34 @@ fn empty_inputs_yield_nothing() {
         DistanceJoin::semi(&t_empty, &t1, JoinConfig::default(), SemiConfig::default()).count(),
         0
     );
+}
+
+/// `STOP AFTER 0` is an empty stream for every serial engine — `done` used
+/// to be set only after a report, so the first pair slipped out.
+#[test]
+fn stop_after_zero_yields_nothing() {
+    let (a, b) = sample_sets();
+    let (t1, t2) = (build_tree(&a, 6), build_tree(&b, 6));
+    let config = JoinConfig::default().with_max_pairs(0);
+
+    let mut join = DistanceJoin::new(&t1, &t2, config);
+    assert_eq!(join.by_ref().count(), 0);
+    assert!(join.is_done() && join.take_error().is_none());
+    assert_eq!(join.stats().node_accesses, 0, "nothing asked, nothing read");
+
+    let mut semi = DistanceJoin::semi(&t1, &t2, config, SemiConfig::default());
+    assert_eq!(semi.by_ref().count(), 0);
+    assert!(semi.is_done() && semi.take_error().is_none());
+
+    let mut bulk = BulkDistanceJoin::new(&t1, &t2, config.with_range(0.0, 0.05)).unwrap();
+    assert!(bulk.run().is_empty());
+
+    let run = AdaptiveDistanceJoin::new(&t1, &t2, config).run();
+    assert!(run.results.is_empty() && run.error.is_none());
+    let mut cursor = AdaptiveDistanceJoin::new(&t1, &t2, config).cursor();
+    let mut out = Vec::new();
+    assert!(cursor.pull(8, &mut out).unwrap(), "the cursor is done");
+    assert!(out.is_empty());
 }
 
 #[test]

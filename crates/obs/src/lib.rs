@@ -56,7 +56,8 @@ pub struct ObsContext {
     pub sink: Arc<dyn EventSink>,
     /// Named-instrument registry shared by every component of a run.
     pub registry: Arc<Registry>,
-    /// Emit a `QueueSampled` event every this many queue pops.
+    /// Emit a `QueueSampled` event every this many queue pops (and at the
+    /// first pop, so the series starts where the run does).
     pub pop_sample_every: u64,
     /// Emit a `ResultReported` event every this many results (1 = all).
     pub result_sample_every: u64,

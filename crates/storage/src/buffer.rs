@@ -311,6 +311,30 @@ impl Frame {
     fn pin_count(&self) -> u32 {
         self.pins.load(Ordering::Acquire)
     }
+
+    /// Re-fills an evicted (unlinked, unpinned) frame with `page`'s bytes
+    /// without allocating: the frame keeps its pin token — no guard of the
+    /// old page is counted on it, and new pins are only taken under the
+    /// shard lock — and its `Arc`, whose old buffer is handed back for the
+    /// next fault to read into. A guard caught between its unpin and the
+    /// release of its data reference still shares the buffer; the frame then
+    /// gets a fresh `Arc` and nothing is handed back.
+    fn refill(&mut self, page: PageId, data: Box<[u8]>, prefetched: bool) -> Option<Box<[u8]>> {
+        let old = match Arc::get_mut(&mut self.data) {
+            Some(slot) => Some(std::mem::replace(slot, data)),
+            None => {
+                self.data = Arc::new(data);
+                None
+            }
+        };
+        self.page = page;
+        self.dirty = false;
+        self.referenced = true;
+        self.prefetched = prefetched;
+        self.prev = NIL;
+        self.next = NIL;
+        old
+    }
 }
 
 /// Outcome of faulting a page into a shard.
@@ -335,6 +359,9 @@ struct ShardInner {
     policy: EvictionPolicy,
     stats: PoolStats,
     obs: Option<BufferObs>,
+    /// The last evicted frame's page buffer, kept for the next fault to
+    /// read into so a steady-state miss allocates nothing.
+    spare: Option<Box<[u8]>>,
 }
 
 struct Shard {
@@ -422,6 +449,7 @@ impl BufferPool {
                         policy: config.eviction,
                         stats: PoolStats::default(),
                         obs: None,
+                        spare: None,
                     }),
                 }
             })
@@ -534,7 +562,12 @@ impl BufferPool {
     }
 
     fn fault_inner(&self, s: &mut ShardInner, id: PageId, prefetched: bool) -> Result<Fetched> {
-        let mut data = vec![0u8; self.page_size].into_boxed_slice();
+        // `Pager::read` overwrites the whole buffer or fails, so a recycled
+        // buffer needs no clearing.
+        let mut data = s
+            .spare
+            .take()
+            .unwrap_or_else(|| vec![0u8; self.page_size].into_boxed_slice());
         let limit = self.retry_limit();
         // One pager-lock acquisition covers the read and any write-back.
         s.stats.shared_lock_acquisitions += 1;
@@ -549,6 +582,7 @@ impl BufferPool {
                 Err(e) => {
                     s.note_fault(false, &e);
                     if !e.is_transient() || failed >= limit {
+                        s.spare = Some(data);
                         return Err(e);
                     }
                     failed += 1;
@@ -561,7 +595,7 @@ impl BufferPool {
             };
             s.evict(victim, &mut pager, limit)?;
             drop(pager);
-            s.frames[victim] = Frame::new(id, data, prefetched);
+            s.spare = s.frames[victim].refill(id, data, prefetched);
             s.map.insert(id, victim);
             s.link_new(victim);
             return Ok(Fetched::Resident(victim));
