@@ -16,6 +16,15 @@ echo "==> cargo clippy (geom kernels: suboptimal_flops)"
 cargo clippy -p sdj-geom --all-targets --no-deps --offline -- \
     -D warnings -D clippy::suboptimal_flops
 
+echo "==> library crates read no environment"
+# Configuration reaches the engines as plain data from the call site; a
+# library that consults the process environment cannot be configured per
+# query, and cannot be benchmarked without scrubbing it first.
+if grep -rn 'std::env::var' crates/core/src crates/service/src crates/exec/src; then
+    echo "crates/{core,service,exec}/src must not read the environment" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
@@ -46,13 +55,15 @@ cargo test -p sdj-exec --offline -q --test parallel_equivalence prefetch_is_stre
 
 echo "==> fail-clean chaos gate"
 # Fault injection must never panic and never corrupt the result stream:
-# storage and pqueue hold the panic-free lint tier (no unwrap/expect in
-# library code), the fuzzed fault-schedule proptests assert the
-# prefix-or-identical invariant for serial and parallel runs, and a seeded
-# end-to-end report run under transient faults must complete bit-identically
-# with retries recorded in the report. The seed pins one deterministic
-# schedule, so this gate is reproducible (see README: SDJ_FAULT_SEED).
-cargo clippy -p sdj-storage -p sdj-pqueue -p sdj-core --lib --no-deps --offline -- \
+# storage, pqueue, core and the session service hold the panic-free lint
+# tier (no unwrap/expect in library code), the fuzzed fault-schedule
+# proptests assert the prefix-or-identical invariant for serial and parallel
+# runs, and a seeded end-to-end report run under transient faults must
+# complete bit-identically with retries recorded in the report. The seed
+# pins one deterministic schedule, so this gate is reproducible (see README:
+# SDJ_FAULT_SEED).
+cargo clippy -p sdj-storage -p sdj-pqueue -p sdj-core -p sdj-service \
+    --lib --no-deps --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo test -p sdj-storage --offline -q fault
 cargo test -p sdj-core --offline -q --test chaos
@@ -67,9 +78,7 @@ echo "==> planner / bulk-path gate"
 # incremental engine (bit-identical ordered streams), invariant across
 # worker counts, and the cost-based planner's choice must be recorded in
 # reports and overridable. The lane kernels ride the geom suboptimal_flops
-# gate above (sdj-geom --all-targets covers them). bench_planner must keep
-# building so BENCH_planner.json stays reproducible.
-cargo build --release --offline -p sdj-bench --bin bench_planner
+# gate above (sdj-geom --all-targets covers them).
 cargo test -p sdj-core --offline -q --test bulk_equivalence
 cargo test -p sdj-exec --offline -q --test bulk_parallel
 ./target/release/sdj-report --n 3000 --k 200 --force-plan bulk \
@@ -105,26 +114,24 @@ echo "==> adaptive replanning gate"
 # ordered streams, multiset equality, fail-clean under faults) must pass,
 # and a forced-adaptive report run must record the executed path. The
 # second run pins a deterministic mid-query handoff via
-# SDJ_ADAPTIVE_FORCE_AT and requires the single incremental→bulk switch
+# --adaptive-force-at and requires the single incremental→bulk switch
 # to land in the report (plan.replans / plan.replan_at_pair).
 cargo test -p sdj-core --offline -q --test adaptive_equivalence
 ./target/release/sdj-report --n 3000 --k 500 --force-plan adaptive \
     --out results/RunReport_adaptive.json
 ./target/release/sdj-report --check results/RunReport_adaptive.json \
     --expect-plan adaptive
-SDJ_ADAPTIVE_FORCE_AT=200 ./target/release/sdj-report --n 3000 --k 500 \
-    --force-plan adaptive --out results/RunReport_adaptive_handoff.json
+./target/release/sdj-report --n 3000 --k 500 --force-plan adaptive \
+    --adaptive-force-at 200 --out results/RunReport_adaptive_handoff.json
 ./target/release/sdj-report --check results/RunReport_adaptive_handoff.json \
     --expect-plan adaptive --expect-replans 1
 
 echo "==> queue-layout gate"
 # The flat 4-ary compact layout must stay invisible in the result stream:
 # the cross-layout proptests (pop streams, tier gauge conservation, slab
-# accounting, spill round-trips) must pass, bench_queue must keep building
-# so BENCH_queue.json stays reproducible, and a flat-layout report run must
-# produce the same pair counts as the default pairing run while recording
-# non-zero queue-memory gauges.
-cargo build --release --offline -p sdj-bench --bin bench_queue
+# accounting, spill round-trips) must pass, and a flat-layout report run
+# must produce the same pair counts as the default pairing run while
+# recording non-zero queue-memory gauges.
 cargo test -p sdj-pqueue --offline -q --test layout_equivalence
 cargo test -p sdj-exec --offline -q --test parallel_equivalence flat_layout_is_stream_invisible_across_engines_and_backends
 ./target/release/sdj-report --n 4000 --k 800 \

@@ -63,6 +63,7 @@ struct Args {
     profile: bool,
     label: String,
     force_plan: Option<PlanChoice>,
+    adaptive_force_at: Option<u64>,
     sessions: Option<usize>,
     expect_sessions: Option<usize>,
 }
@@ -87,6 +88,7 @@ impl Args {
             profile: false,
             label: "uniform distance join".into(),
             force_plan: None,
+            adaptive_force_at: None,
             sessions: None,
             expect_sessions: None,
         };
@@ -152,14 +154,19 @@ impl Args {
                     i += 1;
                 }
                 "--force-plan" => {
-                    a.force_plan = Some(match take(&argv, i, "--force-plan").as_str() {
-                        "incremental" => PlanChoice::Incremental,
-                        "bulk" => PlanChoice::Bulk,
-                        "adaptive" => PlanChoice::Adaptive,
-                        other => {
-                            panic!("--force-plan takes incremental|bulk|adaptive, got {other}")
-                        }
-                    });
+                    let name = take(&argv, i, "--force-plan");
+                    let plan = PlanChoice::ALL.into_iter().find(|p| p.as_str() == name);
+                    a.force_plan = Some(plan.unwrap_or_else(|| {
+                        panic!("--force-plan takes incremental|bulk|adaptive, got {name}")
+                    }));
+                    i += 1;
+                }
+                "--adaptive-force-at" => {
+                    a.adaptive_force_at = Some(
+                        take(&argv, i, "--adaptive-force-at")
+                            .parse()
+                            .expect("--adaptive-force-at takes an integer"),
+                    );
                     i += 1;
                 }
                 "--sessions" => {
@@ -182,7 +189,8 @@ impl Args {
                     "unknown argument {other} (expected --n/--k/--threads/--out/--events/\
                      --check/--expect-drain/--expect-retries/--expect-plan/--expect-replans/\
                      --expect-profile/--expect-queue-bytes/--expect-pairs-match/\
-                     --overhead/--profile/--label/--force-plan/--sessions/--expect-sessions)"
+                     --overhead/--profile/--label/--force-plan/--adaptive-force-at/\
+                     --sessions/--expect-sessions)"
                 ),
             }
             i += 1;
@@ -230,27 +238,25 @@ struct KPass {
 }
 
 /// Pass 1: the K closest pairs through the planner-selected (or forced)
-/// execution path.
-fn run_k_pass(
-    t1: &RTree<2>,
-    t2: &RTree<2>,
-    k: u64,
-    threads: usize,
-    force: Option<PlanChoice>,
-    ctx: &ObsContext,
-) -> KPass {
+/// execution path. `--adaptive-force-at` pins the adaptive path's handoff at
+/// that pop count (the CI gate's deterministic switch on a workload where
+/// the live model would correctly stay incremental).
+fn run_k_pass(t1: &RTree<2>, t2: &RTree<2>, args: &Args, ctx: &ObsContext) -> KPass {
     let config = JoinConfig::default()
-        .with_max_pairs(k)
+        .with_max_pairs(args.k)
         .with_layout(queue_layout_from_env());
     let start = Instant::now();
     let run = run_planned(
         t1,
         t2,
         config,
-        ParallelConfig::with_threads(threads),
+        ParallelConfig::with_threads(args.threads),
         BulkConfig::default(),
-        AdaptiveConfig::from_env(),
-        force,
+        AdaptiveConfig {
+            force_handoff_at: args.adaptive_force_at,
+            ..AdaptiveConfig::default()
+        },
+        args.force_plan,
         Some(ctx.clone()),
     );
     let seconds = start.elapsed().as_secs_f64();
@@ -371,14 +377,9 @@ fn run_sessions_pass(
         },
     )
     .with_obs(ctx);
-    let plans = [
-        PlanChoice::Incremental,
-        PlanChoice::Bulk,
-        PlanChoice::Adaptive,
-    ];
     let mut handles = Vec::with_capacity(n_sessions);
     for i in 0..n_sessions {
-        let plan = plans[i % plans.len()];
+        let plan = PlanChoice::ALL[i % PlanChoice::ALL.len()];
         let config = SessionConfig {
             join: JoinConfig::default().with_max_pairs(k),
             force_plan: Some(plan),
@@ -452,7 +453,7 @@ fn run_report(args: &Args) -> Result<(), String> {
     // land in ctx1's registry and therefore in the report.
     t1.attach_obs(BufferObs::new(&ctx1, "buf.t1"));
     t2.attach_obs(BufferObs::new(&ctx1, "buf.t2"));
-    let pass1 = run_k_pass(&t1, &t2, args.k, args.threads, args.force_plan, &ctx1);
+    let pass1 = run_k_pass(&t1, &t2, args, &ctx1);
     let KPass {
         stats,
         produced,
@@ -521,14 +522,7 @@ fn run_report(args: &Args) -> Result<(), String> {
         ("dmax".into(), dmax),
         // 0 = incremental, 1 = bulk, 2 = adaptive (mirrors the
         // `plan.choice` gauge).
-        (
-            "plan.choice".into(),
-            match executed {
-                PlanChoice::Incremental => 0.0,
-                PlanChoice::Bulk => 1.0,
-                PlanChoice::Adaptive => 2.0,
-            },
-        ),
+        ("plan.choice".into(), f64::from(executed.code())),
         ("plan.est_incremental".into(), plan.est_incremental),
         ("plan.est_bulk".into(), plan.est_bulk),
         // Mid-query replans (0 or 1 under the default max_replans).
@@ -609,11 +603,7 @@ fn run_report(args: &Args) -> Result<(), String> {
     }
     report.profile = Some(profile);
     report.calibration = Some(CalibrationSection {
-        choice: match executed {
-            PlanChoice::Incremental => "incremental".into(),
-            PlanChoice::Bulk => "bulk".into(),
-            PlanChoice::Adaptive => "adaptive".into(),
-        },
+        choice: executed.to_string(),
         forced,
         est_incremental: plan.est_incremental,
         est_bulk: plan.est_bulk,
@@ -843,12 +833,10 @@ fn run_check(path: &str, args: &Args) -> Result<(), String> {
             .find(|(name, _)| name == "plan.choice")
             .map(|(_, v)| *v)
             .ok_or_else(|| format!("{path}: no plan.choice recorded"))?;
-        let got = match choice as i64 {
-            0 => "incremental",
-            1 => "bulk",
-            2 => "adaptive",
-            _ => "unknown",
-        };
+        let got = PlanChoice::ALL
+            .into_iter()
+            .find(|p| f64::from(p.code()) == choice)
+            .map_or("unknown", PlanChoice::as_str);
         if got != expected {
             return Err(format!("{path}: plan.choice is {got}, expected {expected}"));
         }

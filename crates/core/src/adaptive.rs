@@ -68,6 +68,7 @@ use sdj_storage::StorageError;
 
 use crate::bulk::{BulkConfig, BulkDistanceJoin, BulkStats};
 use crate::config::{JoinConfig, ResultOrder};
+use crate::cursor::{BulkCursor, JoinCursor};
 use crate::index::{IndexEntry, IndexNode, NodeId, SpatialIndex};
 use crate::join::{DistanceJoin, ResultPair};
 use crate::oracle::MbrOracle;
@@ -107,35 +108,6 @@ impl Default for AdaptiveConfig {
             force_handoff_at: None,
         }
     }
-}
-
-impl AdaptiveConfig {
-    /// The defaults overridden from the environment, the same idiom as the
-    /// planner's `SDJ_PLAN_BIAS`: `SDJ_ADAPTIVE_STRIDE` (pops between
-    /// checkpoints), `SDJ_ADAPTIVE_HYSTERESIS` (switch margin), and
-    /// `SDJ_ADAPTIVE_FORCE_AT` (unconditional handoff after N pops — the
-    /// CI adaptive gate uses it to exercise a deterministic switch on
-    /// workloads where the live model would correctly stay incremental).
-    /// Unset or unparsable variables leave the default untouched.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Some(v) = env_parse::<u64>("SDJ_ADAPTIVE_STRIDE") {
-            if v > 0 {
-                config.pop_stride = v;
-            }
-        }
-        if let Some(v) = env_parse::<f64>("SDJ_ADAPTIVE_HYSTERESIS") {
-            if v.is_finite() && v > 0.0 {
-                config.hysteresis = v;
-            }
-        }
-        config.force_handoff_at = env_parse::<u64>("SDJ_ADAPTIVE_FORCE_AT");
-        config
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|s| s.parse().ok())
 }
 
 /// The signals read at one checkpoint, plus the re-costing verdict — kept
@@ -259,18 +231,6 @@ where
     I1: SpatialIndex<D>,
     I2: SpatialIndex<D>,
 {
-    /// Starts an adaptive join with default bulk and adaptive knobs.
-    #[must_use]
-    pub fn new(tree1: &'a I1, tree2: &'a I2, config: JoinConfig) -> Self {
-        Self::with_configs(
-            tree1,
-            tree2,
-            config,
-            BulkConfig::default(),
-            AdaptiveConfig::default(),
-        )
-    }
-
     /// Starts an adaptive join with explicit bulk and adaptive knobs.
     #[must_use]
     pub fn with_configs(
@@ -317,33 +277,30 @@ where
         self.queue_retry_limit = Some(limit);
     }
 
-    /// True when this configuration may replan (plain ascending join).
+    /// True when a checkpoint of this run may ever switch: a plain ascending
+    /// join (see the type docs) with a replan allowance. The handoff is
+    /// one-way and ends the incremental phase, so the answer never changes
+    /// while that phase runs.
     #[must_use]
-    pub fn eligible(&self) -> bool {
-        matches!(self.config.order, ResultOrder::Ascending)
+    pub fn can_replan(&self) -> bool {
+        matches!(self.config.order, ResultOrder::Ascending) && self.adaptive.max_replans > 0
     }
 
-    /// Runs to completion serially: drives the incremental engine through
-    /// checkpoints and, if a handoff fires, sweeps the seeded bulk join
-    /// ordered and appends its stream to the prefix.
+    /// Runs to completion serially: drains the cursor — the incremental
+    /// engine through its checkpoints and, if a handoff fires, the seeded
+    /// bulk join swept ordered behind the prefix.
     #[must_use]
     pub fn run(self) -> AdaptiveRun {
-        match self.execute() {
-            AdaptiveOutcome::Completed(run) => run,
-            AdaptiveOutcome::Handoff(h) => {
-                let mut bulk = h.bulk;
-                let tail = bulk.run();
-                let mut results = h.prefix;
-                results.extend(tail);
-                AdaptiveRun {
-                    results,
-                    stats: h.inc_stats,
-                    bulk_stats: Some(bulk.bulk_stats()),
-                    replanned: Some(h.info),
-                    signals: h.signals,
-                    error: None,
-                }
-            }
+        let mut cursor = self.cursor();
+        let mut results = Vec::new();
+        let error = cursor.advance(usize::MAX, &mut results).err();
+        AdaptiveRun {
+            results,
+            stats: cursor.stats,
+            bulk_stats: cursor.bulk_stats(),
+            replanned: cursor.replanned,
+            signals: cursor.signals,
+            error,
         }
     }
 
@@ -353,107 +310,37 @@ where
     /// chooses serial or parallel execution of the remainder.
     #[must_use]
     pub fn execute(self) -> AdaptiveOutcome<D> {
-        let (inputs, mut join) = self.build_engine();
-
-        let eligible = self.eligible();
-        let stride = self.adaptive.pop_stride.max(1);
-        let mut results = Vec::new();
-        let mut signals: Vec<ReplanSignals> = Vec::new();
-        let mut checkpoint = 0u64;
-
-        loop {
-            let can_replan = eligible
-                && signals.iter().filter(|s| s.switched).count()
-                    < self.adaptive.max_replans as usize;
-            // Once no checkpoint can ever fire again, drain without pausing.
-            let budget = if !can_replan {
-                u64::MAX
-            } else {
-                match self.adaptive.force_handoff_at {
-                    // Stop exactly at the forced pop count.
-                    Some(at) => {
-                        let pops = join.stats().pairs_dequeued;
-                        if at <= pops {
-                            0
-                        } else {
-                            (at - pops).min(stride)
-                        }
-                    }
-                    None => stride,
-                }
-            };
-            if budget > 0 {
-                match join.drive(budget, &mut results) {
-                    Ok(true) => {
-                        return AdaptiveOutcome::Completed(
-                            self.completed(results, &join, signals, None),
-                        )
-                    }
-                    Ok(false) => {}
-                    Err(e) => {
-                        return AdaptiveOutcome::Completed(self.completed(
-                            results,
-                            &join,
-                            signals,
-                            Some(e),
-                        ))
-                    }
-                }
+        let mut cursor = self.cursor();
+        while matches!(cursor.state, CursorState::Incremental(_)) {
+            if let Some((info, bulk)) = cursor.checkpoint() {
+                return AdaptiveOutcome::Handoff(Handoff {
+                    prefix: cursor.buf.into(),
+                    bulk,
+                    info,
+                    inc_stats: cursor.stats,
+                    signals: cursor.signals,
+                });
             }
-
-            checkpoint += 1;
-            let stats = join.stats();
-            let observed = ObservedProgress {
-                pops: stats.pairs_dequeued,
-                results: stats.pairs_reported,
-                enqueued: stats.pairs_enqueued,
-                queue_len: join.queue_len(),
-            };
-            let forced = matches!(self.adaptive.force_handoff_at, Some(at) if observed.pops >= at);
-            let verdict = plan::replan(&inputs, &observed, self.adaptive.hysteresis);
-            let switch = forced || verdict.switch;
-            signals.push(ReplanSignals {
-                checkpoint,
-                pops: observed.pops,
-                results: observed.results,
-                queue_len: observed.queue_len,
-                pairs_enqueued: observed.enqueued,
-                observed_frontier: verdict.observed_frontier,
-                pops_per_result: if observed.results == 0 {
-                    f64::INFINITY
-                } else {
-                    observed.pops as f64 / observed.results as f64
-                },
-                queue_growth_per_pop: if observed.pops == 0 {
-                    0.0
-                } else {
-                    observed.queue_len as f64 / observed.pops as f64
-                },
-                queue_self_share: self.queue_self_share(),
-                est_incremental_remaining: verdict.est_incremental_remaining,
-                est_bulk_remaining: verdict.est_bulk_remaining,
-                switched: switch,
-            });
-            if !switch {
-                continue;
-            }
-
-            let info = ReplanInfo {
-                at_pop: observed.pops,
-                at_pair: observed.results,
-                est_incremental_remaining: verdict.est_incremental_remaining,
-                est_bulk_remaining: verdict.est_bulk_remaining,
-                forced,
-            };
-            return self.handoff(join, results, signals, info);
         }
+        AdaptiveOutcome::Completed(AdaptiveRun {
+            results: cursor.buf.into(),
+            stats: cursor.stats,
+            bulk_stats: None,
+            replanned: None,
+            signals: cursor.signals,
+            error: cursor.pending_error,
+        })
     }
 
-    /// Builds the configured incremental engine (instrumentation, fault
-    /// injection, watermark tracking) plus the planner inputs checkpoints
-    /// re-cost against — the shared setup of [`Self::execute`] and
-    /// [`Self::cursor`].
-    fn build_engine(&self) -> (PlanInputs<D>, DistanceJoin<'a, D, MbrOracle, I1, I2>) {
+    /// Converts the driver into a pull-paced cursor, advanced only as far as
+    /// the consumer's [`JoinCursor::advance`] calls demand, so a session can
+    /// hold the join paused between batches with the frontier intact.
+    ///
+    /// The engine is built here: configured (instrumentation, fault
+    /// injection, watermark tracking) and seeded, next to the planner inputs
+    /// its checkpoints re-cost against.
+    #[must_use]
+    pub fn cursor(self) -> AdaptiveCursor<'a, D, I1, I2> {
         let inputs = PlanInputs::from_trees(self.tree1, self.tree2, &self.config);
         let mut join = DistanceJoin::new(self.tree1, self.tree2, self.config);
         if let Some(ctx) = &self.ctx {
@@ -466,17 +353,6 @@ where
             join.set_queue_retry_limit(limit);
         }
         join.track_watermark();
-        (inputs, join)
-    }
-
-    /// Converts the driver into a pull-paced cursor: the same
-    /// checkpoint/replan/handoff machine as [`Self::execute`], but advanced
-    /// only as far as the consumer's [`AdaptiveCursor::pull`] calls demand,
-    /// so a session can hold the join paused between batches with the
-    /// frontier intact.
-    #[must_use]
-    pub fn cursor(self) -> AdaptiveCursor<'a, D, I1, I2> {
-        let (inputs, join) = self.build_engine();
         AdaptiveCursor {
             driver: self,
             inputs,
@@ -485,8 +361,6 @@ where
             signals: Vec::new(),
             replanned: None,
             stats: JoinStats::default(),
-            bulk_stats: None,
-            checkpoint: 0,
             pending_error: None,
         }
     }
@@ -511,120 +385,6 @@ where
         }
         (total_ns > 0.0).then(|| queue_ns / total_ns)
     }
-
-    /// Wraps an incremental-only finish (exhaustion or clean failure).
-    fn completed<O>(
-        &self,
-        results: Vec<ResultPair>,
-        join: &DistanceJoin<'a, D, O, I1, I2>,
-        signals: Vec<ReplanSignals>,
-        error: Option<StorageError>,
-    ) -> AdaptiveRun
-    where
-        O: crate::oracle::DistanceOracle<D>,
-    {
-        AdaptiveRun {
-            results,
-            stats: join.stats(),
-            bulk_stats: None,
-            replanned: None,
-            signals,
-            error,
-        }
-    }
-
-    /// Pauses the engine, exports and harvests its frontier, and seeds the
-    /// bulk remainder. Any fault inside the export or harvest fails clean:
-    /// the prefix emitted so far is returned with the typed error.
-    fn handoff<O>(
-        &self,
-        join: DistanceJoin<'a, D, O, I1, I2>,
-        mut results: Vec<ResultPair>,
-        signals: Vec<ReplanSignals>,
-        info: ReplanInfo,
-    ) -> AdaptiveOutcome<D>
-    where
-        O: crate::oracle::DistanceOracle<D>,
-    {
-        let floor = join.watermark().cloned();
-        let mut frontier = join.into_frontier(1, 0);
-        results.append(&mut frontier.prefix);
-        let mut inc_stats = frontier.stats;
-        if let Some(e) = frontier.error {
-            return AdaptiveOutcome::Completed(AdaptiveRun {
-                results,
-                stats: inc_stats,
-                bulk_stats: None,
-                replanned: None,
-                signals,
-                error: Some(e),
-            });
-        }
-        if frontier.exhausted {
-            return AdaptiveOutcome::Completed(AdaptiveRun {
-                results,
-                stats: inc_stats,
-                bulk_stats: None,
-                replanned: None,
-                signals,
-                error: None,
-            });
-        }
-
-        let shard = frontier.shards.pop().unwrap_or_default();
-        let mut side1 = HarvestSide::default();
-        let mut side2 = HarvestSide::default();
-        for (_, pair) in &shard {
-            let r = side1
-                .collect(self.tree1, &pair.item1, &mut inc_stats)
-                .and_then(|()| side2.collect(self.tree2, &pair.item2, &mut inc_stats));
-            if let Err(e) = r {
-                return AdaptiveOutcome::Completed(AdaptiveRun {
-                    results,
-                    stats: inc_stats,
-                    bulk_stats: None,
-                    replanned: None,
-                    signals,
-                    error: Some(e),
-                });
-            }
-        }
-
-        let mut seeded_config = self.config;
-        seeded_config.max_pairs = frontier.remaining_pairs;
-        let bulk = BulkDistanceJoin::from_frontier(
-            side1.entries,
-            side2.entries,
-            seeded_config,
-            self.bulk_config,
-            floor.as_ref(),
-            frontier.dmax_hint,
-            self.ctx.as_ref(),
-        );
-
-        if let Some(ctx) = &self.ctx {
-            ctx.sink.emit(&Event::Replanned {
-                from: PlanPath::Incremental,
-                to: PlanPath::Bulk,
-                at_pop: info.at_pop,
-                at_pair: info.at_pair,
-                est_incremental_remaining: info.est_incremental_remaining,
-                est_bulk_remaining: info.est_bulk_remaining,
-            });
-            ctx.registry.gauge("plan.replans").set(1);
-            ctx.registry
-                .gauge("plan.replan_at_pair")
-                .set(i64::try_from(info.at_pair).unwrap_or(i64::MAX));
-        }
-
-        AdaptiveOutcome::Handoff(Handoff {
-            prefix: results,
-            bulk,
-            info,
-            inc_stats,
-            signals,
-        })
-    }
 }
 
 /// Where an [`AdaptiveCursor`] currently is in its run.
@@ -635,32 +395,36 @@ where
 {
     /// Driving the incremental engine through checkpoints.
     Incremental(Box<DistanceJoin<'a, D, MbrOracle, I1, I2>>),
-    /// A handoff fired; the seeded bulk remainder has been swept and its
-    /// ordered tail is being drained.
-    BulkTail(std::vec::IntoIter<ResultPair>),
-    /// Exhausted (or failed clean).
+    /// A handoff fired: the seeded bulk remainder, swept by its first pull
+    /// and drained by the ones after. Terminal — the drained cursor stays
+    /// here so its counters stay readable.
+    Tail(Box<BulkCursor<'a, D, I1, I2>>),
+    /// The incremental engine ran out, or the run failed clean.
     Finished,
 }
 
-/// A pull-driven adaptive join cursor.
+/// A pull-driven adaptive join: the one checkpoint/replan/handoff machine,
+/// behind [`JoinCursor`].
 ///
-/// [`AdaptiveDistanceJoin::execute`] owns its own loop: it drives the
-/// engine stride after stride until exhaustion or a handoff, then hands the
-/// whole remainder back at once. A cursor session cannot work that way — it
-/// needs to surface results a batch at a time, pause indefinitely between
-/// batches with the frontier held in place, and be cancelled mid-stream.
-/// `AdaptiveCursor` is the same machine inverted: each [`Self::pull`]
-/// drives at most one stride (so the checkpoint schedule, and therefore
-/// the replan decision sequence, is *identical* to `execute`'s), buffers
-/// any results the stride over-produced, and parks. When a checkpoint
-/// fires the handoff, the seeded bulk remainder is swept serially on the
-/// spot — the bulk path materialises by nature — and its ordered tail is
-/// then drained batch by batch.
+/// Each pull that finds its buffer empty drives at most one stride of queue
+/// pops (or up to the forced handoff point), then runs the checkpoint:
+/// observed progress, [`plan::replan`], a [`ReplanSignals`] record, and —
+/// when the verdict says switch — the frontier handoff. The checkpoint
+/// schedule is a function of the pop count alone, so the replan decisions
+/// are the same however the consumer chops its pulls;
+/// [`AdaptiveDistanceJoin::run`] and [`AdaptiveDistanceJoin::execute`] are
+/// loops over this same cursor. A stride can produce more results than the
+/// pull asked for — pops and results are different clocks — and the surplus
+/// (at most one stride's worth) waits in a buffer for the next pull. After a
+/// handoff the stream continues from a [`BulkCursor`] over the seeded
+/// remainder. A configuration that can never replan (descending order) has
+/// no checkpoints to keep: its pulls go straight to the engine's own
+/// [`JoinCursor::advance`], which stops at `n` results.
 ///
 /// Fail-clean shape: a storage fault ends the stream, but every result
 /// produced before it is still handed out first; the typed error surfaces
-/// on the first `pull` after the buffered prefix drains (the PR 5
-/// "correct prefix, then the error" contract, adapted to a pull API).
+/// once the buffered prefix has drained (the PR 5 "correct prefix, then the
+/// error" contract, adapted to a pull API).
 pub struct AdaptiveCursor<'a, const D: usize, I1 = RTree<D>, I2 = RTree<D>>
 where
     I1: SpatialIndex<D>,
@@ -673,97 +437,47 @@ where
     buf: VecDeque<ResultPair>,
     signals: Vec<ReplanSignals>,
     replanned: Option<ReplanInfo>,
-    /// Incremental-phase counters, frozen when that phase ends.
+    /// Incremental-phase counters (including the handoff's harvest), frozen
+    /// when that phase ends.
     stats: JoinStats,
-    bulk_stats: Option<BulkStats>,
-    checkpoint: u64,
     /// A terminal fault, held until the buffered prefix has drained.
     pending_error: Option<StorageError>,
 }
 
-impl<'a, const D: usize, I1, I2> AdaptiveCursor<'a, D, I1, I2>
+impl<const D: usize, I1, I2> AdaptiveCursor<'_, D, I1, I2>
 where
     I1: SpatialIndex<D>,
     I2: SpatialIndex<D>,
 {
-    /// Appends up to `n` further results to `out`, in stream order.
-    ///
-    /// Returns `Ok(true)` once the stream is exhausted (this call may have
-    /// appended fewer than `n`, including zero). `Err` is terminal and
-    /// fail-clean: everything appended across all `pull` calls so far is a
-    /// correct prefix of the fault-free stream.
-    pub fn pull(&mut self, n: usize, out: &mut Vec<ResultPair>) -> sdj_storage::Result<bool> {
-        let target = out.len().saturating_add(n);
-        while out.len() < target {
-            if let Some(r) = self.buf.pop_front() {
-                out.push(r);
-                continue;
-            }
-            match &mut self.state {
-                CursorState::Finished => {
-                    if let Some(e) = self.pending_error.take() {
-                        return Err(e);
-                    }
-                    return Ok(true);
-                }
-                CursorState::BulkTail(tail) => match tail.next() {
-                    Some(r) => out.push(r),
-                    None => self.state = CursorState::Finished,
-                },
-                CursorState::Incremental(_) => self.advance_incremental(),
-            }
-        }
-        Ok(self.is_done())
-    }
-
-    /// One iteration of the `execute` loop: drive a stride (or up to the
-    /// forced handoff point), then run the checkpoint, possibly switching
-    /// to the bulk tail. Results land in `buf`; faults land in
-    /// `pending_error` so the buffered prefix drains first.
-    fn advance_incremental(&mut self) {
+    /// The one checkpoint routine: pop budget → `drive` → observed progress
+    /// → [`plan::replan`] → [`ReplanSignals`] → maybe the handoff. Results
+    /// land in `buf`, a fault in `pending_error` (so the buffered prefix
+    /// drains first). Returns the switch record and the seeded bulk join,
+    /// unswept, when this checkpoint handed off; either way the incremental
+    /// phase is over once the state is no longer `Incremental`.
+    fn checkpoint(&mut self) -> Option<(ReplanInfo, BulkDistanceJoin<D>)> {
+        let CursorState::Incremental(join) = &mut self.state else {
+            return None;
+        };
         let adaptive = self.driver.adaptive;
         let stride = adaptive.pop_stride.max(1);
-        let can_replan = self.driver.eligible()
-            && self.signals.iter().filter(|s| s.switched).count() < adaptive.max_replans as usize;
-        let CursorState::Incremental(join) = &mut self.state else {
-            return;
-        };
-        let budget = if !can_replan {
-            u64::MAX
-        } else {
-            match adaptive.force_handoff_at {
-                Some(at) => {
-                    let pops = join.stats().pairs_dequeued;
-                    if at <= pops {
-                        0
-                    } else {
-                        (at - pops).min(stride)
-                    }
-                }
-                None => stride,
-            }
+        let budget = match adaptive.force_handoff_at {
+            // No checkpoint can ever fire: drain without pausing.
+            _ if !self.driver.can_replan() => u64::MAX,
+            // Stop exactly at the forced pop count.
+            Some(at) => at.saturating_sub(join.stats().pairs_dequeued).min(stride),
+            None => stride,
         };
         if budget > 0 {
-            let mut chunk = Vec::new();
-            let outcome = join.drive(budget, &mut chunk);
-            self.buf.extend(chunk);
-            match outcome {
-                Ok(true) => {
-                    self.stats = join.stats();
-                    self.state = CursorState::Finished;
-                    return;
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    self.stats = join.stats();
-                    self.pending_error = Some(e);
-                    self.state = CursorState::Finished;
-                    return;
-                }
+            let driven = join.drive(budget, &mut self.buf);
+            if !matches!(driven, Ok(false)) {
+                self.stats = join.stats();
+                self.pending_error = driven.err();
+                self.state = CursorState::Finished;
+                return None;
             }
         }
 
-        self.checkpoint += 1;
         let stats = join.stats();
         let observed = ObservedProgress {
             pops: stats.pairs_dequeued,
@@ -773,9 +487,9 @@ where
         };
         let forced = matches!(adaptive.force_handoff_at, Some(at) if observed.pops >= at);
         let verdict = plan::replan(&self.inputs, &observed, adaptive.hysteresis);
-        let switch = forced || verdict.switch;
+        let switched = forced || verdict.switch;
         self.signals.push(ReplanSignals {
-            checkpoint: self.checkpoint,
+            checkpoint: self.signals.len() as u64 + 1,
             pops: observed.pops,
             results: observed.results,
             queue_len: observed.queue_len,
@@ -794,12 +508,11 @@ where
             queue_self_share: self.driver.queue_self_share(),
             est_incremental_remaining: verdict.est_incremental_remaining,
             est_bulk_remaining: verdict.est_bulk_remaining,
-            switched: switch,
+            switched,
         });
-        if !switch {
-            return;
+        if !switched {
+            return None;
         }
-
         let info = ReplanInfo {
             at_pop: observed.pops,
             at_pair: observed.results,
@@ -807,75 +520,91 @@ where
             est_bulk_remaining: verdict.est_bulk_remaining,
             forced,
         };
+        self.handoff(&info).map(|bulk| (info, bulk))
+    }
+
+    /// Pauses the engine, exports and harvests its frontier, and seeds the
+    /// bulk remainder. Ends the incremental phase whatever happens: a fault
+    /// inside the export or harvest fails clean (the prefix emitted so far,
+    /// then the typed error), and a frontier that finished the join while
+    /// being exported leaves nothing to seed — both return `None`.
+    fn handoff(&mut self, info: &ReplanInfo) -> Option<BulkDistanceJoin<D>> {
         let CursorState::Incremental(join) =
             std::mem::replace(&mut self.state, CursorState::Finished)
         else {
-            return;
+            return None;
         };
-        let pending: Vec<ResultPair> = self.buf.drain(..).collect();
-        let signals = std::mem::take(&mut self.signals);
-        match self.driver.handoff(*join, pending, signals, info) {
-            AdaptiveOutcome::Completed(run) => {
-                self.buf.extend(run.results);
-                self.stats = run.stats;
-                self.signals = run.signals;
-                self.pending_error = run.error;
-            }
-            AdaptiveOutcome::Handoff(h) => {
-                self.buf.extend(h.prefix);
-                self.stats = h.inc_stats;
-                self.signals = h.signals;
-                self.replanned = Some(h.info);
-                let mut bulk = h.bulk;
-                let tail = bulk.run();
-                self.bulk_stats = Some(bulk.bulk_stats());
-                self.state = CursorState::BulkTail(tail.into_iter());
+        let floor = join.watermark().cloned();
+        let mut frontier = join.into_frontier(1, 0);
+        self.buf.extend(frontier.prefix);
+        self.stats = frontier.stats;
+        self.pending_error = frontier.error;
+        if self.pending_error.is_some() || frontier.exhausted {
+            return None;
+        }
+
+        let driver = &self.driver;
+        let shard = frontier.shards.pop().unwrap_or_default();
+        let mut side1 = HarvestSide::default();
+        let mut side2 = HarvestSide::default();
+        for (_, pair) in &shard {
+            let harvested = side1
+                .collect(driver.tree1, &pair.item1, &mut self.stats)
+                .and_then(|()| side2.collect(driver.tree2, &pair.item2, &mut self.stats));
+            if let Err(e) = harvested {
+                self.pending_error = Some(e);
+                return None;
             }
         }
+
+        let mut seeded_config = driver.config;
+        seeded_config.max_pairs = frontier.remaining_pairs;
+        let bulk = BulkDistanceJoin::from_frontier(
+            side1.entries,
+            side2.entries,
+            seeded_config,
+            driver.bulk_config,
+            floor.as_ref(),
+            frontier.dmax_hint,
+            driver.ctx.as_ref(),
+        );
+
+        if let Some(ctx) = &driver.ctx {
+            ctx.sink.emit(&Event::Replanned {
+                from: PlanPath::Incremental,
+                to: PlanPath::Bulk,
+                at_pop: info.at_pop,
+                at_pair: info.at_pair,
+                est_incremental_remaining: info.est_incremental_remaining,
+                est_bulk_remaining: info.est_bulk_remaining,
+            });
+            ctx.registry.gauge("plan.replans").set(1);
+            ctx.registry
+                .gauge("plan.replan_at_pair")
+                .set(i64::try_from(info.at_pair).unwrap_or(i64::MAX));
+        }
+        Some(bulk)
     }
 
     /// True once every result has been handed out and no error is pending.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        matches!(self.state, CursorState::Finished)
-            && self.buf.is_empty()
+        self.buf.is_empty()
             && self.pending_error.is_none()
-    }
-
-    /// Bytes held by the paused incremental engine's queue (all tiers).
-    /// Zero once the incremental phase has ended.
-    #[must_use]
-    pub fn queue_bytes(&self) -> usize {
-        match &self.state {
-            CursorState::Incremental(j) => j.queue_bytes(),
-            _ => 0,
-        }
-    }
-
-    /// Bytes held by results a stride over-produced (or the materialised
-    /// bulk tail still waiting to be drained).
-    #[must_use]
-    pub fn buffered_bytes(&self) -> usize {
-        let tail = match &self.state {
-            CursorState::BulkTail(t) => t.len(),
-            _ => 0,
-        };
-        (self.buf.len() + tail) * std::mem::size_of::<ResultPair>()
-    }
-
-    /// Incremental-phase counters (live while that phase runs).
-    #[must_use]
-    pub fn stats(&self) -> JoinStats {
-        match &self.state {
-            CursorState::Incremental(j) => j.stats(),
-            _ => self.stats,
-        }
+            && match &self.state {
+                CursorState::Incremental(_) => false,
+                CursorState::Tail(tail) => tail.is_drained(),
+                CursorState::Finished => true,
+            }
     }
 
     /// Bulk-phase counters, once a handoff has run.
     #[must_use]
-    pub fn bulk_stats(&self) -> Option<&BulkStats> {
-        self.bulk_stats.as_ref()
+    pub fn bulk_stats(&self) -> Option<BulkStats> {
+        match &self.state {
+            CursorState::Tail(tail) => Some(tail.bulk_stats()),
+            _ => None,
+        }
     }
 
     /// The switch record, once a handoff has fired.
@@ -896,6 +625,72 @@ where
     pub fn attach_queue_obs_prefixed(&mut self, ctx: &ObsContext, prefix: &str) {
         if let CursorState::Incremental(j) = &mut self.state {
             j.attach_queue_obs_prefixed(ctx, prefix);
+        }
+    }
+}
+
+impl<const D: usize, I1, I2> JoinCursor for AdaptiveCursor<'_, D, I1, I2>
+where
+    I1: SpatialIndex<D>,
+    I2: SpatialIndex<D>,
+{
+    fn advance(&mut self, n: usize, out: &mut Vec<ResultPair>) -> sdj_storage::Result<bool> {
+        let target = out.len().saturating_add(n);
+        loop {
+            let buffered = self.buf.len().min(target - out.len());
+            out.extend(self.buf.drain(..buffered));
+            let want = target - out.len();
+            if want == 0 {
+                return Ok(self.is_done());
+            }
+            match &mut self.state {
+                CursorState::Finished => {
+                    return self.pending_error.take().map_or(Ok(true), Err);
+                }
+                CursorState::Tail(tail) => return tail.advance(want, out),
+                // No checkpoint to keep: the engine paces itself.
+                CursorState::Incremental(join) if !self.driver.can_replan() => {
+                    let pulled = join.advance(want, out);
+                    if !matches!(pulled, Ok(false)) {
+                        self.stats = join.stats();
+                        self.state = CursorState::Finished;
+                    }
+                    return pulled;
+                }
+                CursorState::Incremental(_) => {
+                    if let Some((info, bulk)) = self.checkpoint() {
+                        self.replanned = Some(info);
+                        self.state = CursorState::Tail(Box::new(BulkCursor::seeded(
+                            bulk,
+                            self.driver.ctx.clone(),
+                            self.stats.pairs_reported,
+                        )));
+                    }
+                }
+            }
+        }
+    }
+
+    fn held_bytes(&self) -> usize {
+        let engine = match &self.state {
+            CursorState::Incremental(join) => join.queue_bytes(),
+            CursorState::Tail(tail) => tail.held_bytes(),
+            CursorState::Finished => 0,
+        };
+        engine + self.buf.len() * std::mem::size_of::<ResultPair>()
+    }
+
+    /// The incremental phase's counters, plus the bulk tail's once a
+    /// handoff has swept it.
+    fn stats(&self) -> JoinStats {
+        match &self.state {
+            CursorState::Incremental(join) => join.stats(),
+            CursorState::Tail(tail) => {
+                let mut stats = self.stats;
+                stats.merge(&tail.stats());
+                stats
+            }
+            CursorState::Finished => self.stats,
         }
     }
 }

@@ -48,10 +48,10 @@
 //! enforces both properties under proptest.
 
 use sdj_geom::{KeySpace, OrdF64, Rect, SoaRects};
-use sdj_obs::{ObsContext, Phase, SpanTimer};
+use sdj_obs::{Event, ObsContext, Phase, SpanTimer};
 use sdj_rtree::ObjectId;
 
-use crate::config::{ExpansionPath, JoinConfig, ResultOrder};
+use crate::config::{JoinConfig, ResultOrder};
 use crate::index::{IndexEntry, IndexNode, SpatialIndex};
 use crate::join::{mindist_keys_into, EmissionWatermark, ResultPair};
 use crate::stats::JoinStats;
@@ -298,7 +298,6 @@ pub struct BulkDistanceJoin<const D: usize> {
     config: JoinConfig,
     bulk_config: BulkConfig,
     keys: KeySpace,
-    lanes: bool,
     min_key: f64,
     max_key: f64,
     /// `Dmax` in distance units — the geometric expansion radius.
@@ -432,7 +431,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
             config,
             bulk_config,
             keys,
-            lanes: matches!(config.expansion, ExpansionPath::Lanes),
             min_key: keys.to_key(config.min_distance),
             max_key: keys.to_key(config.max_distance),
             dmax,
@@ -541,7 +539,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
             config,
             bulk_config,
             keys,
-            lanes: matches!(config.expansion, ExpansionPath::Lanes),
             min_key: keys.to_key(config.min_distance),
             max_key,
             dmax,
@@ -699,7 +696,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
             let e1_hi = r1.hi()[0];
             let lo2s = scratch.soa2.lo_axis(0);
             // The incremental engine's sweep window (see
-            // `DistanceJoin::expand_both_batched`): right entries whose
+            // `DistanceJoin::expand_both`): right entries whose
             // axis-0 interval cannot come within `Dmax` of `r1` are skipped
             // without a distance evaluation; both bounds are monotone in
             // `lo[0]`, so binary searches find them.
@@ -721,7 +718,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
             }
             mindist_keys_into(
                 &scratch.soa2,
-                self.lanes,
+                self.config.expansion,
                 keys,
                 r1,
                 start..end,
@@ -879,6 +876,22 @@ impl<const D: usize> BulkDistanceJoin<D> {
     #[must_use]
     pub fn bulk_config(&self) -> &BulkConfig {
         &self.bulk_config
+    }
+}
+
+/// Emits the sampled [`Event::ResultReported`] events of a materialised run
+/// that continues a stream `base` results long: its first result has global
+/// rank `base + 1`. Every producer that reports a whole run at once (the
+/// bulk cursor, the parallel sweep pool) numbers through here, so an
+/// adaptive run's prefix and tail form one strictly increasing rank series.
+pub fn report_ranks(ctx: &ObsContext, base: u64, results: &[ResultPair]) {
+    for (rank, r) in (base + 1..).zip(results) {
+        if rank.is_multiple_of(ctx.result_sample_every) {
+            ctx.sink.emit(&Event::ResultReported {
+                rank,
+                dist: r.distance,
+            });
+        }
     }
 }
 

@@ -75,16 +75,18 @@ pub enum KeyDomain {
     Plain,
 }
 
-/// Which implementation computes child bounds during node expansion.
+/// How node expansion fills its key columns. Every path walks the same
+/// cached per-page `NodeView` and the same expansion code; only the routine
+/// that turns a column of rectangles into MINDIST/MAXDIST keys differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExpansionPath {
-    /// Batched struct-of-arrays kernels over a cached per-page `NodeView`
-    /// (`sdj_geom::kernels`): one pass per axis over contiguous `lo`/`hi`
-    /// columns.
+    /// Batched struct-of-arrays kernels (`sdj_geom::kernels`): one pass per
+    /// axis over contiguous `lo`/`hi` columns.
     #[default]
     Batched,
-    /// Per-entry scalar bound evaluations (the pre-kernel behaviour, kept
-    /// for A/B comparisons).
+    /// One scalar bound evaluation per rectangle — the functions the kernel
+    /// equivalence suites use as their oracle, kept selectable for A/B
+    /// comparisons.
     Scalar,
     /// The batched kernels with their hottest column passes (MINDIST and
     /// MAXDIST over the expansion/sweep windows) unrolled into explicit

@@ -1,0 +1,256 @@
+//! One pull interface over every serial execution path.
+//!
+//! The paper's central observation is that the priority queue *is* the
+//! query state, so a distance join is by nature a cursor its consumer may
+//! stop after any pair (§2.2, `STOP AFTER`). [`JoinCursor`] is that cursor
+//! as a trait, and every serial engine shows it to whatever drives it:
+//!
+//! * [`DistanceJoin`] — the incremental engine; a pull is `n` iterator
+//!   steps and the held bytes are the queue's.
+//! * [`AdaptiveCursor`](crate::AdaptiveCursor) — the incremental engine driven through replan
+//!   checkpoints, possibly handing its remainder to a frontier-seeded bulk
+//!   run mid-stream.
+//! * [`BulkCursor`] — the bulk path, which materialises by nature: it
+//!   partitions and sweeps on the first pull and drains the sorted run
+//!   afterwards. It is also the tail of an adaptive cursor after a
+//!   handoff, so "sweep, then drain" exists once.
+//!
+//! [`open_cursor`] is the one place a [`PlanChoice`] becomes a serial engine.
+//! The parallel executors in `sdj-exec` keep their scoped-closure API: their
+//! worker threads must be joined before the call returns, which a cursor
+//! that outlives the call cannot promise.
+
+use sdj_obs::ObsContext;
+use sdj_rtree::RTree;
+
+use crate::adaptive::{AdaptiveConfig, AdaptiveDistanceJoin};
+use crate::bulk::{report_ranks, BulkConfig, BulkDistanceJoin, BulkStats};
+use crate::config::JoinConfig;
+use crate::index::SpatialIndex;
+use crate::join::{DistanceJoin, ResultPair};
+use crate::oracle::DistanceOracle;
+use crate::plan::PlanChoice;
+use crate::stats::JoinStats;
+
+/// A pull-paced result stream: the shape every serial engine shows its
+/// driver (a session, a report, a test).
+pub trait JoinCursor {
+    /// Appends up to `n` further results to `out`, in stream order.
+    ///
+    /// `Ok(true)` means the stream is exhausted: nothing follows what this
+    /// call appended (possibly fewer than `n` results, possibly none), and
+    /// every later call appends nothing and answers `Ok(true)` again.
+    /// `Ok(false)` means `n` results were appended and more may follow. `Err`
+    /// is terminal and fail-clean: everything appended so far, by this call
+    /// and the ones before it, is a correct prefix of the fault-free stream.
+    fn advance(&mut self, n: usize, out: &mut Vec<ResultPair>) -> sdj_storage::Result<bool>;
+
+    /// Bytes of query state held between pulls — queue tiers plus results
+    /// produced but not yet handed out. This is what a session's memory
+    /// budget meters; an exhausted cursor holds none.
+    fn held_bytes(&self) -> usize;
+
+    /// Engine counters of the run so far.
+    fn stats(&self) -> JoinStats;
+}
+
+impl<const D: usize, O, I1, I2> JoinCursor for DistanceJoin<'_, D, O, I1, I2>
+where
+    O: DistanceOracle<D>,
+    I1: SpatialIndex<D>,
+    I2: SpatialIndex<D>,
+{
+    fn advance(&mut self, n: usize, out: &mut Vec<ResultPair>) -> sdj_storage::Result<bool> {
+        for _ in 0..n {
+            match self.next() {
+                Some(r) => out.push(r),
+                None => return self.take_error().map_or(Ok(true), Err),
+            }
+        }
+        Ok(false)
+    }
+
+    /// The queue *is* the paused query. Once the join has finished, whatever
+    /// the queue still holds is dead weight awaiting the drop, not state.
+    fn held_bytes(&self) -> usize {
+        if self.is_done() {
+            0
+        } else {
+            self.queue_bytes()
+        }
+    }
+
+    fn stats(&self) -> JoinStats {
+        DistanceJoin::stats(self)
+    }
+}
+
+/// What a [`BulkCursor`] sweeps on its first pull.
+enum BulkSource<'a, const D: usize, I1, I2> {
+    /// Two indexes still to be harvested and partitioned.
+    Trees {
+        tree1: &'a I1,
+        tree2: &'a I2,
+        config: JoinConfig,
+        bulk_config: BulkConfig,
+    },
+    /// A partition built elsewhere (the adaptive handoff seeds one from the
+    /// exported frontier).
+    Built(Box<BulkDistanceJoin<D>>),
+}
+
+/// The bulk partition/plane-sweep join behind the pull interface.
+///
+/// Nothing is read before the first [`JoinCursor::advance`]: opening the
+/// cursor is free, and a storage fault in the harvest surfaces where every
+/// other engine's faults do. That first pull builds the partition, sweeps
+/// every cell and merges the runs in distance order; the pulls after it
+/// drain the materialised stream.
+pub struct BulkCursor<'a, const D: usize, I1 = RTree<D>, I2 = RTree<D>> {
+    /// Taken by the first pull.
+    source: Option<BulkSource<'a, D, I1, I2>>,
+    /// The swept stream, not yet handed out.
+    tail: std::vec::IntoIter<ResultPair>,
+    stats: JoinStats,
+    bulk_stats: BulkStats,
+    /// Where sampled `ResultReported` events go, and the global rank of the
+    /// last result emitted before this cursor's first.
+    ranks: Option<(ObsContext, u64)>,
+}
+
+impl<'a, const D: usize, I1, I2> BulkCursor<'a, D, I1, I2>
+where
+    I1: SpatialIndex<D>,
+    I2: SpatialIndex<D>,
+{
+    /// A cursor over the bulk join of `tree1` × `tree2`.
+    #[must_use]
+    pub fn new(tree1: &'a I1, tree2: &'a I2, config: JoinConfig, bulk_config: BulkConfig) -> Self {
+        Self::over(
+            BulkSource::Trees {
+                tree1,
+                tree2,
+                config,
+                bulk_config,
+            },
+            None,
+        )
+    }
+
+    /// A cursor over an already built partition whose results continue a
+    /// stream that has emitted `base_rank` results so far.
+    pub(crate) fn seeded(
+        bulk: BulkDistanceJoin<D>,
+        ctx: Option<ObsContext>,
+        base_rank: u64,
+    ) -> Self {
+        Self::over(
+            BulkSource::Built(Box::new(bulk)),
+            ctx.map(|ctx| (ctx, base_rank)),
+        )
+    }
+
+    fn over(source: BulkSource<'a, D, I1, I2>, ranks: Option<(ObsContext, u64)>) -> Self {
+        Self {
+            source: Some(source),
+            tail: Vec::new().into_iter(),
+            stats: JoinStats::default(),
+            bulk_stats: BulkStats::default(),
+            ranks,
+        }
+    }
+
+    /// Bulk-path counters (cells, sweeps, dedup suppressions, replicas);
+    /// all zero until the first pull has swept.
+    #[must_use]
+    pub fn bulk_stats(&self) -> BulkStats {
+        self.bulk_stats
+    }
+
+    /// True once the swept stream has been handed out in full.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.source.is_none() && self.tail.len() == 0
+    }
+}
+
+impl<const D: usize, I1, I2> JoinCursor for BulkCursor<'_, D, I1, I2>
+where
+    I1: SpatialIndex<D>,
+    I2: SpatialIndex<D>,
+{
+    fn advance(&mut self, n: usize, out: &mut Vec<ResultPair>) -> sdj_storage::Result<bool> {
+        if let Some(source) = self.source.take() {
+            let mut bulk = match source {
+                BulkSource::Trees {
+                    tree1,
+                    tree2,
+                    config,
+                    bulk_config,
+                } => BulkDistanceJoin::with_bulk_config(tree1, tree2, config, bulk_config)?,
+                BulkSource::Built(bulk) => *bulk,
+            };
+            let results = bulk.run();
+            self.stats = bulk.stats();
+            self.bulk_stats = bulk.bulk_stats();
+            if let Some((ctx, base)) = &self.ranks {
+                report_ranks(ctx, *base, &results);
+            }
+            self.tail = results.into_iter();
+        }
+        out.extend(self.tail.by_ref().take(n));
+        Ok(self.tail.len() == 0)
+    }
+
+    fn held_bytes(&self) -> usize {
+        self.tail.len() * std::mem::size_of::<ResultPair>()
+    }
+
+    fn stats(&self) -> JoinStats {
+        self.stats
+    }
+}
+
+/// Opens the serial engine `plan` names as a boxed [`JoinCursor`] — the only
+/// place outside `sdj-exec`'s parallel executors where a [`PlanChoice`] turns
+/// into an engine.
+///
+/// `gauges` registers the cursor's queue gauges as `{prefix}pq.*` in the
+/// context's registry (a session service passes `session.<id>.`); the bulk
+/// path has no queue and registers nothing.
+///
+/// # Panics
+/// Panics on an invalid `config` (see [`JoinConfig::validate`]).
+#[must_use]
+pub fn open_cursor<'a, const D: usize, I1, I2>(
+    tree1: &'a I1,
+    tree2: &'a I2,
+    plan: PlanChoice,
+    config: JoinConfig,
+    bulk_config: BulkConfig,
+    adaptive: AdaptiveConfig,
+    gauges: Option<(&ObsContext, &str)>,
+) -> Box<dyn JoinCursor + Send + Sync + 'a>
+where
+    I1: SpatialIndex<D> + Sync,
+    I2: SpatialIndex<D> + Sync,
+{
+    match plan {
+        PlanChoice::Incremental => {
+            let mut join = DistanceJoin::new(tree1, tree2, config);
+            if let Some((ctx, prefix)) = gauges {
+                join.attach_queue_obs_prefixed(ctx, prefix);
+            }
+            Box::new(join)
+        }
+        PlanChoice::Bulk => Box::new(BulkCursor::new(tree1, tree2, config, bulk_config)),
+        PlanChoice::Adaptive => {
+            let mut cursor =
+                AdaptiveDistanceJoin::with_configs(tree1, tree2, config, bulk_config, adaptive)
+                    .cursor();
+            if let Some((ctx, prefix)) = gauges {
+                cursor.attach_queue_obs_prefixed(ctx, prefix);
+            }
+            Box::new(cursor)
+        }
+    }
+}

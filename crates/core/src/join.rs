@@ -33,7 +33,7 @@ use sdj_storage::StorageError;
 use crate::bound::SharedDistanceBound;
 use crate::config::{EstimationBound, ExpansionPath, JoinConfig, ResultOrder, TraversalPolicy};
 use crate::estimate::{Estimator, EstimatorMode};
-use crate::index::{IndexEntry, IndexNode, NodeId, SpatialIndex};
+use crate::index::{IndexEntry, NodeId, SpatialIndex};
 use crate::obs::JoinObs;
 use crate::oracle::{DistanceOracle, MbrOracle};
 use crate::pair::{Item, Pair, PairKey};
@@ -42,23 +42,26 @@ use crate::semi::{SeenSet, SemiConfig, SemiState};
 use crate::stats::JoinStats;
 use crate::view::{NodeView, ViewCache, VIEW_CACHE_CAP};
 
-/// Routes a MINDIST column pass by expansion path: `lanes` selects the
-/// explicit fixed-width lane kernel ([`ExpansionPath::Lanes`]), otherwise the
-/// plain batched kernel runs. Both produce identical bits, so every caller
-/// (expansion, sweep windows, the bulk executor) is free to A/B them.
+/// Fills a MINDIST key column the way `path` asks: the batched kernel, its
+/// lane-unrolled form, or one scalar bound evaluation per rectangle
+/// ([`ExpansionPath::Scalar`] — the oracle the kernels are tested against,
+/// run over the same columns). All three produce identical bits, so every
+/// caller (expansion, sweep windows, the bulk executor) is free to A/B them.
 #[inline]
 pub(crate) fn mindist_keys_into<const D: usize>(
     soa: &SoaRects<D>,
-    lanes: bool,
+    path: ExpansionPath,
     keys: KeySpace,
     q: &Rect<D>,
     range: std::ops::Range<usize>,
     out: &mut Vec<f64>,
 ) {
-    if lanes {
-        soa.mindist_keys_lanes(keys, q, range, out);
-    } else {
-        soa.mindist_keys(keys, q, range, out);
+    match path {
+        ExpansionPath::Batched => soa.mindist_keys(keys, q, range, out),
+        ExpansionPath::Lanes => soa.mindist_keys_lanes(keys, q, range, out),
+        ExpansionPath::Scalar => {
+            scalar_keys_into(soa, range, out, |r| keys.mindist_rect_rect(r, q));
+        }
     }
 }
 
@@ -66,17 +69,32 @@ pub(crate) fn mindist_keys_into<const D: usize>(
 #[inline]
 pub(crate) fn maxdist_keys_into<const D: usize>(
     soa: &SoaRects<D>,
-    lanes: bool,
+    path: ExpansionPath,
     keys: KeySpace,
     q: &Rect<D>,
     range: std::ops::Range<usize>,
     out: &mut Vec<f64>,
 ) {
-    if lanes {
-        soa.maxdist_keys_lanes(keys, q, range, out);
-    } else {
-        soa.maxdist_keys(keys, q, range, out);
+    match path {
+        ExpansionPath::Batched => soa.maxdist_keys(keys, q, range, out),
+        ExpansionPath::Lanes => soa.maxdist_keys_lanes(keys, q, range, out),
+        ExpansionPath::Scalar => {
+            scalar_keys_into(soa, range, out, |r| keys.maxdist_rect_rect(r, q));
+        }
     }
+}
+
+/// [`ExpansionPath::Scalar`]'s column fill: `bound` of each rectangle in
+/// `range`, one at a time. Out of line, so the expansion routines the two
+/// helpers above inline into carry the kernel calls and nothing else.
+#[inline(never)]
+fn scalar_keys_into<const D: usize>(
+    soa: &SoaRects<D>,
+    range: std::ops::Range<usize>,
+    out: &mut Vec<f64>,
+    bound: impl Fn(&Rect<D>) -> f64,
+) {
+    out.extend(range.map(|i| bound(&soa.get(i))));
 }
 
 /// One result of a distance join: a pair of objects and their distance.
@@ -521,7 +539,7 @@ where
     pub(crate) fn drive(
         &mut self,
         max_pops: u64,
-        out: &mut Vec<ResultPair>,
+        out: &mut impl Extend<ResultPair>,
     ) -> sdj_storage::Result<bool> {
         if self.done {
             return Ok(true);
@@ -529,7 +547,7 @@ where
         let budget_end = self.stats.pairs_dequeued.saturating_add(max_pops);
         while self.stats.pairs_dequeued < budget_end {
             match self.step() {
-                Ok(StepOutcome::Result(r)) => out.push(r),
+                Ok(StepOutcome::Result(r)) => out.extend(Some(r)),
                 Ok(StepOutcome::Continue) => {}
                 Ok(StepOutcome::Exhausted) => {
                     self.done = true;
@@ -701,14 +719,6 @@ where
         self.queue.hybrid_info()
     }
 
-    /// Item-arena occupancy under [`QueueLayout::FlatDary`](crate::QueueLayout::FlatDary):
-    /// `(live distinct items, lifetime high-water, recycled allocations)`.
-    /// `None` under the pairing layout.
-    #[must_use]
-    pub fn queue_slab_stats(&self) -> Option<(usize, usize, u64)> {
-        self.queue.slab_stats()
-    }
-
     /// Approximate resident bytes of the priority queue (heap storage, item
     /// arena, spill buffer pool). This is the number a per-session memory
     /// budget meters: the queue *is* the whole paused query state.
@@ -737,12 +747,6 @@ where
 
     fn ascending(&self) -> bool {
         matches!(self.config.order, ResultOrder::Ascending)
-    }
-
-    /// True when the lane-unrolled column kernels are selected
-    /// ([`ExpansionPath::Lanes`]).
-    fn lanes(&self) -> bool {
-        matches!(self.config.expansion, ExpansionPath::Lanes)
     }
 
     /// The tightest known maximum key (query bound, estimator, and — for
@@ -989,19 +993,8 @@ where
         }
     }
 
-    fn read_node1(&mut self, id: NodeId) -> sdj_storage::Result<IndexNode<D>> {
-        self.stats.node_accesses += 1;
-        self.tree1.read_node(id)
-    }
-
-    fn read_node2(&mut self, id: NodeId) -> sdj_storage::Result<IndexNode<D>> {
-        self.stats.node_accesses += 1;
-        self.tree2.read_node(id)
-    }
-
     /// Checks the first tree's node `id` out of the view cache (decoding it
-    /// only on a miss). Counted as a logical node access like
-    /// [`read_node1`](Self::read_node1).
+    /// only on a miss). Counted as a logical node access.
     fn checkout1(&mut self, id: NodeId) -> sdj_storage::Result<NodeView<D>> {
         self.stats.node_accesses += 1;
         let tree = self.tree1;
@@ -1245,20 +1238,15 @@ where
     /// `first_side`, pairing its entries with the other item.
     fn expand_one(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
         self.span_enter(Phase::Expand);
-        let r = match self.config.expansion {
-            ExpansionPath::Batched | ExpansionPath::Lanes => {
-                self.expand_one_batched(pair, first_side)
-            }
-            ExpansionPath::Scalar => self.expand_one_scalar(pair, first_side),
-        };
+        let r = self.expand_one_inner(pair, first_side);
         self.span_exit(Phase::Expand);
         r
     }
 
     /// [`expand_one`](Self::expand_one) over a cached struct-of-arrays node
     /// view: the MINDIST keys of all children against the other item come
-    /// from one batched kernel pass per axis.
-    fn expand_one_batched(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
+    /// from one key-column pass ([`mindist_keys_into`]).
+    fn expand_one_inner(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
         let (node_item, other_item) = if first_side {
             (&pair.item1, &pair.item2)
         } else {
@@ -1291,11 +1279,11 @@ where
             };
             obs.on_expand(side, n as u32);
         }
-        let lanes = self.lanes();
+        let path = self.config.expansion;
         let mut minds = std::mem::take(&mut self.scratch_keys);
         minds.clear();
         self.span_enter(Phase::Kernel);
-        mindist_keys_into(&view.rects, lanes, keys, other.rect(), 0..n, &mut minds);
+        mindist_keys_into(&view.rects, path, keys, other.rect(), 0..n, &mut minds);
         self.span_exit(Phase::Kernel);
         self.stats.distance_calcs += n as u64;
 
@@ -1390,145 +1378,21 @@ where
         Ok(())
     }
 
-    /// [`expand_one`](Self::expand_one) with per-entry scalar bound
-    /// evaluations — the pre-kernel behaviour, selectable for A/B runs via
-    /// [`ExpansionPath::Scalar`].
-    fn expand_one_scalar(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
-        let (node_item, other_item) = if first_side {
-            (&pair.item1, &pair.item2)
-        } else {
-            (&pair.item2, &pair.item1)
-        };
-        let Item::Node { page, .. } = *node_item else {
-            unreachable!("expand_one on a non-node item")
-        };
-        let other = *other_item;
-
-        if first_side {
-            // Semi-join estimation: the first-side node is being processed,
-            // so its own M entry must not coexist with its children's.
-            if self.semi.is_some() {
-                if let Some(est) = &mut self.estimator {
-                    est.on_expand_item1(pair.item1.identity());
-                }
-            }
-            let inherited = self
-                .semi
-                .as_ref()
-                .and_then(|s| s.bound_for(pair.item1.identity()));
-            let node = self.read_node1(page)?;
-            if let Some(obs) = &mut self.obs {
-                obs.on_expand(Side::First, node.entries.len() as u32);
-            }
-            for entry in &node.entries {
-                let child = Self::child_item(entry);
-                if let Some(oid) = child.object_id() {
-                    if self
-                        .semi
-                        .as_ref()
-                        .is_some_and(|s| s.filters_on_expand() && s.seen.contains(oid.0))
-                    {
-                        self.stats.filtered_seen += 1;
-                        continue;
-                    }
-                }
-                let child_pair = Pair::new(child, other);
-                // Global bound maintenance: children inherit their parent's
-                // bound and may tighten it with their own pair's d_max.
-                let global = self.semi.as_ref().is_some_and(|s| {
-                    matches!(
-                        s.config.dmax,
-                        crate::semi::DmaxStrategy::GlobalNodes
-                            | crate::semi::DmaxStrategy::GlobalAll
-                    )
-                });
-                if global {
-                    let own = self.semi_dmax_bound(&child_pair);
-                    let bound = inherited.map_or(own, |b| b.min(own));
-                    if let Some(semi) = &mut self.semi {
-                        if semi.update_bound(child.identity(), bound) {
-                            if let Some(obs) = &mut self.obs {
-                                obs.on_semi_bound();
-                            }
-                        }
-                    }
-                }
-                self.consider(child_pair, None);
-            }
-        } else {
-            let node = self.read_node2(page)?;
-            if let Some(obs) = &mut self.obs {
-                obs.on_expand(Side::Second, node.entries.len() as u32);
-            }
-            let item1 = pair.item1;
-            let local = self.semi.as_ref().is_some_and(SemiState::uses_local_bound);
-            if local {
-                // Two passes: first compute per-child distances and d_max
-                // bounds to find the smallest bound, then prune siblings
-                // that cannot beat it (§4.2.1 "Local"). The children buffer
-                // is owned by the join and reused across expansions.
-                let keys = self.keys;
-                let mut children = std::mem::take(&mut self.scratch_children);
-                children.clear();
-                children.reserve(node.entries.len());
-                let mut best_bound = f64::INFINITY;
-                for entry in &node.entries {
-                    let child = Self::child_item(entry);
-                    let child_pair = Pair::new(item1, child);
-                    self.stats.distance_calcs += 1;
-                    let mind = child_pair.mindist_key(keys);
-                    let bound = self.semi_dmax_bound(&child_pair);
-                    best_bound = best_bound.min(bound);
-                    children.push((child_pair, mind));
-                }
-                if let Some(semi) = &mut self.semi {
-                    if semi.update_bound(item1.identity(), best_bound) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.on_semi_bound();
-                        }
-                    }
-                }
-                let effective = self
-                    .semi
-                    .as_ref()
-                    .and_then(|s| s.bound_for(item1.identity()))
-                    .map_or(best_bound, |b| b.min(best_bound));
-                for &(child_pair, mind) in &children {
-                    if mind > effective {
-                        self.stats.pruned_by_dmax += 1;
-                        continue;
-                    }
-                    self.consider(child_pair, Some(mind));
-                }
-                self.scratch_children = children;
-            } else {
-                for entry in &node.entries {
-                    let child = Self::child_item(entry);
-                    self.consider(Pair::new(item1, child), None);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// "Simultaneous" expansion of a node/node pair (§2.2.2): both nodes are
     /// opened and their entries paired with a plane sweep restricted by the
     /// distance range.
     fn expand_both(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
         self.stats.sweep_expansions += 1;
         self.span_enter(Phase::Expand);
-        let r = match self.config.expansion {
-            ExpansionPath::Batched | ExpansionPath::Lanes => self.expand_both_batched(pair),
-            ExpansionPath::Scalar => self.expand_both_scalar(pair),
-        };
+        let r = self.expand_both_inner(pair);
         self.span_exit(Phase::Expand);
         r
     }
 
     /// [`expand_both`](Self::expand_both) over cached struct-of-arrays node
     /// views: the range-restriction filters and the per-window MINDIST keys
-    /// of the plane sweep all come from batched kernel passes.
-    fn expand_both_batched(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
+    /// of the plane sweep all come from key-column passes.
+    fn expand_both_inner(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
         let (Item::Node { page: p1, .. }, Item::Node { page: p2, .. }) = (&pair.item1, &pair.item2)
         else {
             unreachable!("expand_both on a non-node pair")
@@ -1551,7 +1415,7 @@ where
             obs.on_expand(Side::Both, (view1.rects.len() + view2.rects.len()) as u32);
         }
         let keys = self.keys;
-        let lanes = self.lanes();
+        let path = self.config.expansion;
         let eff_max = if self.ascending() {
             self.effective_max_key()
         } else {
@@ -1574,10 +1438,10 @@ where
         let n1 = view1.rects.len();
         minds.clear();
         self.span_enter(Phase::Kernel);
-        mindist_keys_into(&view1.rects, lanes, keys, r2, 0..n1, &mut minds);
+        mindist_keys_into(&view1.rects, path, keys, r2, 0..n1, &mut minds);
         if min_key > 0.0 {
             maxds.clear();
-            maxdist_keys_into(&view1.rects, lanes, keys, r2, 0..n1, &mut maxds);
+            maxdist_keys_into(&view1.rects, path, keys, r2, 0..n1, &mut maxds);
             self.stats.distance_calcs += n1 as u64;
         }
         self.span_exit(Phase::Kernel);
@@ -1610,10 +1474,10 @@ where
         let n2 = view2.rects.len();
         minds.clear();
         self.span_enter(Phase::Kernel);
-        mindist_keys_into(&view2.rects, lanes, keys, r1, 0..n2, &mut minds);
+        mindist_keys_into(&view2.rects, path, keys, r1, 0..n2, &mut minds);
         if min_key > 0.0 {
             maxds.clear();
-            maxdist_keys_into(&view2.rects, lanes, keys, r1, 0..n2, &mut maxds);
+            maxdist_keys_into(&view2.rects, path, keys, r1, 0..n2, &mut maxds);
             self.stats.distance_calcs += n2 as u64;
         }
         self.span_exit(Phase::Kernel);
@@ -1681,7 +1545,7 @@ where
             }
             minds.clear();
             self.span_enter(Phase::Kernel);
-            mindist_keys_into(&soa2, lanes, keys, e1.rect(), start..end, &mut minds);
+            mindist_keys_into(&soa2, path, keys, e1.rect(), start..end, &mut minds);
             self.span_exit(Phase::Kernel);
             self.stats.distance_calcs += (end - start) as u64;
             let c1 = Self::child_item(e1);
@@ -1696,120 +1560,6 @@ where
         self.scratch_entries1 = entries1;
         self.scratch_entries2 = entries2;
         self.scratch_soa2 = soa2;
-        Ok(())
-    }
-
-    /// [`expand_both`](Self::expand_both) with per-entry scalar bound
-    /// evaluations — the pre-kernel behaviour, selectable for A/B runs via
-    /// [`ExpansionPath::Scalar`].
-    fn expand_both_scalar(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
-        let (Item::Node { page: p1, .. }, Item::Node { page: p2, .. }) = (&pair.item1, &pair.item2)
-        else {
-            unreachable!("expand_both on a non-node pair")
-        };
-        if self.semi.is_some() {
-            if let Some(est) = &mut self.estimator {
-                est.on_expand_item1(pair.item1.identity());
-            }
-        }
-        let node1 = self.read_node1(*p1)?;
-        let node2 = self.read_node2(*p2)?;
-        if let Some(obs) = &mut self.obs {
-            obs.on_expand(
-                Side::Both,
-                (node1.entries.len() + node2.entries.len()) as u32,
-            );
-        }
-        let keys = self.keys;
-        let eff_max = if self.ascending() {
-            self.effective_max_key()
-        } else {
-            f64::INFINITY
-        };
-        let min_key = self.min_key;
-
-        // Restriction of the search space: drop entries that are out of
-        // range with respect to the space spanned by the other node. The
-        // entry buffers are owned by the join and reused across expansions
-        // (entries are `Copy`, so they can outlive the node reads).
-        let r2 = pair.item2.rect();
-        let mut entries1 = std::mem::take(&mut self.scratch_entries1);
-        entries1.clear();
-        entries1.reserve(node1.entries.len());
-        for e in &node1.entries {
-            self.stats.distance_calcs += 1;
-            if keys.mindist_rect_rect(e.rect(), r2) > eff_max {
-                self.stats.pruned_by_range += 1;
-                continue;
-            }
-            if min_key > 0.0 {
-                self.stats.distance_calcs += 1;
-                if keys.maxdist_rect_rect(e.rect(), r2) < min_key {
-                    self.stats.pruned_by_range += 1;
-                    continue;
-                }
-            }
-            if let Some(oid) = e.object_id() {
-                if self
-                    .semi
-                    .as_ref()
-                    .is_some_and(|s| s.filters_on_expand() && s.seen.contains(oid.0))
-                {
-                    self.stats.filtered_seen += 1;
-                    continue;
-                }
-            }
-            entries1.push(*e);
-        }
-        let r1 = pair.item1.rect();
-        let mut entries2 = std::mem::take(&mut self.scratch_entries2);
-        entries2.clear();
-        entries2.reserve(node2.entries.len());
-        for e in &node2.entries {
-            self.stats.distance_calcs += 1;
-            if keys.mindist_rect_rect(e.rect(), r1) > eff_max {
-                self.stats.pruned_by_range += 1;
-                continue;
-            }
-            if min_key > 0.0 {
-                self.stats.distance_calcs += 1;
-                if keys.maxdist_rect_rect(e.rect(), r1) < min_key {
-                    self.stats.pruned_by_range += 1;
-                    continue;
-                }
-            }
-            entries2.push(*e);
-        }
-
-        // Plane sweep along axis 0, with the same key-domain window bounds
-        // as the batched path (see `expand_both_batched`).
-        // `total_cmp` keeps the sweep well-defined even if a corrupt page
-        // decoded to a NaN coordinate (NaNs sort last; the pair is still
-        // pruned or reported by the distance kernels, never a panic).
-        entries2.sort_by(|a, b| a.rect().lo()[0].total_cmp(&b.rect().lo()[0]));
-        let max_width2 = entries2
-            .iter()
-            .map(|e| e.rect().extent(0))
-            .fold(0.0f64, f64::max);
-        for e1 in &entries1 {
-            let e1_lo = e1.rect().lo()[0];
-            let e1_hi = e1.rect().hi()[0];
-            let start = entries2.partition_point(|e| {
-                let t = e1_lo - e.rect().lo()[0] - max_width2;
-                t > 0.0 && keys.axis_gap_exceeds(t, eff_max)
-            });
-            for e2 in &entries2[start..] {
-                let t = e2.rect().lo()[0] - e1_hi;
-                if t > 0.0 && keys.axis_gap_exceeds(t, eff_max) {
-                    break;
-                }
-                let c1 = Self::child_item(e1);
-                let c2 = Self::child_item(e2);
-                self.consider(Pair::new(c1, c2), None);
-            }
-        }
-        self.scratch_entries1 = entries1;
-        self.scratch_entries2 = entries2;
         Ok(())
     }
 

@@ -59,6 +59,7 @@ pub mod apps;
 mod bound;
 pub mod bulk;
 mod config;
+mod cursor;
 mod estimate;
 pub mod index;
 pub mod intersect;
@@ -84,6 +85,7 @@ pub use config::{
     EstimationBound, ExpansionPath, JoinConfig, KeyDomain, QueueBackend, QueueLayout, ResultOrder,
     TiePolicy, TraversalPolicy,
 };
+pub use cursor::{open_cursor, BulkCursor, JoinCursor};
 pub use estimate::{Estimator, EstimatorMode};
 pub use index::{IndexEntry, IndexNode, NodeId, SpatialIndex};
 pub use intersect::{IntersectionPair, OrderedIntersectionJoin};

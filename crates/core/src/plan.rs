@@ -17,10 +17,10 @@
 //! whose child rectangles yield the frontier signal below) — and picks the
 //! smaller. The units are abstract "work units" (roughly: one distance
 //! evaluation); the absolute values are meaningless, only the comparison
-//! matters. The crossover the model predicts is measured empirically by the
-//! `bench_planner` binary (see `BENCH_planner.json`), and [`PlanChoice`] is
-//! surfaced in run reports so a misprediction is visible, and overridable
-//! (`--force-plan` in `sdj-report`).
+//! matters. What a wrong pick costs is measured by the benchmark's traced
+//! `core.plan.regret` and `core.adaptive.regret` rows (`benchmark/README.md`),
+//! and [`PlanChoice`] is surfaced in run reports so a misprediction is
+//! visible, and overridable (`--force-plan` in `sdj-report`).
 //!
 //! # The frontier signal
 //!
@@ -37,8 +37,8 @@
 //! fanout² rectangle distances over two cached pages) and scales the count
 //! by the average subtree cardinality, giving [`PlanInputs::est_frontier`].
 //! Clustered trees put most root-child pairs far apart and score low;
-//! uniform trees score high; the measured crossovers in
-//! `BENCH_planner.json` separate accordingly.
+//! uniform trees score high, and the measured crossovers separate
+//! accordingly.
 
 use crate::config::JoinConfig;
 use crate::index::SpatialIndex;
@@ -59,6 +59,10 @@ pub enum PlanChoice {
 }
 
 impl PlanChoice {
+    /// Every path, in [`code`](Self::code) order: the vocabulary of forcing
+    /// flags and report checks.
+    pub const ALL: [Self; 3] = [Self::Incremental, Self::Bulk, Self::Adaptive];
+
     /// Stable lowercase name, used in reports and counters.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -66,6 +70,27 @@ impl PlanChoice {
             PlanChoice::Incremental => "incremental",
             PlanChoice::Bulk => "bulk",
             PlanChoice::Adaptive => "adaptive",
+        }
+    }
+
+    /// Stable numeric code: the value of the `plan.choice` gauge and report
+    /// entry (0 = incremental, 1 = bulk, 2 = adaptive).
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            PlanChoice::Incremental => 0,
+            PlanChoice::Bulk => 1,
+            PlanChoice::Adaptive => 2,
+        }
+    }
+}
+
+impl From<PlanChoice> for sdj_obs::PlanPath {
+    fn from(choice: PlanChoice) -> Self {
+        match choice {
+            PlanChoice::Incremental => Self::Incremental,
+            PlanChoice::Bulk => Self::Bulk,
+            PlanChoice::Adaptive => Self::Adaptive,
         }
     }
 }
@@ -188,8 +213,8 @@ const INCREMENTAL_SETUP: f64 = 1_000.0;
 /// Work units charged per unit of [`PlanInputs::est_frontier`]: the
 /// `K`-independent cost of expanding the distance-restricted node frontier
 /// (child decode, kernel distances, queue staging) that a restricted run
-/// pays before early results can surface. Calibrated against
-/// `BENCH_planner.json`'s 100k × 100k sweep, where the measured frontier
+/// pays before early results can surface. Calibrated against a 100k × 100k
+/// planner sweep, where the measured frontier
 /// (`incremental_distance_calcs` at `K = 10`) is ~5M on uniform data
 /// against an `est_frontier` of ~1.3M, and ~0.4M on clustered data against
 /// ~0.8M.
@@ -233,30 +258,17 @@ fn est_pairs_of<const D: usize>(inputs: &PlanInputs<D>) -> f64 {
     inputs.n1 as f64 * inputs.n2 as f64 * selectivity
 }
 
-/// The `SDJ_PLAN_BIAS` knob: a positive factor multiplied into the *static*
-/// incremental estimate before the comparison in [`plan`]. A value below 1
-/// makes the static planner over-favour the incremental path, above 1 the
-/// bulk path — a deliberate mis-calibration used by tests and benchmarks to
-/// exercise the adaptive driver's recovery from a wrong initial pick. The
-/// checkpoint re-costing ([`replan`]) never applies it: recovery must come
-/// from observed signals, not from un-biasing the same constant.
-fn plan_bias() -> f64 {
-    std::env::var("SDJ_PLAN_BIAS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|b| b.is_finite() && *b > 0.0)
-        .unwrap_or(1.0)
-}
-
 /// Chooses the execution path for `inputs` under the cost model above.
-/// The reported `est_incremental` includes any `SDJ_PLAN_BIAS` factor, so
-/// the recorded estimates always explain the recorded choice.
 #[must_use]
 pub fn plan<const D: usize>(inputs: &PlanInputs<D>) -> Plan {
-    plan_with_bias(inputs, plan_bias())
+    plan_with_bias(inputs, 1.0)
 }
 
-/// [`plan`] with an explicit bias factor (see [`plan_bias`]).
+/// [`plan`] with the *static* incremental estimate multiplied by `bias`
+/// before the comparison. A value below 1 over-favours the incremental path,
+/// above 1 the bulk path — a deliberate mis-calibration the unit tests use
+/// to show that the checkpoint re-costing ([`replan`]) recovers from a wrong
+/// initial pick on observed signals alone: it never applies the factor.
 fn plan_with_bias<const D: usize>(inputs: &PlanInputs<D>, bias: f64) -> Plan {
     let n1 = inputs.n1 as f64;
     let n2 = inputs.n2 as f64;

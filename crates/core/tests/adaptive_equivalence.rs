@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use sdj_core::bulk::BulkConfig;
 use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, AdaptiveOutcome, DistanceJoin, ExpansionPath, JoinConfig,
-    QueueBackend,
+    JoinCursor, QueueBackend,
 };
 use sdj_geom::{Metric, Rect};
 use sdj_pqueue::{HybridConfig, KeyScale};
@@ -280,7 +280,7 @@ proptest! {
         let mut out = Vec::new();
         loop {
             let before = out.len();
-            let done = cursor.pull(batch, &mut out).expect("fault-free cursor");
+            let done = cursor.advance(batch, &mut out).expect("fault-free cursor");
             if done {
                 break;
             }
@@ -290,8 +290,26 @@ proptest! {
         prop_assert_eq!(triples(&out), reference);
         prop_assert_eq!(cursor.replanned().is_some(), replanned);
         // A drained cursor holds no queue or buffered-result memory.
-        prop_assert_eq!(cursor.queue_bytes(), 0);
-        prop_assert_eq!(cursor.buffered_bytes(), 0);
+        prop_assert_eq!(cursor.held_bytes(), 0);
+
+        // One checkpoint routine: `execute()`'s own loop over it records
+        // the same signals, decision for decision, as the pulled cursor.
+        let signals = |s: &[sdj_core::ReplanSignals]| -> Vec<String> {
+            s.iter().map(|s| format!("{s:?}")).collect()
+        };
+        let executed = match AdaptiveDistanceJoin::with_configs(
+            &t1,
+            &t2,
+            config_of(&case),
+            BulkConfig::default(),
+            adaptive_config_of(&case),
+        )
+        .execute()
+        {
+            AdaptiveOutcome::Completed(run) => run.signals,
+            AdaptiveOutcome::Handoff(h) => h.signals,
+        };
+        prop_assert_eq!(signals(cursor.signals()), signals(&executed));
     }
 }
 

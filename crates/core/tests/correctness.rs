@@ -2,10 +2,11 @@
 //! algorithms must produce exactly the distance-ordered results a nested
 //! loop over the raw data produces.
 
-use sdj_core::bulk::BulkDistanceJoin;
+use sdj_core::bulk::BulkConfig;
 use sdj_core::{
-    AdaptiveDistanceJoin, DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig, QueueBackend,
-    ResultOrder, SemiConfig, SemiFilter, SliceOracle, TiePolicy, TraversalPolicy,
+    open_cursor, AdaptiveConfig, DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig,
+    PlanChoice, QueueBackend, ResultOrder, ResultPair, SemiConfig, SemiFilter, SliceOracle,
+    TiePolicy, TraversalPolicy,
 };
 use sdj_datagen::{gaussian_clusters, tiger, uniform_points, unit_box};
 use sdj_geom::{Metric, Point, Segment, SpatialObject};
@@ -425,8 +426,9 @@ fn empty_inputs_yield_nothing() {
     );
 }
 
-/// `STOP AFTER 0` is an empty stream for every serial engine — `done` used
-/// to be set only after a report, so the first pair slipped out.
+/// `STOP AFTER 0` is an empty stream that reads nothing — `done` used to be
+/// set only after a report, so the first pair slipped out. (The bulk and
+/// adaptive engines: `open_cursor_streams_every_plan_at_every_batch_size`.)
 #[test]
 fn stop_after_zero_yields_nothing() {
     let (a, b) = sample_sets();
@@ -441,16 +443,83 @@ fn stop_after_zero_yields_nothing() {
     let mut semi = DistanceJoin::semi(&t1, &t2, config, SemiConfig::default());
     assert_eq!(semi.by_ref().count(), 0);
     assert!(semi.is_done() && semi.take_error().is_none());
+}
 
-    let mut bulk = BulkDistanceJoin::new(&t1, &t2, config.with_range(0.0, 0.05)).unwrap();
-    assert!(bulk.run().is_empty());
+/// The one pull interface: whichever plan `open_cursor` is given and
+/// however the consumer chops its pulls, the stream is the incremental
+/// engine's; `STOP AFTER 0` is empty and done on the first call; a finished
+/// cursor holds nothing. The adaptive plan is forced to hand off mid-stream
+/// with a short stride, so its checkpoints, its buffered surplus and its
+/// bulk tail are all on the path.
+#[test]
+fn open_cursor_streams_every_plan_at_every_batch_size() {
+    let (a, b) = sample_sets();
+    let (t1, t2) = (build_tree(&a, 6), build_tree(&b, 6));
+    let config = JoinConfig::default().with_range(0.0, 0.05);
+    let adaptive = AdaptiveConfig {
+        pop_stride: 16,
+        force_handoff_at: Some(40),
+        ..AdaptiveConfig::default()
+    };
+    let dists =
+        |rs: &[ResultPair]| -> Vec<u64> { rs.iter().map(|r| r.distance.to_bits()).collect() };
+    // Tie order inside an equal-distance group is each path's own.
+    let canon = |rs: &[ResultPair]| {
+        let mut v: Vec<_> = rs
+            .iter()
+            .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let reference: Vec<ResultPair> = DistanceJoin::new(&t1, &t2, config).collect();
+    assert!(reference.len() > 100, "the range must select a real stream");
 
-    let run = AdaptiveDistanceJoin::new(&t1, &t2, config).run();
-    assert!(run.results.is_empty() && run.error.is_none());
-    let mut cursor = AdaptiveDistanceJoin::new(&t1, &t2, config).cursor();
-    let mut out = Vec::new();
-    assert!(cursor.pull(8, &mut out).unwrap(), "the cursor is done");
-    assert!(out.is_empty());
+    for plan in PlanChoice::ALL {
+        let open = |config| {
+            open_cursor(
+                &t1,
+                &t2,
+                plan,
+                config,
+                BulkConfig::default(),
+                adaptive,
+                None,
+            )
+        };
+        for batch in [1, 7, usize::MAX] {
+            let mut cursor = open(config);
+            let mut out = Vec::new();
+            loop {
+                let before = out.len();
+                let done = cursor.advance(batch, &mut out).unwrap();
+                assert!(
+                    out.len() - before <= batch,
+                    "{plan} x{batch}: over-full pull"
+                );
+                if done {
+                    break;
+                }
+                assert_eq!(out.len() - before, batch, "{plan} x{batch}: short pull");
+            }
+            assert_eq!(dists(&out), dists(&reference), "{plan} x{batch}");
+            assert_eq!(canon(&out), canon(&reference), "{plan} x{batch}");
+            assert_eq!(cursor.stats().pairs_reported, out.len() as u64, "{plan}");
+            assert_eq!(cursor.held_bytes(), 0, "{plan} x{batch}: done but holding");
+            assert!(cursor.advance(batch, &mut out).unwrap(), "done stays done");
+            assert_eq!(out.len(), reference.len());
+        }
+
+        let mut cursor = open(config.with_max_pairs(0));
+        let mut out = Vec::new();
+        assert!(
+            cursor.advance(16, &mut out).unwrap(),
+            "{plan}: K = 0 is done"
+        );
+        assert!(out.is_empty(), "{plan}: K = 0 is empty");
+        assert_eq!(cursor.held_bytes(), 0);
+    }
+    assert_eq!(t1.pinned_frames() + t2.pinned_frames(), 0);
 }
 
 #[test]

@@ -18,13 +18,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sdj_core::bulk::{BulkConfig, BulkDistanceJoin, BulkHit, BulkStats, CellScratch, CellTally};
+use sdj_core::bulk::{
+    report_ranks, BulkConfig, BulkDistanceJoin, BulkHit, BulkStats, CellScratch, CellTally,
+};
 use sdj_core::plan::{plan_for_trees, Plan, PlanChoice};
 use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, AdaptiveOutcome, JoinConfig, JoinStats, ReplanInfo,
     ResultOrder, ResultPair, SpatialIndex,
 };
-use sdj_obs::{Event, ObsContext, Phase, PlanPath, SpanTimer};
+use sdj_obs::{Event, ObsContext, Phase, SpanTimer};
 use sdj_storage::StorageError;
 
 use crate::{JoinStream, ParallelConfig, ParallelDistanceJoin, RunOutput};
@@ -149,7 +151,8 @@ where
             }
         };
 
-        let (results, workers) = sweep_pool(&mut join, ordered, &self.parallel, self.obs.as_ref());
+        let (results, workers) =
+            sweep_pool(&mut join, ordered, &self.parallel, self.obs.as_ref(), 0);
 
         let stats = join.stats();
         let bulk = join.bulk_stats();
@@ -170,12 +173,15 @@ where
 /// per-cell runs in cell order (or k-way merges them when `ordered`), and
 /// finishes the hits into results. Used by [`ParallelBulkJoin`] for
 /// tree-harvested runs and by [`run_adaptive`] for frontier-seeded ones —
-/// output is identical for any worker count either way.
+/// output is identical for any worker count either way. `base_rank` is the
+/// number of results the stream emitted before this run (an adaptive
+/// prefix), so the reported ranks continue it.
 fn sweep_pool<const D: usize>(
     join: &mut BulkDistanceJoin<D>,
     ordered: bool,
     parallel: &ParallelConfig,
     obs: Option<&ObsContext>,
+    base_rank: u64,
 ) -> (Vec<ResultPair>, usize) {
     let ascending = matches!(join.config().order, ResultOrder::Ascending);
     let max_pairs = join.config().max_pairs;
@@ -272,15 +278,7 @@ fn sweep_pool<const D: usize>(
         ctx.registry
             .counter("bulk.pairs_deduped")
             .add(bulk.pairs_deduped);
-        for (rank, r) in results.iter().enumerate() {
-            let rank = rank as u64 + 1;
-            if rank.is_multiple_of(ctx.result_sample_every) {
-                ctx.sink.emit(&Event::ResultReported {
-                    rank,
-                    dist: r.distance,
-                });
-            }
-        }
+        report_ranks(ctx, base_rank, &results);
     }
     (results, workers)
 }
@@ -322,9 +320,7 @@ pub struct PlannedRun {
 ///
 /// The adaptive knobs are an explicit per-call parameter, not process
 /// state: two queries in the same process may run with different strides
-/// or forced handoffs. Entry points that want the `SDJ_ADAPTIVE_*`
-/// environment defaults pass [`AdaptiveConfig::from_env()`] at the app
-/// boundary.
+/// or forced handoffs.
 #[allow(clippy::too_many_arguments)] // one knob struct per execution path, by design
 pub fn run_planned<const D: usize, I1, I2>(
     tree1: &I1,
@@ -344,13 +340,8 @@ where
     let executed = force.unwrap_or(plan.choice);
     let forced = force.is_some();
     if let Some(ctx) = &obs {
-        let path = match executed {
-            PlanChoice::Incremental => PlanPath::Incremental,
-            PlanChoice::Bulk => PlanPath::Bulk,
-            PlanChoice::Adaptive => PlanPath::Adaptive,
-        };
         ctx.sink.emit(&Event::PlanChosen {
-            path,
+            path: executed.into(),
             forced,
             est_incremental: plan.est_incremental,
             est_bulk: plan.est_bulk,
@@ -358,17 +349,11 @@ where
         // `plan.choice` gauge: 0 = incremental, 1 = bulk, 2 = adaptive;
         // the per-path counters make the choice visible in counter-only
         // views.
-        ctx.registry.gauge("plan.choice").set(match executed {
-            PlanChoice::Incremental => 0,
-            PlanChoice::Bulk => 1,
-            PlanChoice::Adaptive => 2,
-        });
         ctx.registry
-            .counter(match executed {
-                PlanChoice::Incremental => "plan.incremental",
-                PlanChoice::Bulk => "plan.bulk",
-                PlanChoice::Adaptive => "plan.adaptive",
-            })
+            .gauge("plan.choice")
+            .set(i64::from(executed.code()));
+        ctx.registry
+            .counter(&format!("plan.{}", executed.as_str()))
             .inc();
         if forced {
             ctx.registry.counter("plan.forced").inc();
@@ -486,7 +471,8 @@ where
         },
         AdaptiveOutcome::Handoff(h) => {
             let mut bulk = h.bulk;
-            let (tail, workers) = sweep_pool(&mut bulk, true, &parallel, obs.as_ref());
+            let base_rank = h.prefix.len() as u64;
+            let (tail, workers) = sweep_pool(&mut bulk, true, &parallel, obs.as_ref(), base_rank);
             let mut results = h.prefix;
             results.extend(tail);
             let mut stats = h.inc_stats;

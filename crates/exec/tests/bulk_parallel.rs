@@ -9,12 +9,16 @@
 //!   sequence bitwise.
 //! * **Planned runs**: `run_planned` executes the forced path, both paths
 //!   agree, and the obs wiring records `plan_chosen` / `plan.*` / `bulk.*`.
+//! * **`STOP AFTER 0`**: every parallel driver, and `run_planned` under each
+//!   forced plan, returns an empty stream without an error (the serial
+//!   engines behind `open_cursor` are covered by `sdj-core`'s
+//!   `open_cursor_streams_every_plan_at_every_batch_size`).
 
 use std::sync::Arc;
 
 use sdj_core::bulk::BulkConfig;
-use sdj_core::{AdaptiveConfig, DistanceJoin, JoinConfig, PlanChoice, ResultOrder};
-use sdj_exec::{run_planned, ParallelBulkJoin, ParallelConfig};
+use sdj_core::{AdaptiveConfig, DistanceJoin, JoinConfig, PlanChoice, ResultOrder, SemiConfig};
+use sdj_exec::{run_planned, ParallelBulkJoin, ParallelConfig, ParallelDistanceJoin};
 use sdj_geom::{Point, Rect};
 use sdj_obs::{ObsContext, RingRecorder};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
@@ -146,11 +150,7 @@ fn planned_runs_agree_and_record_the_choice() {
     let parallel = ParallelConfig::with_threads(2);
 
     let mut outputs = Vec::new();
-    for force in [
-        PlanChoice::Incremental,
-        PlanChoice::Bulk,
-        PlanChoice::Adaptive,
-    ] {
+    for force in PlanChoice::ALL {
         let sink = Arc::new(RingRecorder::new(64));
         let ctx = ObsContext::new(Arc::clone(&sink) as Arc<dyn sdj_obs::EventSink>);
         let run = run_planned(
@@ -228,4 +228,36 @@ fn auto_plan_follows_the_cost_model() {
     assert_eq!(run.executed, run.plan.choice);
     assert_eq!(run.executed, PlanChoice::Incremental);
     assert_eq!(run.results.len(), 5);
+}
+
+#[test]
+fn stop_after_zero_yields_nothing_in_parallel() {
+    let (t1, t2) = (tree_of(&grid_points(150)), tree_of(&grid_points(200)));
+    let config = JoinConfig::default().with_max_pairs(0);
+    for threads in [1, 3] {
+        let parallel = ParallelConfig::with_threads(threads);
+        let join = ParallelDistanceJoin::new(&t1, &t2, config, parallel).collect();
+        assert!(join.value.is_empty() && join.error.is_none());
+        let semi =
+            ParallelDistanceJoin::semi(&t1, &t2, config, SemiConfig::default(), parallel).collect();
+        assert!(semi.value.is_empty() && semi.error.is_none());
+        let bulk = ParallelBulkJoin::new(&t1, &t2, config.with_range(0.0, 2.0), parallel).collect();
+        assert!(bulk.value.is_empty() && bulk.error.is_none());
+        for plan in PlanChoice::ALL {
+            let run = run_planned(
+                &t1,
+                &t2,
+                config.with_range(0.0, 2.0),
+                parallel,
+                BulkConfig::default(),
+                AdaptiveConfig::default(),
+                Some(plan),
+                None,
+            );
+            assert!(
+                run.results.is_empty() && run.error.is_none(),
+                "{plan:?} x{threads}"
+            );
+        }
+    }
 }

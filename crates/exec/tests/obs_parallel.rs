@@ -5,10 +5,11 @@
 
 use std::sync::Arc;
 
-use sdj_core::JoinConfig;
-use sdj_exec::{ParallelConfig, ParallelDistanceJoin};
+use sdj_core::bulk::BulkConfig;
+use sdj_core::{AdaptiveConfig, AdaptiveDistanceJoin, JoinConfig};
+use sdj_exec::{run_adaptive, ParallelConfig, ParallelDistanceJoin};
 use sdj_geom::Point;
-use sdj_obs::{Event, ObsContext, RingRecorder};
+use sdj_obs::{Event, ObsContext, RingRecorder, RunRecorder, RunReport};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 
 fn tree(n: u64, stride: f64, offset: f64) -> RTree<2> {
@@ -113,4 +114,59 @@ fn sampled_cadence_thins_result_events() {
         })
         .collect();
     assert_eq!(ranks, vec![50, 100, 150, 200, 250, 300]);
+}
+
+/// An adaptive run that hands off after its first results reports one rank
+/// series: the bulk tail continues the prefix's ranks instead of restarting
+/// at 1 (the pooled sweep) or staying silent (the serial cursor's tail), so
+/// the recorded report validates and its last rank is the result count.
+#[test]
+fn adaptive_handoff_keeps_one_rank_series() {
+    let t1 = tree(400, 1.0, 0.0);
+    let t2 = tree(400, 1.0, 0.25);
+    let config = JoinConfig::default().with_max_pairs(600);
+    let adaptive = AdaptiveConfig {
+        pop_stride: 64,
+        force_handoff_at: Some(700),
+        ..AdaptiveConfig::default()
+    };
+    let check = |label: &str, recorder: &RunRecorder, produced: usize, at_pair: u64| {
+        assert_eq!(produced, 600, "{label}");
+        assert!(
+            (1..600).contains(&at_pair),
+            "{label}: handoff at pair {at_pair} splits nothing"
+        );
+        let mut report = RunReport::new(label);
+        recorder.fill_report(&mut report);
+        report
+            .validate()
+            .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+        assert_eq!(report.distance_by_rank.len(), 600, "{label}: cadence 1");
+        assert_eq!(report.distance_by_rank.last().map(|r| r.0), Some(600));
+    };
+
+    let recorder = Arc::new(RunRecorder::new());
+    let ctx = ObsContext::new(recorder.clone() as Arc<dyn sdj_obs::EventSink>);
+    let pooled = run_adaptive(
+        &t1,
+        &t2,
+        config,
+        ParallelConfig::with_threads(2),
+        BulkConfig::default(),
+        adaptive,
+        Some(ctx),
+    );
+    assert_eq!(pooled.error, None);
+    let at_pair = pooled.replanned.expect("forced handoff").at_pair;
+    check("pooled tail", &recorder, pooled.results.len(), at_pair);
+
+    let recorder = Arc::new(RunRecorder::new());
+    let ctx = ObsContext::new(recorder.clone() as Arc<dyn sdj_obs::EventSink>);
+    let serial =
+        AdaptiveDistanceJoin::with_configs(&t1, &t2, config, BulkConfig::default(), adaptive)
+            .with_obs(&ctx)
+            .run();
+    assert_eq!(serial.error, None);
+    let at_pair = serial.replanned.expect("forced handoff").at_pair;
+    check("serial tail", &recorder, serial.results.len(), at_pair);
 }

@@ -25,9 +25,9 @@ use crate::traits::{Codec, PriorityQueue, QueueKey};
 const BUCKET_HEADER: usize = 6;
 
 /// Spill codec v2 marker: the high bit of the page's record-count word.
-/// New pages are stamped with it (they may carry the flat layout's compact
-/// slab-indexed payloads rather than v1's inline payloads); the reader
-/// masks the bit off, so unmarked v1 pages still load unchanged.
+/// Every page is stamped with it when allocated and the reader refuses a
+/// page without it: spill pages never outlive the process that wrote them,
+/// so an unmarked header can only be corruption.
 const SPILL_V2_MARK: u16 = 0x8000;
 
 /// Memory layout of the queue's in-memory tiers.
@@ -596,9 +596,7 @@ where
                 .ok()
                 .filter(|c| c & SPILL_V2_MARK == 0)
                 .ok_or(StorageError::Corrupt("bucket record count overflows"))?;
-            // Preserve the page's version mark (new pages are always v2).
-            let mark = u16::from_le_bytes([buf[0], buf[1]]) & SPILL_V2_MARK;
-            buf[0..2].copy_from_slice(&(new_count | mark).to_le_bytes());
+            buf[0..2].copy_from_slice(&(new_count | SPILL_V2_MARK).to_le_bytes());
             let mut w = PageWriter::new(&mut buf[offset..]);
             key.encode(&mut w)?;
             value.encode(&mut w)
@@ -653,10 +651,13 @@ where
         while !page.is_invalid() {
             let read = self.pool.with_page(page, |buf| -> sdj_storage::Result<_> {
                 let mut r = PageReader::new(buf);
-                // Mask the codec-version mark: v2 pages are stamped, legacy
-                // v1 pages are not, and both carry the same record layout
-                // for a given (K, V).
-                let count = (r.get_u16()? & !SPILL_V2_MARK) as usize;
+                // The mark is the word's high bit, so the subtraction
+                // underflows exactly on an unmarked header.
+                let count = r
+                    .get_u16()?
+                    .checked_sub(SPILL_V2_MARK)
+                    .ok_or(StorageError::Corrupt("spill page lacks its codec mark"))?
+                    as usize;
                 let next = PageId(r.get_u32()?);
                 if count > records_per_page {
                     return Err(StorageError::Corrupt("bucket record count exceeds page"));
@@ -959,19 +960,18 @@ mod tests {
         assert!(q.approx_bytes() >= 128 * 4, "pool frames accounted");
     }
 
-    /// Spill codec v1 pages carry an unmarked count word; the v2 reader
-    /// masks the version bit, so stripping it from every spilled page must
-    /// change nothing.
+    /// Every spill page is stamped with the codec mark, so a header without
+    /// it is corruption: the reload fails with the typed error, no panic.
     #[test]
-    fn legacy_unmarked_v1_pages_still_load() {
+    fn unmarked_spill_page_is_corrupt() {
         let mut q = queue(1.0);
         let ds: Vec<f64> = (0..120).map(|i| 5.0 + f64::from(i) * 0.01).collect();
         for (i, d) in ds.iter().enumerate() {
             q.push(OrdF64::new(*d), i as u64).unwrap();
         }
         assert!(q.on_disk_len() > 0);
-        // Rewrite every bucket page header as v1 (clear the high bit of the
-        // LE count word).
+        // Clear the mark (the high bit of the LE count word) on every
+        // bucket page.
         let heads: Vec<PageId> = q.buckets.values().map(|b| b.head).collect();
         for mut page in heads {
             while !page.is_invalid() {
@@ -985,12 +985,17 @@ mod tests {
                 page = next;
             }
         }
-        let mut got = Vec::new();
-        while let Some((k, v)) = q.pop().unwrap() {
-            got.push((k.get(), v));
-        }
-        let want: Vec<(f64, u64)> = ds.iter().enumerate().map(|(i, d)| (*d, i as u64)).collect();
-        assert_eq!(got, want);
+        let failed = loop {
+            match q.pop() {
+                Ok(Some(_)) => {}
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        assert!(
+            matches!(failed, Some(StorageError::Corrupt(_))),
+            "draining past an unmarked page gave {failed:?}"
+        );
     }
 
     proptest! {

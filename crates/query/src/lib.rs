@@ -22,6 +22,6 @@ mod plan;
 mod predicate;
 mod relation;
 
-pub use plan::{DistanceQuery, PlanChoice, QueryOutput, QueryRow};
+pub use plan::{DistanceQuery, FilterPlacement, QueryOutput, QueryRow};
 pub use predicate::{CmpOp, Predicate, Value};
 pub use relation::Relation;

@@ -11,7 +11,7 @@
 //!    worth it when the predicate is highly selective.
 //!
 //! [`DistanceQuery::execute`] picks between them with a sampled selectivity
-//! estimate (or obeys an explicit [`PlanChoice`]).
+//! estimate (or obeys an explicit [`FilterPlacement`]).
 
 use sdj_core::{DistanceJoin, JoinConfig, SemiConfig};
 use sdj_rtree::ObjectId;
@@ -30,9 +30,11 @@ pub struct QueryRow {
     pub distance: f64,
 }
 
-/// Plan selection.
+/// Where the attribute filters run relative to the distance join. (Which
+/// *engine* runs the join is `sdj_core::PlanChoice`'s business, not this
+/// crate's.)
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlanChoice {
+pub enum FilterPlacement {
     /// Let the optimizer decide from estimated selectivities.
     #[default]
     Auto,
@@ -55,7 +57,7 @@ pub struct DistanceQuery<'a> {
     left_predicate: Option<Predicate>,
     right_predicate: Option<Predicate>,
     stop_after: Option<u64>,
-    plan: PlanChoice,
+    plan: FilterPlacement,
 }
 
 impl<'a> DistanceQuery<'a> {
@@ -70,7 +72,7 @@ impl<'a> DistanceQuery<'a> {
             left_predicate: None,
             right_predicate: None,
             stop_after: None,
-            plan: PlanChoice::default(),
+            plan: FilterPlacement::default(),
         }
     }
 
@@ -170,14 +172,14 @@ impl<'a> DistanceQuery<'a> {
 
     /// Forces a plan instead of the optimizer's choice.
     #[must_use]
-    pub fn with_plan(mut self, plan: PlanChoice) -> Self {
+    pub fn with_plan(mut self, plan: FilterPlacement) -> Self {
         self.plan = plan;
         self
     }
 
-    fn decide_plan(&self) -> PlanChoice {
+    fn decide_plan(&self) -> FilterPlacement {
         match self.plan {
-            PlanChoice::Auto => {
+            FilterPlacement::Auto => {
                 let sel = |rel: &Relation, p: &Option<Predicate>| {
                     p.as_ref().map_or(1.0, |p| rel.estimate_selectivity(p, 200))
                 };
@@ -186,9 +188,9 @@ impl<'a> DistanceQuery<'a> {
                 if worst < SELECTIVITY_THRESHOLD
                     && (self.left_predicate.is_some() || self.right_predicate.is_some())
                 {
-                    PlanChoice::FilterBeforeJoin
+                    FilterPlacement::FilterBeforeJoin
                 } else {
-                    PlanChoice::FilterAfterJoin
+                    FilterPlacement::FilterAfterJoin
                 }
             }
             p => p,
@@ -202,14 +204,14 @@ impl<'a> DistanceQuery<'a> {
         // `STOP AFTER` feeds the join's max-pairs estimation only when no
         // attribute predicate filters results after the join (a filtered
         // join may need more than `n` raw pairs).
-        let post_filtering = matches!(plan, PlanChoice::FilterAfterJoin)
+        let post_filtering = matches!(plan, FilterPlacement::FilterAfterJoin)
             && (self.left_predicate.is_some() || self.right_predicate.is_some());
         let mut config = self.config;
         if let (Some(n), false) = (self.stop_after, post_filtering) {
             config.max_pairs = Some(n);
         }
         match plan {
-            PlanChoice::FilterAfterJoin | PlanChoice::Auto => QueryOutput {
+            FilterPlacement::FilterAfterJoin | FilterPlacement::Auto => QueryOutput {
                 inner: Inner::Pipelined {
                     join: Box::new(make_join(self.left, self.right, config, self.semi)),
                     left: self.left,
@@ -218,9 +220,9 @@ impl<'a> DistanceQuery<'a> {
                     right_predicate: self.right_predicate,
                 },
                 remaining: self.stop_after,
-                plan: PlanChoice::FilterAfterJoin,
+                plan: FilterPlacement::FilterAfterJoin,
             },
-            PlanChoice::FilterBeforeJoin => {
+            FilterPlacement::FilterBeforeJoin => {
                 let (left_sub, left_map) = self.left.filter(self.left_predicate.as_ref());
                 let (right_sub, right_map) = self.right.filter(self.right_predicate.as_ref());
                 QueryOutput {
@@ -238,7 +240,7 @@ impl<'a> DistanceQuery<'a> {
                         }),
                     },
                     remaining: self.stop_after,
-                    plan: PlanChoice::FilterBeforeJoin,
+                    plan: FilterPlacement::FilterBeforeJoin,
                 }
             }
         }
@@ -286,13 +288,13 @@ enum Inner<'a> {
 pub struct QueryOutput<'a> {
     inner: Inner<'a>,
     remaining: Option<u64>,
-    plan: PlanChoice,
+    plan: FilterPlacement,
 }
 
 impl QueryOutput<'_> {
     /// The plan that was selected.
     #[must_use]
-    pub fn plan(&self) -> PlanChoice {
+    pub fn plan(&self) -> FilterPlacement {
         self.plan
     }
 }
@@ -427,12 +429,12 @@ mod tests {
         let pred = Predicate::cmp("population", CmpOp::Gt, 5_000_000i64);
         let a: Vec<QueryRow> = DistanceQuery::join(&c, &r)
             .where_left(pred.clone())
-            .with_plan(PlanChoice::FilterAfterJoin)
+            .with_plan(FilterPlacement::FilterAfterJoin)
             .execute()
             .collect();
         let b: Vec<QueryRow> = DistanceQuery::join(&c, &r)
             .where_left(pred)
-            .with_plan(PlanChoice::FilterBeforeJoin)
+            .with_plan(FilterPlacement::FilterBeforeJoin)
             .execute()
             .collect();
         assert_eq!(a.len(), b.len());
@@ -451,10 +453,10 @@ mod tests {
         let out = DistanceQuery::join(&c, &r)
             .where_left(Predicate::cmp("name", CmpOp::Eq, "capital"))
             .execute();
-        assert_eq!(out.plan(), PlanChoice::FilterBeforeJoin);
+        assert_eq!(out.plan(), FilterPlacement::FilterBeforeJoin);
         // No predicate: stay pipelined.
         let out = DistanceQuery::join(&c, &r).execute();
-        assert_eq!(out.plan(), PlanChoice::FilterAfterJoin);
+        assert_eq!(out.plan(), FilterPlacement::FilterAfterJoin);
     }
 
     #[test]

@@ -128,13 +128,6 @@ impl<const D: usize> RTree<D> {
         self.pool.disk_stats()
     }
 
-    /// Per-shard buffer counters, for inspecting how evenly the page hash
-    /// spreads load (one entry when unsharded).
-    #[must_use]
-    pub fn shard_io_stats(&self) -> Vec<PoolStats> {
-        self.pool.shard_stats()
-    }
-
     /// Resets I/O counters (tree contents unaffected).
     pub fn reset_io_stats(&self) {
         self.pool.reset_stats();

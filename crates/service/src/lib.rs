@@ -17,12 +17,12 @@
 //!   with a typed [`ServiceError::AdmissionDenied`], and a session's slot
 //!   is returned when its handle drops.
 //! * **Per-session plans** — each session runs the path the cost model
-//!   picks for *its* query (or a forced one): the incremental iterator,
-//!   the bulk executor (materialised on first pull), or the adaptive
-//!   cursor ([`sdj_core::AdaptiveCursor`]) with per-session knobs —
-//!   [`SessionConfig::adaptive`] defaults from the `SDJ_ADAPTIVE_*`
-//!   environment but is plain data, so two sessions in one process can
-//!   run different strides.
+//!   picks for *its* query (or a forced one). Whatever the path, the
+//!   session holds one [`JoinCursor`] opened by [`sdj_core::open_cursor`]
+//!   and knows nothing else about the engine behind it. The knobs are
+//!   per-session plain data ([`SessionConfig::adaptive`],
+//!   [`SessionConfig::bulk`]), so two sessions in one process can run
+//!   different strides.
 //! * **Memory budgets** — a session's held bytes (queue tiers plus any
 //!   buffered results) are checked after every pull; exceeding the budget
 //!   kills that session cleanly ([`ServiceError::BudgetExceeded`]) and
@@ -41,13 +41,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use sdj_core::bulk::{BulkConfig, BulkDistanceJoin};
+use sdj_core::bulk::BulkConfig;
 use sdj_core::plan::plan_for_trees;
-use sdj_core::{
-    AdaptiveConfig, AdaptiveCursor, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, PlanChoice,
-    ResultPair,
-};
-use sdj_obs::{Event, ObsContext, PlanPath, SessionSection};
+use sdj_core::{open_cursor, AdaptiveConfig, JoinConfig, JoinCursor, PlanChoice, ResultPair};
+use sdj_obs::{Event, ObsContext, SessionSection};
 use sdj_rtree::RTree;
 use sdj_storage::{PoolStats, StorageError};
 
@@ -139,11 +136,9 @@ impl Default for ServiceConfig {
 }
 
 /// Per-session configuration. Everything here is plain data owned by the
-/// session — in particular [`Self::adaptive`], which *defaults* from the
-/// `SDJ_ADAPTIVE_*` environment (the process-wide convention the CLI tools
-/// use) but is overridable per session, so one runaway query tuned with a
-/// short stride never changes its neighbours' behaviour.
-#[derive(Clone, Debug)]
+/// session — in particular [`Self::adaptive`], so one runaway query tuned
+/// with a short stride never changes its neighbours' behaviour.
+#[derive(Clone, Debug, Default)]
 pub struct SessionConfig {
     /// The join itself (metric, range, `STOP AFTER k`, queue backend, …).
     pub join: JoinConfig,
@@ -159,19 +154,6 @@ pub struct SessionConfig {
     pub budget: Option<usize>,
     /// Human-readable label for reports; defaults to `session-<id>`.
     pub label: Option<String>,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        Self {
-            join: JoinConfig::default(),
-            force_plan: None,
-            adaptive: AdaptiveConfig::from_env(),
-            bulk: BulkConfig::default(),
-            budget: None,
-            label: None,
-        }
-    }
 }
 
 /// One pull's worth of results.
@@ -195,36 +177,6 @@ pub struct SessionOutcome {
     pub error: Option<ServiceError>,
 }
 
-/// The execution engine a session holds between pulls.
-enum Engine<'t, const D: usize> {
-    /// The incremental iterator — pausing is literally not calling
-    /// `next()`; the queue holds the whole frontier in place.
-    Incremental(Box<DistanceJoin<'t, D>>),
-    /// The pull-paced adaptive cursor.
-    Adaptive(Box<AdaptiveCursor<'t, D>>),
-    /// A bulk plan not yet started: the bulk path materialises by nature,
-    /// so the partition + sweep is deferred to the first pull.
-    BulkPending,
-    /// A bulk run's materialised stream being drained.
-    BulkDraining(std::vec::IntoIter<ResultPair>),
-    /// Torn down (finished, failed, cancelled, or budget-killed).
-    Closed,
-}
-
-impl<const D: usize> Engine<'_, D> {
-    /// Bytes of query state the session holds between pulls: queue tiers
-    /// (all of them — the in-memory heap and the spilled pages' buffer)
-    /// plus any results materialised but not yet handed out.
-    fn held_bytes(&self) -> usize {
-        match self {
-            Engine::Incremental(j) => j.queue_bytes(),
-            Engine::Adaptive(c) => c.queue_bytes() + c.buffered_bytes(),
-            Engine::BulkDraining(it) => it.len() * std::mem::size_of::<ResultPair>(),
-            Engine::BulkPending | Engine::Closed => 0,
-        }
-    }
-}
-
 /// A cursor over one join query: pull batches, pause/resume between them,
 /// cancel mid-stream. Dropping the handle releases its admission slot and
 /// every byte of its query state.
@@ -234,9 +186,10 @@ pub struct SessionHandle<'t, const D: usize> {
     plan: PlanChoice,
     tree1: &'t RTree<D>,
     tree2: &'t RTree<D>,
-    join_config: JoinConfig,
-    bulk_config: BulkConfig,
-    engine: Engine<'t, D>,
+    /// The query, behind the one pull interface. `None` once torn down
+    /// (finished, failed, cancelled, or budget-killed): dropping the cursor
+    /// releases the frontier, its slab references and every pin.
+    cursor: Option<Box<dyn JoinCursor + Send + Sync + 't>>,
     paused: bool,
     done: bool,
     cancelled: bool,
@@ -252,6 +205,12 @@ pub struct SessionHandle<'t, const D: usize> {
     ctx: Option<ObsContext>,
     admission: Arc<AtomicU32>,
 }
+
+/// A handle can be moved to, and shared between, a server's threads.
+const _: fn() = || {
+    fn auto_traits<T: Send + Sync>() {}
+    auto_traits::<SessionHandle<'static, 2>>();
+};
 
 impl<'t, const D: usize> SessionHandle<'t, D> {
     /// The session's numeric id (unique within its service).
@@ -287,7 +246,7 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
     /// True once the session was cancelled or torn down by an error.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        matches!(self.engine, Engine::Closed) && !self.done
+        self.cursor.is_none() && !self.done
     }
 
     /// Results handed out so far.
@@ -296,10 +255,12 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
         self.results
     }
 
-    /// Bytes of query state held between pulls (what the budget meters).
+    /// Bytes of query state held between pulls (what the budget meters):
+    /// queue tiers — all of them, the in-memory heap and the spilled pages'
+    /// buffer — plus any results materialised but not yet handed out.
     #[must_use]
     pub fn held_bytes(&self) -> usize {
-        self.engine.held_bytes()
+        self.cursor.as_ref().map_or(0, |c| c.held_bytes())
     }
 
     /// Pauses the session: the frontier stays exactly where it is (the
@@ -322,13 +283,12 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
     pub fn cancel(&mut self) {
         // Finished, failed, and already-cancelled sessions have nothing
         // left to drop, and their close event already fired.
-        if matches!(self.engine, Engine::Closed) {
+        if self.cursor.take().is_none() {
             return;
         }
-        self.engine = Engine::Closed;
         self.cancelled = true;
         self.emit_closed(true);
-        // The leak-free contract: with this session's engine gone and no
+        // The leak-free contract: with this session's cursor gone and no
         // pull in flight, nothing of ours may still pin a frame.
         debug_assert_eq!(
             self.tree1.pinned_frames() + self.tree2.pinned_frames(),
@@ -349,7 +309,7 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
             return Err(ServiceError::Paused);
         }
         if let Some(e) = self.pending_error.take() {
-            self.engine = Engine::Closed;
+            self.cursor = None;
             self.emit_closed(false);
             return Err(e);
         }
@@ -359,27 +319,26 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
                 done: true,
             });
         }
-        if matches!(self.engine, Engine::Closed) {
-            return Err(ServiceError::Closed);
-        }
-
         let baseline = self.pool_snapshot();
         let mut out = Vec::new();
-        let pulled = self.pull_engine(n, &mut out);
+        let Some(cursor) = &mut self.cursor else {
+            return Err(ServiceError::Closed);
+        };
+        let pulled = cursor.advance(n, &mut out);
         self.attribute(&baseline, out.len() as u64);
 
         match pulled {
             Ok(done) => {
                 if done {
                     self.done = true;
-                    self.engine = Engine::Closed;
+                    self.cursor = None;
                     self.emit_closed(false);
                 } else if let Some(budget) = self.budget {
-                    let held = self.engine.held_bytes();
+                    let held = self.held_bytes();
                     if held > budget {
                         // Runaway session: tear it down cleanly and keep
                         // the server (and its neighbours) healthy.
-                        self.engine = Engine::Closed;
+                        self.cursor = None;
                         self.emit_closed(true);
                         return Err(ServiceError::BudgetExceeded {
                             held_bytes: held,
@@ -394,65 +353,19 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
             }
             Err(e) => {
                 if out.is_empty() {
-                    self.engine = Engine::Closed;
+                    self.cursor = None;
                     self.emit_closed(false);
-                    Err(e)
+                    Err(e.into())
                 } else {
                     // Hand the correct prefix out first; the error
                     // surfaces on the next pull.
-                    self.pending_error = Some(e);
+                    self.pending_error = Some(e.into());
                     Ok(Batch {
                         results: out,
                         done: false,
                     })
                 }
             }
-        }
-    }
-
-    /// Advances the engine by up to `n` results into `out`. `Ok(true)`
-    /// means clean exhaustion.
-    fn pull_engine(&mut self, n: usize, out: &mut Vec<ResultPair>) -> Result<bool, ServiceError> {
-        match &mut self.engine {
-            Engine::Incremental(join) => {
-                for _ in 0..n {
-                    match join.next() {
-                        Some(r) => out.push(r),
-                        None => {
-                            return match join.take_error() {
-                                Some(e) => Err(e.into()),
-                                None => Ok(true),
-                            }
-                        }
-                    }
-                }
-                Ok(false)
-            }
-            Engine::Adaptive(cursor) => Ok(cursor.pull(n, out)?),
-            Engine::BulkPending => {
-                // First pull of a bulk session: build the partition and
-                // sweep it now. The session then drains the materialised
-                // stream batch by batch.
-                let mut join = BulkDistanceJoin::with_bulk_config(
-                    self.tree1,
-                    self.tree2,
-                    self.join_config,
-                    self.bulk_config,
-                )?;
-                let results = join.run();
-                self.engine = Engine::BulkDraining(results.into_iter());
-                self.pull_engine(n, out)
-            }
-            Engine::BulkDraining(it) => {
-                for _ in 0..n {
-                    match it.next() {
-                        Some(r) => out.push(r),
-                        None => return Ok(true),
-                    }
-                }
-                Ok(it.len() == 0)
-            }
-            Engine::Closed => Err(ServiceError::Closed),
         }
     }
 
@@ -505,15 +418,10 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
     /// and batch counts, and the attributed buffer-pool counters.
     #[must_use]
     pub fn report_section(&self) -> SessionSection {
-        let plan = match self.plan {
-            PlanChoice::Incremental => "incremental",
-            PlanChoice::Bulk => "bulk",
-            PlanChoice::Adaptive => "adaptive",
-        };
         SessionSection {
             id: self.id,
             label: self.label.clone(),
-            plan: plan.to_string(),
+            plan: self.plan.to_string(),
             results: self.results,
             batches: self.batches,
             cancelled: self.cancelled,
@@ -529,7 +437,7 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
 
 impl<const D: usize> Drop for SessionHandle<'_, D> {
     fn drop(&mut self) {
-        // Return the admission slot. The engine (frontier, slab, spill
+        // Return the admission slot. The cursor (frontier, slab, spill
         // pages) drops with the handle.
         self.admission.fetch_sub(1, Ordering::AcqRel);
     }
@@ -585,7 +493,7 @@ impl<'t, const D: usize> JoinService<'t, D> {
         self.tree1.pinned_frames() + self.tree2.pinned_frames()
     }
 
-    /// Opens a session: admission check, per-session plan choice, engine
+    /// Opens a session: admission check, per-session plan choice, cursor
     /// construction, obs attribution. The handle borrows the service's
     /// trees, not the service — open sessions outlive intermediate
     /// `open` calls freely.
@@ -610,39 +518,21 @@ impl<'t, const D: usize> JoinService<'t, D> {
             .unwrap_or_else(|| plan_for_trees(self.tree1, self.tree2, &config.join).choice);
         let prefix = format!("session.{id}.");
 
-        let engine = match plan {
-            PlanChoice::Incremental => {
-                let mut join = DistanceJoin::new(self.tree1, self.tree2, config.join);
-                if let Some(ctx) = &self.ctx {
-                    join.attach_queue_obs_prefixed(ctx, &prefix);
-                }
-                Engine::Incremental(Box::new(join))
-            }
-            PlanChoice::Adaptive => {
-                let driver = AdaptiveDistanceJoin::with_configs(
-                    self.tree1,
-                    self.tree2,
-                    config.join,
-                    config.bulk,
-                    config.adaptive,
-                );
-                let mut cursor = driver.cursor();
-                if let Some(ctx) = &self.ctx {
-                    cursor.attach_queue_obs_prefixed(ctx, &prefix);
-                }
-                Engine::Adaptive(Box::new(cursor))
-            }
-            // Bulk materialises on first pull; nothing to hold yet.
-            PlanChoice::Bulk => Engine::BulkPending,
-        };
-
+        // Bulk materialises on its first pull, so opening reads nothing.
+        let cursor = open_cursor(
+            self.tree1,
+            self.tree2,
+            plan,
+            config.join,
+            config.bulk,
+            config.adaptive,
+            self.ctx.as_ref().map(|ctx| (ctx, prefix.as_str())),
+        );
         if let Some(ctx) = &self.ctx {
-            let path = match plan {
-                PlanChoice::Incremental => PlanPath::Incremental,
-                PlanChoice::Bulk => PlanPath::Bulk,
-                PlanChoice::Adaptive => PlanPath::Adaptive,
-            };
-            ctx.sink.emit(&Event::SessionOpened { session: id, path });
+            ctx.sink.emit(&Event::SessionOpened {
+                session: id,
+                path: plan.into(),
+            });
         }
 
         Ok(SessionHandle {
@@ -651,9 +541,7 @@ impl<'t, const D: usize> JoinService<'t, D> {
             plan,
             tree1: self.tree1,
             tree2: self.tree2,
-            join_config: config.join,
-            bulk_config: config.bulk,
-            engine,
+            cursor: Some(cursor),
             paused: false,
             done: false,
             cancelled: false,

@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use sdj_core::bulk::BulkDistanceJoin;
 use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, PlanChoice, QueueBackend,
+    ResultOrder,
 };
 use sdj_geom::Rect;
 use sdj_pqueue::{HybridConfig, KeyScale};
@@ -457,4 +458,61 @@ fn budget_kill_is_clean_and_isolated() {
         }
     }
     assert_eq!(triples(&got), triples(&reference));
+}
+
+/// An adaptive session that can never replan (descending order has no
+/// watermark to hand off at) is still pull-paced: a batch of `n` is exactly
+/// `n` pairs, and between pulls the session holds what a solo engine paused
+/// at the same point holds — its queue — not the rest of the stream.
+#[test]
+fn descending_adaptive_session_is_pull_paced() {
+    let rects: Vec<Rect<2>> = (0..60)
+        .map(|i| {
+            let x = f64::from(i % 8) * 1.37;
+            let y = f64::from(i / 8) * 0.91;
+            Rect::new([x, y], [x + 0.5, y + 0.5])
+        })
+        .collect();
+    let t1 = tree(&rects, 4);
+    let t2 = tree(&rects[..45], 4);
+    let join = JoinConfig {
+        order: ResultOrder::Descending,
+        ..JoinConfig::default()
+    };
+    let service = JoinService::new(&t1, &t2, ServiceConfig::default());
+    let mut session = service
+        .open(SessionConfig {
+            join,
+            force_plan: Some(PlanChoice::Adaptive),
+            ..SessionConfig::default()
+        })
+        .unwrap();
+    let mut solo = DistanceJoin::new(&t1, &t2, join);
+
+    let n = 10;
+    let first = session.next_batch(n).unwrap();
+    assert_eq!(first.results.len(), n, "a pull of n is n pairs");
+    assert!(!first.done);
+    let reference: Vec<_> = solo.by_ref().take(n).collect();
+    assert_eq!(triples(&first.results), triples(&reference));
+    assert_eq!(
+        session.held_bytes(),
+        solo.queue_bytes(),
+        "the session holds the paused queue, nothing else"
+    );
+
+    let mut got = first.results;
+    loop {
+        let b = session.next_batch(n).unwrap();
+        got.extend(b.results);
+        if b.done {
+            break;
+        }
+    }
+    let mut want = reference;
+    want.extend(solo.by_ref());
+    assert!(solo.take_error().is_none());
+    assert_eq!(got.len(), 60 * 45);
+    assert_eq!(triples(&got), triples(&want));
+    assert_eq!(session.held_bytes(), 0);
 }

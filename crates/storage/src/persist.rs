@@ -10,8 +10,9 @@
 //! per slot: present u8, then crc32 u32 + page bytes if present
 //! ```
 //!
-//! The legacy `SDJPAGE1` layout (no per-page checksum) still loads; its
-//! checksums are recomputed from the page bytes on the way in.
+//! Any other magic — including the retired, un-checksummed `SDJPAGE1` — is a
+//! [`PersistError::Format`]: every page that loads has had its checksum
+//! verified.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -20,7 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::codec::crc32;
 use crate::{PageId, Pager, StorageError};
 
-const MAGIC_V1: &[u8; 8] = b"SDJPAGE1";
 const MAGIC: &[u8; 8] = b"SDJPAGE2";
 
 /// I/O or format error while persisting a pager.
@@ -86,17 +86,13 @@ impl Pager {
     /// [`Pager::save_to`]. Freed slots are restored onto the free list so
     /// id allocation continues seamlessly.
     ///
-    /// Accepts both the current checksummed format (each stored checksum is
-    /// verified against the page bytes) and the legacy `SDJPAGE1` format
-    /// (checksums recomputed on load).
+    /// Each stored checksum is verified against the page bytes.
     pub fn load_from(input: &mut impl Read) -> std::result::Result<Self, PersistError> {
         let mut magic = [0u8; 8];
         input.read_exact(&mut magic)?;
-        let checksummed = match &magic {
-            m if m == MAGIC => true,
-            m if m == MAGIC_V1 => false,
-            _ => return Err(PersistError::Format("bad magic")),
-        };
+        if &magic != MAGIC {
+            return Err(PersistError::Format("bad magic"));
+        }
         let mut u64buf = [0u8; 8];
         input.read_exact(&mut u64buf)?;
         let page_size = u64::from_le_bytes(u64buf) as usize;
@@ -119,19 +115,13 @@ impl Pager {
             debug_assert_eq!(id.0 as usize, slot);
             match tag[0] {
                 1 => {
-                    let mut stored_crc = None;
-                    if checksummed {
-                        let mut crcbuf = [0u8; 4];
-                        input.read_exact(&mut crcbuf)?;
-                        stored_crc = Some(u32::from_le_bytes(crcbuf));
-                    }
+                    let mut crcbuf = [0u8; 4];
+                    input.read_exact(&mut crcbuf)?;
                     input.read_exact(&mut buf)?;
-                    if let Some(stored) = stored_crc {
-                        if crc32(&buf) != stored {
-                            return Err(PersistError::Storage(StorageError::Corrupt(
-                                "page checksum mismatch in dump",
-                            )));
-                        }
+                    if crc32(&buf) != u32::from_le_bytes(crcbuf) {
+                        return Err(PersistError::Storage(StorageError::Corrupt(
+                            "page checksum mismatch in dump",
+                        )));
                     }
                     pager.write(id, &buf)?;
                 }
@@ -266,28 +256,20 @@ mod tests {
         ));
     }
 
-    /// Hand-rolls a legacy (un-checksummed) dump with one live page.
-    fn v1_dump(page_size: usize, payload: u8) -> Vec<u8> {
+    /// The retired un-checksummed layout is refused by its magic, before a
+    /// single unverified page byte is read.
+    #[test]
+    fn v1_magic_is_a_format_error() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"SDJPAGE1");
-        bytes.extend_from_slice(&(page_size as u64).to_le_bytes());
+        bytes.extend_from_slice(&32u64.to_le_bytes());
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.push(1);
-        bytes.extend_from_slice(&vec![payload; page_size]);
-        bytes
-    }
-
-    #[test]
-    fn legacy_v1_dump_still_loads() {
-        let bytes = v1_dump(32, 0xAB);
-        let mut pager = Pager::load_from(&mut bytes.as_slice()).unwrap();
-        let mut buf = [0u8; 32];
-        pager.read(PageId(0), &mut buf).unwrap();
-        assert_eq!(buf, [0xABu8; 32]);
-        // Re-saving produces the current checksummed format.
-        let mut resaved = Vec::new();
-        pager.save_to(&mut resaved).unwrap();
-        assert_eq!(&resaved[..8], b"SDJPAGE2");
+        bytes.extend_from_slice(&[0xABu8; 32]);
+        assert!(matches!(
+            Pager::load_from(&mut bytes.as_slice()),
+            Err(PersistError::Format("bad magic"))
+        ));
     }
 
     #[test]

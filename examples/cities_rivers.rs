@@ -8,7 +8,7 @@
 use incremental_distance_join::datagen::{tiger, uniform_points, unit_box};
 use incremental_distance_join::geom::Point;
 use incremental_distance_join::query::{
-    CmpOp, DistanceQuery, PlanChoice, Predicate, Relation, Value,
+    CmpOp, DistanceQuery, FilterPlacement, Predicate, Relation, Value,
 };
 
 fn main() {
@@ -40,7 +40,10 @@ fn main() {
 
     // "STOP AFTER 1": the nearest qualifying (city, river) pair.
     println!("City nearest to any river, population > 5,000,000:");
-    for plan in [PlanChoice::FilterAfterJoin, PlanChoice::FilterBeforeJoin] {
+    for plan in [
+        FilterPlacement::FilterAfterJoin,
+        FilterPlacement::FilterBeforeJoin,
+    ] {
         let row = DistanceQuery::join(&cities, &rivers)
             .where_left(megacity.clone())
             .stop_after(1)
