@@ -41,6 +41,18 @@ echo "==> kernel-equivalence smoke gate"
 cargo test -p sdj-geom --offline -q --test kernel_equivalence
 cargo test -p sdj-core --offline -q --test key_domain
 
+echo "==> estimator gate"
+# The §2.2.4 maximum-distance estimator (slab + addressable max-heap + id
+# hash table) must follow the sorted-map reference model's d_max trajectory
+# bit for bit after every call. Pruning reads nothing else from it, so an
+# identical trajectory means identical result streams and identical counters.
+# The proptest drives both models with random call sequences (ties, u64-scale
+# counts, stale and mismatched dequeues, barred nodes, reports past K); the
+# root test runs tie-heavy K-bounded joins and a semi-join against the
+# brute-force baselines.
+cargo test -p sdj-core --offline -q --lib estimate::tests::equivalence
+cargo test --offline -q --test end_to_end k_bounded_joins_with_distance_ties_agree_with_baselines
+
 echo "==> storage concurrency smoke gate"
 # The sharded buffer pool must stay observationally equivalent to the
 # historical single-lock pool: clippy-clean storage crate, the

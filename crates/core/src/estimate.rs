@@ -9,9 +9,38 @@
 //! future pair whose MINDIST exceeds the largest retained `d_max` is dead
 //! weight and can be rejected.
 //!
-//! The paper organises `M` as a priority queue on `d_max` plus a hash table;
-//! here a `BTreeMap` keyed by `(d_max, seq)` plays the role of the priority
-//! queue (same asymptotics, simpler deletion).
+//! # How `M` is stored
+//!
+//! The paper organises `M` as "a max-priority-queue on `d_max` plus a hash
+//! table", and this module does exactly that, over a slab:
+//!
+//! * the **slab** holds one `MEntry` per member of `M` — its key, its
+//!   second item, its count and its current heap position. Freed slots go
+//!   on a free list and are reused.
+//! * the **max-heap** is a binary heap of cells, one per member, ordered by
+//!   `(d_max, seq)`, where `seq` numbers the offers. Among equal `d_max`,
+//!   the later offer sits higher and is evicted first. A cell carries its
+//!   ordering key inline, so sifting never reads the slab. Every move
+//!   writes the cell's new position back into its slot. Removing a member
+//!   by identity (a dequeued pair, an expanded semi-join node) therefore
+//!   starts from a known position and costs one O(log |M|) sift. No stale
+//!   cells are ever left in the heap.
+//! * the **hash table** maps a member's key to its slot, under the crate's
+//!   multiply-rotate id hasher (`crate::idhash`).
+//!
+//! An offer is one table probe plus one heap push. A semi-join offer that
+//! improves on its first item's member rewrites that slot in place and
+//! sifts its cell down, since its `d_max` only shrinks. Each eviction is a
+//! root removal plus one table removal.
+//!
+//! Every decision is the one a sorted map on `(d_max, seq)` would make:
+//! the eviction order, the `u128` count total, the semi-join's
+//! replace-if-smaller rule, the `item2` match on dequeue and the bar on
+//! processed nodes. So [`Estimator::current_dmax`] follows the same
+//! trajectory bit for bit, and with it every pruning decision, result
+//! stream and counter of the join. The tests drive this implementation and
+//! such a sorted-map reference model with the same random call sequences
+//! and compare them after every call.
 //!
 //! Counts are deliberately *lower* bounds: over-estimating them could shrink
 //! the maximum distance below the true `K`-th result distance and force a
@@ -22,10 +51,11 @@
 //! default Euclidean configuration), and [`Estimator::current_dmax`] answers
 //! in the same domain.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
 
 use sdj_geom::OrdF64;
 
+use crate::idhash::{IdHashMap, IdHashSet};
 use crate::pair::ItemId;
 
 /// Set-`M` key: the full pair identity for distance joins; only the first
@@ -37,12 +67,31 @@ enum MKey {
     Semi(ItemId),
 }
 
+/// One member of `M`, in its slab slot.
 struct MEntry {
-    count: u64,
-    dmax: OrdF64,
-    seq: u64,
+    key: MKey,
     /// Second item, kept so a dequeued pair can be matched exactly.
     item2: ItemId,
+    count: u64,
+    /// Index of this member's cell in the heap.
+    pos: usize,
+}
+
+/// A heap cell: a member's ordering key and its slab slot.
+#[derive(Clone, Copy)]
+struct Cell {
+    dmax: f64,
+    seq: u64,
+    slot: usize,
+}
+
+impl Cell {
+    /// Max-heap order on `(d_max, seq)`. `seq` is unique, so the order is
+    /// total and the heap's top is always one well-defined member.
+    #[inline]
+    fn above(&self, other: &Cell) -> bool {
+        self.dmax > other.dmax || (self.dmax == other.dmax && self.seq > other.seq)
+    }
 }
 
 /// Estimator mode.
@@ -60,15 +109,20 @@ pub struct Estimator {
     mode: EstimatorMode,
     k_remaining: u64,
     dmax: f64,
-    entries: HashMap<MKey, MEntry>,
-    by_dmax: BTreeMap<(OrdF64, u64), MKey>,
+    /// Members of `M`; slots listed in `free` are vacant.
+    slab: Vec<MEntry>,
+    free: Vec<usize>,
+    /// Max-heap of the members, by `(d_max, seq)`.
+    heap: Vec<Cell>,
+    /// Member key → slab slot.
+    index: IdHashMap<MKey, usize>,
     total: u128,
     seq: u64,
     /// Times the global bound strictly decreased (observability).
     tightenings: u64,
     /// Semi-join: first-item nodes that have been expanded; pairs led by
     /// them may no longer enter `M` (their descendants would double-count).
-    processed: HashSet<ItemId>,
+    processed: IdHashSet<ItemId>,
 }
 
 impl Estimator {
@@ -80,12 +134,14 @@ impl Estimator {
             mode,
             k_remaining: k,
             dmax: initial_dmax,
-            entries: HashMap::new(),
-            by_dmax: BTreeMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            heap: Vec::new(),
+            index: IdHashMap::default(),
             total: 0,
             seq: 0,
             tightenings: 0,
-            processed: HashSet::new(),
+            processed: IdHashSet::default(),
         }
     }
 
@@ -104,7 +160,7 @@ impl Estimator {
     /// Number of pairs currently in `M`.
     #[must_use]
     pub fn m_len(&self) -> usize {
-        self.entries.len()
+        self.heap.len()
     }
 
     /// Times [`Estimator::current_dmax`] has strictly decreased so far.
@@ -132,28 +188,50 @@ impl Estimator {
             return;
         }
         let key = self.key_of(item1, item2);
-        let dmax = OrdF64::new(dmax_pair);
-        if let Some(existing) = self.entries.get(&key) {
-            // Semi-join: keep whichever pair led by item1 has the smaller
-            // d_max (§2.3). Join mode can only collide if the same pair is
-            // enqueued twice, which the traversal never does.
-            if existing.dmax <= dmax {
-                return;
-            }
-            self.remove_key(key);
-        }
+        let dmax = OrdF64::new(dmax_pair).get();
         let seq = self.seq;
+        match self.index.entry(key) {
+            Entry::Occupied(found) => {
+                // Semi-join: keep whichever pair led by item1 has the smaller
+                // d_max (§2.3). Join mode can only collide if the same pair is
+                // enqueued twice, which the traversal never does.
+                let slot = *found.get();
+                let entry = &mut self.slab[slot];
+                let pos = entry.pos;
+                if self.heap[pos].dmax <= dmax {
+                    return;
+                }
+                // The member is replaced in place: a smaller d_max can only
+                // move its cell down.
+                self.total -= u128::from(entry.count);
+                entry.count = count;
+                entry.item2 = item2;
+                self.heap[pos] = Cell { dmax, seq, slot };
+                self.sift_down(pos);
+            }
+            Entry::Vacant(vacant) => {
+                let entry = MEntry {
+                    key,
+                    item2,
+                    count,
+                    pos: self.heap.len(),
+                };
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slab[slot] = entry;
+                        slot
+                    }
+                    None => {
+                        self.slab.push(entry);
+                        self.slab.len() - 1
+                    }
+                };
+                vacant.insert(slot);
+                self.heap.push(Cell { dmax, seq, slot });
+                self.sift_up(self.heap.len() - 1);
+            }
+        }
         self.seq += 1;
-        self.entries.insert(
-            key,
-            MEntry {
-                count,
-                dmax,
-                seq,
-                item2,
-            },
-        );
-        self.by_dmax.insert((dmax, seq), key);
         self.total += u128::from(count);
         self.tighten();
     }
@@ -161,11 +239,12 @@ impl Estimator {
     /// Notes that a pair has been removed from the priority queue.
     pub fn on_dequeue(&mut self, item1: ItemId, item2: ItemId) {
         let key = self.key_of(item1, item2);
-        if let Some(entry) = self.entries.get(&key) {
+        if let Some(&slot) = self.index.get(&key) {
             // Semi-join keys ignore item2, so make sure this is the same
             // pair before dropping it.
-            if entry.item2 == item2 {
-                self.remove_key(key);
+            if self.slab[slot].item2 == item2 {
+                self.index.remove(&key);
+                self.remove_slot(slot);
             }
         }
     }
@@ -178,9 +257,8 @@ impl Estimator {
             return;
         }
         self.processed.insert(item1);
-        let key = MKey::Semi(item1);
-        if self.entries.contains_key(&key) {
-            self.remove_key(key);
+        if let Some(slot) = self.index.remove(&MKey::Semi(item1)) {
+            self.remove_slot(slot);
         }
     }
 
@@ -191,15 +269,6 @@ impl Estimator {
         self.tighten();
     }
 
-    fn remove_key(&mut self, key: MKey) {
-        // Callers check presence; an absent key is simply a no-op rather
-        // than a panic path.
-        if let Some(entry) = self.entries.remove(&key) {
-            self.by_dmax.remove(&(entry.dmax, entry.seq));
-            self.total -= u128::from(entry.count);
-        }
-    }
-
     /// Drops the largest-`d_max` entries while the rest still cover the
     /// budget, then lowers the global bound to the largest retained `d_max`.
     fn tighten(&mut self) {
@@ -207,22 +276,124 @@ impl Estimator {
             return;
         }
         let k = u128::from(self.k_remaining);
-        while let Some((&(_, _), &key)) = self.by_dmax.last_key_value() {
-            let count = u128::from(self.entries[&key].count);
-            if self.total - count >= k {
-                self.remove_key(key);
-            } else {
+        while let Some(top) = self.heap.first() {
+            let entry = &self.slab[top.slot];
+            if self.total - u128::from(entry.count) < k {
                 break;
             }
+            let slot = top.slot;
+            self.index.remove(&entry.key);
+            self.remove_slot(slot);
         }
         if self.total >= k {
-            if let Some((&(dmax, _), _)) = self.by_dmax.last_key_value() {
-                if dmax.get() < self.dmax {
-                    self.dmax = dmax.get();
+            if let Some(top) = self.heap.first() {
+                if top.dmax < self.dmax {
+                    self.dmax = top.dmax;
                     self.tightenings += 1;
                 }
             }
         }
+    }
+
+    /// Removes the member in `slot` from the heap and the count total and
+    /// frees the slot. The caller has already removed its key from the
+    /// index.
+    fn remove_slot(&mut self, slot: usize) {
+        let entry = &self.slab[slot];
+        let pos = entry.pos;
+        self.total -= u128::from(entry.count);
+        self.free.push(slot);
+        // The heap's last cell fills the hole, then moves whichever way the
+        // order requires.
+        let Some(last) = self.heap.pop() else {
+            return;
+        };
+        if pos < self.heap.len() {
+            self.heap[pos] = last;
+            if pos > 0 && last.above(&self.heap[(pos - 1) / 2]) {
+                self.sift_up(pos);
+            } else {
+                self.sift_down(pos);
+            }
+        }
+    }
+
+    /// Moves the cell at `pos` up to its place, recording every moved
+    /// cell's new position in its slot.
+    fn sift_up(&mut self, mut pos: usize) {
+        let cell = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let up = self.heap[parent];
+            if !cell.above(&up) {
+                break;
+            }
+            self.heap[pos] = up;
+            self.slab[up.slot].pos = pos;
+            pos = parent;
+        }
+        self.heap[pos] = cell;
+        self.slab[cell.slot].pos = pos;
+    }
+
+    /// Moves the cell at `pos` down to its place, recording every moved
+    /// cell's new position in its slot.
+    fn sift_down(&mut self, mut pos: usize) {
+        let cell = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.heap[child + 1].above(&self.heap[child]) {
+                child += 1;
+            }
+            let down = self.heap[child];
+            if !down.above(&cell) {
+                break;
+            }
+            self.heap[pos] = down;
+            self.slab[down.slot].pos = pos;
+            pos = child;
+        }
+        self.heap[pos] = cell;
+        self.slab[cell.slot].pos = pos;
+    }
+
+    /// Checks the slab/heap/index bookkeeping: every cell's slot points
+    /// back at it, the heap is ordered, the index and the free list
+    /// partition the slab, and the total is the sum of member counts.
+    #[cfg(test)]
+    fn check_invariants(&self) -> Result<(), String> {
+        if self.index.len() != self.heap.len() {
+            return Err(format!(
+                "index holds {} keys, heap {} cells",
+                self.index.len(),
+                self.heap.len()
+            ));
+        }
+        if self.heap.len() + self.free.len() != self.slab.len() {
+            return Err("slab slots neither live nor free".into());
+        }
+        let mut total = 0u128;
+        for (pos, cell) in self.heap.iter().enumerate() {
+            let entry = &self.slab[cell.slot];
+            if entry.pos != pos {
+                return Err(format!("cell {pos} records position {}", entry.pos));
+            }
+            if self.index.get(&entry.key) != Some(&cell.slot) {
+                return Err(format!("cell {pos}: key does not map to its slot"));
+            }
+            if pos > 0 && cell.above(&self.heap[(pos - 1) / 2]) {
+                return Err(format!("cell {pos} sits above its parent"));
+            }
+            total += u128::from(entry.count);
+        }
+        if total != self.total {
+            return Err(format!("total {} but members sum to {total}", self.total));
+        }
+        Ok(())
     }
 }
 
@@ -333,6 +504,191 @@ mod tests {
         assert_eq!(e.current_dmax(), f64::INFINITY);
     }
 
+    #[test]
+    fn equal_dmax_evicts_the_latest_offer_first() {
+        let mut e = Estimator::new(EstimatorMode::Join, 2, f64::INFINITY);
+        e.offer(obj(1), obj(1), 5.0, 1);
+        e.offer(obj(2), obj(2), 5.0, 1);
+        e.offer(obj(3), obj(3), 5.0, 1);
+        // Three members cover K = 2; the newest of the tied three goes.
+        assert_eq!(e.m_len(), 2);
+        e.on_dequeue(obj(3), obj(3));
+        assert_eq!(e.m_len(), 2, "already evicted");
+        e.on_dequeue(obj(1), obj(1));
+        assert_eq!(e.m_len(), 1);
+        assert!(e.check_invariants().is_ok());
+    }
+
+    /// The sorted-map estimator this module replaced, kept verbatim as the
+    /// reference model: a `HashMap` for the members plus a `BTreeMap` on
+    /// `(d_max, seq)` as the priority queue.
+    mod reference {
+        use std::collections::{BTreeMap, HashMap, HashSet};
+
+        use sdj_geom::OrdF64;
+
+        use super::super::{EstimatorMode, MKey};
+        use crate::pair::ItemId;
+
+        struct MEntry {
+            count: u64,
+            dmax: OrdF64,
+            seq: u64,
+            /// Second item, kept so a dequeued pair can be matched exactly.
+            item2: ItemId,
+        }
+
+        pub(super) struct Estimator {
+            mode: EstimatorMode,
+            k_remaining: u64,
+            dmax: f64,
+            entries: HashMap<MKey, MEntry>,
+            by_dmax: BTreeMap<(OrdF64, u64), MKey>,
+            total: u128,
+            seq: u64,
+            tightenings: u64,
+            processed: HashSet<ItemId>,
+        }
+
+        impl Estimator {
+            pub(super) fn new(mode: EstimatorMode, k: u64, initial_dmax: f64) -> Self {
+                Self {
+                    mode,
+                    k_remaining: k,
+                    dmax: initial_dmax,
+                    entries: HashMap::new(),
+                    by_dmax: BTreeMap::new(),
+                    total: 0,
+                    seq: 0,
+                    tightenings: 0,
+                    processed: HashSet::new(),
+                }
+            }
+
+            pub(super) fn current_dmax(&self) -> f64 {
+                self.dmax
+            }
+
+            pub(super) fn k_remaining(&self) -> u64 {
+                self.k_remaining
+            }
+
+            pub(super) fn m_len(&self) -> usize {
+                self.entries.len()
+            }
+
+            pub(super) fn tightenings(&self) -> u64 {
+                self.tightenings
+            }
+
+            fn key_of(&self, item1: ItemId, item2: ItemId) -> MKey {
+                match self.mode {
+                    EstimatorMode::Join => MKey::Join(item1, item2),
+                    EstimatorMode::Semi => MKey::Semi(item1),
+                }
+            }
+
+            pub(super) fn offer(
+                &mut self,
+                item1: ItemId,
+                item2: ItemId,
+                dmax_pair: f64,
+                count: u64,
+            ) {
+                if count == 0 || self.k_remaining == 0 {
+                    return;
+                }
+                if self.mode == EstimatorMode::Semi && self.processed.contains(&item1) {
+                    return;
+                }
+                let key = self.key_of(item1, item2);
+                let dmax = OrdF64::new(dmax_pair);
+                if let Some(existing) = self.entries.get(&key) {
+                    // Semi-join: keep whichever pair led by item1 has the smaller
+                    // d_max (§2.3). Join mode can only collide if the same pair is
+                    // enqueued twice, which the traversal never does.
+                    if existing.dmax <= dmax {
+                        return;
+                    }
+                    self.remove_key(key);
+                }
+                let seq = self.seq;
+                self.seq += 1;
+                self.entries.insert(
+                    key,
+                    MEntry {
+                        count,
+                        dmax,
+                        seq,
+                        item2,
+                    },
+                );
+                self.by_dmax.insert((dmax, seq), key);
+                self.total += u128::from(count);
+                self.tighten();
+            }
+
+            pub(super) fn on_dequeue(&mut self, item1: ItemId, item2: ItemId) {
+                let key = self.key_of(item1, item2);
+                if let Some(entry) = self.entries.get(&key) {
+                    // Semi-join keys ignore item2, so make sure this is the same
+                    // pair before dropping it.
+                    if entry.item2 == item2 {
+                        self.remove_key(key);
+                    }
+                }
+            }
+
+            pub(super) fn on_expand_item1(&mut self, item1: ItemId) {
+                if self.mode != EstimatorMode::Semi {
+                    return;
+                }
+                self.processed.insert(item1);
+                let key = MKey::Semi(item1);
+                if self.entries.contains_key(&key) {
+                    self.remove_key(key);
+                }
+            }
+
+            pub(super) fn on_report(&mut self) {
+                self.k_remaining = self.k_remaining.saturating_sub(1);
+                self.tighten();
+            }
+
+            fn remove_key(&mut self, key: MKey) {
+                // Callers check presence; an absent key is simply a no-op rather
+                // than a panic path.
+                if let Some(entry) = self.entries.remove(&key) {
+                    self.by_dmax.remove(&(entry.dmax, entry.seq));
+                    self.total -= u128::from(entry.count);
+                }
+            }
+
+            fn tighten(&mut self) {
+                if self.k_remaining == 0 {
+                    return;
+                }
+                let k = u128::from(self.k_remaining);
+                while let Some((&(_, _), &key)) = self.by_dmax.last_key_value() {
+                    let count = u128::from(self.entries[&key].count);
+                    if self.total - count >= k {
+                        self.remove_key(key);
+                    } else {
+                        break;
+                    }
+                }
+                if self.total >= k {
+                    if let Some((&(dmax, _), _)) = self.by_dmax.last_key_value() {
+                        if dmax.get() < self.dmax {
+                            self.dmax = dmax.get();
+                            self.tightenings += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -399,6 +755,172 @@ mod tests {
                         e.current_dmax()
                     );
                     last = e.current_dmax();
+                }
+            }
+        }
+    }
+
+    /// Reference-model equivalence: the slab/heap/table estimator and the
+    /// sorted-map estimator it replaced, driven by the same call sequence,
+    /// agree bit for bit after every call.
+    mod equivalence {
+        use super::reference;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One estimator call. Items are drawn from a small id space of
+        /// nodes and objects so keys collide; `back` picks an earlier offer
+        /// (counted from the newest) so dequeues hit members, pairs already
+        /// evicted, and — with another second item — semi-join mismatches.
+        #[derive(Clone, Debug)]
+        enum Call {
+            Offer {
+                i1: ItemId,
+                i2: ItemId,
+                dmax: f64,
+                count: u64,
+            },
+            Dequeue {
+                i1: ItemId,
+                i2: ItemId,
+            },
+            DequeueOffered {
+                back: usize,
+            },
+            DequeueOtherSecond {
+                back: usize,
+                i2: ItemId,
+            },
+            Expand {
+                i1: ItemId,
+            },
+            ExpandOffered {
+                back: usize,
+            },
+            Report,
+        }
+
+        fn arb_item() -> impl Strategy<Value = ItemId> {
+            (0u64..3, 0u64..8).prop_map(|(kind, id)| {
+                if kind == 0 {
+                    ItemId::Object(id)
+                } else {
+                    ItemId::Node(id)
+                }
+            })
+        }
+
+        /// Mostly a handful of exact values, so equal `d_max` decides
+        /// evictions; signed zero and infinity included.
+        fn arb_dmax() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                3 => prop::sample::select(vec![0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 8.0, f64::INFINITY]),
+                1 => 0.0..10.0f64,
+            ]
+        }
+
+        /// Small counts, plus `u64`-scale ones whose sums need the `u128`
+        /// total.
+        fn arb_count() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                6 => 1u64..6,
+                1 => prop::sample::select(vec![u64::MAX, u64::MAX / 3, 1 << 32, (1 << 32) + 1]),
+                1 => 1u64..=u64::MAX,
+            ]
+        }
+
+        fn arb_k() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                4 => 1u64..24,
+                1 => prop::sample::select(vec![u64::MAX, u64::MAX - 1, 1 << 33]),
+                1 => 1u64..=u64::MAX,
+            ]
+        }
+
+        fn arb_call() -> impl Strategy<Value = Call> {
+            prop_oneof![
+                8 => (arb_item(), arb_item(), arb_dmax(), arb_count()).prop_map(
+                    |(i1, i2, dmax, count)| Call::Offer { i1, i2, dmax, count }
+                ),
+                2 => (arb_item(), arb_item()).prop_map(|(i1, i2)| Call::Dequeue { i1, i2 }),
+                3 => (0usize..12).prop_map(|back| Call::DequeueOffered { back }),
+                1 => (0usize..12, arb_item())
+                    .prop_map(|(back, i2)| Call::DequeueOtherSecond { back, i2 }),
+                1 => arb_item().prop_map(|i1| Call::Expand { i1 }),
+                1 => (0usize..12).prop_map(|back| Call::ExpandOffered { back }),
+                2 => Just(Call::Report),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// After every call: identical `current_dmax` bits, `m_len`,
+            /// `k_remaining` and `tightenings`, and consistent slab/heap/
+            /// table bookkeeping. The calls ignore the join's caller
+            /// contract on purpose (offers above the current bound, reports
+            /// past K), so both models see every path.
+            #[test]
+            fn matches_the_sorted_map_reference(
+                calls in prop::collection::vec(arb_call(), 1..200),
+                k in arb_k(),
+                initial in prop::sample::select(vec![f64::INFINITY, 4.0, 0.0]),
+                mode in prop::sample::select(vec![EstimatorMode::Join, EstimatorMode::Semi]),
+            ) {
+                let mut fast = Estimator::new(mode, k, initial);
+                let mut model = reference::Estimator::new(mode, k, initial);
+                let mut offered: Vec<(ItemId, ItemId)> = Vec::new();
+                let earlier = |offered: &[(ItemId, ItemId)], back: usize| {
+                    offered.len().checked_sub(1 + back % offered.len().max(1)).map(|i| offered[i])
+                };
+                for (step, call) in calls.iter().enumerate() {
+                    match *call {
+                        Call::Offer { i1, i2, dmax, count } => {
+                            offered.push((i1, i2));
+                            fast.offer(i1, i2, dmax, count);
+                            model.offer(i1, i2, dmax, count);
+                        }
+                        Call::Dequeue { i1, i2 } => {
+                            fast.on_dequeue(i1, i2);
+                            model.on_dequeue(i1, i2);
+                        }
+                        Call::DequeueOffered { back } => {
+                            if let Some((i1, i2)) = earlier(&offered, back) {
+                                fast.on_dequeue(i1, i2);
+                                model.on_dequeue(i1, i2);
+                            }
+                        }
+                        Call::DequeueOtherSecond { back, i2 } => {
+                            if let Some((i1, _)) = earlier(&offered, back) {
+                                fast.on_dequeue(i1, i2);
+                                model.on_dequeue(i1, i2);
+                            }
+                        }
+                        Call::Expand { i1 } => {
+                            fast.on_expand_item1(i1);
+                            model.on_expand_item1(i1);
+                        }
+                        Call::ExpandOffered { back } => {
+                            if let Some((i1, _)) = earlier(&offered, back) {
+                                fast.on_expand_item1(i1);
+                                model.on_expand_item1(i1);
+                            }
+                        }
+                        Call::Report => {
+                            fast.on_report();
+                            model.on_report();
+                        }
+                    }
+                    prop_assert_eq!(
+                        fast.current_dmax().to_bits(),
+                        model.current_dmax().to_bits(),
+                        "d_max after call {} ({:?})", step, call
+                    );
+                    prop_assert_eq!(fast.m_len(), model.m_len(), "|M| after call {}", step);
+                    prop_assert_eq!(fast.k_remaining(), model.k_remaining());
+                    prop_assert_eq!(fast.tightenings(), model.tightenings());
+                    let checked = fast.check_invariants();
+                    prop_assert!(checked.is_ok(), "after call {}: {:?}", step, checked);
                 }
             }
         }

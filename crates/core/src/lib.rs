@@ -61,6 +61,7 @@ pub mod bulk;
 mod config;
 mod cursor;
 mod estimate;
+mod idhash;
 pub mod index;
 pub mod intersect;
 mod join;

@@ -8,8 +8,7 @@
 //! first-item's nearest-partner distance prune the queue
 //! ([`DmaxStrategy`]).
 
-use std::collections::HashMap;
-
+use crate::idhash::IdHashMap;
 use crate::pair::ItemId;
 
 /// Where already-reported first objects are filtered out (§4.2.1, Figure 9).
@@ -116,7 +115,7 @@ pub(crate) struct SemiState {
     pub seen: SeenSet,
     /// Smallest known nearest-partner upper bound per first-index item
     /// (`GlobalNodes` keeps nodes only; `GlobalAll` also objects).
-    pub bounds: HashMap<ItemId, f64>,
+    pub bounds: IdHashMap<ItemId, f64>,
 }
 
 impl SemiState {
@@ -124,7 +123,7 @@ impl SemiState {
         Self {
             config,
             seen: SeenSet::with_capacity(first_len),
-            bounds: HashMap::new(),
+            bounds: IdHashMap::default(),
         }
     }
 

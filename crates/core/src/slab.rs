@@ -17,12 +17,11 @@
 //! and bounding-rectangle ([`Item::Obr`]) forms, which share a paper
 //! identity (§2.3 fn. 5) but differ in finality.
 
-use std::collections::HashMap;
-
 use sdj_pqueue::Codec;
 use sdj_storage::codec::{PageReader, PageWriter};
 use sdj_storage::StorageError;
 
+use crate::idhash::IdHashMap;
 use crate::pair::{Item, Pair};
 
 /// Interning key, packed into one `u64`: relation side (bit 63), item kind
@@ -89,7 +88,7 @@ pub struct ItemArena<const D: usize> {
     /// Freed slots awaiting reuse.
     free: Vec<u32>,
     /// Key → slot lookup for live slots.
-    map: HashMap<u64, u32>,
+    map: IdHashMap<u64, u32>,
     /// Live (referenced) slots.
     live: usize,
     /// Lifetime high-water mark of `live`.
@@ -110,7 +109,7 @@ impl<const D: usize> Default for ItemArena<D> {
             keys: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: IdHashMap::default(),
             live: 0,
             high_water: 0,
             recycled: 0,

@@ -17,11 +17,10 @@
 //! Staleness is a non-issue by construction: a join borrows its trees
 //! immutably for its whole lifetime, and the cache lives inside the join.
 
-use std::collections::HashMap;
-
 use sdj_geom::SoaRects;
 use sdj_storage::Result;
 
+use crate::idhash::IdHashMap;
 use crate::index::{IndexNode, NodeId, SpatialIndex};
 
 /// Views retained per tree side before the least-recently-used one is
@@ -54,7 +53,7 @@ impl<const D: usize> NodeView<D> {
 /// A small LRU cache of [`NodeView`]s, keyed by node id (page).
 #[derive(Debug)]
 pub(crate) struct ViewCache<const D: usize> {
-    slots: HashMap<NodeId, (u64, NodeView<D>)>,
+    slots: IdHashMap<NodeId, (u64, NodeView<D>)>,
     spare: Vec<NodeView<D>>,
     tick: u64,
     cap: usize,
@@ -65,7 +64,7 @@ pub(crate) struct ViewCache<const D: usize> {
 impl<const D: usize> ViewCache<D> {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
-            slots: HashMap::new(),
+            slots: IdHashMap::default(),
             spare: Vec::new(),
             tick: 0,
             cap,

@@ -3,9 +3,9 @@
 
 use incremental_distance_join::baselines::{nested_loop_topk, nn_semijoin, within_join};
 use incremental_distance_join::datagen::tiger;
-use incremental_distance_join::geom::Metric;
+use incremental_distance_join::geom::{Metric, Point};
 use incremental_distance_join::join::{
-    DistanceJoin, DmaxStrategy, JoinConfig, SemiConfig, SemiFilter,
+    DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig, SemiConfig, SemiFilter,
 };
 use incremental_distance_join::query::{CmpOp, DistanceQuery, Predicate, Relation, Value};
 use incremental_distance_join::rtree::{ObjectId, RTree, RTreeConfig};
@@ -159,5 +159,102 @@ fn insertion_and_bulk_built_trees_join_identically() {
             (x - y).abs() < 1e-9,
             "tree build method must not change results"
         );
+    }
+}
+
+/// Points on a small integer grid, visited in an order that puts several
+/// objects on most grid points: coincident points and many exactly equal
+/// distances.
+fn grid_with_duplicates(n: u64, stride: u64, side: u64) -> Items {
+    (0..n)
+        .map(|i| {
+            let cell = (i * stride) % (side * side);
+            let p = Point::xy((cell % side) as f64, (cell / side) as f64);
+            (ObjectId(i), p.to_rect())
+        })
+        .collect()
+}
+
+/// K-bounded joins whose §2.2.4 estimate is decided by ties: with exact
+/// distance ties inside the estimator's set `M`, which equal-`d_max` member
+/// is evicted first is the only thing that varies. Every K from one pair to
+/// more than all pairs, with and without `Dmin`, and a self-join with
+/// `exclude_equal_ids`, under both estimation bounds, must return exactly
+/// the nested loop's distances; a K-bounded semi-join must return the
+/// nearest-neighbour baseline's first K.
+#[test]
+fn k_bounded_joins_with_distance_ties_agree_with_baselines() {
+    let a = grid_with_duplicates(90, 7, 6);
+    let b = grid_with_duplicates(70, 3, 5);
+    let ta = RTree::bulk_load(RTreeConfig::small(4), a.clone());
+    let tb = RTree::bulk_load(RTreeConfig::small(4), b.clone());
+    let metric = Metric::Euclidean;
+    let all_ab = nested_loop_topk(&a, &b, metric, a.len() * b.len());
+    let all_aa = nested_loop_topk(&a, &a, metric, a.len() * a.len());
+    let exact = |x: &Items, y: &Items, o1: ObjectId, o2: ObjectId| {
+        metric.mindist_rect_rect(&x[o1.0 as usize].1, &y[o2.0 as usize].1)
+    };
+
+    for estimation in [EstimationBound::AllPairs, EstimationBound::ExistsPair] {
+        let base = JoinConfig {
+            estimation,
+            ..JoinConfig::default()
+        };
+        for k in [1, 7, all_ab.len() / 2, all_ab.len() + 10] {
+            for dmin in [0.0, 1.0] {
+                let config = base
+                    .with_max_pairs(k as u64)
+                    .with_range(dmin, f64::INFINITY);
+                let got: Vec<_> = DistanceJoin::new(&ta, &tb, config).collect();
+                let want: Vec<f64> = all_ab
+                    .iter()
+                    .map(|p| p.distance)
+                    .filter(|&d| d >= dmin)
+                    .take(k)
+                    .collect();
+                let label = format!("{estimation:?} K={k} Dmin={dmin}");
+                assert_eq!(got.len(), want.len(), "{label}");
+                let mut pairs = std::collections::HashSet::new();
+                for (r, w) in got.iter().zip(&want) {
+                    assert!((r.distance - w).abs() < 1e-9, "{label}");
+                    assert!((r.distance - exact(&a, &b, r.oid1, r.oid2)).abs() < 1e-9);
+                    assert!(pairs.insert((r.oid1, r.oid2)), "{label}: pair repeated");
+                }
+            }
+
+            let mut config = base.with_max_pairs(k as u64);
+            config.exclude_equal_ids = true;
+            let got: Vec<_> = DistanceJoin::new(&ta, &ta, config).collect();
+            let want: Vec<f64> = all_aa
+                .iter()
+                .filter(|p| p.oid1 != p.oid2)
+                .map(|p| p.distance)
+                .take(k)
+                .collect();
+            assert_eq!(got.len(), want.len(), "{estimation:?} self-join K={k}");
+            for (r, w) in got.iter().zip(&want) {
+                assert_ne!(r.oid1, r.oid2);
+                assert!(
+                    (r.distance - w).abs() < 1e-9,
+                    "{estimation:?} self-join K={k}"
+                );
+            }
+        }
+    }
+
+    let semi = SemiConfig {
+        filter: SemiFilter::Inside2,
+        dmax: DmaxStrategy::GlobalAll,
+    };
+    let nn = nn_semijoin(&ta, &tb, metric).unwrap();
+    for k in [1, 7, a.len() / 2] {
+        let config = JoinConfig::default().with_max_pairs(k as u64);
+        let got: Vec<_> = DistanceJoin::semi(&ta, &tb, config, semi).collect();
+        assert_eq!(got.len(), k);
+        for (r, w) in got.iter().zip(&nn) {
+            assert!((r.distance - w.distance).abs() < 1e-9, "semi-join K={k}");
+        }
+        let firsts: std::collections::HashSet<_> = got.iter().map(|r| r.oid1).collect();
+        assert_eq!(firsts.len(), k, "semi-join K={k}: first object repeated");
     }
 }
