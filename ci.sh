@@ -16,20 +16,19 @@ echo "==> cargo clippy (geom kernels: suboptimal_flops)"
 cargo clippy -p sdj-geom --all-targets --no-deps --offline -- \
     -D warnings -D clippy::suboptimal_flops
 
-echo "==> library crates read no environment"
+echo "==> library crates and sdj-report read no environment"
 # Configuration reaches the engines as plain data from the call site; a
 # library that consults the process environment cannot be configured per
-# query, and cannot be benchmarked without scrubbing it first.
-if grep -rn 'std::env::var' crates/core/src crates/service/src crates/exec/src; then
-    echo "crates/{core,service,exec}/src must not read the environment" >&2
+# query, and cannot be benchmarked without scrubbing it first. sdj-report
+# takes flags for the same reason: a CI line shows every knob it ran with.
+if grep -rn 'std::env::var' crates/core/src crates/service/src crates/exec/src \
+    crates/bench/src/bin/sdj_report.rs; then
+    echo "crates/{core,service,exec}/src and sdj-report must not read the environment" >&2
     exit 1
 fi
 
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
-
-echo "==> cargo bench --no-run"
-cargo bench --workspace --offline --no-run
 
 echo "==> cargo test"
 cargo test --workspace --offline -q
@@ -73,24 +72,26 @@ echo "==> fail-clean chaos gate"
 # runs, and a seeded end-to-end report run under transient faults must
 # complete bit-identically with retries recorded in the report. The seed
 # pins one deterministic schedule, so this gate is reproducible (see README:
-# SDJ_FAULT_SEED).
+# --fault-seed).
 cargo clippy -p sdj-storage -p sdj-pqueue -p sdj-core -p sdj-service \
     --lib --no-deps --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo test -p sdj-storage --offline -q fault
 cargo test -p sdj-core --offline -q --test chaos
 cargo test -p sdj-exec --offline -q --test chaos_parallel
-SDJ_FAULT_SEED=1998 SDJ_FAULT_RATE=0.2 ./target/release/sdj-report \
+./target/release/sdj-report --fault-seed 1998 --fault-rate 0.2 \
     --n 2000 --k 300 --out results/RunReport_chaos.json
 ./target/release/sdj-report --check results/RunReport_chaos.json \
     --expect-drain --expect-retries
 
 echo "==> planner / bulk-path gate"
 # The bulk partition/plane-sweep path must stay multiset-equal to the
-# incremental engine (bit-identical ordered streams), invariant across
-# worker counts, and the cost-based planner's choice must be recorded in
-# reports and overridable. The lane kernels ride the geom suboptimal_flops
-# gate above (sdj-geom --all-targets covers them).
+# incremental engine (bit-identical ordered streams), and the cost-based
+# planner's choice must be recorded in reports and overridable. Worker-count
+# invariance is a property of BulkDistanceJoin itself: its one sweep method
+# runs inline or over a scoped pool, and bulk_parallel pins the stream and
+# every counter across worker counts. The lane kernels ride the geom
+# suboptimal_flops gate above (sdj-geom --all-targets covers them).
 cargo test -p sdj-core --offline -q --test bulk_equivalence
 cargo test -p sdj-exec --offline -q --test bulk_parallel
 ./target/release/sdj-report --n 3000 --k 200 --force-plan bulk \
@@ -100,7 +101,7 @@ cargo test -p sdj-exec --offline -q --test bulk_parallel
 echo "==> observability smoke gate"
 # A small instrumented join must produce a schema-valid RunReport whose
 # rank curve is monotone and whose queue curve grows then drains; the
-# no-op-sink engine must stay within SDJ_OVERHEAD_PCT (default 2%) of the
+# no-op-sink engine must stay within --overhead-pct (default 2%) of the
 # uninstrumented one on identical work.
 ./target/release/sdj-report --n 4000 --k 800 --threads 2 \
     --out results/RunReport_ci.json --events results/RunReport_ci.ndjson
@@ -112,7 +113,7 @@ echo "==> profiling gate"
 # plus a well-formed planner calibration section. Profiling must be a pure
 # observer: streams stay bit-identical with spans off/sampled/always
 # (proptested), and the overhead gate runs both comparisons — bare vs
-# fully instrumented, and spans-off vs spans-on — under SDJ_OVERHEAD_PCT.
+# fully instrumented, and spans-off vs spans-on — under --overhead-pct.
 cargo test -p sdj-core --offline -q --test profiling_invariance
 ./target/release/sdj-report --n 20000 --k 5000 \
     --out results/RunReport_profile.json --profile
@@ -148,7 +149,7 @@ cargo test -p sdj-pqueue --offline -q --test layout_equivalence
 cargo test -p sdj-exec --offline -q --test parallel_equivalence flat_layout_is_stream_invisible_across_engines_and_backends
 ./target/release/sdj-report --n 4000 --k 800 \
     --out results/RunReport_queue_pairing.json
-SDJ_QUEUE_LAYOUT=flat ./target/release/sdj-report --n 4000 --k 800 \
+./target/release/sdj-report --queue-layout flat --n 4000 --k 800 \
     --out results/RunReport_queue_flat.json
 ./target/release/sdj-report --check results/RunReport_queue_flat.json \
     --expect-drain --expect-queue-bytes \
@@ -178,8 +179,8 @@ echo "==> benchmark gate"
 # and the brute-force baselines; it exits non-zero otherwise. The per-metric
 # lines go to the log's tail only — the numbers of a scaled-down run mean
 # nothing. The benchmark refuses to start while any SDJ_* variable is set,
-# and this script documents SDJ_OVERHEAD_PCT as an override, so the
-# variables are dropped for this one command.
+# and one may be left in the caller's environment, so the variables are
+# dropped for this one command.
 mapfile -t sdj_vars < <(compgen -e | grep '^SDJ_' || true)
 env "${sdj_vars[@]/#/-u}" \
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- quick | tail -n 2

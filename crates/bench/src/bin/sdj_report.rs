@@ -22,8 +22,12 @@
 //!   non-zero on any failure — this is the CI gate.
 //! * **`--overhead`**: interleaved min-of-N timing of the uninstrumented
 //!   engine against the same engine with a no-op sink attached; fails if
-//!   the no-op instrumentation costs more than `SDJ_OVERHEAD_PCT` (default
+//!   the no-op instrumentation costs more than `--overhead-pct` (default
 //!   2%). The two runs must agree exactly on `distance_calcs`.
+//!
+//! The tool reads no environment: `--queue-layout flat|pairing` picks the
+//! queue layout of every pass, and `--fault-seed` (with `--fault-rate`,
+//! `--fault-retries`) turns on chaos mode (see `install_chaos`).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -66,6 +70,11 @@ struct Args {
     adaptive_force_at: Option<u64>,
     sessions: Option<usize>,
     expect_sessions: Option<usize>,
+    queue_layout: QueueLayout,
+    fault_seed: Option<u64>,
+    fault_rate: f64,
+    fault_retries: u32,
+    overhead_pct: f64,
 }
 
 impl Args {
@@ -91,6 +100,11 @@ impl Args {
             adaptive_force_at: None,
             sessions: None,
             expect_sessions: None,
+            queue_layout: QueueLayout::Pairing,
+            fault_seed: None,
+            fault_rate: 0.01,
+            fault_retries: 16,
+            overhead_pct: 2.0,
         };
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -185,12 +199,47 @@ impl Args {
                     );
                     i += 1;
                 }
+                "--queue-layout" => {
+                    a.queue_layout = match take(&argv, i, "--queue-layout").as_str() {
+                        "flat" | "flat_dary" => QueueLayout::FlatDary,
+                        "pairing" => QueueLayout::Pairing,
+                        other => panic!("--queue-layout takes flat|pairing, got {other}"),
+                    };
+                    i += 1;
+                }
+                "--fault-seed" => {
+                    a.fault_seed = Some(
+                        take(&argv, i, "--fault-seed")
+                            .parse()
+                            .expect("--fault-seed takes an unsigned integer"),
+                    );
+                    i += 1;
+                }
+                "--fault-rate" => {
+                    a.fault_rate = take(&argv, i, "--fault-rate")
+                        .parse()
+                        .expect("--fault-rate takes a number");
+                    i += 1;
+                }
+                "--fault-retries" => {
+                    a.fault_retries = take(&argv, i, "--fault-retries")
+                        .parse()
+                        .expect("--fault-retries takes an integer");
+                    i += 1;
+                }
+                "--overhead-pct" => {
+                    a.overhead_pct = take(&argv, i, "--overhead-pct")
+                        .parse()
+                        .expect("--overhead-pct takes a number");
+                    i += 1;
+                }
                 other => panic!(
                     "unknown argument {other} (expected --n/--k/--threads/--out/--events/\
                      --check/--expect-drain/--expect-retries/--expect-plan/--expect-replans/\
                      --expect-profile/--expect-queue-bytes/--expect-pairs-match/\
-                     --overhead/--profile/--label/--force-plan/--adaptive-force-at/\
-                     --sessions/--expect-sessions)"
+                     --overhead/--overhead-pct/--profile/--label/--force-plan/\
+                     --adaptive-force-at/--sessions/--expect-sessions/--queue-layout/\
+                     --fault-seed/--fault-rate/--fault-retries)"
                 ),
             }
             i += 1;
@@ -199,10 +248,10 @@ impl Args {
     }
 }
 
-fn build_env(n: usize) -> (RTree<2>, RTree<2>) {
-    let a: Vec<Point<2>> = uniform_points(n, &unit_box(), 97);
-    let b: Vec<Point<2>> = uniform_points(n, &unit_box(), 98);
-    if chaos_from_env().is_some() {
+fn build_env(args: &Args) -> (RTree<2>, RTree<2>) {
+    let a: Vec<Point<2>> = uniform_points(args.n, &unit_box(), 97);
+    let b: Vec<Point<2>> = uniform_points(args.n, &unit_box(), 98);
+    if args.fault_seed.is_some() {
         // Thrash-sized pools: the paper config's 128 frames can cache a
         // small tree whole, leaving the injector no pager I/O to fault.
         let config = RTreeConfig {
@@ -244,7 +293,7 @@ struct KPass {
 fn run_k_pass(t1: &RTree<2>, t2: &RTree<2>, args: &Args, ctx: &ObsContext) -> KPass {
     let config = JoinConfig::default()
         .with_max_pairs(args.k)
-        .with_layout(queue_layout_from_env());
+        .with_layout(args.queue_layout);
     let start = Instant::now();
     let run = run_planned(
         t1,
@@ -284,74 +333,37 @@ fn run_k_pass(t1: &RTree<2>, t2: &RTree<2>, args: &Args, ctx: &ObsContext) -> KP
 /// through the *serial* engine — the single priority queue whose size curve
 /// is the paper's Figure 6 (parallel workers each own a shard queue, which
 /// is a different quantity).
-fn run_drain_pass(t1: &RTree<2>, t2: &RTree<2>, dmax: f64, ctx: &ObsContext) -> u64 {
+fn run_drain_pass(
+    t1: &RTree<2>,
+    t2: &RTree<2>,
+    dmax: f64,
+    layout: QueueLayout,
+    ctx: &ObsContext,
+) -> u64 {
     let config = JoinConfig::default()
         .with_range(0.0, dmax)
-        .with_layout(queue_layout_from_env());
+        .with_layout(layout);
     let mut join = DistanceJoin::new(t1, t2, config).with_obs(ctx);
     join.by_ref().count() as u64
 }
 
-/// Queue layout from the environment: `SDJ_QUEUE_LAYOUT=flat` selects the
-/// compact flat 4-ary layout (DESIGN.md §14), `pairing` (or unset) the
-/// default pointer-based pairing heap. Both passes and every execution
-/// path use the selected layout; result streams are layout-invariant, which
-/// the CI queue gate cross-checks via `--expect-pairs-match`.
-fn queue_layout_from_env() -> QueueLayout {
-    match std::env::var("SDJ_QUEUE_LAYOUT").as_deref() {
-        Ok("flat") | Ok("flat_dary") => QueueLayout::FlatDary,
-        Ok("pairing") | Err(_) => QueueLayout::Pairing,
-        Ok(other) => panic!("SDJ_QUEUE_LAYOUT={other:?} (expected flat|pairing)"),
-    }
-}
-
-/// Chaos mode from the environment: `SDJ_FAULT_SEED` (u64) enables a
-/// deterministic transient-only fault schedule on both tree buffer pools at
-/// rate `SDJ_FAULT_RATE` (default 0.01) with `SDJ_FAULT_RETRIES` bounded
-/// retries (default 16). Retries must absorb every fault — the run still
-/// completes, and the report records `buf.*.faults` / `buf.*.retries` for
-/// the CI chaos gate (`--check --expect-retries`). The same seed reproduces
-/// the same schedule.
-struct Chaos {
-    seed: u64,
-    rate: f64,
-    retries: u32,
-}
-
-fn chaos_from_env() -> Option<Chaos> {
-    let seed = std::env::var("SDJ_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())?;
-    let rate: f64 = std::env::var("SDJ_FAULT_RATE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.01);
-    let retries: u32 = std::env::var("SDJ_FAULT_RETRIES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
-    Some(Chaos {
-        seed,
-        rate,
-        retries,
-    })
-}
-
-fn install_chaos(t1: &RTree<2>, t2: &RTree<2>) {
-    let Some(chaos) = chaos_from_env() else {
+/// Chaos mode: `--fault-seed` (u64) enables a deterministic transient-only
+/// fault schedule on both tree buffer pools at rate `--fault-rate` (default
+/// 0.01) with `--fault-retries` bounded retries (default 16). Retries must
+/// absorb every fault — the run still completes, and the report records
+/// `buf.*.faults` / `buf.*.retries` for the CI chaos gate (`--check
+/// --expect-retries`). The same seed reproduces the same schedule.
+fn install_chaos(t1: &RTree<2>, t2: &RTree<2>, args: &Args) {
+    let Some(seed) = args.fault_seed else {
         return;
     };
-    eprintln!(
-        "# chaos: transient faults at rate {}, seed {}, retries {}",
-        chaos.rate, chaos.seed, chaos.retries
-    );
-    let inj = Arc::new(FaultInjector::new(FaultConfig::transient_only(
-        chaos.seed, chaos.rate,
-    )));
+    let (rate, retries) = (args.fault_rate, args.fault_retries);
+    eprintln!("# chaos: transient faults at rate {rate}, seed {seed}, retries {retries}");
+    let inj = Arc::new(FaultInjector::new(FaultConfig::transient_only(seed, rate)));
     t1.set_fault_injector(Some(Arc::clone(&inj)));
     t2.set_fault_injector(Some(inj));
-    t1.set_retry_limit(chaos.retries);
-    t2.set_retry_limit(chaos.retries);
+    t1.set_retry_limit(retries);
+    t2.set_retry_limit(retries);
 }
 
 /// The service pass behind `--sessions N`: opens `n_sessions` concurrent
@@ -414,10 +426,10 @@ fn run_sessions_pass(
 
 fn run_report(args: &Args) -> Result<(), String> {
     eprintln!("# building two uniform {}-point trees ...", args.n);
-    let (t1, t2) = build_env(args.n);
+    let (t1, t2) = build_env(args);
     // Installed after the build: construction is never faulted, only the
     // join's node I/O.
-    install_chaos(&t1, &t2);
+    install_chaos(&t1, &t2, args);
 
     // One NDJSON log (if requested) spans both passes; each pass gets its
     // own recorder so pass 1's queue samples (which never drain: the run
@@ -496,7 +508,7 @@ fn run_report(args: &Args) -> Result<(), String> {
     // stay scoped to pass 1.
     t1.attach_obs(BufferObs::new(&ctx2, "buf.t1"));
     t2.attach_obs(BufferObs::new(&ctx2, "buf.t2"));
-    let drained = run_drain_pass(&t1, &t2, dmax, &ctx2);
+    let drained = run_drain_pass(&t1, &t2, dmax, args.queue_layout, &ctx2);
 
     // Optional pass 3: the multi-session service run. Its per-session
     // attribution rows land in the report's `sessions` array; its events
@@ -527,10 +539,10 @@ fn run_report(args: &Args) -> Result<(), String> {
         ("plan.est_bulk".into(), plan.est_bulk),
         // Mid-query replans (0 or 1 under the default max_replans).
         ("plan.replans".into(), replanned.is_some() as u64 as f64),
-        // 0 = pairing, 1 = flat 4-ary (the SDJ_QUEUE_LAYOUT selection).
+        // 0 = pairing, 1 = flat 4-ary (the `--queue-layout` selection).
         (
             "queue.layout".into(),
-            match queue_layout_from_env() {
+            match args.queue_layout {
                 QueueLayout::Pairing => 0.0,
                 QueueLayout::FlatDary => 1.0,
             },
@@ -803,7 +815,7 @@ fn run_check(path: &str, args: &Args) -> Result<(), String> {
         ));
     }
     if expect_retries {
-        // The chaos gate: a run under SDJ_FAULT_SEED must have actually
+        // The chaos gate: a run under `--fault-seed` must have actually
         // exercised the retry path (faults injected, retries recorded) and
         // still produced a complete, valid report.
         let sum = |suffix: &str| -> u64 {
@@ -1119,12 +1131,9 @@ fn compare_overhead(
 }
 
 fn run_overhead(args: &Args) -> Result<(), String> {
-    let budget: f64 = std::env::var("SDJ_OVERHEAD_PCT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
+    let budget = args.overhead_pct;
     eprintln!("# building two uniform {}-point trees ...", args.n);
-    let (t1, t2) = build_env(args.n);
+    let (t1, t2) = build_env(args);
     let config = JoinConfig::default().with_max_pairs(args.k);
 
     // One timing sample runs the join several times: a single K-pass is a

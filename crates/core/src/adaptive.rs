@@ -51,13 +51,15 @@
 //! pair. With `STOP AFTER k`, the seeded run's `max_pairs` is set to the
 //! results still owed, and its ordered merge truncates exactly there.
 //!
-//! Consequently `prefix ++ seeded-bulk(ordered)` reproduces the pure
-//! incremental stream's distance sequence bit-for-bit (tie order within an
+//! Consequently `prefix ++ seeded-bulk` reproduces the pure incremental
+//! stream's distance sequence bit-for-bit (tie order within an
 //! equal-distance group follows the bulk path's deterministic merge, the
-//! same contract the forced-bulk and parallel paths already have), and the
-//! unordered variant is multiset-equal — the property
-//! `crates/core/tests/adaptive_equivalence.rs` fuzzes with handoffs forced
-//! at arbitrary checkpoints.
+//! same contract the forced-bulk and parallel paths already have) — the
+//! property `crates/core/tests/adaptive_equivalence.rs` fuzzes with handoffs
+//! forced at arbitrary checkpoints. The seeded remainder is swept by
+//! [`BulkDistanceJoin::run_with_workers`], so
+//! [`AdaptiveDistanceJoin::run_with_workers`] shares its tail out over a
+//! worker pool with the same stream for any worker count.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -163,8 +165,8 @@ pub struct AdaptiveRun {
     /// The result stream: the incremental prefix followed by the seeded
     /// bulk remainder (empty tail when no replan fired).
     pub results: Vec<ResultPair>,
-    /// Counters of the incremental phase (including frontier harvest
-    /// node accesses when a handoff ran).
+    /// Counters of the whole run: the incremental phase (including frontier
+    /// harvest node accesses when a handoff ran) plus the bulk tail's.
     pub stats: JoinStats,
     /// Bulk-phase counters, when a handoff ran.
     pub bulk_stats: Option<BulkStats>,
@@ -176,36 +178,6 @@ pub struct AdaptiveRun {
     /// prefix of the fault-free stream (the PR 5 contract — a fault inside
     /// the handoff itself surfaces here too, never as wrong results).
     pub error: Option<StorageError>,
-}
-
-/// An adaptive run paused at the handoff: the incremental prefix plus the
-/// seeded bulk join, not yet swept — so an executor can sweep its cells
-/// with a worker pool instead of serially.
-pub struct Handoff<const D: usize> {
-    /// Results the incremental phase emitted, in order.
-    pub prefix: Vec<ResultPair>,
-    /// The frontier-seeded bulk join, replicated and ready to run.
-    pub bulk: BulkDistanceJoin<D>,
-    /// The switch record.
-    pub info: ReplanInfo,
-    /// Incremental-phase counters (including harvest node accesses).
-    pub inc_stats: JoinStats,
-    /// Every checkpoint's signals, in order.
-    pub signals: Vec<ReplanSignals>,
-}
-
-/// What [`AdaptiveDistanceJoin::execute`] produced.
-///
-/// Both variants are fat (a finished run's stats + signals, or a whole
-/// seeded [`BulkDistanceJoin`]), but the value exists once per query and
-/// is destructured immediately by the caller — boxing would buy nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum AdaptiveOutcome<const D: usize> {
-    /// The incremental engine finished (or failed clean) before any
-    /// checkpoint chose to switch — the run is complete.
-    Completed(AdaptiveRun),
-    /// A checkpoint switched: the remainder is the seeded bulk join.
-    Handoff(Handoff<D>),
 }
 
 /// The adaptive driver: an incremental join that may hand its remainder to
@@ -286,50 +258,31 @@ where
         matches!(self.config.order, ResultOrder::Ascending) && self.adaptive.max_replans > 0
     }
 
-    /// Runs to completion serially: drains the cursor — the incremental
-    /// engine through its checkpoints and, if a handoff fires, the seeded
-    /// bulk join swept ordered behind the prefix.
+    /// Runs to completion on the caller's thread:
+    /// [`AdaptiveDistanceJoin::run_with_workers`] with one worker.
     #[must_use]
     pub fn run(self) -> AdaptiveRun {
+        self.run_with_workers(1)
+    }
+
+    /// Runs to completion: drains the cursor — the incremental engine
+    /// through its checkpoints and, if a handoff fires, the seeded bulk
+    /// join swept by `workers` threads (see
+    /// [`BulkDistanceJoin::run_with_workers`]) behind the prefix.
+    #[must_use]
+    pub fn run_with_workers(self, workers: usize) -> AdaptiveRun {
         let mut cursor = self.cursor();
+        cursor.workers = workers;
         let mut results = Vec::new();
         let error = cursor.advance(usize::MAX, &mut results).err();
         AdaptiveRun {
             results,
-            stats: cursor.stats,
+            stats: JoinCursor::stats(&cursor),
             bulk_stats: cursor.bulk_stats(),
             replanned: cursor.replanned,
             signals: cursor.signals,
             error,
         }
-    }
-
-    /// Runs the incremental phase through its checkpoints and stops at the
-    /// first of: engine exhaustion (run complete), a clean failure, or a
-    /// handoff — returning the seeded bulk join unswept so the caller
-    /// chooses serial or parallel execution of the remainder.
-    #[must_use]
-    pub fn execute(self) -> AdaptiveOutcome<D> {
-        let mut cursor = self.cursor();
-        while matches!(cursor.state, CursorState::Incremental(_)) {
-            if let Some((info, bulk)) = cursor.checkpoint() {
-                return AdaptiveOutcome::Handoff(Handoff {
-                    prefix: cursor.buf.into(),
-                    bulk,
-                    info,
-                    inc_stats: cursor.stats,
-                    signals: cursor.signals,
-                });
-            }
-        }
-        AdaptiveOutcome::Completed(AdaptiveRun {
-            results: cursor.buf.into(),
-            stats: cursor.stats,
-            bulk_stats: None,
-            replanned: None,
-            signals: cursor.signals,
-            error: cursor.pending_error,
-        })
     }
 
     /// Converts the driver into a pull-paced cursor, advanced only as far as
@@ -356,6 +309,7 @@ where
         AdaptiveCursor {
             driver: self,
             inputs,
+            workers: 1,
             state: CursorState::Incremental(Box::new(join)),
             buf: VecDeque::new(),
             signals: Vec::new(),
@@ -412,13 +366,13 @@ where
 /// when the verdict says switch — the frontier handoff. The checkpoint
 /// schedule is a function of the pop count alone, so the replan decisions
 /// are the same however the consumer chops its pulls;
-/// [`AdaptiveDistanceJoin::run`] and [`AdaptiveDistanceJoin::execute`] are
-/// loops over this same cursor. A stride can produce more results than the
-/// pull asked for — pops and results are different clocks — and the surplus
-/// (at most one stride's worth) waits in a buffer for the next pull. After a
-/// handoff the stream continues from a [`BulkCursor`] over the seeded
-/// remainder. A configuration that can never replan (descending order) has
-/// no checkpoints to keep: its pulls go straight to the engine's own
+/// [`AdaptiveDistanceJoin::run_with_workers`] is one pull over this same
+/// cursor. A stride can produce more results than the pull asked for — pops
+/// and results are different clocks — and the surplus (at most one stride's
+/// worth) waits in a buffer for the next pull. After a handoff the stream
+/// continues from a [`BulkCursor`] over the seeded remainder, which sweeps it
+/// on its first pull. A configuration that can never replan (descending
+/// order) has no checkpoints to keep: its pulls go straight to the engine's own
 /// [`JoinCursor::advance`], which stops at `n` results.
 ///
 /// Fail-clean shape: a storage fault ends the stream, but every result
@@ -432,6 +386,8 @@ where
 {
     driver: AdaptiveDistanceJoin<'a, D, I1, I2>,
     inputs: PlanInputs<D>,
+    /// Sweep workers of the bulk tail, should a handoff fire.
+    workers: usize,
     state: CursorState<'a, D, I1, I2>,
     /// Results a stride produced beyond what the consumer asked for.
     buf: VecDeque<ResultPair>,
@@ -567,6 +523,7 @@ where
             floor.as_ref(),
             frontier.dmax_hint,
             driver.ctx.as_ref(),
+            self.stats.pairs_reported,
         );
 
         if let Some(ctx) = &driver.ctx {
@@ -660,11 +617,8 @@ where
                 CursorState::Incremental(_) => {
                     if let Some((info, bulk)) = self.checkpoint() {
                         self.replanned = Some(info);
-                        self.state = CursorState::Tail(Box::new(BulkCursor::seeded(
-                            bulk,
-                            self.driver.ctx.clone(),
-                            self.stats.pairs_reported,
-                        )));
+                        self.state =
+                            CursorState::Tail(Box::new(BulkCursor::seeded(bulk, self.workers)));
                     }
                 }
             }

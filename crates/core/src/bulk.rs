@@ -31,21 +31,27 @@
 //!    pair was replicated to, and belongs to exactly one cell, so the output
 //!    is an exact multiset without any cross-cell communication.
 //!
-//! Cells share nothing — no queue, no bound, no locks — so a parallel
-//! driver (see `sdj-exec`) can sweep cells on independent workers and only
-//! concatenate (unordered within-range mode) or k-way merge (ordered mode)
-//! the per-cell runs.
+//! Cells share nothing — no queue, no bound, no locks — so
+//! [`BulkDistanceJoin::run_with_workers`] sweeps them on a pool of scoped
+//! workers that claim cells off one atomic cursor, sorts each cell's run, and
+//! k-way merges the runs into one distance-ordered stream. The pool joins
+//! inside that call, before any result is handed out; with one worker the
+//! sweep runs inline on the caller's thread.
 //!
 //! # Correctness contract
 //!
-//! Within-range output is multiset-equal to the incremental engine's, and
-//! ordered output reports bitwise-identical distances: final pair keys come
-//! from the same axis-major kernel fold as the engine's, and the single
-//! `sqrt` per reported pair is deferred exactly the same way. Equal-distance
-//! pairs are emitted in a deterministic (object-id) order that may differ
-//! from the incremental engine's tie order — the same contract the parallel
-//! executor's merged stream has. `crates/core/tests/bulk_equivalence.rs`
-//! enforces both properties under proptest.
+//! The output is multiset-equal to the incremental engine's and reports
+//! bitwise-identical distances in the same order: final pair keys come from
+//! the same axis-major kernel fold as the engine's, and the single `sqrt`
+//! per reported pair is deferred exactly the same way. Equal-distance pairs
+//! are emitted in a deterministic (object-id) order that may differ from the
+//! incremental engine's tie order — the same contract the parallel
+//! executor's merged stream has. That order is a total order over the pairs,
+//! so the stream and every counter are the same for any worker count.
+//! `crates/core/tests/bulk_equivalence.rs` enforces these properties under
+//! proptest.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sdj_geom::{KeySpace, OrdF64, Rect, SoaRects};
 use sdj_obs::{Event, ObsContext, Phase, SpanTimer};
@@ -115,17 +121,25 @@ impl BulkStats {
         self.replicated2 += other.replicated2;
         self.below_watermark += other.below_watermark;
     }
+
+    /// Workers a sweep over up to `threads` threads ran: a run sweeps every
+    /// active cell once, so `cell_pairs_swept` is the number of work units
+    /// its pool shared out (at most one worker each, at least one worker).
+    #[must_use]
+    pub fn sweep_workers(&self, threads: usize) -> usize {
+        pool_size(threads, self.cell_pairs_swept as usize)
+    }
 }
 
 /// One qualifying pair in the key domain, before the deferred `sqrt`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BulkHit {
+struct BulkHit {
     /// The pair's distance key ([`JoinConfig::key_space`] domain).
-    pub key: f64,
+    key: f64,
     /// Object from the first relation.
-    pub oid1: ObjectId,
+    oid1: ObjectId,
     /// Object from the second relation.
-    pub oid2: ObjectId,
+    oid2: ObjectId,
 }
 
 impl BulkHit {
@@ -137,52 +151,46 @@ impl BulkHit {
     }
 }
 
-/// Per-sweep counters returned by [`BulkDistanceJoin::sweep_cell`]; the
-/// caller (serial `run` or a parallel driver) merges them into the join's
-/// stats with [`BulkDistanceJoin::absorb_tally`].
+/// Counters of the cells one sweep worker swept, merged into the join's
+/// stats by [`BulkDistanceJoin::absorb_tally`] once the workers have joined.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct CellTally {
+struct CellTally {
     /// MINDIST kernel evaluations performed.
-    pub distance_calcs: u64,
+    distance_calcs: u64,
     /// Candidates suppressed by the owner-cell dedup rule.
-    pub deduped: u64,
+    deduped: u64,
     /// Candidates rejected by the `[Dmin, Dmax]` restriction.
-    pub pruned_by_range: u64,
+    pruned_by_range: u64,
     /// Self-pairs dropped by `exclude_equal_ids`.
-    pub filtered_self: u64,
+    filtered_self: u64,
     /// Candidates dropped by the emission-watermark floor (adaptive
     /// handoff; see [`BulkStats::below_watermark`]).
-    pub below_watermark: u64,
-    /// Hits appended to the output run.
-    pub emitted: u64,
-    /// True if both slices were non-empty and a sweep actually ran.
-    pub swept: bool,
+    below_watermark: u64,
+    /// Hits appended to the output runs.
+    emitted: u64,
+    /// Cells whose slices were both non-empty, so a sweep actually ran.
+    swept: u64,
 }
+
+/// What one sweep worker hands back: each claimed cell's sorted run, keyed
+/// by the cell's position in the active-cell list, and the worker's
+/// counters.
+type WorkerSweep = (Vec<(usize, Vec<BulkHit>)>, CellTally);
 
 /// Reusable per-worker scratch for cell sweeps: sorted index slices, the
 /// struct-of-arrays window operand and the key column. One instance serves
 /// every cell a worker sweeps — the `ViewCache`/SoA buffer-reuse pattern of
 /// the incremental engine, so steady-state sweeping performs no allocation.
 #[derive(Debug, Default)]
-pub struct CellScratch<const D: usize> {
+struct CellScratch<const D: usize> {
     left: Vec<u32>,
     right: Vec<u32>,
     soa2: SoaRects<D>,
     keys_buf: Vec<f64>,
     /// Per-worker phase-span timer: every cell swept with this scratch
-    /// records Sweep/Kernel/Dedup spans into the context's shared set.
+    /// records Sweep/Kernel/Dedup spans, and its run sorting Merge spans,
+    /// into the context's shared set.
     spans: Option<SpanTimer>,
-}
-
-impl<const D: usize> CellScratch<D> {
-    /// Scratch whose sweeps record phase spans into `ctx`'s registry.
-    #[must_use]
-    pub fn for_context(ctx: &ObsContext) -> Self {
-        Self {
-            spans: SpanTimer::from_context(ctx),
-            ..Self::default()
-        }
-    }
 }
 
 /// A uniform grid over the joint bounding box.
@@ -290,9 +298,9 @@ impl<const D: usize> Grid<D> {
 /// Constructed from two [`SpatialIndex`]es (the trees are read once, during
 /// construction) and a [`JoinConfig`]; the range restriction, metric, key
 /// domain, expansion path, `exclude_equal_ids` and `max_pairs` settings all
-/// apply exactly as in the incremental engine. Semi-joins and spatial
-/// selection windows are *not* supported — the planner routes those to the
-/// incremental path.
+/// apply exactly as in the incremental engine. The constructors take no
+/// semi-join configuration and no spatial selection windows: those queries
+/// run on the incremental engine only.
 #[derive(Debug)]
 pub struct BulkDistanceJoin<const D: usize> {
     config: JoinConfig,
@@ -318,8 +326,14 @@ pub struct BulkDistanceJoin<const D: usize> {
     floor_ties: Vec<(u64, u64)>,
     stats: JoinStats,
     bulk: BulkStats,
-    /// Phase-span timer for the serial driver (build, merge and finish
-    /// phases; parallel drivers time those stages with their own timers).
+    /// Where a run records its `bulk.*` counters, worker events and sampled
+    /// result ranks.
+    obs: Option<ObsContext>,
+    /// Results the stream emitted before this run (an adaptive prefix), so
+    /// the ranks a run reports continue it.
+    base_rank: u64,
+    /// Phase-span timer of the calling thread: build, merge and emit (each
+    /// sweep worker times its cells with a timer of its own).
     spans: Option<SpanTimer>,
 }
 
@@ -362,10 +376,11 @@ impl<const D: usize> BulkDistanceJoin<D> {
         Self::with_bulk_config_obs(tree1, tree2, config, bulk_config, None)
     }
 
-    /// [`BulkDistanceJoin::with_bulk_config`] with phase-span observability:
-    /// the harvest pass records a [`Phase::Partition`] span and the cell
+    /// [`BulkDistanceJoin::with_bulk_config`] with observability: the
+    /// harvest pass records a [`Phase::Partition`] span and the cell
     /// replication a [`Phase::Replicate`] span into `ctx`'s registry, and
-    /// the serial `run` drivers record merge/emit spans.
+    /// the run records its phase spans, `bulk.*` counters, worker events and
+    /// sampled result ranks (see [`BulkDistanceJoin::run_with_workers`]).
     ///
     /// # Errors
     /// Propagates storage errors from the harvesting pass.
@@ -444,6 +459,8 @@ impl<const D: usize> BulkDistanceJoin<D> {
             floor_ties: Vec::new(),
             stats,
             bulk: BulkStats::default(),
+            obs: ctx.cloned(),
+            base_rank: 0,
             spans,
         };
         if let Some(t) = &mut join.spans {
@@ -475,10 +492,14 @@ impl<const D: usize> BulkDistanceJoin<D> {
     ///   from it with a one-sided pad so the `sqrt` round-trip out of the
     ///   key domain can never under-cover the exact key filter.
     ///
+    /// `base_rank` is the number of results the incremental prefix emitted,
+    /// so the ranks the run reports into `ctx` continue that stream.
+    ///
     /// # Panics
     /// Panics on an invalid `config`, a forced non-finite `cell_width`, or
     /// more than `u32::MAX` entries per side.
     #[must_use]
+    #[allow(clippy::too_many_arguments)] // the frontier's parts, unbundled
     pub fn from_frontier(
         entries1: Vec<(ObjectId, Rect<D>)>,
         entries2: Vec<(ObjectId, Rect<D>)>,
@@ -487,6 +508,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         floor: Option<&EmissionWatermark>,
         max_key_hint: f64,
         ctx: Option<&ObsContext>,
+        base_rank: u64,
     ) -> Self {
         let spans = ctx.and_then(SpanTimer::from_context);
         config.validate();
@@ -552,6 +574,8 @@ impl<const D: usize> BulkDistanceJoin<D> {
             floor_ties,
             stats: JoinStats::default(),
             bulk: BulkStats::default(),
+            obs: ctx.cloned(),
+            base_rank,
             spans,
         };
         if let Some(t) = &mut join.spans {
@@ -601,13 +625,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
             .collect();
     }
 
-    /// The cells worth sweeping (both slices non-empty) — the work units a
-    /// parallel driver distributes.
-    #[must_use]
-    pub fn active_cells(&self) -> &[u32] {
-        &self.active
-    }
-
     /// Counters of the build phase plus every tally absorbed so far.
     #[must_use]
     pub fn stats(&self) -> JoinStats {
@@ -620,44 +637,33 @@ impl<const D: usize> BulkDistanceJoin<D> {
         self.bulk
     }
 
-    /// The configuration the join was built with.
-    #[must_use]
-    pub fn config(&self) -> &JoinConfig {
-        &self.config
-    }
-
-    /// Merges a sweep's counters into the join's stats. Parallel drivers
-    /// call this once per finished cell (under their own aggregation lock);
-    /// the serial `run` methods do it inline.
-    pub fn absorb_tally(&mut self, t: &CellTally) {
+    /// Merges a sweep's counters into the join's stats.
+    fn absorb_tally(&mut self, t: &CellTally) {
         self.stats.distance_calcs += t.distance_calcs;
         self.stats.pruned_by_range += t.pruned_by_range;
         self.stats.filtered_self += t.filtered_self;
         self.bulk.pairs_deduped += t.deduped;
         self.bulk.below_watermark += t.below_watermark;
-        if t.swept {
-            self.bulk.cell_pairs_swept += 1;
-        }
+        self.bulk.cell_pairs_swept += t.swept;
     }
 
     /// Sweeps one cell, appending its qualifying pairs (key domain) to
-    /// `out`. Takes `&self` so independent workers can sweep disjoint cells
-    /// concurrently, each with its own [`CellScratch`] and output run;
-    /// the returned [`CellTally`] carries the counters.
-    #[must_use]
-    pub fn sweep_cell(
+    /// `out` and counting into `tally`. Takes `&self` so independent workers
+    /// can sweep disjoint cells concurrently, each with its own
+    /// [`CellScratch`], output run and tally.
+    fn sweep_cell(
         &self,
         cell: usize,
         scratch: &mut CellScratch<D>,
         out: &mut Vec<BulkHit>,
-    ) -> CellTally {
-        let mut tally = CellTally::default();
+        tally: &mut CellTally,
+    ) {
         let left = &self.cells1[cell];
         let right = &self.cells2[cell];
         if left.is_empty() || right.is_empty() {
-            return tally;
+            return;
         }
-        tally.swept = true;
+        tally.swept += 1;
         if let Some(t) = &mut scratch.spans {
             t.enter(Phase::Sweep);
         }
@@ -775,48 +781,90 @@ impl<const D: usize> BulkDistanceJoin<D> {
         if let Some(t) = &mut scratch.spans {
             t.exit(Phase::Sweep);
         }
-        tally
     }
 
-    /// Within-range mode: every qualifying pair, in no particular order
-    /// (cell order, which is deterministic but not distance-sorted). With
-    /// `max_pairs` set there is no well-defined "first k unordered" subset,
-    /// so this falls back to [`BulkDistanceJoin::run`] and truncates there.
-    pub fn run_unordered(&mut self) -> Vec<ResultPair> {
-        if self.config.max_pairs.is_some() {
-            return self.run();
-        }
-        // Hand the join's timer to the scratch for the sweep loop (the
-        // sweeps record through the scratch), then take it back for finish.
-        let mut scratch = CellScratch {
-            spans: self.spans.take(),
-            ..CellScratch::default()
-        };
-        let mut hits = Vec::new();
-        for c in 0..self.active.len() {
-            let cell = self.active[c] as usize;
-            let tally = self.sweep_cell(cell, &mut scratch, &mut hits);
-            self.absorb_tally(&tally);
-        }
-        self.spans = scratch.spans.take();
-        self.finish(hits)
-    }
-
-    /// Ordered mode: per-cell runs are sorted and k-way merged into one
-    /// distance-ordered result (ascending or descending per the config),
-    /// truncated to `max_pairs` if set.
+    /// The ordered run on the caller's thread:
+    /// [`BulkDistanceJoin::run_with_workers`] with one worker.
     pub fn run(&mut self) -> Vec<ResultPair> {
+        self.run_with_workers(1)
+    }
+
+    /// Sweeps every active cell over `workers` scoped threads — inline on
+    /// the caller's thread, with no spawn, when `workers ≤ 1` — then sorts
+    /// each cell's run, k-way merges the runs into one distance-ordered
+    /// result (ascending or descending per the config) truncated to
+    /// `max_pairs`, and pays the deferred `sqrt`. Workers claim cells off
+    /// one shared cursor and all join before the merge; the stream and every
+    /// counter are the same for any worker count. At most one worker per
+    /// active cell runs ([`BulkStats::sweep_workers`]).
+    ///
+    /// Built with an [`ObsContext`], the run also records its phase spans,
+    /// one [`Event::WorkerFinished`] per worker, the `bulk.cells`,
+    /// `bulk.cell_pairs_swept` and `bulk.pairs_deduped` registry counters,
+    /// and the sampled [`Event::ResultReported`] ranks.
+    pub fn run_with_workers(&mut self, workers: usize) -> Vec<ResultPair> {
         let ascending = matches!(self.config.order, ResultOrder::Ascending);
+        let workers = pool_size(workers, self.active.len());
+        let next = AtomicUsize::new(0);
+        let swept = if workers == 1 {
+            vec![self.sweep_worker(1, &next, ascending)]
+        } else {
+            let (join, next) = (&*self, &next);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (1..=workers)
+                    .map(|w| scope.spawn(move || join.sweep_worker(w, next, ascending)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+
+        // Runs go back into cell order, whichever worker swept them.
+        let mut runs = vec![Vec::new(); self.active.len()];
+        for (claimed, tally) in swept {
+            self.absorb_tally(&tally);
+            for (i, run) in claimed {
+                runs[i] = run;
+            }
+        }
+        if let Some(t) = &mut self.spans {
+            t.enter(Phase::Merge);
+        }
+        let merged = merge_sorted_runs(runs, ascending, self.config.max_pairs);
+        if let Some(t) = &mut self.spans {
+            t.exit(Phase::Merge);
+        }
+        let results = self.finish(merged);
+        if let Some(ctx) = &self.obs {
+            let counter = |name: &str, n: u64| ctx.registry.counter(name).add(n);
+            counter("bulk.cells", self.bulk.cells);
+            counter("bulk.cell_pairs_swept", self.bulk.cell_pairs_swept);
+            counter("bulk.pairs_deduped", self.bulk.pairs_deduped);
+            report_ranks(ctx, self.base_rank, &results);
+        }
+        results
+    }
+
+    /// One sweep worker: claims active cells off `next` until none remain,
+    /// sweeping each into its own run sorted in emission order, then
+    /// announces itself finished as worker `worker`. Its scratch carries its
+    /// own span timer, so workers on any thread record into the same set.
+    fn sweep_worker(&self, worker: usize, next: &AtomicUsize, ascending: bool) -> WorkerSweep {
         let mut scratch = CellScratch {
-            spans: self.spans.take(),
+            spans: self.obs.as_ref().and_then(SpanTimer::from_context),
             ..CellScratch::default()
         };
-        let mut runs = Vec::with_capacity(self.active.len());
-        for c in 0..self.active.len() {
-            let cell = self.active[c] as usize;
+        let mut claimed = Vec::new();
+        let mut tally = CellTally::default();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&cell) = self.active.get(i) else {
+                break;
+            };
             let mut run = Vec::new();
-            let tally = self.sweep_cell(cell, &mut scratch, &mut run);
-            self.absorb_tally(&tally);
+            self.sweep_cell(cell as usize, &mut scratch, &mut run, &mut tally);
             if !run.is_empty() {
                 // Per-cell run sorting is part of the merge work.
                 if let Some(t) = &mut scratch.spans {
@@ -826,23 +874,21 @@ impl<const D: usize> BulkDistanceJoin<D> {
                 if let Some(t) = &mut scratch.spans {
                     t.exit(Phase::Merge);
                 }
-                runs.push(run);
             }
+            claimed.push((i, run));
         }
-        self.spans = scratch.spans.take();
-        if let Some(t) = &mut self.spans {
-            t.enter(Phase::Merge);
+        if let Some(ctx) = &self.obs {
+            ctx.sink.emit(&Event::WorkerFinished {
+                worker: u32::try_from(worker).unwrap_or(u32::MAX),
+                results: tally.emitted,
+            });
         }
-        let merged = merge_sorted_runs(runs, ascending, self.config.max_pairs);
-        if let Some(t) = &mut self.spans {
-            t.exit(Phase::Merge);
-        }
-        self.finish(merged)
+        (claimed, tally)
     }
 
     /// Converts hits to reported results, paying the deferred `sqrt` (once
     /// per emitted pair under squared keys) and counting emissions.
-    pub fn finish(&mut self, hits: Vec<BulkHit>) -> Vec<ResultPair> {
+    fn finish(&mut self, hits: Vec<BulkHit>) -> Vec<ResultPair> {
         if let Some(t) = &mut self.spans {
             t.enter(Phase::Emit);
         }
@@ -879,12 +925,17 @@ impl<const D: usize> BulkDistanceJoin<D> {
     }
 }
 
+/// Workers a sweep over up to `threads` threads runs for `cells` active
+/// cells: never more than one per cell, never fewer than one.
+fn pool_size(threads: usize, cells: usize) -> usize {
+    threads.max(1).min(cells.max(1))
+}
+
 /// Emits the sampled [`Event::ResultReported`] events of a materialised run
 /// that continues a stream `base` results long: its first result has global
-/// rank `base + 1`. Every producer that reports a whole run at once (the
-/// bulk cursor, the parallel sweep pool) numbers through here, so an
-/// adaptive run's prefix and tail form one strictly increasing rank series.
-pub fn report_ranks(ctx: &ObsContext, base: u64, results: &[ResultPair]) {
+/// rank `base + 1`, so an adaptive run's prefix and tail form one strictly
+/// increasing rank series.
+fn report_ranks(ctx: &ObsContext, base: u64, results: &[ResultPair]) {
     for (rank, r) in (base + 1..).zip(results) {
         if rank.is_multiple_of(ctx.result_sample_every) {
             ctx.sink.emit(&Event::ResultReported {
@@ -896,7 +947,7 @@ pub fn report_ranks(ctx: &ObsContext, base: u64, results: &[ResultPair]) {
 }
 
 /// Sorts one cell's run into the bulk path's deterministic emission order.
-pub fn sort_run(run: &mut [BulkHit], ascending: bool) {
+fn sort_run(run: &mut [BulkHit], ascending: bool) {
     run.sort_unstable_by_key(|h| h.sort_key(ascending));
 }
 
@@ -904,8 +955,7 @@ pub fn sort_run(run: &mut [BulkHit], ascending: bool) {
 /// single ordered result, truncated to `max_pairs` if set. Runs must each be
 /// sorted; the merge holds one head per run — the classic tournament the
 /// parallel stream merge uses, minus the channels.
-#[must_use]
-pub fn merge_sorted_runs(
+fn merge_sorted_runs(
     runs: Vec<Vec<BulkHit>>,
     ascending: bool,
     max_pairs: Option<u64>,
@@ -1039,7 +1089,7 @@ mod tests {
         let config = JoinConfig::default().with_range(0.0, 2.5);
         let incremental: Vec<ResultPair> = DistanceJoin::new(&t1, &t2, config).collect();
         let mut bulk = BulkDistanceJoin::new(&t1, &t2, config).unwrap();
-        let got = bulk.run_unordered();
+        let got = bulk.run();
         assert_eq!(canon(incremental), canon(got));
         assert!(bulk.bulk_stats().cell_pairs_swept >= 1);
     }
@@ -1087,7 +1137,7 @@ mod tests {
             },
         )
         .unwrap();
-        let got = bulk.run_unordered();
+        let got = bulk.run();
         assert_eq!(canon(incremental), canon(got));
         // Tiny cells force replication, hence duplicate suppression.
         assert!(
@@ -1103,7 +1153,7 @@ mod tests {
         let t2 = tree_of(&grid_points(16));
         let mut bulk = BulkDistanceJoin::new(&t1, &t2, JoinConfig::default()).unwrap();
         assert_eq!(bulk.grid_dims(), [1, 1]);
-        let got = bulk.run_unordered();
+        let got = bulk.run();
         assert_eq!(got.len(), 16 * 16);
     }
 
@@ -1126,7 +1176,7 @@ mod tests {
         let t1 = tree_of(&grid_points(8));
         let t2: RTree<2> = RTree::new(RTreeConfig::small(4));
         let mut bulk = BulkDistanceJoin::new(&t1, &t2, JoinConfig::default()).unwrap();
-        assert!(bulk.run_unordered().is_empty());
+        assert!(bulk.run().is_empty());
         assert_eq!(bulk.stats().pairs_reported, 0);
     }
 

@@ -16,15 +16,19 @@
 //!   handoff, so "sweep, then drain" exists once.
 //!
 //! [`open_cursor`] is the one place a [`PlanChoice`] becomes a serial engine.
-//! The parallel executors in `sdj-exec` keep their scoped-closure API: their
-//! worker threads must be joined before the call returns, which a cursor
-//! that outlives the call cannot promise.
+//! The parallel incremental executor in `sdj-exec` keeps its scoped-closure
+//! API: its worker threads stream results while the consumer pulls, so they
+//! must be joined before the call returns, which a cursor that outlives the
+//! call cannot promise. The bulk sweep's workers join inside the first pull,
+//! before any result is handed out, so they need no such API.
+
+use std::collections::VecDeque;
 
 use sdj_obs::ObsContext;
 use sdj_rtree::RTree;
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveDistanceJoin};
-use crate::bulk::{report_ranks, BulkConfig, BulkDistanceJoin, BulkStats};
+use crate::bulk::{BulkConfig, BulkDistanceJoin, BulkStats};
 use crate::config::JoinConfig;
 use crate::index::SpatialIndex;
 use crate::join::{DistanceJoin, ResultPair};
@@ -45,9 +49,9 @@ pub trait JoinCursor {
     /// and the ones before it, is a correct prefix of the fault-free stream.
     fn advance(&mut self, n: usize, out: &mut Vec<ResultPair>) -> sdj_storage::Result<bool>;
 
-    /// Bytes of query state held between pulls — queue tiers plus results
-    /// produced but not yet handed out. This is what a session's memory
-    /// budget meters; an exhausted cursor holds none.
+    /// Bytes of query state held between pulls — queue tiers plus the
+    /// buffers of results produced but not yet handed out. This is what a
+    /// session's memory budget meters; an exhausted cursor holds none.
     fn held_bytes(&self) -> usize;
 
     /// Engine counters of the run so far.
@@ -105,17 +109,17 @@ enum BulkSource<'a, const D: usize, I1, I2> {
 /// cursor is free, and a storage fault in the harvest surfaces where every
 /// other engine's faults do. That first pull builds the partition, sweeps
 /// every cell and merges the runs in distance order; the pulls after it
-/// drain the materialised stream.
+/// drain the materialised stream, whose buffer is freed with its last
+/// result.
 pub struct BulkCursor<'a, const D: usize, I1 = RTree<D>, I2 = RTree<D>> {
     /// Taken by the first pull.
     source: Option<BulkSource<'a, D, I1, I2>>,
+    /// Sweep workers of the first pull.
+    workers: usize,
     /// The swept stream, not yet handed out.
-    tail: std::vec::IntoIter<ResultPair>,
+    tail: VecDeque<ResultPair>,
     stats: JoinStats,
     bulk_stats: BulkStats,
-    /// Where sampled `ResultReported` events go, and the global rank of the
-    /// last result emitted before this cursor's first.
-    ranks: Option<(ObsContext, u64)>,
 }
 
 impl<'a, const D: usize, I1, I2> BulkCursor<'a, D, I1, I2>
@@ -133,30 +137,23 @@ where
                 config,
                 bulk_config,
             },
-            None,
+            1,
         )
     }
 
-    /// A cursor over an already built partition whose results continue a
-    /// stream that has emitted `base_rank` results so far.
-    pub(crate) fn seeded(
-        bulk: BulkDistanceJoin<D>,
-        ctx: Option<ObsContext>,
-        base_rank: u64,
-    ) -> Self {
-        Self::over(
-            BulkSource::Built(Box::new(bulk)),
-            ctx.map(|ctx| (ctx, base_rank)),
-        )
+    /// A cursor over an already built partition, swept by `workers`
+    /// threads.
+    pub(crate) fn seeded(bulk: BulkDistanceJoin<D>, workers: usize) -> Self {
+        Self::over(BulkSource::Built(Box::new(bulk)), workers)
     }
 
-    fn over(source: BulkSource<'a, D, I1, I2>, ranks: Option<(ObsContext, u64)>) -> Self {
+    fn over(source: BulkSource<'a, D, I1, I2>, workers: usize) -> Self {
         Self {
             source: Some(source),
-            tail: Vec::new().into_iter(),
+            workers,
+            tail: VecDeque::new(),
             stats: JoinStats::default(),
             bulk_stats: BulkStats::default(),
-            ranks,
         }
     }
 
@@ -169,7 +166,7 @@ where
 
     /// True once the swept stream has been handed out in full.
     pub(crate) fn is_drained(&self) -> bool {
-        self.source.is_none() && self.tail.len() == 0
+        self.source.is_none() && self.tail.is_empty()
     }
 }
 
@@ -189,20 +186,24 @@ where
                 } => BulkDistanceJoin::with_bulk_config(tree1, tree2, config, bulk_config)?,
                 BulkSource::Built(bulk) => *bulk,
             };
-            let results = bulk.run();
+            self.tail = bulk.run_with_workers(self.workers).into();
             self.stats = bulk.stats();
             self.bulk_stats = bulk.bulk_stats();
-            if let Some((ctx, base)) = &self.ranks {
-                report_ranks(ctx, *base, &results);
-            }
-            self.tail = results.into_iter();
         }
-        out.extend(self.tail.by_ref().take(n));
-        Ok(self.tail.len() == 0)
+        let k = n.min(self.tail.len());
+        out.extend(self.tail.drain(..k));
+        if self.tail.is_empty() {
+            // The last result is out: free the buffer now, not at the drop.
+            self.tail = VecDeque::new();
+            return Ok(true);
+        }
+        Ok(false)
     }
 
+    /// The buffer's whole allocation: handing results out does not shrink
+    /// it, and it is freed with the last one.
     fn held_bytes(&self) -> usize {
-        self.tail.len() * std::mem::size_of::<ResultPair>()
+        self.tail.capacity() * std::mem::size_of::<ResultPair>()
     }
 
     fn stats(&self) -> JoinStats {

@@ -77,11 +77,10 @@ mod stats;
 mod view;
 
 pub use adaptive::{
-    AdaptiveConfig, AdaptiveCursor, AdaptiveDistanceJoin, AdaptiveOutcome, AdaptiveRun, Handoff,
-    ReplanInfo, ReplanSignals,
+    AdaptiveConfig, AdaptiveCursor, AdaptiveDistanceJoin, AdaptiveRun, ReplanInfo, ReplanSignals,
 };
 pub use bound::SharedDistanceBound;
-pub use bulk::{BulkConfig, BulkDistanceJoin, BulkHit, BulkStats, CellScratch, CellTally};
+pub use bulk::{BulkConfig, BulkDistanceJoin, BulkStats};
 pub use config::{
     EstimationBound, ExpansionPath, JoinConfig, KeyDomain, QueueBackend, QueueLayout, ResultOrder,
     TiePolicy, TraversalPolicy,

@@ -1,8 +1,9 @@
 //! The bulk path's correctness contract against the incremental engine:
 //!
-//! * **Within-range mode**: the unordered bulk output is multiset-equal to
-//!   the incremental stream (same pairs, bitwise-same distances).
-//! * **Ordered mode**: the bulk merge reports a bitwise-identical distance
+//! * **Multiset**: the bulk output, swept by a worker pool, is
+//!   multiset-equal to the incremental stream (same pairs, bitwise-same
+//!   distances).
+//! * **Order**: the bulk merge reports a bitwise-identical distance
 //!   sequence (equal-distance *tie order* may differ — the same contract
 //!   the parallel executor's merged stream has) and the same pair multiset.
 //!
@@ -151,18 +152,13 @@ fn incremental_stream(case: &Case) -> Vec<(u64, u64, u64)> {
     out
 }
 
-fn bulk_stream(case: &Case, ordered: bool) -> Vec<(u64, u64, u64)> {
+fn bulk_stream(case: &Case, workers: usize) -> Vec<(u64, u64, u64)> {
     let t1 = tree(&case.a, case.fanout);
     let t2 = tree(&case.b, case.fanout);
     let mut join =
         BulkDistanceJoin::with_bulk_config(&t1, &t2, config_of(case), bulk_config_of(case))
             .expect("bulk build");
-    let results = if ordered {
-        join.run()
-    } else {
-        join.run_unordered()
-    };
-    results
+    join.run_with_workers(workers)
         .iter()
         .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
         .collect()
@@ -171,21 +167,21 @@ fn bulk_stream(case: &Case, ordered: bool) -> Vec<(u64, u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Within-range mode: the bulk path's unordered output is exactly the
-    /// incremental engine's result multiset.
+    /// A pooled sweep's output is exactly the incremental engine's result
+    /// multiset.
     #[test]
-    fn unordered_bulk_is_multiset_equal(case in arb_case()) {
+    fn pooled_bulk_is_multiset_equal(case in arb_case()) {
         let reference = incremental_stream(&case);
-        let got = bulk_stream(&case, false);
+        let got = bulk_stream(&case, 3);
         prop_assert_eq!(canon(&got), canon(&reference));
     }
 
-    /// Ordered mode: the bulk merge reports the identical distance
-    /// sequence, bit for bit, and the identical pair multiset.
+    /// The bulk merge reports the identical distance sequence, bit for
+    /// bit, and the identical pair multiset.
     #[test]
     fn ordered_bulk_reports_identical_distances(case in arb_case()) {
         let reference = incremental_stream(&case);
-        let got = bulk_stream(&case, true);
+        let got = bulk_stream(&case, 1);
         prop_assert_eq!(got.len(), reference.len());
         let ref_dists: Vec<u64> = reference.iter().map(|r| r.0).collect();
         let got_dists: Vec<u64> = got.iter().map(|r| r.0).collect();
@@ -211,10 +207,10 @@ fn bulk_harvest_performs_zero_read_copies() {
     // Warm pass, then a second run on warm pools.
     let config = JoinConfig::default().with_range(0.0, 1.5);
     let mut warm = BulkDistanceJoin::new(&t1, &t2, config).unwrap();
-    let _ = warm.run_unordered();
+    let _ = warm.run();
     let before = (t1.pool_stats().read_copies, t2.pool_stats().read_copies);
     let mut join = BulkDistanceJoin::new(&t1, &t2, config).unwrap();
-    let n = join.run_unordered().len();
+    let n = join.run().len();
     assert!(n > 0);
     let after = (t1.pool_stats().read_copies, t2.pool_stats().read_copies);
     assert_eq!(before, after, "bulk warm reads copied page bytes");
@@ -252,12 +248,12 @@ fn sliver_cells_match_default_grid() {
     )
     .unwrap();
     let mut a: Vec<_> = default_grid
-        .run_unordered()
+        .run()
         .iter()
         .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
         .collect();
     let mut b: Vec<_> = sliver
-        .run_unordered()
+        .run()
         .iter()
         .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
         .collect();

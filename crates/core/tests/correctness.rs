@@ -490,6 +490,7 @@ fn open_cursor_streams_every_plan_at_every_batch_size() {
         for batch in [1, 7, usize::MAX] {
             let mut cursor = open(config);
             let mut out = Vec::new();
+            let mut held = 0;
             loop {
                 let before = out.len();
                 let done = cursor.advance(batch, &mut out).unwrap();
@@ -501,6 +502,12 @@ fn open_cursor_streams_every_plan_at_every_batch_size() {
                     break;
                 }
                 assert_eq!(out.len() - before, batch, "{plan} x{batch}: short pull");
+                // The materialised stream's buffer keeps its whole
+                // allocation until the last result is out.
+                if plan == PlanChoice::Bulk {
+                    assert!(cursor.held_bytes() >= held, "{plan} x{batch}: held shrank");
+                    held = cursor.held_bytes();
+                }
             }
             assert_eq!(dists(&out), dists(&reference), "{plan} x{batch}");
             assert_eq!(canon(&out), canon(&reference), "{plan} x{batch}");

@@ -35,12 +35,14 @@
 //! The output is pairwise identical to the serial engine's: the same result
 //! multiset, in a valid distance order. Only the relative order of
 //! equal-distance results may differ from a serial run's tie order.
+//!
+//! [`run_planned`] is the cost-based entry point over every path: this
+//! executor for the incremental plan, and `sdj-core`'s own worker pools for
+//! the bulk and adaptive plans (see the `planned` module).
 
-mod bulk;
+mod planned;
 
-pub use bulk::{
-    run_adaptive, run_planned, BulkRunOutput, ForcedPlan, ParallelBulkJoin, PlannedRun,
-};
+pub use planned::{run_planned, ForcedPlan, PlannedRun};
 
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};

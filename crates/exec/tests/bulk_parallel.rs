@@ -1,24 +1,27 @@
-//! The parallel bulk driver's invariants:
+//! The bulk and adaptive worker pools, and the planned entry point:
 //!
-//! * **Thread-count invariance**: per-cell runs are deterministic and the
-//!   driver reassembles them in cell order (unordered) or by a total-order
-//!   merge (ordered), so the output is *identical* — bit for bit, including
-//!   tie order — for any worker count.
-//! * **Equivalence**: the parallel bulk output matches the serial
-//!   incremental engine's result multiset, and the ordered distance
-//!   sequence bitwise.
+//! * **Worker-count invariance**: per-cell runs are deterministic and
+//!   `BulkDistanceJoin::run_with_workers` merges them in a total order, so
+//!   the stream is *identical* — bit for bit, including tie order — for any
+//!   worker count, and so are `JoinStats` and `BulkStats`. The adaptive
+//!   driver's bulk tail sweeps through the same pool and inherits this.
+//! * **Equivalence**: the pooled bulk output matches the serial incremental
+//!   engine's result multiset, and the ordered distance sequence bitwise.
 //! * **Planned runs**: `run_planned` executes the forced path, both paths
 //!   agree, and the obs wiring records `plan_chosen` / `plan.*` / `bulk.*`.
-//! * **`STOP AFTER 0`**: every parallel driver, and `run_planned` under each
-//!   forced plan, returns an empty stream without an error (the serial
-//!   engines behind `open_cursor` are covered by `sdj-core`'s
-//!   `open_cursor_streams_every_plan_at_every_batch_size`).
+//! * **`STOP AFTER 0`**: the parallel incremental executor, the pooled bulk
+//!   sweep, and `run_planned` under each forced plan return an empty stream
+//!   without an error (the serial engines behind `open_cursor` are covered by
+//!   `sdj-core`'s `open_cursor_streams_every_plan_at_every_batch_size`).
 
 use std::sync::Arc;
 
-use sdj_core::bulk::BulkConfig;
-use sdj_core::{AdaptiveConfig, DistanceJoin, JoinConfig, PlanChoice, ResultOrder, SemiConfig};
-use sdj_exec::{run_planned, ParallelBulkJoin, ParallelConfig, ParallelDistanceJoin};
+use sdj_core::bulk::{BulkConfig, BulkDistanceJoin};
+use sdj_core::{
+    AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, PlanChoice, ResultOrder,
+    ResultPair, SemiConfig,
+};
+use sdj_exec::{run_planned, ParallelConfig, ParallelDistanceJoin};
 use sdj_geom::{Point, Rect};
 use sdj_obs::{ObsContext, RingRecorder};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
@@ -46,55 +49,66 @@ fn grid_points(n: usize) -> Vec<(f64, f64)> {
     (0..n).map(|i| ((i % 16) as f64, (i / 16) as f64)).collect()
 }
 
-fn key(r: &sdj_core::ResultPair) -> (u64, u64, u64) {
+fn key(r: &ResultPair) -> (u64, u64, u64) {
     (r.distance.to_bits(), r.oid1.0, r.oid2.0)
 }
 
+/// Thread counts every invariance test sweeps over.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+
 #[test]
 fn ordered_output_is_invariant_across_thread_counts() {
-    let t1 = tree_of_boxes(192, 0.4);
-    let t2 = tree_of(&grid_points(200));
     let config = JoinConfig::default().with_range(0.2, 2.5);
-    let reference =
-        ParallelBulkJoin::new(&t1, &t2, config, ParallelConfig::with_threads(1)).collect();
-    assert!(reference.error.is_none());
-    assert!(!reference.value.is_empty());
-    for threads in [2, 3, 8] {
-        let run = ParallelBulkJoin::new(&t1, &t2, config, ParallelConfig::with_threads(threads))
-            .collect();
-        assert!(run.error.is_none());
-        let got: Vec<_> = run.value.iter().map(key).collect();
-        let want: Vec<_> = reference.value.iter().map(key).collect();
-        assert_eq!(got, want, "threads={threads} diverged (ordered)");
-        assert_eq!(run.stats.distance_calcs, reference.stats.distance_calcs);
-        assert_eq!(
-            run.bulk, reference.bulk,
-            "threads={threads} counters diverged"
-        );
+    let runs: Vec<_> = THREADS
+        .iter()
+        .map(|&threads| {
+            // Fresh trees per run: a warm buffer pool would change `node_io`.
+            let t1 = tree_of_boxes(192, 0.4);
+            let t2 = tree_of(&grid_points(200));
+            let mut join = BulkDistanceJoin::new(&t1, &t2, config).unwrap();
+            let results: Vec<_> = join.run_with_workers(threads).iter().map(key).collect();
+            (results, join.stats(), join.bulk_stats())
+        })
+        .collect();
+    assert!(!runs[0].0.is_empty());
+    for (threads, run) in THREADS.iter().zip(&runs) {
+        assert_eq!(run.0, runs[0].0, "threads={threads}: stream diverged");
+        assert_eq!(run.1, runs[0].1, "threads={threads}: JoinStats diverged");
+        assert_eq!(run.2, runs[0].2, "threads={threads}: BulkStats diverged");
     }
 }
 
 #[test]
-fn unordered_output_is_invariant_across_thread_counts() {
-    let t1 = tree_of_boxes(192, 0.4);
-    let t2 = tree_of(&grid_points(200));
-    let config = JoinConfig::default().with_range(0.0, 1.5);
-    let collect_unordered = |threads: usize| {
-        let mut out = Vec::new();
-        let run = ParallelBulkJoin::new(&t1, &t2, config, ParallelConfig::with_threads(threads))
-            .run_unordered(|stream| {
-                out.extend(stream.map(|r| key(&r)));
-            });
-        assert!(run.error.is_none());
-        out
+fn adaptive_tail_is_invariant_across_thread_counts() {
+    let config = JoinConfig::default().with_max_pairs(900);
+    let adaptive = AdaptiveConfig {
+        pop_stride: 32,
+        force_handoff_at: Some(200),
+        ..AdaptiveConfig::default()
     };
-    let reference = collect_unordered(1);
-    assert!(!reference.is_empty());
-    for threads in [2, 5] {
+    let runs: Vec<_> = THREADS
+        .iter()
+        .map(|&threads| {
+            let t1 = tree_of_boxes(192, 0.4);
+            let t2 = tree_of(&grid_points(200));
+            AdaptiveDistanceJoin::with_configs(&t1, &t2, config, BulkConfig::default(), adaptive)
+                .run_with_workers(threads)
+        })
+        .collect();
+    assert!(runs[0].replanned.is_some(), "forced handoff must fire");
+    assert_eq!(runs[0].results.len(), 900);
+    let stream = |r: &[ResultPair]| -> Vec<_> { r.iter().map(key).collect() };
+    for (threads, run) in THREADS.iter().zip(&runs) {
+        assert!(run.error.is_none());
         assert_eq!(
-            collect_unordered(threads),
-            reference,
-            "threads={threads} diverged (unordered cell order)"
+            stream(&run.results),
+            stream(&runs[0].results),
+            "threads={threads}: stream diverged"
+        );
+        assert_eq!(run.stats, runs[0].stats, "threads={threads}: JoinStats");
+        assert_eq!(
+            run.bulk_stats, runs[0].bulk_stats,
+            "threads={threads}: BulkStats"
         );
     }
 }
@@ -109,18 +123,18 @@ fn parallel_bulk_matches_serial_incremental() {
             config.order = ResultOrder::Descending;
         }
         let serial: Vec<_> = DistanceJoin::new(&t1, &t2, config).collect();
-        let run =
-            ParallelBulkJoin::new(&t1, &t2, config, ParallelConfig::with_threads(4)).collect();
-        assert!(run.error.is_none());
-        assert_eq!(run.value.len(), serial.len());
-        for (a, b) in serial.iter().zip(&run.value) {
+        let pooled = BulkDistanceJoin::new(&t1, &t2, config)
+            .unwrap()
+            .run_with_workers(4);
+        assert_eq!(pooled.len(), serial.len());
+        for (a, b) in serial.iter().zip(&pooled) {
             assert_eq!(
                 a.distance.to_bits(),
                 b.distance.to_bits(),
                 "distance sequence diverged (descending={descending})"
             );
         }
-        let mut got: Vec<_> = run.value.iter().map(key).collect();
+        let mut got: Vec<_> = pooled.iter().map(key).collect();
         let mut want: Vec<_> = serial.iter().map(key).collect();
         got.sort_unstable();
         want.sort_unstable();
@@ -134,10 +148,11 @@ fn max_pairs_truncation_matches_incremental() {
     let t2 = tree_of(&grid_points(150));
     let config = JoinConfig::default().with_max_pairs(25);
     let serial: Vec<_> = DistanceJoin::new(&t1, &t2, config).collect();
-    let run = ParallelBulkJoin::new(&t1, &t2, config, ParallelConfig::with_threads(3)).collect();
-    assert!(run.error.is_none());
-    assert_eq!(run.value.len(), 25);
-    for (a, b) in serial.iter().zip(&run.value) {
+    let pooled = BulkDistanceJoin::new(&t1, &t2, config)
+        .unwrap()
+        .run_with_workers(3);
+    assert_eq!(pooled.len(), 25);
+    for (a, b) in serial.iter().zip(&pooled) {
         assert_eq!(a.distance.to_bits(), b.distance.to_bits());
     }
 }
@@ -241,8 +256,8 @@ fn stop_after_zero_yields_nothing_in_parallel() {
         let semi =
             ParallelDistanceJoin::semi(&t1, &t2, config, SemiConfig::default(), parallel).collect();
         assert!(semi.value.is_empty() && semi.error.is_none());
-        let bulk = ParallelBulkJoin::new(&t1, &t2, config.with_range(0.0, 2.0), parallel).collect();
-        assert!(bulk.value.is_empty() && bulk.error.is_none());
+        let mut bulk = BulkDistanceJoin::new(&t1, &t2, config.with_range(0.0, 2.0)).unwrap();
+        assert!(bulk.run_with_workers(threads).is_empty());
         for plan in PlanChoice::ALL {
             let run = run_planned(
                 &t1,

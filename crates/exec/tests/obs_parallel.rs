@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use sdj_core::bulk::BulkConfig;
-use sdj_core::{AdaptiveConfig, AdaptiveDistanceJoin, JoinConfig};
-use sdj_exec::{run_adaptive, ParallelConfig, ParallelDistanceJoin};
+use sdj_core::{AdaptiveConfig, AdaptiveDistanceJoin, JoinConfig, PlanChoice};
+use sdj_exec::{run_planned, ParallelConfig, ParallelDistanceJoin};
 use sdj_geom::Point;
 use sdj_obs::{Event, ObsContext, RingRecorder, RunRecorder, RunReport};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
@@ -118,8 +118,10 @@ fn sampled_cadence_thins_result_events() {
 
 /// An adaptive run that hands off after its first results reports one rank
 /// series: the bulk tail continues the prefix's ranks instead of restarting
-/// at 1 (the pooled sweep) or staying silent (the serial cursor's tail), so
-/// the recorded report validates and its last rank is the result count.
+/// at 1, so the recorded report validates and its last rank is the result
+/// count. The pooled tail (`run_planned`, two threads) and the serial one
+/// (`AdaptiveDistanceJoin::run`) sweep through the same method, so they also
+/// record the same `bulk.*` counters.
 #[test]
 fn adaptive_handoff_keeps_one_rank_series() {
     let t1 = tree(400, 1.0, 0.0);
@@ -144,21 +146,31 @@ fn adaptive_handoff_keeps_one_rank_series() {
         assert_eq!(report.distance_by_rank.len(), 600, "{label}: cadence 1");
         assert_eq!(report.distance_by_rank.last().map(|r| r.0), Some(600));
     };
+    let bulk_counters = |ctx: &ObsContext| -> Vec<u64> {
+        let snapshot = ctx.registry.snapshot();
+        ["bulk.cells", "bulk.cell_pairs_swept", "bulk.pairs_deduped"]
+            .iter()
+            .map(|name| snapshot.counter(name).unwrap_or(0))
+            .collect()
+    };
 
     let recorder = Arc::new(RunRecorder::new());
     let ctx = ObsContext::new(recorder.clone() as Arc<dyn sdj_obs::EventSink>);
-    let pooled = run_adaptive(
+    let pooled = run_planned(
         &t1,
         &t2,
         config,
         ParallelConfig::with_threads(2),
         BulkConfig::default(),
         adaptive,
-        Some(ctx),
+        Some(PlanChoice::Adaptive),
+        Some(ctx.clone()),
     );
     assert_eq!(pooled.error, None);
+    assert_eq!(pooled.workers_spawned, 2);
     let at_pair = pooled.replanned.expect("forced handoff").at_pair;
     check("pooled tail", &recorder, pooled.results.len(), at_pair);
+    let pooled_counters = bulk_counters(&ctx);
 
     let recorder = Arc::new(RunRecorder::new());
     let ctx = ObsContext::new(recorder.clone() as Arc<dyn sdj_obs::EventSink>);
@@ -169,4 +181,11 @@ fn adaptive_handoff_keeps_one_rank_series() {
     assert_eq!(serial.error, None);
     let at_pair = serial.replanned.expect("forced handoff").at_pair;
     check("serial tail", &recorder, serial.results.len(), at_pair);
+
+    assert!(pooled_counters[1] > 0, "the tail swept no cells");
+    assert_eq!(
+        bulk_counters(&ctx),
+        pooled_counters,
+        "bulk.cells / cell_pairs_swept / pairs_deduped"
+    );
 }
