@@ -140,20 +140,23 @@ cargo test -p sdj-core --offline -q --test adaptive_equivalence
     --expect-plan adaptive --expect-replans 1
 
 echo "==> queue-layout gate"
-# The flat 4-ary compact layout must stay invisible in the result stream:
-# the cross-layout proptests (pop streams, tier gauge conservation, slab
-# accounting, spill round-trips) must pass, and a flat-layout report run
-# must produce the same pair counts as the default pairing run while
-# recording non-zero queue-memory gauges.
+# The flat 4-ary layout is the default; the paper's pairing heap stays
+# selectable and must stay interchangeable with it: the cross-layout
+# proptests (pop streams across tiers and the 24-bit tag wrap, tier gauge
+# conservation, spill round-trips, an arena that is empty whenever the
+# queue is) must pass, and a pairing-layout report run must produce the
+# same pair counts as the default flat run while recording non-zero
+# queue-memory gauges.
 cargo test -p sdj-pqueue --offline -q --test layout_equivalence
+cargo test -p sdj-core --offline -q --lib queue::tests
 cargo test -p sdj-exec --offline -q --test parallel_equivalence flat_layout_is_stream_invisible_across_engines_and_backends
 ./target/release/sdj-report --n 4000 --k 800 \
-    --out results/RunReport_queue_pairing.json
-./target/release/sdj-report --queue-layout flat --n 4000 --k 800 \
     --out results/RunReport_queue_flat.json
-./target/release/sdj-report --check results/RunReport_queue_flat.json \
+./target/release/sdj-report --queue-layout pairing --n 4000 --k 800 \
+    --out results/RunReport_queue_pairing.json
+./target/release/sdj-report --check results/RunReport_queue_pairing.json \
     --expect-drain --expect-queue-bytes \
-    --expect-pairs-match results/RunReport_queue_pairing.json
+    --expect-pairs-match results/RunReport_queue_flat.json
 
 echo "==> session service gate"
 # The cursor-session service must stay invisible in every result stream:

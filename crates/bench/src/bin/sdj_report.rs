@@ -26,7 +26,8 @@
 //!   2%). The two runs must agree exactly on `distance_calcs`.
 //!
 //! The tool reads no environment: `--queue-layout flat|pairing` picks the
-//! queue layout of every pass, and `--fault-seed` (with `--fault-rate`,
+//! queue layout of every pass (default: the engine's, `JoinConfig::default()`),
+//! and `--fault-seed` (with `--fault-rate`,
 //! `--fault-retries`) turns on chaos mode (see `install_chaos`).
 
 use std::process::ExitCode;
@@ -100,7 +101,7 @@ impl Args {
             adaptive_force_at: None,
             sessions: None,
             expect_sessions: None,
-            queue_layout: QueueLayout::Pairing,
+            queue_layout: JoinConfig::default().layout,
             fault_seed: None,
             fault_rate: 0.01,
             fault_retries: 16,

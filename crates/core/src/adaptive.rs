@@ -212,7 +212,7 @@ where
         bulk_config: BulkConfig,
         adaptive: AdaptiveConfig,
     ) -> Self {
-        config.validate();
+        config.assert_valid();
         Self {
             tree1,
             tree2,

@@ -400,7 +400,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         I2: SpatialIndex<D> + ?Sized,
     {
         let mut spans = ctx.and_then(SpanTimer::from_context);
-        config.validate();
+        config.assert_valid();
         if let Some(w) = bulk_config.cell_width {
             assert!(
                 w.is_finite() && w > 0.0,
@@ -511,7 +511,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         base_rank: u64,
     ) -> Self {
         let spans = ctx.and_then(SpanTimer::from_context);
-        config.validate();
+        config.assert_valid();
         if let Some(w) = bulk_config.cell_width {
             assert!(
                 w.is_finite() && w > 0.0,

@@ -4,10 +4,11 @@ use sdj_geom::Metric;
 use sdj_pqueue::HybridConfig;
 
 pub use crate::pair::TiePolicy;
-/// Queue memory layout (`DESIGN.md` §14): `Pairing` is the paper's
-/// pointer-based pairing heap over fat pairs; `FlatDary` stores 16-byte
-/// compact entries in a flat 4-ary implicit heap with pair payloads interned
-/// in a shared item arena. Result streams are bit-identical across layouts.
+/// Queue memory layout (`DESIGN.md` §14): `FlatDary`, the default, keeps
+/// compact entries in a flat 4-ary implicit heap, each carrying an 8-byte
+/// handle to its pair's items interned in a shared arena; `Pairing` is the
+/// paper's pointer-based pairing heap over fat pairs. Result streams are
+/// bit-identical across layouts.
 pub use sdj_pqueue::Layout as QueueLayout;
 
 /// How node/node pairs are expanded (§2.2.2, evaluated in §4.1.1).
@@ -27,7 +28,7 @@ pub enum TraversalPolicy {
 /// Queue backend (§3.2 / §4.1.3).
 #[derive(Clone, Copy, Debug, Default)]
 pub enum QueueBackend {
-    /// Purely in-memory pairing heap.
+    /// Purely in-memory heap (of the configured [`QueueLayout`]).
     #[default]
     Memory,
     /// The hybrid three-tier memory/disk queue with its `D_T` increment.
@@ -164,27 +165,58 @@ impl Default for JoinConfig {
     }
 }
 
+/// Why a [`JoinConfig`] cannot run (see [`JoinConfig::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A distance bound is negative (or NaN).
+    NegativeBound,
+    /// `min_distance` exceeds `max_distance`.
+    InvertedRange,
+    /// Descending order with the hybrid queue, whose disk buckets are keyed
+    /// by non-negative distance.
+    DescendingHybrid,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Self::NegativeBound => "distance bounds must be non-negative",
+            Self::InvertedRange => "min_distance exceeds max_distance",
+            Self::DescendingHybrid => "descending joins require the memory queue backend",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl JoinConfig {
-    /// Validates internal consistency.
+    /// Checks internal consistency: non-negative range bounds, a
+    /// non-inverted range, and no descending order over a hybrid queue.
+    ///
+    /// # Errors
+    /// The first violated rule, as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.min_distance >= 0.0 && self.max_distance >= 0.0) {
+            return Err(ConfigError::NegativeBound);
+        }
+        if self.min_distance > self.max_distance {
+            return Err(ConfigError::InvertedRange);
+        }
+        if matches!(self.order, ResultOrder::Descending)
+            && !matches!(self.queue, QueueBackend::Memory)
+        {
+            return Err(ConfigError::DescendingHybrid);
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate) for the infallible engine constructors.
     ///
     /// # Panics
-    /// Panics on invalid combinations (negative range bounds, inverted
-    /// range, descending order with a hybrid queue — whose disk buckets are
-    /// keyed by non-negative distance).
-    pub fn validate(&self) {
-        assert!(
-            self.min_distance >= 0.0 && self.max_distance >= 0.0,
-            "distance bounds must be non-negative"
-        );
-        assert!(
-            self.min_distance <= self.max_distance,
-            "min_distance exceeds max_distance"
-        );
-        if matches!(self.order, ResultOrder::Descending) {
-            assert!(
-                matches!(self.queue, QueueBackend::Memory),
-                "descending joins require the memory queue backend"
-            );
+    /// Panics with the [`ConfigError`]'s message on an invalid config.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
     }
 
@@ -254,7 +286,7 @@ mod tests {
         assert_eq!(c.tie, TiePolicy::DepthFirst);
         assert_eq!(c.min_distance, 0.0);
         assert_eq!(c.max_distance, f64::INFINITY);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -265,23 +297,41 @@ mod tests {
         assert_eq!(c.min_distance, 1.0);
         assert_eq!(c.max_distance, 5.0);
         assert_eq!(c.max_pairs, Some(10));
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors() {
+        let c = JoinConfig::default();
+        assert_eq!(
+            c.with_range(5.0, 1.0).validate(),
+            Err(ConfigError::InvertedRange)
+        );
+        assert_eq!(
+            c.with_range(-1.0, 1.0).validate(),
+            Err(ConfigError::NegativeBound)
+        );
+        assert_eq!(
+            c.with_range(0.0, f64::NAN).validate(),
+            Err(ConfigError::NegativeBound)
+        );
+        let descending_hybrid = JoinConfig {
+            order: ResultOrder::Descending,
+            queue: QueueBackend::Hybrid(HybridConfig::default()),
+            ..c
+        };
+        assert_eq!(
+            descending_hybrid.validate(),
+            Err(ConfigError::DescendingHybrid)
+        );
+        assert!(ConfigError::DescendingHybrid
+            .to_string()
+            .contains("memory queue"));
     }
 
     #[test]
     #[should_panic(expected = "min_distance exceeds max_distance")]
-    fn inverted_range_rejected() {
-        JoinConfig::default().with_range(5.0, 1.0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "memory queue")]
-    fn descending_hybrid_rejected() {
-        let c = JoinConfig {
-            order: ResultOrder::Descending,
-            queue: QueueBackend::Hybrid(HybridConfig::default()),
-            ..JoinConfig::default()
-        };
-        c.validate();
+    fn constructors_still_panic_on_an_inverted_range() {
+        JoinConfig::default().with_range(5.0, 1.0).assert_valid();
     }
 }

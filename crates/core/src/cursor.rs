@@ -29,7 +29,7 @@ use sdj_rtree::RTree;
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveDistanceJoin};
 use crate::bulk::{BulkConfig, BulkDistanceJoin, BulkStats};
-use crate::config::JoinConfig;
+use crate::config::{ConfigError, JoinConfig};
 use crate::index::SpatialIndex;
 use crate::join::{DistanceJoin, ResultPair};
 use crate::oracle::DistanceOracle;
@@ -219,9 +219,9 @@ where
 /// context's registry (a session service passes `session.<id>.`); the bulk
 /// path has no queue and registers nothing.
 ///
-/// # Panics
-/// Panics on an invalid `config` (see [`JoinConfig::validate`]).
-#[must_use]
+/// # Errors
+/// An invalid `config` (see [`JoinConfig::validate`]) is refused before any
+/// engine is built or any node is read.
 pub fn open_cursor<'a, const D: usize, I1, I2>(
     tree1: &'a I1,
     tree2: &'a I2,
@@ -230,12 +230,13 @@ pub fn open_cursor<'a, const D: usize, I1, I2>(
     bulk_config: BulkConfig,
     adaptive: AdaptiveConfig,
     gauges: Option<(&ObsContext, &str)>,
-) -> Box<dyn JoinCursor + Send + Sync + 'a>
+) -> Result<Box<dyn JoinCursor + Send + Sync + 'a>, ConfigError>
 where
     I1: SpatialIndex<D> + Sync,
     I2: SpatialIndex<D> + Sync,
 {
-    match plan {
+    config.validate()?;
+    Ok(match plan {
         PlanChoice::Incremental => {
             let mut join = DistanceJoin::new(tree1, tree2, config);
             if let Some((ctx, prefix)) = gauges {
@@ -253,5 +254,5 @@ where
             }
             Box::new(cursor)
         }
-    }
+    })
 }

@@ -2,9 +2,9 @@
 //!
 //! The engine's per-pair maps — the §2.2.4 estimator's set `M` and its
 //! semi-join `processed` set, the semi-join's per-item `d_max` table, the
-//! decoded-view cache and the flat queue's item arena — are keyed by node
-//! and object ids: a few machine words that come from the indexes, never
-//! from an adversary. The standard library's SipHash defends against
+//! decoded-view cache and the item arena's map for ids too large for its
+//! direct tables — are keyed by node and object ids: a few machine words
+//! that come from the indexes, never from an adversary. The standard library's SipHash defends against
 //! hash flooding that cannot happen here, and it is the dearest part of
 //! every lookup on these keys. [`IdHasher`] instead spends one rotate, two
 //! xors, a shift and one multiply per word:

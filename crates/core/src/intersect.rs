@@ -23,7 +23,7 @@ use sdj_geom::{KeySpace, Metric, Point, SoaRects};
 use sdj_rtree::ObjectId;
 use sdj_storage::StorageError;
 
-use crate::config::QueueBackend;
+use crate::config::{QueueBackend, QueueLayout};
 use crate::index::{IndexNode, SpatialIndex};
 use crate::pair::{Item, Pair, PairKey, TiePolicy};
 use crate::queue::JoinQueue;
@@ -82,11 +82,7 @@ where
             tree2,
             focus,
             keys,
-            queue: JoinQueue::new(
-                &QueueBackend::Memory,
-                crate::config::QueueLayout::Pairing,
-                keys,
-            ),
+            queue: JoinQueue::new(&QueueBackend::Memory, QueueLayout::default(), keys),
             node_scratch: IndexNode::empty(),
             soa: SoaRects::new(),
             keys_buf: Vec::new(),

@@ -315,7 +315,7 @@ where
         config: JoinConfig,
         semi_config: Option<SemiConfig>,
     ) -> Self {
-        config.validate();
+        config.assert_valid();
         let semi = semi_config.map(|mut sc| {
             if !matches!(sc.dmax, crate::semi::DmaxStrategy::None) {
                 // The paper's d_max strategies all build on Inside2
@@ -1758,10 +1758,14 @@ where
         }
 
         if pair.is_final(O::EXACT) {
+            // `0.0 - k`, not `-k`: a zero key may come back from the queue
+            // as either signed zero (the flat heap rebuilds keys from their
+            // order image, which knows only +0.0), and a coincident pair
+            // must report +0.0 from every layout.
             let result_key = if ascending {
                 key.dist.get()
             } else {
-                -key.dist.get()
+                0.0 - key.dist.get()
             };
             // A final pair must carry object ids on both sides. A
             // kind-confused decode (a corrupt spill page whose item tag says

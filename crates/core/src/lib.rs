@@ -82,8 +82,8 @@ pub use adaptive::{
 pub use bound::SharedDistanceBound;
 pub use bulk::{BulkConfig, BulkDistanceJoin, BulkStats};
 pub use config::{
-    EstimationBound, ExpansionPath, JoinConfig, KeyDomain, QueueBackend, QueueLayout, ResultOrder,
-    TiePolicy, TraversalPolicy,
+    ConfigError, EstimationBound, ExpansionPath, JoinConfig, KeyDomain, QueueBackend, QueueLayout,
+    ResultOrder, TiePolicy, TraversalPolicy,
 };
 pub use cursor::{open_cursor, BulkCursor, JoinCursor};
 pub use estimate::{Estimator, EstimatorMode};

@@ -5,11 +5,18 @@
 //! The [`crate::config::QueueBackend`] axis picks the paper's structure
 //! (in-memory heap vs the §3.2 hybrid memory/disk scheme); the
 //! [`QueueLayout`] axis picks its memory representation. Under
-//! [`QueueLayout::FlatDary`] pairs are stored as 8-byte [`PackedPair`]
-//! handles into a shared [`ItemArena`] and ordered by a flat 4-ary implicit
-//! heap ([`sdj_pqueue::FlatHeap`]); the fat-pair pairing heap is the
-//! default. All four combinations realise the same `(key, arrival)` total
-//! order, so result streams are bit-identical across them.
+//! [`QueueLayout::FlatDary`], the default, pairs are stored as 8-byte
+//! [`PackedPair`] handles into a shared [`ItemArena`], carried inline in the
+//! entries of a flat 4-ary implicit heap ([`sdj_pqueue::FlatHeap`]);
+//! [`QueueLayout::Pairing`] keeps the paper's pairing heap over fat pairs.
+//! All four combinations realise the same `(key, arrival)` total order, so
+//! result streams are bit-identical across them.
+//!
+//! The flat layouts keep the last popped pair's arena references until the
+//! next [`JoinQueue::push_batch`] (or pop): the expansion that follows a pop
+//! pushes children that repeat its unexpanded item, which then takes a
+//! reference-count bump on its live slot instead of being freed at the pop
+//! and interned again by the push.
 
 use std::sync::Arc;
 
@@ -47,6 +54,11 @@ enum Backend<const D: usize> {
 /// matrix.
 pub struct JoinQueue<const D: usize> {
     backend: Backend<D>,
+    /// Flat layouts: the arena references of the last popped pair, released
+    /// by the next `push_batch` or pop (see the module docs).
+    held: Option<PackedPair>,
+    /// Flat memory layout: the interned batch, reused across flushes.
+    staged: Vec<(PairKey, PackedPair)>,
     /// `pq.bytes` gauge (registered by [`attach_obs`](Self::attach_obs) for
     /// every backend), synced from [`queue_bytes`](Self::queue_bytes).
     bytes_gauge: Option<Arc<Gauge>>,
@@ -78,18 +90,20 @@ impl<const D: usize> JoinQueue<D> {
                 Self::hybrid_backend(config.with_key_scale(scale).with_layout(layout))
             }
         };
-        Self {
-            backend,
-            bytes_gauge: None,
-            slab_gauges: None,
-        }
+        Self::over(backend)
     }
 
     /// Creates a hybrid-backed queue directly, honouring `config.layout`.
     #[must_use]
     pub fn hybrid(config: HybridConfig) -> Self {
+        Self::over(Self::hybrid_backend(config))
+    }
+
+    fn over(backend: Backend<D>) -> Self {
         Self {
-            backend: Self::hybrid_backend(config),
+            backend,
+            held: None,
+            staged: Vec::new(),
             bytes_gauge: None,
             slab_gauges: None,
         }
@@ -133,17 +147,17 @@ impl<const D: usize> JoinQueue<D> {
         }
     }
 
-    /// Inserts a batch of pairs. The fat memory backend grows its arena at
-    /// most once for the whole batch; the other backends push per element
-    /// (hybrid tiering decisions are per-element anyway) and the fallible
-    /// ones stop at the first storage error, dropping the rest of the batch
-    /// — callers abort the join on `Err`, so the partial state is never
-    /// observed as output.
+    /// Inserts a batch of pairs, then releases the held popped pair (see
+    /// the module docs). The memory backends grow their storage at most
+    /// once for the whole batch; the hybrid backends push per element
+    /// (tiering decisions are per-element anyway) and stop at the first
+    /// storage error, dropping the rest of the batch — callers abort the
+    /// join on `Err`, so the partial state is never observed as output.
     pub fn push_batch<I>(&mut self, batch: I) -> sdj_storage::Result<()>
     where
         I: IntoIterator<Item = (PairKey, Pair<D>)>,
     {
-        match &mut self.backend {
+        let pushed = match &mut self.backend {
             Backend::Pairing(q) => {
                 q.push_batch(batch);
                 Ok(())
@@ -152,26 +166,35 @@ impl<const D: usize> JoinQueue<D> {
                 // Intern the whole batch before handing it to the heap so a
                 // mid-batch slot exhaustion releases every staged reference
                 // and leaves the queue unchanged.
-                let mut staged = Vec::new();
-                for (key, pair) in batch {
-                    match arena.intern_pair(&pair) {
-                        Ok(packed) => staged.push((key, packed)),
-                        Err(e) => {
-                            for (_, packed) in staged {
-                                arena.release_pair(packed);
-                            }
-                            return Err(e);
-                        }
+                let staged = &mut self.staged;
+                let interned = batch.into_iter().try_for_each(|(key, pair)| {
+                    staged.push((key, arena.intern_pair(&pair)?));
+                    Ok(())
+                });
+                if interned.is_ok() {
+                    heap.push_batch(staged.drain(..));
+                } else {
+                    for (_, packed) in staged.drain(..) {
+                        arena.release_pair(packed);
                     }
                 }
-                heap.push_batch(staged);
-                Ok(())
+                interned
             }
-            _ => {
-                for (key, pair) in batch {
-                    self.push(key, pair)?;
-                }
-                Ok(())
+            _ => batch
+                .into_iter()
+                .try_for_each(|(key, pair)| self.push(key, pair)),
+        };
+        self.release_held();
+        pushed
+    }
+
+    /// Drops the held popped pair's arena references, if any.
+    fn release_held(&mut self) {
+        if let Some(packed) = self.held.take() {
+            if let Backend::Flat { arena, .. } | Backend::HybridFlat { arena, .. } =
+                &mut self.backend
+            {
+                arena.release_pair(packed);
             }
         }
     }
@@ -188,6 +211,7 @@ impl<const D: usize> JoinQueue<D> {
         &mut self,
         mut visit: impl FnMut(PairKey, Pair<D>),
     ) -> sdj_storage::Result<()> {
+        self.release_held();
         if matches!(
             self.backend,
             Backend::HybridPairing(_) | Backend::HybridFlat { .. }
@@ -215,24 +239,20 @@ impl<const D: usize> JoinQueue<D> {
         Ok(())
     }
 
-    /// Removes the minimum pair.
+    /// Removes the minimum pair. Under the flat layouts the pair's arena
+    /// references are held until the next `push_batch` or pop.
     pub fn pop(&mut self) -> sdj_storage::Result<Option<(PairKey, Pair<D>)>> {
-        match &mut self.backend {
-            Backend::Pairing(q) => Ok(q.pop()),
-            Backend::Flat { heap, arena } => Ok(heap.pop().map(|(key, packed)| {
-                let pair = arena.resolve_pair(packed);
-                arena.release_pair(packed);
-                (key, pair)
-            })),
-            Backend::HybridPairing(q) => PriorityQueue::pop(q.as_mut()),
-            Backend::HybridFlat { queue, arena } => {
-                Ok(PriorityQueue::pop(queue.as_mut())?.map(|(key, packed)| {
-                    let pair = arena.resolve_pair(packed);
-                    arena.release_pair(packed);
-                    (key, pair)
-                }))
-            }
-        }
+        self.release_held();
+        let (popped, arena) = match &mut self.backend {
+            Backend::Pairing(q) => return Ok(q.pop()),
+            Backend::HybridPairing(q) => return PriorityQueue::pop(q.as_mut()),
+            Backend::Flat { heap, arena } => (heap.pop(), arena),
+            Backend::HybridFlat { queue, arena } => (PriorityQueue::pop(queue.as_mut())?, arena),
+        };
+        Ok(popped.map(|(key, packed)| {
+            self.held = Some(packed);
+            (key, arena.resolve_pair(packed))
+        }))
     }
 
     /// The minimum key (may promote spilled elements in the hybrid case).
@@ -438,7 +458,7 @@ trait HybridObsHook {
     fn hook_spans(&mut self, spill: sdj_obs::LeafSpan, reload: sdj_obs::LeafSpan);
 }
 
-impl<V: sdj_pqueue::Codec + Clone> HybridObsHook for HybridQueue<PairKey, V> {
+impl<V: sdj_pqueue::Codec + Copy> HybridObsHook for HybridQueue<PairKey, V> {
     fn hook_obs(
         &mut self,
         sink: std::sync::Arc<dyn sdj_obs::EventSink>,
@@ -456,6 +476,7 @@ impl<V: sdj_pqueue::Codec + Clone> HybridObsHook for HybridQueue<PairKey, V> {
 mod tests {
     use super::*;
     use crate::pair::{Item, TiePolicy};
+    use proptest::prelude::*;
     use sdj_geom::Rect;
     use sdj_rtree::ObjectId;
 
@@ -580,5 +601,108 @@ mod tests {
             flat_bytes * 2 <= fat_bytes,
             "flat layout should at least halve queue bytes: flat={flat_bytes} fat={fat_bytes}"
         );
+    }
+
+    /// Item `i` of one side's small pool: nodes, obrs and exact objects,
+    /// with small and huge ids, so generated batches repeat items and span
+    /// every arena kind and both of its slot indexes.
+    fn pool_item(i: u8) -> Item<2> {
+        let x = f64::from(i);
+        let mbr = Rect::new([x, 0.0], [x + 1.0, 1.0]);
+        let id = u64::from(i) + if i.is_multiple_of(2) { 0 } else { 1 << 40 };
+        match i % 3 {
+            0 => Item::Node {
+                page: id,
+                level: i % 2,
+                mbr,
+            },
+            1 => Item::Obr {
+                oid: ObjectId(id),
+                mbr,
+            },
+            _ => Item::Object {
+                oid: ObjectId(id),
+                mbr,
+            },
+        }
+    }
+
+    /// A drained queue as a sorted multiset (drain order is unspecified).
+    fn drained(q: &mut JoinQueue<2>) -> Vec<String> {
+        let mut out = Vec::new();
+        q.drain_unordered(|k, p| out.push(format!("{k:?} {p:?}")))
+            .unwrap();
+        out.sort();
+        out
+    }
+
+    proptest! {
+        /// Join-shaped op sequences — pop then flush a batch that repeats
+        /// the popped pair's items and repeats items within itself, peeks,
+        /// unordered drains — give identical `(key, pair)` streams under
+        /// both layouts, also across a forced 24-bit tag wrap. The flat
+        /// arena holds nothing once the queue is empty, and never more
+        /// slots than distinct items pushed.
+        #[test]
+        fn flat_layout_matches_pairing_and_releases_its_arena(
+            steps in prop::collection::vec(
+                (0u8..10, prop::collection::vec((0u32..6, 0u8..3, 0u8..9, 0u8..9), 0..10)),
+                1..80,
+            ),
+            wrap in prop::option::of(0u32..40),
+        ) {
+            let mut fat =
+                JoinQueue::<2>::new(&QueueBackend::Memory, QueueLayout::Pairing, keyspace());
+            let mut flat =
+                JoinQueue::<2>::new(&QueueBackend::Memory, QueueLayout::FlatDary, keyspace());
+            if let (Some(n), Backend::Flat { heap, .. }) = (wrap, &mut flat.backend) {
+                heap.skip_to_sequence_wrap(n);
+            }
+            let mut distinct = std::collections::HashSet::new();
+            for (op, batch) in steps {
+                match op {
+                    0 => prop_assert_eq!(fat.peek_key().unwrap(), flat.peek_key().unwrap()),
+                    1 => prop_assert_eq!(drained(&mut fat), drained(&mut flat)),
+                    _ => {
+                        // One join step: pop, then flush the expansion.
+                        let popped = fat.pop().unwrap();
+                        prop_assert_eq!(popped, flat.pop().unwrap());
+                        let popped = popped.map(|(_, p)| p);
+                        let batch: Vec<(PairKey, Pair<2>)> = batch
+                            .into_iter()
+                            .map(|(d, repeat, i, j)| {
+                                let pair = match (popped, repeat) {
+                                    (Some(p), 0) => Pair::new(p.item1, pool_item(j)),
+                                    (Some(p), 1) => Pair::new(pool_item(i), p.item2),
+                                    _ => Pair::new(pool_item(i), pool_item(j)),
+                                };
+                                let key = PairKey::new(f64::from(d), &pair, TiePolicy::DepthFirst);
+                                (key, pair)
+                            })
+                            .collect();
+                        for (_, p) in &batch {
+                            distinct.insert((false, format!("{:?}", p.item1)));
+                            distinct.insert((true, format!("{:?}", p.item2)));
+                        }
+                        fat.push_batch(batch.clone()).unwrap();
+                        flat.push_batch(batch).unwrap();
+                    }
+                }
+                prop_assert_eq!(fat.len(), flat.len());
+                let (live, high, _) = flat.slab_stats().unwrap();
+                if flat.is_empty() {
+                    prop_assert_eq!(live, 0, "an empty queue pins arena slots");
+                }
+                prop_assert!(high <= distinct.len(), "{} slots for {} items", high, distinct.len());
+            }
+            loop {
+                let a = fat.pop().unwrap();
+                prop_assert_eq!(a, flat.pop().unwrap());
+                if a.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(flat.slab_stats().unwrap().0, 0);
+        }
     }
 }

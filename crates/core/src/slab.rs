@@ -12,6 +12,15 @@
 //! tracks the set of *distinct* items currently queued, not the number of
 //! queued pairs.
 //!
+//! The same sharing makes most interning calls repeats: every child pair of
+//! one expansion names the unexpanded item again, and a plane sweep names
+//! each child once per partner. Finding an item's slot is therefore the
+//! arena's hot path, and it hashes nothing: node pages and object ids count
+//! up from zero, so the slot of each live item sits in a flat table indexed
+//! by its id, one per side and kind. A repeat costs one load and a
+//! reference-count bump; only ids too large for a table fall back to a hash
+//! map (see [`ItemArena::intern`]).
+//!
 //! The two join sides never unify — `R1`'s node 7 and `R2`'s node 7 are
 //! different items — and neither do an object's exact ([`Item::Object`])
 //! and bounding-rectangle ([`Item::Obr`]) forms, which share a paper
@@ -28,8 +37,8 @@ use crate::pair::{Item, Pair};
 /// (bits 61–62), node/object id (low 61 bits). Two items with equal keys
 /// are identical (a node id determines its level and region; an object id
 /// determines its rectangle), which `intern` verifies in debug builds.
-/// Packing keeps the interning map's buckets and the per-slot key column at
-/// 8 bytes — the arena is resident queue memory, accounted per byte.
+/// Packing keeps the per-slot key column at 8 bytes — the arena is resident
+/// queue memory, accounted per byte.
 ///
 /// Kinds: 0 = node, 1 = obr, 2 = object. Obr and Object must not unify:
 /// they share an id but differ in finality ([`Pair::is_final`]).
@@ -41,6 +50,75 @@ fn arena_key<const D: usize>(side: bool, item: &Item<D>) -> u64 {
     };
     debug_assert!(id < 1 << 61, "arena item id overflows the packed key");
     (u64::from(side) << 63) | (kind << 61) | id
+}
+
+/// Ids below this are indexed by a flat table (at most 4 MiB per side and
+/// kind); larger ones by a hash map.
+const DENSE_IDS: u64 = 1 << 20;
+
+/// Marks an id with no live slot; never a valid slot (slots stay below the
+/// `u32::MAX` representation cap).
+const NO_SLOT: u32 = u32::MAX;
+
+/// Key → slot lookup of an [`ItemArena`]'s live items.
+#[derive(Debug, Default)]
+struct SlotIndex {
+    /// Slot by id for ids below [`DENSE_IDS`], one table per `key >> 61`
+    /// (side and kind), grown to the largest id seen; [`NO_SLOT`] where no
+    /// item is live.
+    dense: [Vec<u32>; 8],
+    /// Every other key.
+    sparse: IdHashMap<u64, u32>,
+}
+
+impl SlotIndex {
+    /// The table and id of a densely indexed key.
+    #[inline]
+    fn dense_cell(key: u64) -> Option<(usize, usize)> {
+        let id = key & ((1 << 61) - 1);
+        (id < DENSE_IDS).then_some(((key >> 61) as usize, id as usize))
+    }
+
+    #[inline]
+    fn get(&self, key: u64) -> Option<u32> {
+        match Self::dense_cell(key) {
+            Some((t, id)) => self.dense[t].get(id).copied().filter(|&s| s != NO_SLOT),
+            None => self.sparse.get(&key).copied(),
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, key: u64, slot: u32) {
+        match Self::dense_cell(key) {
+            Some((t, id)) => {
+                let table = &mut self.dense[t];
+                if table.len() <= id {
+                    let len = (id + 1).max(2 * table.len()).min(DENSE_IDS as usize);
+                    table.resize(len, NO_SLOT);
+                }
+                table[id] = slot;
+            }
+            None => {
+                self.sparse.insert(key, slot);
+            }
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, key: u64) {
+        match Self::dense_cell(key) {
+            Some((t, id)) => self.dense[t][id] = NO_SLOT,
+            None => {
+                self.sparse.remove(&key);
+            }
+        }
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.dense.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<u32>()
+            // Hashbrown stores (K, V) buckets plus one control byte each.
+            + self.sparse.capacity() * (std::mem::size_of::<(u64, u32)>() + 1)
+    }
 }
 
 /// Compact pair payload stored by the flat queue layout: two [`ItemArena`]
@@ -81,14 +159,14 @@ pub struct ItemArena<const D: usize> {
     /// Slot payloads; freed slots keep their stale item (items are `Copy`)
     /// until reuse.
     items: Vec<Item<D>>,
-    /// Interning key of each slot, for map removal on release.
+    /// Interning key of each slot, for index removal on release.
     keys: Vec<u64>,
     /// Reference count of each slot; 0 marks a free-listed slot.
     refs: Vec<u32>,
     /// Freed slots awaiting reuse.
     free: Vec<u32>,
     /// Key → slot lookup for live slots.
-    map: IdHashMap<u64, u32>,
+    index: SlotIndex,
     /// Live (referenced) slots.
     live: usize,
     /// Lifetime high-water mark of `live`.
@@ -109,7 +187,7 @@ impl<const D: usize> Default for ItemArena<D> {
             keys: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
-            map: IdHashMap::default(),
+            index: SlotIndex::default(),
             live: 0,
             high_water: 0,
             recycled: 0,
@@ -155,16 +233,15 @@ impl<const D: usize> ItemArena<D> {
         self.recycled
     }
 
-    /// Approximate resident bytes: slot columns plus the interning map, all
-    /// at capacity.
+    /// Approximate resident bytes: slot columns and the slot index, all at
+    /// capacity.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.items.capacity() * std::mem::size_of::<Item<D>>()
             + self.keys.capacity() * std::mem::size_of::<u64>()
             + self.refs.capacity() * std::mem::size_of::<u32>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-            // Hashbrown stores (K, V) buckets plus one control byte each.
-            + self.map.capacity() * (std::mem::size_of::<(u64, u32)>() + 1)
+            + self.index.approx_bytes()
     }
 
     /// Reserves one more slot in `v` with 25% amortized growth instead of
@@ -178,7 +255,9 @@ impl<const D: usize> ItemArena<D> {
         }
     }
 
-    /// Interns one item, returning its slot and taking one reference.
+    /// Interns one item, returning its slot and taking one reference: a
+    /// live item gets a reference-count bump on its slot, a new one the next
+    /// free slot.
     ///
     /// # Errors
     ///
@@ -187,7 +266,7 @@ impl<const D: usize> ItemArena<D> {
     /// query that overflowed is killed cleanly, not the process.
     pub fn intern(&mut self, side: bool, item: &Item<D>) -> sdj_storage::Result<u32> {
         let key = arena_key(side, item);
-        if let Some(&slot) = self.map.get(&key) {
+        if let Some(slot) = self.index.get(key) {
             debug_assert_eq!(
                 &self.items[slot as usize], item,
                 "two distinct items interned under one arena key"
@@ -217,7 +296,7 @@ impl<const D: usize> ItemArena<D> {
                 slot
             }
         };
-        self.map.insert(key, slot);
+        self.index.insert(key, slot);
         self.live += 1;
         self.high_water = self.high_water.max(self.live);
         Ok(slot)
@@ -260,7 +339,7 @@ impl<const D: usize> ItemArena<D> {
         debug_assert!(self.refs[i] > 0, "releasing a freed arena slot");
         self.refs[i] -= 1;
         if self.refs[i] == 0 {
-            self.map.remove(&self.keys[i]);
+            self.index.remove(self.keys[i]);
             Self::reserve_one(&mut self.free);
             self.free.push(slot);
             self.live -= 1;
@@ -340,6 +419,26 @@ mod tests {
         assert_eq!(arena.live(), 0);
         assert_eq!(arena.high_water(), 2, "only one pair live at a time");
         assert_eq!(arena.recycled(), 18, "rounds after the first reuse slots");
+    }
+
+    #[test]
+    fn ids_past_the_dense_tables_intern_through_the_map() {
+        let mut arena = ItemArena::<2>::new();
+        let big = DENSE_IDS + 5;
+        let a = arena.intern(true, &obr(big)).unwrap();
+        assert_eq!(arena.intern(true, &obr(big)).unwrap(), a, "shared");
+        let small = arena.intern(true, &obr(5)).unwrap();
+        assert_ne!(a, small, "id 5 and id 2^20 + 5 are different items");
+        arena.release(a);
+        arena.release(a);
+        assert_eq!(arena.live(), 1);
+        let b = arena.intern(true, &node(big)).unwrap();
+        assert_eq!(b, a, "the freed slot is recycled");
+        assert_eq!(arena.resolve(b), node(big));
+        assert!(
+            arena.approx_bytes() < 64 * 1024,
+            "a large id does not size a dense table"
+        );
     }
 
     #[test]

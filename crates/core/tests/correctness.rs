@@ -486,6 +486,7 @@ fn open_cursor_streams_every_plan_at_every_batch_size() {
                 adaptive,
                 None,
             )
+            .expect("a valid config opens")
         };
         for batch in [1, 7, usize::MAX] {
             let mut cursor = open(config);
@@ -600,4 +601,37 @@ fn within_query_equivalence() {
         .filter(|d| *d <= eps_d)
         .count();
     assert_eq!(got, want);
+}
+
+/// The default (flat) layout's queue accounting is deterministic: the same
+/// query on freshly built trees reports identical counters, and the queue's
+/// byte peak is equal to the byte — for a K-bounded drain and for a
+/// semi-join alike.
+#[test]
+fn default_layout_stats_repeat_exactly() {
+    let a = uniform_points(1_200, &unit_box(), 41);
+    let b = uniform_points(1_200, &unit_box(), 42);
+    let k_drain = || {
+        let (t1, t2) = (build_tree(&a, 8), build_tree(&b, 8));
+        let mut join = DistanceJoin::new(&t1, &t2, JoinConfig::default().with_max_pairs(5_000));
+        assert_eq!(join.by_ref().count(), 5_000);
+        assert!(join.take_error().is_none());
+        join.stats()
+    };
+    let semi = || {
+        let (t1, t2) = (build_tree(&a, 8), build_tree(&b, 8));
+        let semi = SemiConfig {
+            filter: SemiFilter::Inside2,
+            dmax: DmaxStrategy::GlobalAll,
+        };
+        let mut join = DistanceJoin::semi(&t1, &t2, JoinConfig::default(), semi);
+        assert_eq!(join.by_ref().count(), a.len());
+        assert!(join.take_error().is_none());
+        join.stats()
+    };
+    for run in [&k_drain as &dyn Fn() -> _, &semi] {
+        let (first, second) = (run(), run());
+        assert!(first.queue_bytes_peak > 0);
+        assert_eq!(first, second);
+    }
 }

@@ -1,14 +1,14 @@
-//! A cache-conscious flat 4-ary implicit heap over compact 16-byte entries.
+//! A cache-conscious flat 4-ary implicit heap over compact inline entries.
 //!
 //! The pairing heap ([`crate::PairingHeap`]) pays a pointer chase per
 //! comparison and drags the full `(K, V)` payload through every merge. Here
-//! the heap sifts only a compact entry — `(key: u64, tag: u32, payload:
-//! u32)` in SoA layout — while the value lives in a u32-indexed slab with
-//! free-list recycling: slots are freed on pop and reused on push, so
-//! steady-state queue memory is O(live elements) with zero per-element
-//! allocation. The key is *not* stored at all: [`QueueKey`] keys are fully
-//! determined by their order image, so pops rebuild them from the entry
-//! via [`QueueKey::from_parts`].
+//! the heap sifts only a compact entry — `(key: u64, tag: u32, value: V)`
+//! in SoA layout — with the value stored inline and moved with its entry.
+//! Values are meant to be small `Copy` handles (the join stores an 8-byte
+//! pair of arena slots), so an entry is 20 bytes and a push or pop touches
+//! no memory outside the three columns. The key is *not* stored at all:
+//! [`QueueKey`] keys are fully determined by their order image, so pops
+//! rebuild them from the entry via [`QueueKey::from_parts`].
 //!
 //! The arrays grow by 25% instead of the usual doubling — this layout
 //! exists to keep resident queue memory low, and trading a few extra
@@ -24,7 +24,7 @@
 //!   the live entries are renumbered in place (a `(key, tag)`-sorted array
 //!   is itself a valid implicit heap, so renumbering is a sort, not a
 //!   rebuild).
-//! * `payload` indexes the slab.
+//! * `value` is the caller's payload.
 //!
 //! Children of entry `i` sit at `4i+1 ..= 4i+4` — one 32-byte span of the
 //! key array, compared with the same `as_chunks` lane shape as the geometry
@@ -47,60 +47,42 @@ const SEQ_BITS: u32 = 24;
 /// Mask of the arrival-sequence field.
 const SEQ_MASK: u32 = (1 << SEQ_BITS) - 1;
 
-/// A flat 4-ary implicit min-heap of compact entries over a `(K, V)` slab.
+/// A flat 4-ary implicit min-heap of compact entries with inline values.
 pub struct FlatHeap<K, V> {
-    /// Sifted region, SoA: `keys[i]`/`tags[i]`/`pays[i]` form entry `i`.
+    /// Sifted region, SoA: `keys[i]`/`tags[i]`/`vals[i]` form entry `i`.
     keys: Vec<u64>,
     tags: Vec<u32>,
-    pays: Vec<u32>,
+    vals: Vec<V>,
     /// Staged (unsorted) entries — the hybrid queue's list tier.
-    staged: Vec<(u64, u32, u32)>,
-    /// Value slab, indexed by the entry payload. Freed slots keep their
-    /// last value until reused.
-    slab_vals: Vec<V>,
-    free: Vec<u32>,
+    staged: Vec<(u64, u32, V)>,
     /// Keys exist only as compact entries; see [`QueueKey::from_parts`].
     _keys: std::marker::PhantomData<K>,
     /// Next arrival sequence (low [`SEQ_BITS`] bits of the next tag).
     seq: u32,
     len: usize,
     max_len: usize,
-    slab_high_water: usize,
-    slab_recycled: u64,
 }
 
-impl<K: QueueKey, V: Clone> Default for FlatHeap<K, V> {
+impl<K: QueueKey, V: Copy> Default for FlatHeap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
+impl<K: QueueKey, V: Copy> FlatHeap<K, V> {
     /// Creates an empty heap.
     #[must_use]
     pub fn new() -> Self {
         Self {
             keys: Vec::new(),
             tags: Vec::new(),
-            pays: Vec::new(),
+            vals: Vec::new(),
             staged: Vec::new(),
-            slab_vals: Vec::new(),
-            free: Vec::new(),
             _keys: std::marker::PhantomData,
             seq: 0,
             len: 0,
             max_len: 0,
-            slab_high_water: 0,
-            slab_recycled: 0,
         }
-    }
-
-    /// Creates an empty heap with pre-allocated capacity.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut h = Self::new();
-        h.reserve(cap);
-        h
     }
 
     /// Number of elements (sifted + staged).
@@ -127,44 +109,14 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
         self.staged.len()
     }
 
-    /// Largest length observed.
-    #[must_use]
-    pub fn high_water_mark(&self) -> usize {
-        self.max_len
-    }
-
-    /// High-water mark of live slab slots. Recycling keeps this equal to the
-    /// queue's own high-water mark: a freed slot is reused before the slab
-    /// grows.
-    #[must_use]
-    pub fn slab_high_water(&self) -> usize {
-        self.slab_high_water
-    }
-
-    /// Live slab slots (always exactly the element count: every queued
-    /// element owns one slot).
-    #[must_use]
-    pub fn slab_live(&self) -> usize {
-        self.len
-    }
-
-    /// How many pushes were served from the free list instead of growing
-    /// the slab.
-    #[must_use]
-    pub fn slab_recycled(&self) -> u64 {
-        self.slab_recycled
-    }
-
-    /// Approximate resident bytes of the heap: entry arrays, staged run,
-    /// value slab, and free list, at their allocated capacities.
+    /// Approximate resident bytes of the heap: entry columns and staged run
+    /// at their allocated capacities.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.keys.capacity() * 8
             + self.tags.capacity() * 4
-            + self.pays.capacity() * 4
-            + self.staged.capacity() * std::mem::size_of::<(u64, u32, u32)>()
-            + self.slab_vals.capacity() * std::mem::size_of::<V>()
-            + self.free.capacity() * 4
+            + self.vals.capacity() * std::mem::size_of::<V>()
+            + self.staged.capacity() * std::mem::size_of::<(u64, u32, V)>()
     }
 
     /// Reserves one more slot in `v` with 25% amortized growth (see the
@@ -176,35 +128,31 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
         }
     }
 
-    /// Appends one compact entry to the sifted arrays, growing by 25%.
+    /// Appends one compact entry to the sifted columns, growing by 25%.
     #[inline]
-    fn push_entry(&mut self, k: u64, t: u32, p: u32) {
+    fn push_entry(&mut self, k: u64, t: u32, v: V) {
         Self::reserve_one(&mut self.keys);
         Self::reserve_one(&mut self.tags);
-        Self::reserve_one(&mut self.pays);
+        Self::reserve_one(&mut self.vals);
         self.keys.push(k);
         self.tags.push(t);
-        self.pays.push(p);
+        self.vals.push(v);
     }
 
-    /// Ensures space for `additional` more elements without reallocating
-    /// (beyond slab slots recycled through the free list).
+    /// Ensures space for `additional` more sifted elements without
+    /// reallocating.
     pub fn reserve(&mut self, additional: usize) {
         self.keys.reserve(additional);
         self.tags.reserve(additional);
-        self.pays.reserve(additional);
-        let fresh = additional.saturating_sub(self.free.len());
-        self.slab_vals.reserve(fresh);
+        self.vals.reserve(additional);
     }
 
     /// Drops all elements, keeping capacity.
     pub fn clear(&mut self) {
         self.keys.clear();
         self.tags.clear();
-        self.pays.clear();
+        self.vals.clear();
         self.staged.clear();
-        self.slab_vals.clear();
-        self.free.clear();
         self.seq = 0;
         self.len = 0;
     }
@@ -218,23 +166,14 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
         Some(Self::rebuild_key(bits, tag))
     }
 
-    /// The minimum sifted key and a reference to its value.
-    #[must_use]
-    pub fn peek_entry(&self) -> Option<(K, &V)> {
-        let &pay = self.pays.first()?;
-        Some((self.peek()?, self.slab_vals.get(pay as usize)?))
-    }
-
     /// Visits up to `limit` sifted entries in array (level) order: the
     /// minimum first, then the top of the heap outward. Like
     /// [`crate::PairingHeap::peek_top`], the visited set approximates "the
     /// entries nearest the head" without disturbing the heap; here it is a
-    /// plain prefix scan of the entry arrays. O(limit).
+    /// plain prefix scan of the entry columns. O(limit).
     pub fn peek_top(&self, limit: usize, mut visit: impl FnMut(K, &V)) {
-        for (i, &pay) in self.pays.iter().take(limit).enumerate() {
-            if let Some(v) = self.slab_vals.get(pay as usize) {
-                visit(Self::rebuild_key(self.keys[i], self.tags[i]), v);
-            }
+        for (i, v) in self.vals.iter().take(limit).enumerate() {
+            visit(Self::rebuild_key(self.keys[i], self.tags[i]), v);
         }
     }
 
@@ -249,14 +188,13 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
     pub fn push(&mut self, key: K, value: V) {
         let bits = key.order_bits();
         let tag = self.next_tag(key.tie_rank());
-        let pay = self.alloc_slot(value);
-        self.push_entry(bits, tag, pay);
+        self.push_entry(bits, tag, value);
         self.sift_up(self.keys.len() - 1);
         self.len += 1;
         self.max_len = self.max_len.max(self.len);
     }
 
-    /// Inserts a batch of elements, growing the arrays at most once.
+    /// Inserts a batch of elements, growing the columns at most once.
     ///
     /// Entries are appended raw and the heap invariant is restored once at
     /// the end: per-entry sift-up for small batches (`O(k·log₄ n)`), or one
@@ -274,8 +212,7 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
         for (key, value) in batch {
             let bits = key.order_bits();
             let tag = self.next_tag(key.tie_rank());
-            let pay = self.alloc_slot(value);
-            self.push_entry(bits, tag, pay);
+            self.push_entry(bits, tag, value);
             self.len += 1;
         }
         self.max_len = self.max_len.max(self.len);
@@ -318,14 +255,10 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
     /// whose order is about to be discarded.
     pub fn drain_unordered(&mut self, mut visit: impl FnMut(K, V)) {
         for i in 0..self.keys.len() {
-            let key = Self::rebuild_key(self.keys[i], self.tags[i]);
-            let value = self.slab_vals[self.pays[i] as usize].clone();
-            visit(key, value);
+            visit(Self::rebuild_key(self.keys[i], self.tags[i]), self.vals[i]);
         }
-        for (bits, tag, pay) in std::mem::take(&mut self.staged) {
-            let key = Self::rebuild_key(bits, tag);
-            let value = self.slab_vals[pay as usize].clone();
-            visit(key, value);
+        for (bits, tag, value) in std::mem::take(&mut self.staged) {
+            visit(Self::rebuild_key(bits, tag), value);
         }
         self.clear();
     }
@@ -337,9 +270,8 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
     pub fn stage(&mut self, key: K, value: V) {
         let bits = key.order_bits();
         let tag = self.next_tag(key.tie_rank());
-        let pay = self.alloc_slot(value);
         Self::reserve_one(&mut self.staged);
-        self.staged.push((bits, tag, pay));
+        self.staged.push((bits, tag, value));
         self.len += 1;
         self.max_len = self.max_len.max(self.len);
     }
@@ -357,17 +289,15 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
         }
         self.staged.sort_by_key(|&(k, t, _)| (k, t));
         if self.keys.is_empty() {
-            self.keys.reserve(n);
-            self.tags.reserve(n);
-            self.pays.reserve(n);
-            for (k, t, p) in self.staged.drain(..) {
+            self.reserve(n);
+            for (k, t, v) in self.staged.drain(..) {
                 self.keys.push(k);
                 self.tags.push(t);
-                self.pays.push(p);
+                self.vals.push(v);
             }
         } else {
-            for (k, t, p) in std::mem::take(&mut self.staged) {
-                self.push_entry(k, t, p);
+            for (k, t, v) in std::mem::take(&mut self.staged) {
+                self.push_entry(k, t, v);
                 self.sift_up(self.keys.len() - 1);
             }
         }
@@ -383,47 +313,21 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
             }
             self.promote_staged();
         }
-        let (bits, tag, pay) = (self.keys[0], self.tags[0], self.pays[0]);
+        let (bits, tag, value) = (self.keys[0], self.tags[0], self.vals[0]);
         let last = self.keys.len() - 1;
         if last > 0 {
             self.keys[0] = self.keys[last];
             self.tags[0] = self.tags[last];
-            self.pays[0] = self.pays[last];
+            self.vals[0] = self.vals[last];
         }
         self.keys.truncate(last);
         self.tags.truncate(last);
-        self.pays.truncate(last);
+        self.vals.truncate(last);
         if last > 1 {
             self.sift_down(0);
         }
         self.len -= 1;
-        Some((Self::rebuild_key(bits, tag), self.take_slot(pay)))
-    }
-
-    fn alloc_slot(&mut self, value: V) -> u32 {
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab_vals[i as usize] = value;
-                self.slab_recycled += 1;
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slab_vals.len()).unwrap_or(u32::MAX);
-                Self::reserve_one(&mut self.slab_vals);
-                self.slab_vals.push(value);
-                i
-            }
-        };
-        let live = self.slab_vals.len() - self.free.len();
-        self.slab_high_water = self.slab_high_water.max(live);
-        idx
-    }
-
-    fn take_slot(&mut self, pay: u32) -> V {
-        let out = self.slab_vals[pay as usize].clone();
-        Self::reserve_one(&mut self.free);
-        self.free.push(pay);
-        out
+        Some((Self::rebuild_key(bits, tag), value))
     }
 
     /// Allocates the next entry tag: `tie` in the high 8 bits over the
@@ -447,27 +351,27 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
     /// its sorted entries, which is again a valid implicit heap.
     fn renumber(&mut self) {
         let sifted = self.keys.len();
-        let mut all: Vec<(u64, u32, u32, bool)> = Vec::with_capacity(sifted + self.staged.len());
+        let mut all: Vec<(u64, u32, V, bool)> = Vec::with_capacity(sifted + self.staged.len());
         for i in 0..sifted {
-            all.push((self.keys[i], self.tags[i], self.pays[i], true));
+            all.push((self.keys[i], self.tags[i], self.vals[i], true));
         }
-        for &(k, t, p) in &self.staged {
-            all.push((k, t, p, false));
+        for &(k, t, v) in &self.staged {
+            all.push((k, t, v, false));
         }
         all.sort_by_key(|&(k, t, _, _)| (k, t));
         self.keys.clear();
         self.tags.clear();
-        self.pays.clear();
+        self.vals.clear();
         self.staged.clear();
-        for (rank, (k, t, p, in_sifted)) in all.into_iter().enumerate() {
+        for (rank, (k, t, v, in_sifted)) in all.into_iter().enumerate() {
             let seq = u32::try_from(rank).unwrap_or(u32::MAX).min(SEQ_MASK);
             let tag = (t & !SEQ_MASK) | seq;
             if in_sifted {
                 self.keys.push(k);
                 self.tags.push(tag);
-                self.pays.push(p);
+                self.vals.push(v);
             } else {
-                self.staged.push((k, tag, p));
+                self.staged.push((k, tag, v));
             }
         }
         self.seq = u32::try_from(self.len).unwrap_or(u32::MAX);
@@ -479,28 +383,40 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
         a < b
     }
 
+    /// Moves entry `from` into slot `to` (all three columns).
+    #[inline]
+    fn move_entry(&mut self, from: usize, to: usize) {
+        self.keys[to] = self.keys[from];
+        self.tags[to] = self.tags[from];
+        self.vals[to] = self.vals[from];
+    }
+
+    /// Writes `entry` into slot `i`.
+    #[inline]
+    fn put(&mut self, i: usize, (k, t, v): (u64, u32, V)) {
+        self.keys[i] = k;
+        self.tags[i] = t;
+        self.vals[i] = v;
+    }
+
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
-        let entry = (self.keys[i], self.tags[i], self.pays[i]);
+        let entry = (self.keys[i], self.tags[i], self.vals[i]);
         while i > 0 {
             let parent = (i - 1) / ARITY;
             if !Self::less((entry.0, entry.1), (self.keys[parent], self.tags[parent])) {
                 break;
             }
-            self.keys[i] = self.keys[parent];
-            self.tags[i] = self.tags[parent];
-            self.pays[i] = self.pays[parent];
+            self.move_entry(parent, i);
             i = parent;
         }
-        self.keys[i] = entry.0;
-        self.tags[i] = entry.1;
-        self.pays[i] = entry.2;
+        self.put(i, entry);
     }
 
     #[inline]
     fn sift_down(&mut self, mut i: usize) {
         let n = self.keys.len();
-        let entry = (self.keys[i], self.tags[i], self.pays[i]);
+        let entry = (self.keys[i], self.tags[i], self.vals[i]);
         loop {
             let base = ARITY * i + 1;
             if base >= n {
@@ -534,23 +450,22 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
             if !Self::less((self.keys[c], self.tags[c]), (entry.0, entry.1)) {
                 break;
             }
-            self.keys[i] = self.keys[c];
-            self.tags[i] = self.tags[c];
-            self.pays[i] = self.pays[c];
+            self.move_entry(c, i);
             i = c;
         }
-        self.keys[i] = entry.0;
-        self.tags[i] = entry.1;
-        self.pays[i] = entry.2;
+        self.put(i, entry);
     }
 
-    #[cfg(test)]
-    fn force_seq(&mut self, seq: u32) {
-        self.seq = seq;
+    /// Moves the arrival sequence forward to `n` tags short of its 24-bit
+    /// wrap (never backward, so FIFO order is kept): the push after the
+    /// next `n` renumbers the live entries. Lets tests reach the wrap
+    /// without 2^24 pushes.
+    pub fn skip_to_sequence_wrap(&mut self, n: u32) {
+        self.seq = self.seq.max((SEQ_MASK + 1).saturating_sub(n));
     }
 }
 
-impl<K: QueueKey, V: Clone> PriorityQueue<K, V> for FlatHeap<K, V> {
+impl<K: QueueKey, V: Copy> PriorityQueue<K, V> for FlatHeap<K, V> {
     fn push(&mut self, key: K, value: V) -> sdj_storage::Result<()> {
         FlatHeap::push(self, key, value);
         Ok(())
@@ -634,26 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_recycled() {
-        let mut h: FlatHeap<OrdF64, u64> = FlatHeap::new();
-        for round in 0..10 {
-            for k in 0..100 {
-                h.push(OrdF64::new(f64::from(k)), round);
-            }
-            for _ in 0..100 {
-                h.pop().unwrap();
-            }
-        }
-        assert!(
-            h.slab_vals.len() <= 100,
-            "slab grew to {}",
-            h.slab_vals.len()
-        );
-        assert_eq!(h.slab_high_water(), 100);
-        assert_eq!(h.slab_recycled(), 900);
-    }
-
-    #[test]
     fn staged_promotion_restores_order() {
         let mut h: FlatHeap<OrdF64, u64> = FlatHeap::new();
         h.stage(OrdF64::new(3.0), 0);
@@ -701,7 +596,7 @@ mod tests {
         h.stage(OrdF64::new(1.0), 10);
         // Force the 24-bit sequence to its limit: the next tag triggers a
         // renumber of the 11 live entries.
-        h.force_seq(SEQ_MASK + 1);
+        h.skip_to_sequence_wrap(0);
         h.push(OrdF64::new(1.0), 11);
         h.stage(OrdF64::new(1.0), 12);
         h.promote_staged();
@@ -735,7 +630,10 @@ mod tests {
         assert_eq!(h.approx_bytes(), 0);
         h.push(OrdF64::new(1.0), 1);
         let one = h.approx_bytes();
-        assert!(one >= 16 + 8, "entry + slab accounted: {one}");
+        assert!(
+            one >= 8 + 4 + 8,
+            "key, tag and inline value accounted: {one}"
+        );
         for k in 0..100 {
             h.push(OrdF64::new(f64::from(k)), 0);
         }

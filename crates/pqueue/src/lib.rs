@@ -8,8 +8,8 @@
 //!   the pairing heap structure", §3.2), with O(1) insert and amortised
 //!   O(log n) delete-min;
 //! * [`FlatHeap`] — a cache-conscious flat 4-ary implicit heap sifting
-//!   16-byte compact entries in SoA layout over a slab of `(K, V)` payloads
-//!   with free-list recycling ([`Layout::FlatDary`]);
+//!   compact entries in SoA layout with small `Copy` values inline
+//!   ([`Layout::FlatDary`], the default layout);
 //! * [`HybridQueue`] — the three-tier memory/disk scheme of §3.2: keys below
 //!   `D1` live in a heap (either layout), keys in `[D1, D2)` in an
 //!   unorganised in-memory list, and keys of `D2` and above spill to linked

@@ -5,15 +5,12 @@
 //! (heap-only, heavy list traffic, spill-and-reload), a [`Layout::FlatDary`]
 //! queue pops exactly the `(key, value)` sequence of a [`Layout::Pairing`]
 //! queue — including FIFO order among equal keys — while its tier-occupancy
-//! gauges always sum to the queue's length and its payload slab never holds
-//! more live slots than the queue's element high-water mark.
+//! gauges always sum to the queue's length.
 
 use proptest::prelude::*;
 use sdj_geom::OrdF64;
 use sdj_obs::Registry;
-use sdj_pqueue::{
-    FlatHeap, HybridConfig, HybridQueue, KeyScale, Layout, PriorityQueue, TierGauges,
-};
+use sdj_pqueue::{HybridConfig, HybridQueue, KeyScale, Layout, PriorityQueue, TierGauges};
 
 fn queue(dt: f64, page_size: usize, layout: Layout) -> HybridQueue<OrdF64, u64> {
     HybridQueue::new(HybridConfig {
@@ -81,36 +78,12 @@ proptest! {
         }
         prop_assert_eq!(pairing.stats(), flat.stats(), "tier traffic diverged");
     }
-
-    /// The flat heap's payload slab recycles freed slots: live slots always
-    /// equal the element count, and the slab's high-water mark never
-    /// exceeds the queue's element high-water mark.
-    #[test]
-    fn slab_live_slots_never_exceed_queue_high_water(
-        ops in prop::collection::vec((any::<bool>(), 0u32..100), 1..300),
-    ) {
-        let mut h: FlatHeap<OrdF64, u64> = FlatHeap::new();
-        for (push, k) in ops {
-            if push {
-                h.push(OrdF64::new(f64::from(k)), u64::from(k));
-            } else {
-                h.pop();
-            }
-            prop_assert_eq!(h.slab_live(), h.len(), "slab live slots track len");
-            prop_assert!(
-                h.slab_high_water() <= h.high_water_mark(),
-                "slab high-water {} exceeds queue high-water {}",
-                h.slab_high_water(),
-                h.high_water_mark()
-            );
-        }
-    }
 }
 
 /// A deterministic spill-and-reload cycle: keys far above `D2` go to disk,
 /// then the frontier advances past them and pulls the buckets back. Both
-/// layouts must reload into identical pop order, and the flat slab must be
-/// fully recycled once drained.
+/// layouts must reload into identical pop order and free every spill page
+/// once drained.
 #[test]
 fn spill_reload_cycle_matches_across_layouts() {
     let mut pairing = queue(1.0, 128, Layout::Pairing);
@@ -141,8 +114,7 @@ fn spill_reload_cycle_matches_across_layouts() {
     }
     assert_eq!(n, 400);
     assert_eq!(pairing.stats(), flat.stats());
-    let (live, high, recycled) = flat.slab_stats().expect("flat layout has a slab");
-    assert_eq!(live, 0, "drained queue must hold no live slab slots");
-    assert!(high <= 400);
-    assert!(recycled > 0, "the spill cycle must have recycled slots");
+    assert_eq!(flat.in_memory_len() + flat.on_disk_len(), 0);
+    let disk = flat.disk_stats();
+    assert_eq!(disk.allocations, disk.frees, "every spill page freed");
 }

@@ -43,7 +43,9 @@ use std::sync::Arc;
 
 use sdj_core::bulk::BulkConfig;
 use sdj_core::plan::plan_for_trees;
-use sdj_core::{open_cursor, AdaptiveConfig, JoinConfig, JoinCursor, PlanChoice, ResultPair};
+use sdj_core::{
+    open_cursor, AdaptiveConfig, ConfigError, JoinConfig, JoinCursor, PlanChoice, ResultPair,
+};
 use sdj_obs::{Event, ObsContext, SessionSection};
 use sdj_rtree::RTree;
 use sdj_storage::{PoolStats, StorageError};
@@ -78,6 +80,9 @@ pub enum ServiceError {
     /// before this error are a correct prefix of the fault-free stream
     /// (the engines' fail-clean contract, surfaced per session).
     Storage(StorageError),
+    /// `open` refused a join config no engine can run. No session was
+    /// opened and no admission slot is held.
+    InvalidConfig(ConfigError),
 }
 
 impl fmt::Display for ServiceError {
@@ -96,6 +101,7 @@ impl fmt::Display for ServiceError {
                 "session memory budget exceeded: holding {held_bytes} bytes of {budget_bytes}"
             ),
             Self::Storage(e) => write!(f, "storage fault: {e}"),
+            Self::InvalidConfig(e) => write!(f, "invalid join config: {e}"),
         }
     }
 }
@@ -104,6 +110,7 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Storage(e) => Some(e),
+            Self::InvalidConfig(e) => Some(e),
             _ => None,
         }
     }
@@ -497,6 +504,11 @@ impl<'t, const D: usize> JoinService<'t, D> {
     /// construction, obs attribution. The handle borrows the service's
     /// trees, not the service — open sessions outlive intermediate
     /// `open` calls freely.
+    ///
+    /// # Errors
+    /// [`ServiceError::AdmissionDenied`] at the session limit, and
+    /// [`ServiceError::InvalidConfig`] for a join config no engine can run
+    /// (its admission slot is returned at once).
     pub fn open(&self, config: SessionConfig) -> Result<SessionHandle<'t, D>, ServiceError> {
         let limit = self.config.max_sessions;
         if let Err(active) = self
@@ -527,7 +539,11 @@ impl<'t, const D: usize> JoinService<'t, D> {
             config.bulk,
             config.adaptive,
             self.ctx.as_ref().map(|ctx| (ctx, prefix.as_str())),
-        );
+        )
+        .map_err(|e| {
+            self.active.fetch_sub(1, Ordering::AcqRel);
+            ServiceError::InvalidConfig(e)
+        })?;
         if let Some(ctx) = &self.ctx {
             ctx.sink.emit(&Event::SessionOpened {
                 session: id,

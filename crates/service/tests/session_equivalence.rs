@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 use sdj_core::bulk::BulkDistanceJoin;
 use sdj_core::{
-    AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, PlanChoice, QueueBackend,
-    ResultOrder,
+    AdaptiveConfig, AdaptiveDistanceJoin, ConfigError, DistanceJoin, JoinConfig, PlanChoice,
+    QueueBackend, ResultOrder,
 };
 use sdj_geom::Rect;
 use sdj_pqueue::{HybridConfig, KeyScale};
@@ -393,6 +393,77 @@ fn admission_limit_is_enforced_and_slots_recycle() {
     let _s3 = service
         .open(SessionConfig::default())
         .expect("slot recycled");
+}
+
+/// A join config no engine can run is refused at `open` with a typed error
+/// on every plan — no panic, no admission slot kept — while a session
+/// opened before it keeps streaming its solo stream.
+#[test]
+fn invalid_configs_are_typed_errors_and_open_sessions_keep_streaming() {
+    let rects: Vec<Rect<2>> = (0..40)
+        .map(|i| {
+            let x = f64::from(i % 7) * 1.3;
+            let y = f64::from(i / 7) * 0.8;
+            Rect::new([x, y], [x + 0.4, y + 0.4])
+        })
+        .collect();
+    let t1 = tree(&rects, 4);
+    let t2 = tree(&rects[..30], 4);
+    let service = JoinService::new(&t1, &t2, ServiceConfig::default());
+    let mut live = service
+        .open(SessionConfig {
+            force_plan: Some(PlanChoice::Incremental),
+            ..SessionConfig::default()
+        })
+        .unwrap();
+    let mut got = live.next_batch(5).unwrap().results;
+
+    let bad = [
+        (
+            JoinConfig::default().with_range(3.0, 1.0),
+            ConfigError::InvertedRange,
+        ),
+        (
+            JoinConfig::default().with_range(-0.5, 1.0),
+            ConfigError::NegativeBound,
+        ),
+        (
+            JoinConfig {
+                order: ResultOrder::Descending,
+                queue: hybrid_backend(),
+                ..JoinConfig::default()
+            },
+            ConfigError::DescendingHybrid,
+        ),
+    ];
+    for (join, want) in bad {
+        for plan in [None].into_iter().chain(PlanChoice::ALL.map(Some)) {
+            let opened = service.open(SessionConfig {
+                join,
+                force_plan: plan,
+                ..SessionConfig::default()
+            });
+            match opened {
+                Err(ServiceError::InvalidConfig(e)) => assert_eq!(e, want, "{plan:?}"),
+                Err(other) => panic!("{plan:?}: expected InvalidConfig, got {other:?}"),
+                Ok(_) => panic!("{plan:?}: an invalid config opened a session"),
+            }
+            assert_eq!(service.active_sessions(), 1, "refusal kept a slot");
+        }
+        got.extend(live.next_batch(5).unwrap().results);
+    }
+
+    loop {
+        let b = live.next_batch(16).unwrap();
+        got.extend(b.results);
+        if b.done {
+            break;
+        }
+    }
+    let mut join = DistanceJoin::new(&t1, &t2, JoinConfig::default());
+    let reference: Vec<_> = join.by_ref().collect();
+    assert!(join.take_error().is_none());
+    assert_eq!(triples(&got), triples(&reference));
 }
 
 /// A runaway session is killed cleanly by its byte budget — typed error,
