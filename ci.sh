@@ -41,15 +41,23 @@ cargo test -p sdj-geom --offline -q --test kernel_equivalence
 cargo test -p sdj-core --offline -q --test key_domain
 
 echo "==> estimator gate"
-# The §2.2.4 maximum-distance estimator (slab + addressable max-heap + id
-# hash table) must follow the sorted-map reference model's d_max trajectory
-# bit for bit after every call. Pruning reads nothing else from it, so an
-# identical trajectory means identical result streams and identical counters.
-# The proptest drives both models with random call sequences (ties, u64-scale
-# counts, stale and mismatched dequeues, barred nodes, reports past K); the
-# root test runs tie-heavy K-bounded joins and a semi-join against the
-# brute-force baselines.
+# The §2.2.4 maximum-distance estimator (slab + addressable max-heap; a
+# dequeued pair finds its member through the slot its queue entry carries)
+# must follow the sorted-map reference model's d_max trajectory bit for bit
+# after every call. Pruning reads nothing else from it, so an identical
+# trajectory means identical result streams and identical counters. The
+# proptest drives both models with random call sequences under the join's
+# slot contract (ties, u64-scale counts, evicted members whose slots other
+# pairs reuse, never-offered pairs, barred nodes, reports past K); the unit
+# tests pin a stale reused slot and the u32 slot ceiling; the backend matrix
+# runs K-bounded joins and a semi-join on every queue backend x layout, the
+# hybrid ones spilling, and requires identical streams and counters; the root
+# test runs tie-heavy K-bounded joins and a semi-join against the brute-force
+# baselines.
 cargo test -p sdj-core --offline -q --lib estimate::tests::equivalence
+cargo test -p sdj-core --offline -q --lib estimate::tests::a_stale_slot_reused_by_another_pair_removes_nothing
+cargo test -p sdj-core --offline -q --lib estimate::tests::members_past_the_slot_ceiling_are_refused
+cargo test -p sdj-core --offline -q --test correctness estimator_slots_survive_every_queue_backend
 cargo test --offline -q --test end_to_end k_bounded_joins_with_distance_ties_agree_with_baselines
 
 echo "==> storage concurrency smoke gate"

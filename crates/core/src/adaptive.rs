@@ -627,7 +627,7 @@ where
 
     fn held_bytes(&self) -> usize {
         let engine = match &self.state {
-            CursorState::Incremental(join) => join.queue_bytes(),
+            CursorState::Incremental(join) => join.queue_bytes() + join.estimator_bytes(),
             CursorState::Tail(tail) => tail.held_bytes(),
             CursorState::Finished => 0,
         };

@@ -6,7 +6,8 @@ use sdj_pqueue::HybridConfig;
 pub use crate::pair::TiePolicy;
 /// Queue memory layout (`DESIGN.md` §14): `FlatDary`, the default, keeps
 /// compact entries in a flat 4-ary implicit heap, each carrying an 8-byte
-/// handle to its pair's items interned in a shared arena; `Pairing` is the
+/// handle to its pair's items interned in a shared arena (and the pair's
+/// §2.2.4 estimator slot); `Pairing` is the
 /// paper's pointer-based pairing heap over fat pairs. Result streams are
 /// bit-identical across layouts.
 pub use sdj_pqueue::Layout as QueueLayout;

@@ -74,13 +74,14 @@ where
         Ok(false)
     }
 
-    /// The queue *is* the paused query. Once the join has finished, whatever
-    /// the queue still holds is dead weight awaiting the drop, not state.
+    /// The queue and the estimator's set `M` *are* the paused query. Once
+    /// the join has finished, whatever they still hold is dead weight
+    /// awaiting the drop, not state.
     fn held_bytes(&self) -> usize {
         if self.is_done() {
             0
         } else {
-            self.queue_bytes()
+            self.queue_bytes() + self.estimator_bytes()
         }
     }
 

@@ -12,35 +12,46 @@
 //! # How `M` is stored
 //!
 //! The paper organises `M` as "a max-priority-queue on `d_max` plus a hash
-//! table", and this module does exactly that, over a slab:
+//! table". Here the hash table's job — finding a dequeued pair's member —
+//! is done by the priority queue of the join itself: [`Estimator::offer`]
+//! returns the slot its pair's member took, the join queues that slot next
+//! to the pair, and the pop hands it back to [`Estimator::on_dequeue`].
 //!
-//! * the **slab** holds one `MEntry` per member of `M` — its key, its
-//!   second item, its count and its current heap position. Freed slots go
-//!   on a free list and are reused.
+//! * the **slab** holds one `MEntry` per member of `M` — both item
+//!   identities, its count and its current heap position. Freed slots go on
+//!   a free list and are reused; a slot stays below `u32::MAX`, so it fits
+//!   the queue entry and never equals [`NO_SLOT`].
 //! * the **max-heap** is a binary heap of cells, one per member, ordered by
 //!   `(d_max, seq)`, where `seq` numbers the offers. Among equal `d_max`,
 //!   the later offer sits higher and is evicted first. A cell carries its
 //!   ordering key inline, so sifting never reads the slab. Every move
 //!   writes the cell's new position back into its slot. Removing a member
-//!   by identity (a dequeued pair, an expanded semi-join node) therefore
-//!   starts from a known position and costs one O(log |M|) sift. No stale
-//!   cells are ever left in the heap.
-//! * the **hash table** maps a member's key to its slot, under the crate's
-//!   multiply-rotate id hasher (`crate::idhash`).
+//!   (a dequeued pair, an expanded semi-join node) therefore starts from a
+//!   known position and costs one O(log |M|) sift. No stale cells are ever
+//!   left in the heap.
 //!
-//! An offer is one table probe plus one heap push. A semi-join offer that
-//! improves on its first item's member rewrites that slot in place and
-//! sifts its cell down, since its `d_max` only shrinks. Each eviction is a
-//! root removal plus one table removal.
+//! A distance join keeps no table at all: its traversal never queues one
+//! pair twice, so an offer is a slab push plus a heap sift and an eviction a
+//! root removal. A slot the join hands back may be stale — its member was
+//! evicted, and the slot may since hold another pair — so a dequeue removes
+//! the member only if the slot is live and holds the popped pair's own two
+//! items. A semi-join keeps one member per first item (§2.3), so it keeps a
+//! first-item → slot table, under the crate's multiply-rotate id hasher
+//! (`crate::idhash`), for the replace-if-smaller offer and for barring an
+//! expanded node. A semi-join offer that improves on its first item's
+//! member rewrites that slot in place and sifts its cell down, since its
+//! `d_max` only shrinks.
 //!
-//! Every decision is the one a sorted map on `(d_max, seq)` would make:
-//! the eviction order, the `u128` count total, the semi-join's
+//! Every decision is the one a sorted map on `(d_max, seq)` keyed by pair
+//! would make: the eviction order, the `u128` count total, the semi-join's
 //! replace-if-smaller rule, the `item2` match on dequeue and the bar on
 //! processed nodes. So [`Estimator::current_dmax`] follows the same
 //! trajectory bit for bit, and with it every pruning decision, result
 //! stream and counter of the join. The tests drive this implementation and
 //! such a sorted-map reference model with the same random call sequences
-//! and compare them after every call.
+//! and compare them after every call. The one departure is a member that
+//! would need a slot past the `u32` ceiling: it is refused, which leaves
+//! the bound looser but still sound.
 //!
 //! Counts are deliberately *lower* bounds: over-estimating them could shrink
 //! the maximum distance below the true `K`-th result distance and force a
@@ -51,29 +62,26 @@
 //! default Euclidean configuration), and [`Estimator::current_dmax`] answers
 //! in the same domain.
 
-use std::collections::hash_map::Entry;
-
 use sdj_geom::OrdF64;
 
 use crate::idhash::{IdHashMap, IdHashSet};
 use crate::pair::ItemId;
 
-/// Set-`M` key: the full pair identity for distance joins; only the first
-/// item for semi-joins, where "the first item in each pair is unique"
-/// (§2.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum MKey {
-    Join(ItemId, ItemId),
-    Semi(ItemId),
-}
+/// The slot of a pair that holds no member of `M`: returned by an offer
+/// that did not enter `M`, and carried by pairs that were never offered.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// Heap position of a free slab slot.
+const VACANT: usize = usize::MAX;
 
 /// One member of `M`, in its slab slot.
 struct MEntry {
-    key: MKey,
-    /// Second item, kept so a dequeued pair can be matched exactly.
+    item1: ItemId,
+    /// Second item: with `item1`, the pair a dequeued slot must match.
     item2: ItemId,
     count: u64,
-    /// Index of this member's cell in the heap.
+    /// Index of this member's cell in the heap; [`VACANT`] while the slot
+    /// is free.
     pos: usize,
 }
 
@@ -82,7 +90,7 @@ struct MEntry {
 struct Cell {
     dmax: f64,
     seq: u64,
-    slot: usize,
+    slot: u32,
 }
 
 impl Cell {
@@ -96,7 +104,7 @@ impl Cell {
 
 /// Estimator mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EstimatorMode {
+pub(crate) enum EstimatorMode {
     /// Distance join: `M` keyed by the whole pair, counts multiply.
     Join,
     /// Distance semi-join: `M` keyed by the first item, counts come from the
@@ -105,24 +113,33 @@ pub enum EstimatorMode {
 }
 
 /// The §2.2.4 / §2.3 maximum-distance estimator.
-pub struct Estimator {
+pub(crate) struct Estimator {
     mode: EstimatorMode,
     k_remaining: u64,
     dmax: f64,
     /// Members of `M`; slots listed in `free` are vacant.
     slab: Vec<MEntry>,
-    free: Vec<usize>,
+    free: Vec<u32>,
     /// Max-heap of the members, by `(d_max, seq)`.
     heap: Vec<Cell>,
-    /// Member key → slab slot.
-    index: IdHashMap<MKey, usize>,
+    /// Semi-join: first item → slab slot of its member. Never allocated in
+    /// join mode.
+    first: IdHashMap<ItemId, u32>,
     total: u128,
     seq: u64,
-    /// Times the global bound strictly decreased (observability).
+    /// Times the global bound strictly decreased.
+    #[cfg(test)]
     tightenings: u64,
     /// Semi-join: first-item nodes that have been expanded; pairs led by
     /// them may no longer enter `M` (their descendants would double-count).
     processed: IdHashSet<ItemId>,
+    /// Slots at or above this are never handed out (`NO_SLOT` unless a test
+    /// lowers it).
+    slot_limit: u32,
+    /// Join mode, debug builds: the pairs of the live members, checking the
+    /// caller's promise that no pair is offered twice while it is queued.
+    #[cfg(debug_assertions)]
+    join_members: std::collections::HashSet<(ItemId, ItemId)>,
 }
 
 impl Estimator {
@@ -137,11 +154,25 @@ impl Estimator {
             slab: Vec::new(),
             free: Vec::new(),
             heap: Vec::new(),
-            index: IdHashMap::default(),
+            first: IdHashMap::default(),
             total: 0,
             seq: 0,
+            #[cfg(test)]
             tightenings: 0,
             processed: IdHashSet::default(),
+            slot_limit: NO_SLOT,
+            #[cfg(debug_assertions)]
+            join_members: std::collections::HashSet::new(),
+        }
+    }
+
+    /// An estimator that hands out slots below `limit` only, standing in
+    /// for the `u32` ceiling.
+    #[cfg(test)]
+    fn with_slot_limit(mode: EstimatorMode, k: u64, initial_dmax: f64, limit: u32) -> Self {
+        Self {
+            slot_limit: limit,
+            ..Self::new(mode, k, initial_dmax)
         }
     }
 
@@ -152,100 +183,143 @@ impl Estimator {
     }
 
     /// Remaining result budget.
-    #[must_use]
-    pub fn k_remaining(&self) -> u64 {
+    #[cfg(test)]
+    fn k_remaining(&self) -> u64 {
         self.k_remaining
     }
 
     /// Number of pairs currently in `M`.
-    #[must_use]
-    pub fn m_len(&self) -> usize {
+    #[cfg(test)]
+    fn m_len(&self) -> usize {
         self.heap.len()
     }
 
     /// Times [`Estimator::current_dmax`] has strictly decreased so far.
-    #[must_use]
-    pub fn tightenings(&self) -> u64 {
+    #[cfg(test)]
+    fn tightenings(&self) -> u64 {
         self.tightenings
     }
 
-    fn key_of(&self, item1: ItemId, item2: ItemId) -> MKey {
-        match self.mode {
-            EstimatorMode::Join => MKey::Join(item1, item2),
-            EstimatorMode::Semi => MKey::Semi(item1),
-        }
+    /// Approximate resident bytes of `M`: slab, free list, heap and the
+    /// semi-join's tables, all at capacity.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slab.capacity() * size_of::<MEntry>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.heap.capacity() * size_of::<Cell>()
+            // Hashbrown stores (K, V) buckets plus one control byte each.
+            + self.first.capacity() * (size_of::<(ItemId, u32)>() + 1)
+            + self.processed.capacity() * (size_of::<ItemId>() + 1)
     }
 
-    /// Offers a pair that is being inserted into the priority queue.
-    /// `dmax_pair` must upper-bound the distance of the `count` result pairs
-    /// the pair is guaranteed to generate; the caller has already checked
-    /// eligibility (`dist >= Dmin`, `dmax_pair <= current_dmax`).
-    pub fn offer(&mut self, item1: ItemId, item2: ItemId, dmax_pair: f64, count: u64) {
+    /// Offers a pair that is being inserted into the priority queue and
+    /// returns the slot of the member it became, or [`NO_SLOT`] if it did
+    /// not enter `M`. The caller queues the slot with the pair and passes it
+    /// back to [`on_dequeue`](Self::on_dequeue). `dmax_pair` must
+    /// upper-bound the distance of the `count` result pairs the pair is
+    /// guaranteed to generate; the caller has already checked eligibility
+    /// (`dist >= Dmin`, `dmax_pair <= current_dmax`), and offers a pair at
+    /// most once while it is queued.
+    pub fn offer(&mut self, item1: ItemId, item2: ItemId, dmax_pair: f64, count: u64) -> u32 {
         if count == 0 || self.k_remaining == 0 {
-            return;
+            return NO_SLOT;
         }
-        if self.mode == EstimatorMode::Semi && self.processed.contains(&item1) {
-            return;
-        }
-        let key = self.key_of(item1, item2);
         let dmax = OrdF64::new(dmax_pair).get();
-        let seq = self.seq;
-        match self.index.entry(key) {
-            Entry::Occupied(found) => {
-                // Semi-join: keep whichever pair led by item1 has the smaller
-                // d_max (§2.3). Join mode can only collide if the same pair is
-                // enqueued twice, which the traversal never does.
-                let slot = *found.get();
-                let entry = &mut self.slab[slot];
-                let pos = entry.pos;
-                if self.heap[pos].dmax <= dmax {
-                    return;
+        let slot = match self.mode {
+            EstimatorMode::Join => match self.insert(item1, item2, dmax, count) {
+                Some(slot) => slot,
+                None => return NO_SLOT,
+            },
+            EstimatorMode::Semi => {
+                if self.processed.contains(&item1) {
+                    return NO_SLOT;
                 }
-                // The member is replaced in place: a smaller d_max can only
-                // move its cell down.
-                self.total -= u128::from(entry.count);
-                entry.count = count;
-                entry.item2 = item2;
-                self.heap[pos] = Cell { dmax, seq, slot };
-                self.sift_down(pos);
-            }
-            Entry::Vacant(vacant) => {
-                let entry = MEntry {
-                    key,
-                    item2,
-                    count,
-                    pos: self.heap.len(),
-                };
-                let slot = match self.free.pop() {
-                    Some(slot) => {
-                        self.slab[slot] = entry;
-                        slot
+                if let Some(&slot) = self.first.get(&item1) {
+                    // Keep whichever pair led by item1 has the smaller d_max
+                    // (§2.3). The member is replaced in place: a smaller
+                    // d_max can only move its cell down.
+                    let entry = &mut self.slab[slot as usize];
+                    let pos = entry.pos;
+                    if self.heap[pos].dmax <= dmax {
+                        return NO_SLOT;
                     }
-                    None => {
-                        self.slab.push(entry);
-                        self.slab.len() - 1
-                    }
-                };
-                vacant.insert(slot);
-                self.heap.push(Cell { dmax, seq, slot });
-                self.sift_up(self.heap.len() - 1);
+                    self.total -= u128::from(entry.count);
+                    entry.count = count;
+                    entry.item2 = item2;
+                    self.heap[pos] = Cell {
+                        dmax,
+                        seq: self.seq,
+                        slot,
+                    };
+                    self.sift_down(pos);
+                    slot
+                } else {
+                    let Some(slot) = self.insert(item1, item2, dmax, count) else {
+                        return NO_SLOT;
+                    };
+                    self.first.insert(item1, slot);
+                    slot
+                }
             }
-        }
+        };
         self.seq += 1;
         self.total += u128::from(count);
         self.tighten();
+        slot
     }
 
-    /// Notes that a pair has been removed from the priority queue.
-    pub fn on_dequeue(&mut self, item1: ItemId, item2: ItemId) {
-        let key = self.key_of(item1, item2);
-        if let Some(&slot) = self.index.get(&key) {
-            // Semi-join keys ignore item2, so make sure this is the same
-            // pair before dropping it.
-            if self.slab[slot].item2 == item2 {
-                self.index.remove(&key);
-                self.remove_slot(slot);
+    /// Puts a new member in a free slot and its cell on the heap, leaving
+    /// the total to the caller. `None` when every slot below the limit is
+    /// taken: the member is refused.
+    fn insert(&mut self, item1: ItemId, item2: ItemId, dmax: f64, count: u64) -> Option<u32> {
+        let entry = MEntry {
+            item1,
+            item2,
+            count,
+            pos: self.heap.len(),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = entry;
+                slot
             }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&s| s < self.slot_limit)?;
+                self.slab.push(entry);
+                slot
+            }
+        };
+        #[cfg(debug_assertions)]
+        if self.mode == EstimatorMode::Join {
+            assert!(
+                self.join_members.insert((item1, item2)),
+                "pair ({item1:?}, {item2:?}) offered twice while queued"
+            );
+        }
+        self.heap.push(Cell {
+            dmax,
+            seq: self.seq,
+            slot,
+        });
+        self.sift_up(self.heap.len() - 1);
+        Some(slot)
+    }
+
+    /// Notes that the pair `(item1, item2)` has been removed from the
+    /// priority queue; `slot` is what its offer returned ([`NO_SLOT`] if it
+    /// was never offered).
+    pub fn on_dequeue(&mut self, slot: u32, item1: ItemId, item2: ItemId) {
+        // The member may have been evicted since the offer, and its slot
+        // reused by another pair (in semi-join mode, even another pair led
+        // by item1): only the popped pair's own live member goes.
+        let Some(entry) = self.slab.get(slot as usize) else {
+            return;
+        };
+        if entry.pos != VACANT && entry.item1 == item1 && entry.item2 == item2 {
+            self.remove_slot(slot);
         }
     }
 
@@ -257,7 +331,7 @@ impl Estimator {
             return;
         }
         self.processed.insert(item1);
-        if let Some(slot) = self.index.remove(&MKey::Semi(item1)) {
+        if let Some(&slot) = self.first.get(&item1) {
             self.remove_slot(slot);
         }
     }
@@ -277,31 +351,36 @@ impl Estimator {
         }
         let k = u128::from(self.k_remaining);
         while let Some(top) = self.heap.first() {
-            let entry = &self.slab[top.slot];
-            if self.total - u128::from(entry.count) < k {
+            let slot = top.slot;
+            if self.total - u128::from(self.slab[slot as usize].count) < k {
                 break;
             }
-            let slot = top.slot;
-            self.index.remove(&entry.key);
             self.remove_slot(slot);
         }
         if self.total >= k {
             if let Some(top) = self.heap.first() {
                 if top.dmax < self.dmax {
                     self.dmax = top.dmax;
-                    self.tightenings += 1;
+                    #[cfg(test)]
+                    {
+                        self.tightenings += 1;
+                    }
                 }
             }
         }
     }
 
-    /// Removes the member in `slot` from the heap and the count total and
-    /// frees the slot. The caller has already removed its key from the
-    /// index.
-    fn remove_slot(&mut self, slot: usize) {
-        let entry = &self.slab[slot];
-        let pos = entry.pos;
+    /// Removes the member in `slot` from the heap, the count total and the
+    /// semi-join's first-item table, and frees the slot.
+    fn remove_slot(&mut self, slot: u32) {
+        let entry = &mut self.slab[slot as usize];
+        let pos = std::mem::replace(&mut entry.pos, VACANT);
         self.total -= u128::from(entry.count);
+        if self.mode == EstimatorMode::Semi {
+            self.first.remove(&entry.item1);
+        }
+        #[cfg(debug_assertions)]
+        self.join_members.remove(&(entry.item1, entry.item2));
         self.free.push(slot);
         // The heap's last cell fills the hole, then moves whichever way the
         // order requires.
@@ -329,11 +408,11 @@ impl Estimator {
                 break;
             }
             self.heap[pos] = up;
-            self.slab[up.slot].pos = pos;
+            self.slab[up.slot as usize].pos = pos;
             pos = parent;
         }
         self.heap[pos] = cell;
-        self.slab[cell.slot].pos = pos;
+        self.slab[cell.slot as usize].pos = pos;
     }
 
     /// Moves the cell at `pos` down to its place, recording every moved
@@ -354,41 +433,56 @@ impl Estimator {
                 break;
             }
             self.heap[pos] = down;
-            self.slab[down.slot].pos = pos;
+            self.slab[down.slot as usize].pos = pos;
             pos = child;
         }
         self.heap[pos] = cell;
-        self.slab[cell.slot].pos = pos;
+        self.slab[cell.slot as usize].pos = pos;
     }
 
-    /// Checks the slab/heap/index bookkeeping: every cell's slot points
-    /// back at it, the heap is ordered, the index and the free list
-    /// partition the slab, and the total is the sum of member counts.
+    /// Checks the slab/heap bookkeeping: every cell's slot points back at
+    /// it, the heap is ordered, free slots are marked vacant, the total is
+    /// the sum of member counts, and the first-item table maps exactly the
+    /// semi-join's members — in join mode it is never even allocated.
     #[cfg(test)]
     fn check_invariants(&self) -> Result<(), String> {
-        if self.index.len() != self.heap.len() {
-            return Err(format!(
-                "index holds {} keys, heap {} cells",
-                self.index.len(),
-                self.heap.len()
-            ));
-        }
         if self.heap.len() + self.free.len() != self.slab.len() {
             return Err("slab slots neither live nor free".into());
         }
+        match self.mode {
+            EstimatorMode::Join if self.first.capacity() != 0 => {
+                return Err("join mode allocated a first-item table".into());
+            }
+            EstimatorMode::Semi if self.first.len() != self.heap.len() => {
+                return Err(format!(
+                    "first-item table holds {} keys, heap {} cells",
+                    self.first.len(),
+                    self.heap.len()
+                ));
+            }
+            _ => {}
+        }
         let mut total = 0u128;
         for (pos, cell) in self.heap.iter().enumerate() {
-            let entry = &self.slab[cell.slot];
+            let entry = &self.slab[cell.slot as usize];
             if entry.pos != pos {
                 return Err(format!("cell {pos} records position {}", entry.pos));
             }
-            if self.index.get(&entry.key) != Some(&cell.slot) {
-                return Err(format!("cell {pos}: key does not map to its slot"));
+            if self.mode == EstimatorMode::Semi && self.first.get(&entry.item1) != Some(&cell.slot)
+            {
+                return Err(format!("cell {pos}: first item does not map to its slot"));
             }
             if pos > 0 && cell.above(&self.heap[(pos - 1) / 2]) {
                 return Err(format!("cell {pos} sits above its parent"));
             }
             total += u128::from(entry.count);
+        }
+        if let Some(&slot) = self
+            .free
+            .iter()
+            .find(|&&slot| self.slab[slot as usize].pos != VACANT)
+        {
+            return Err(format!("free slot {slot} is not marked vacant"));
         }
         if total != self.total {
             return Err(format!("total {} but members sum to {total}", self.total));
@@ -432,9 +526,9 @@ mod tests {
     #[test]
     fn bound_never_increases() {
         let mut e = Estimator::new(EstimatorMode::Join, 5, f64::INFINITY);
-        e.offer(node(1), node(2), 2.0, 5);
+        let slot = e.offer(node(1), node(2), 2.0, 5);
         assert_eq!(e.current_dmax(), 2.0);
-        e.on_dequeue(node(1), node(2));
+        e.on_dequeue(slot, node(1), node(2));
         assert_eq!(e.m_len(), 0);
         // M is empty again, but the proven bound stays.
         assert_eq!(e.current_dmax(), 2.0);
@@ -443,10 +537,10 @@ mod tests {
     #[test]
     fn report_shrinks_budget_and_tightens() {
         let mut e = Estimator::new(EstimatorMode::Join, 2, f64::INFINITY);
-        e.offer(obj(1), obj(2), 1.0, 1);
+        let slot = e.offer(obj(1), obj(2), 1.0, 1);
         e.offer(obj(3), obj(4), 4.0, 1);
         assert_eq!(e.current_dmax(), 4.0);
-        e.on_dequeue(obj(1), obj(2));
+        e.on_dequeue(slot, obj(1), obj(2));
         e.on_report();
         // Budget is 1 and the remaining entry covers it at dmax 4.
         assert_eq!(e.k_remaining(), 1);
@@ -458,15 +552,18 @@ mod tests {
     #[test]
     fn semi_mode_keeps_one_entry_per_first_item() {
         let mut e = Estimator::new(EstimatorMode::Semi, 100, f64::INFINITY);
-        e.offer(obj(1), node(10), 5.0, 1);
-        e.offer(obj(1), node(11), 3.0, 1);
+        let first = e.offer(obj(1), node(10), 5.0, 1);
+        let better = e.offer(obj(1), node(11), 3.0, 1);
         assert_eq!(e.m_len(), 1, "same first item replaces");
-        e.offer(obj(1), node(12), 9.0, 1);
+        assert_eq!(better, first, "in place, in the same slot");
+        assert_eq!(e.offer(obj(1), node(12), 9.0, 1), NO_SLOT, "worse dmax");
         assert_eq!(e.m_len(), 1, "worse dmax ignored");
-        // Dequeue with the non-matching second item must not remove.
-        e.on_dequeue(obj(1), node(10));
+        // The replaced pair's slot now holds another second item.
+        e.on_dequeue(first, obj(1), node(10));
         assert_eq!(e.m_len(), 1);
-        e.on_dequeue(obj(1), node(11));
+        e.on_dequeue(NO_SLOT, obj(1), node(12));
+        assert_eq!(e.m_len(), 1);
+        e.on_dequeue(better, obj(1), node(11));
         assert_eq!(e.m_len(), 0);
     }
 
@@ -476,7 +573,7 @@ mod tests {
         e.offer(node(1), node(10), 5.0, 4);
         e.on_expand_item1(node(1));
         assert_eq!(e.m_len(), 0, "expanded node leaves M");
-        e.offer(node(1), node(11), 2.0, 4);
+        assert_eq!(e.offer(node(1), node(11), 2.0, 4), NO_SLOT);
         assert_eq!(e.m_len(), 0, "and may not re-enter");
         // Other nodes unaffected.
         e.offer(node(2), node(11), 2.0, 4);
@@ -499,7 +596,7 @@ mod tests {
     #[test]
     fn zero_count_offers_are_ignored() {
         let mut e = Estimator::new(EstimatorMode::Join, 1, f64::INFINITY);
-        e.offer(node(1), node(2), 1.0, 0);
+        assert_eq!(e.offer(node(1), node(2), 1.0, 0), NO_SLOT);
         assert_eq!(e.m_len(), 0);
         assert_eq!(e.current_dmax(), f64::INFINITY);
     }
@@ -507,16 +604,73 @@ mod tests {
     #[test]
     fn equal_dmax_evicts_the_latest_offer_first() {
         let mut e = Estimator::new(EstimatorMode::Join, 2, f64::INFINITY);
-        e.offer(obj(1), obj(1), 5.0, 1);
+        let s1 = e.offer(obj(1), obj(1), 5.0, 1);
         e.offer(obj(2), obj(2), 5.0, 1);
-        e.offer(obj(3), obj(3), 5.0, 1);
+        let s3 = e.offer(obj(3), obj(3), 5.0, 1);
         // Three members cover K = 2; the newest of the tied three goes.
         assert_eq!(e.m_len(), 2);
-        e.on_dequeue(obj(3), obj(3));
+        e.on_dequeue(s3, obj(3), obj(3));
         assert_eq!(e.m_len(), 2, "already evicted");
-        e.on_dequeue(obj(1), obj(1));
+        e.on_dequeue(s1, obj(1), obj(1));
         assert_eq!(e.m_len(), 1);
         assert!(e.check_invariants().is_ok());
+    }
+
+    /// A pair popped after its member was evicted hands back a slot that
+    /// another pair's member has taken since; that member stays.
+    #[test]
+    fn a_stale_slot_reused_by_another_pair_removes_nothing() {
+        let mut e = Estimator::new(EstimatorMode::Join, 1, f64::INFINITY);
+        let a = e.offer(obj(1), obj(1), 5.0, 1);
+        let b = e.offer(obj(2), obj(2), 3.0, 1);
+        // B covers K = 1 alone, so A is evicted and its slot freed; C then
+        // takes A's slot and evicts B.
+        let c = e.offer(obj(3), obj(3), 2.0, 1);
+        assert_eq!(c, a, "the freed slot is reused");
+        assert_eq!(e.m_len(), 1);
+        e.on_dequeue(a, obj(1), obj(1));
+        assert_eq!(e.m_len(), 1, "A's stale slot must not remove C");
+        e.on_dequeue(b, obj(2), obj(2));
+        assert_eq!(e.m_len(), 1, "B's slot is vacant");
+        assert!(e.check_invariants().is_ok());
+        e.on_dequeue(c, obj(3), obj(3));
+        assert_eq!(e.m_len(), 0);
+        assert_eq!(e.current_dmax(), 2.0);
+        assert!(e.check_invariants().is_ok());
+    }
+
+    /// A member that would need a slot past the ceiling is refused: it
+    /// counts for nothing, so the bound stays looser than the reference's
+    /// but sound, and a freed slot serves the next offer.
+    #[test]
+    fn members_past_the_slot_ceiling_are_refused() {
+        for mode in [EstimatorMode::Join, EstimatorMode::Semi] {
+            let mut e = Estimator::with_slot_limit(mode, 3, f64::INFINITY, 2);
+            let a = e.offer(obj(1), obj(1), 4.0, 1);
+            e.offer(obj(2), obj(2), 5.0, 1);
+            assert_eq!(e.offer(obj(3), obj(3), 1.0, 1), NO_SLOT, "{mode:?}");
+            assert_eq!(e.m_len(), 2);
+            assert_eq!(e.current_dmax(), f64::INFINITY, "{mode:?}: 2 < K = 3");
+            e.on_dequeue(a, obj(1), obj(1));
+            assert_eq!(e.offer(obj(4), obj(4), 2.0, 1), a, "{mode:?}");
+            assert_eq!(e.offer(obj(5), obj(5), 3.0, 1), NO_SLOT, "{mode:?}");
+            assert!(e.check_invariants().is_ok());
+        }
+    }
+
+    #[test]
+    fn join_mode_allocates_no_table() {
+        let mut e = Estimator::new(EstimatorMode::Join, 3, f64::INFINITY);
+        let slots: Vec<u32> = (0..50)
+            .map(|i| e.offer(node(i), obj(i), i as f64, 1))
+            .collect();
+        e.on_expand_item1(node(1));
+        for (i, slot) in slots.into_iter().enumerate() {
+            e.on_dequeue(slot, node(i as u64), obj(i as u64));
+        }
+        assert!(e.check_invariants().is_ok());
+        assert_eq!(e.first.capacity() + e.processed.capacity(), 0);
+        assert!(e.approx_bytes() > 0);
     }
 
     /// The sorted-map estimator this module replaced, kept verbatim as the
@@ -527,8 +681,17 @@ mod tests {
 
         use sdj_geom::OrdF64;
 
-        use super::super::{EstimatorMode, MKey};
+        use super::super::EstimatorMode;
         use crate::pair::ItemId;
+
+        /// Set-`M` key: the full pair identity for distance joins; only the first
+        /// item for semi-joins, where "the first item in each pair is unique"
+        /// (§2.3).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum MKey {
+            Join(ItemId, ItemId),
+            Semi(ItemId),
+        }
 
         struct MEntry {
             count: u64,
@@ -734,17 +897,24 @@ mod tests {
                 mode in prop::sample::select(vec![EstimatorMode::Join, EstimatorMode::Semi]),
             ) {
                 let mut e = Estimator::new(mode, k, f64::INFINITY);
+                // Queued pairs and their slots: the caller contract queues a
+                // pair at most once at a time.
+                let mut queued = std::collections::HashMap::new();
                 let mut last = f64::INFINITY;
                 for op in ops {
                     match op {
                         Op::Offer { i1, i2, dmax, count } => {
                             // Mirror the caller contract: only offer bounds
                             // at or below the current estimate.
-                            if dmax <= e.current_dmax() {
-                                e.offer(node(i1), node(i2), dmax, count);
+                            if dmax <= e.current_dmax() && !queued.contains_key(&(i1, i2)) {
+                                queued.insert((i1, i2), e.offer(node(i1), node(i2), dmax, count));
                             }
                         }
-                        Op::Dequeue { i1, i2 } => e.on_dequeue(node(i1), node(i2)),
+                        Op::Dequeue { i1, i2 } => {
+                            if let Some(slot) = queued.remove(&(i1, i2)) {
+                                e.on_dequeue(slot, node(i1), node(i2));
+                            }
+                        }
                         Op::Expand { i1 } => e.on_expand_item1(node(i1)),
                         Op::Report => e.on_report(),
                     }
@@ -760,18 +930,24 @@ mod tests {
         }
     }
 
-    /// Reference-model equivalence: the slab/heap/table estimator and the
-    /// sorted-map estimator it replaced, driven by the same call sequence,
-    /// agree bit for bit after every call.
+    /// Reference-model equivalence: the slab/heap estimator, driven through
+    /// its slot handshake, and the sorted-map estimator it replaced, driven
+    /// by pair identity, agree bit for bit after every call.
     mod equivalence {
         use super::reference;
         use super::*;
         use proptest::prelude::*;
 
-        /// One estimator call. Items are drawn from a small id space of
-        /// nodes and objects so keys collide; `back` picks an earlier offer
-        /// (counted from the newest) so dequeues hit members, pairs already
-        /// evicted, and — with another second item — semi-join mismatches.
+        /// One estimator call under the join's contract: a pair is queued
+        /// at most once at a time, offered (or not) as it is queued, and
+        /// dequeued with the slot its offer returned — [`NO_SLOT`] if it was
+        /// never offered. Items are drawn from a small id space of nodes and
+        /// objects so pairs and first items collide; `back` picks a queued
+        /// pair (counted from the newest). With small `K` members are
+        /// evicted and their slots handed to later offers, so dequeues hit
+        /// live members, vacant slots, slots another pair has taken since
+        /// and — in semi-join mode — slots whose member has moved on to
+        /// another second item.
         #[derive(Clone, Debug)]
         enum Call {
             Offer {
@@ -780,21 +956,17 @@ mod tests {
                 dmax: f64,
                 count: u64,
             },
-            Dequeue {
+            QueueUnoffered {
                 i1: ItemId,
                 i2: ItemId,
             },
-            DequeueOffered {
+            Dequeue {
                 back: usize,
-            },
-            DequeueOtherSecond {
-                back: usize,
-                i2: ItemId,
             },
             Expand {
                 i1: ItemId,
             },
-            ExpandOffered {
+            ExpandQueued {
                 back: usize,
             },
             Report,
@@ -842,12 +1014,11 @@ mod tests {
                 8 => (arb_item(), arb_item(), arb_dmax(), arb_count()).prop_map(
                     |(i1, i2, dmax, count)| Call::Offer { i1, i2, dmax, count }
                 ),
-                2 => (arb_item(), arb_item()).prop_map(|(i1, i2)| Call::Dequeue { i1, i2 }),
-                3 => (0usize..12).prop_map(|back| Call::DequeueOffered { back }),
-                1 => (0usize..12, arb_item())
-                    .prop_map(|(back, i2)| Call::DequeueOtherSecond { back, i2 }),
+                1 => (arb_item(), arb_item())
+                    .prop_map(|(i1, i2)| Call::QueueUnoffered { i1, i2 }),
+                5 => (0usize..12).prop_map(|back| Call::Dequeue { back }),
                 1 => arb_item().prop_map(|i1| Call::Expand { i1 }),
-                1 => (0usize..12).prop_map(|back| Call::ExpandOffered { back }),
+                1 => (0usize..12).prop_map(|back| Call::ExpandQueued { back }),
                 2 => Just(Call::Report),
             ]
         }
@@ -857,9 +1028,10 @@ mod tests {
 
             /// After every call: identical `current_dmax` bits, `m_len`,
             /// `k_remaining` and `tightenings`, and consistent slab/heap/
-            /// table bookkeeping. The calls ignore the join's caller
-            /// contract on purpose (offers above the current bound, reports
-            /// past K), so both models see every path.
+            /// table bookkeeping. Apart from the slot handshake the calls
+            /// ignore the join's caller contract on purpose (offers above
+            /// the current bound, reports past K), so both models see every
+            /// path.
             #[test]
             fn matches_the_sorted_map_reference(
                 calls in prop::collection::vec(arb_call(), 1..200),
@@ -869,30 +1041,27 @@ mod tests {
             ) {
                 let mut fast = Estimator::new(mode, k, initial);
                 let mut model = reference::Estimator::new(mode, k, initial);
-                let mut offered: Vec<(ItemId, ItemId)> = Vec::new();
-                let earlier = |offered: &[(ItemId, ItemId)], back: usize| {
-                    offered.len().checked_sub(1 + back % offered.len().max(1)).map(|i| offered[i])
+                let mut queued: Vec<(ItemId, ItemId, u32)> = Vec::new();
+                let pick = |queued: &[(ItemId, ItemId, u32)], back: usize| {
+                    queued.len().checked_sub(1 + back % queued.len().max(1))
                 };
                 for (step, call) in calls.iter().enumerate() {
                     match *call {
                         Call::Offer { i1, i2, dmax, count } => {
-                            offered.push((i1, i2));
-                            fast.offer(i1, i2, dmax, count);
-                            model.offer(i1, i2, dmax, count);
-                        }
-                        Call::Dequeue { i1, i2 } => {
-                            fast.on_dequeue(i1, i2);
-                            model.on_dequeue(i1, i2);
-                        }
-                        Call::DequeueOffered { back } => {
-                            if let Some((i1, i2)) = earlier(&offered, back) {
-                                fast.on_dequeue(i1, i2);
-                                model.on_dequeue(i1, i2);
+                            if !queued.iter().any(|&(a, b, _)| (a, b) == (i1, i2)) {
+                                queued.push((i1, i2, fast.offer(i1, i2, dmax, count)));
+                                model.offer(i1, i2, dmax, count);
                             }
                         }
-                        Call::DequeueOtherSecond { back, i2 } => {
-                            if let Some((i1, _)) = earlier(&offered, back) {
-                                fast.on_dequeue(i1, i2);
+                        Call::QueueUnoffered { i1, i2 } => {
+                            if !queued.iter().any(|&(a, b, _)| (a, b) == (i1, i2)) {
+                                queued.push((i1, i2, NO_SLOT));
+                            }
+                        }
+                        Call::Dequeue { back } => {
+                            if let Some(i) = pick(&queued, back) {
+                                let (i1, i2, slot) = queued.remove(i);
+                                fast.on_dequeue(slot, i1, i2);
                                 model.on_dequeue(i1, i2);
                             }
                         }
@@ -900,8 +1069,9 @@ mod tests {
                             fast.on_expand_item1(i1);
                             model.on_expand_item1(i1);
                         }
-                        Call::ExpandOffered { back } => {
-                            if let Some((i1, _)) = earlier(&offered, back) {
+                        Call::ExpandQueued { back } => {
+                            if let Some(i) = pick(&queued, back) {
+                                let i1 = queued[i].0;
                                 fast.on_expand_item1(i1);
                                 model.on_expand_item1(i1);
                             }

@@ -1,7 +1,7 @@
 //! A multiply-rotate hasher for the join's id-keyed maps.
 //!
-//! The engine's per-pair maps — the §2.2.4 estimator's set `M` and its
-//! semi-join `processed` set, the semi-join's per-item `d_max` table, the
+//! The engine's per-pair maps — the semi-join estimator's first-item table
+//! and `processed` set, the semi-join's per-item `d_max` table, the
 //! decoded-view cache and the item arena's map for ids too large for its
 //! direct tables — are keyed by node and object ids: a few machine words
 //! that come from the indexes, never from an adversary. The standard library's SipHash defends against

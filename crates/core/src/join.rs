@@ -32,7 +32,7 @@ use sdj_storage::StorageError;
 
 use crate::bound::SharedDistanceBound;
 use crate::config::{EstimationBound, ExpansionPath, JoinConfig, ResultOrder, TraversalPolicy};
-use crate::estimate::{Estimator, EstimatorMode};
+use crate::estimate::{Estimator, EstimatorMode, NO_SLOT};
 use crate::index::{IndexEntry, NodeId, SpatialIndex};
 use crate::obs::JoinObs;
 use crate::oracle::{DistanceOracle, MbrOracle};
@@ -155,9 +155,9 @@ where
     /// Instrumentation handle; `None` (the default) keeps the hot path to a
     /// single branch per hook site.
     obs: Option<JoinObs>,
-    /// Pairs accepted by the filter pipeline but not yet in the queue;
-    /// flushed in one batch per expansion.
-    pending: Vec<(PairKey, Pair<D>)>,
+    /// Pairs accepted by the filter pipeline but not yet in the queue, each
+    /// with its estimator slot; flushed in one batch per expansion.
+    pending: Vec<(PairKey, Pair<D>, u32)>,
     /// Reusable buffers for the expansion hot paths, so steady-state
     /// iteration performs no per-node allocation.
     scratch_entries1: Vec<IndexEntry<D>>,
@@ -384,7 +384,8 @@ where
     }
 
     /// Resumes the join from one shard of a [`JoinFrontier`]. The shard's
-    /// pairs enter the queue verbatim (their ancestors' filters already ran);
+    /// pairs enter the queue verbatim (their ancestors' filters already ran),
+    /// holding no slot in this engine's fresh estimator;
     /// `config` should carry the frontier's `remaining_pairs` as `max_pairs`
     /// and `seen` should be the frontier's snapshot so already-reported
     /// first objects are not searched again.
@@ -405,6 +406,7 @@ where
         // Shard pairs were counted as enqueued by the partitioning run; do
         // not recount them here so merged parallel stats keep push/pop
         // symmetry.
+        let shard = shard.into_iter().map(|(key, pair)| (key, pair, NO_SLOT));
         if let Err(e) = join.queue.push_batch(shard) {
             join.error = Some(e);
             join.done = true;
@@ -493,7 +495,7 @@ where
                 let shard = &mut shard_vecs[0];
                 if let Err(e) = self
                     .queue
-                    .drain_unordered(|key, pair| shard.push((key, pair)))
+                    .drain_unordered(|key, pair, _| shard.push((key, pair)))
                 {
                     if self.error.is_none() {
                         self.error = Some(e);
@@ -730,11 +732,18 @@ where
     }
 
     /// Approximate resident bytes of the priority queue (heap storage, item
-    /// arena, spill buffer pool). This is the number a per-session memory
-    /// budget meters: the queue *is* the whole paused query state.
+    /// arena, spill buffer pool).
     #[must_use]
     pub fn queue_bytes(&self) -> usize {
         self.queue.queue_bytes()
+    }
+
+    /// Approximate resident bytes of the §2.2.4 estimator's set `M` (zero
+    /// unless the query sets `K`). With the queue this is the whole paused
+    /// query state, and what a per-session memory budget meters.
+    #[must_use]
+    pub fn estimator_bytes(&self) -> usize {
+        self.estimator.as_ref().map_or(0, Estimator::approx_bytes)
     }
 
     /// Whether the join has finished (queue exhausted, result budget hit,
@@ -1111,6 +1120,7 @@ where
         }
 
         // Maximum-distance estimation (§2.2.4).
+        let mut slot = NO_SLOT;
         if self.estimator.is_some() && matches!(self.config.order, ResultOrder::Ascending) {
             let bound = match self.config.estimation {
                 EstimationBound::AllPairs => match maxd {
@@ -1126,7 +1136,7 @@ where
             let min_key = self.min_key;
             if let Some(est) = &mut self.estimator {
                 if mind >= min_key && bound <= est.current_dmax() {
-                    est.offer(pair.item1.identity(), pair.item2.identity(), bound, count);
+                    slot = est.offer(pair.item1.identity(), pair.item2.identity(), bound, count);
                 }
             }
             self.publish_shared_bound();
@@ -1144,7 +1154,7 @@ where
             };
             -m
         };
-        self.push(PairKey::new(key_dist, &pair, self.config.tie), pair);
+        self.push(PairKey::new(key_dist, &pair, self.config.tie), pair, slot);
     }
 
     /// Filter-and-enqueue pipeline for a pair whose exact object distance is
@@ -1195,20 +1205,22 @@ where
             }
         }
         let ascending = self.ascending();
+        let mut slot = NO_SLOT;
         if let Some(est) = &mut self.estimator {
             if ascending && key >= self.min_key && key <= est.current_dmax() {
-                est.offer(pair.item1.identity(), pair.item2.identity(), key, 1);
+                slot = est.offer(pair.item1.identity(), pair.item2.identity(), key, 1);
                 self.publish_shared_bound();
             }
         }
         let key_dist = if ascending { key } else { -key };
-        self.push(PairKey::new(key_dist, &pair, self.config.tie), pair);
+        self.push(PairKey::new(key_dist, &pair, self.config.tie), pair, slot);
     }
 
-    /// Stages a pair for insertion; [`flush_pending`](Self::flush_pending)
-    /// moves staged pairs into the queue in one batch.
-    fn push(&mut self, key: PairKey, pair: Pair<D>) {
-        self.pending.push((key, pair));
+    /// Stages a pair for insertion with the estimator slot its offer
+    /// returned; [`flush_pending`](Self::flush_pending) moves staged pairs
+    /// into the queue in one batch.
+    fn push(&mut self, key: PairKey, pair: Pair<D>, slot: u32) {
+        self.pending.push((key, pair, slot));
     }
 
     /// Opens a phase span on the attached obs handle (no-op otherwise).
@@ -1693,9 +1705,9 @@ where
     /// One iteration of the algorithm's main loop (Figure 3).
     fn step_inner(&mut self) -> sdj_storage::Result<StepOutcome> {
         self.span_enter(Phase::QueuePop);
-        let popped = self.queue.pop();
+        let popped = self.queue.pop_slotted();
         self.span_exit(Phase::QueuePop);
-        let Some((key, pair)) = popped? else {
+        let Some((key, pair, slot)) = popped? else {
             return Ok(StepOutcome::Exhausted);
         };
         self.stats.pairs_dequeued += 1;
@@ -1718,7 +1730,7 @@ where
         }
         let ascending = self.ascending();
         if let Some(est) = &mut self.estimator {
-            est.on_dequeue(pair.item1.identity(), pair.item2.identity());
+            est.on_dequeue(slot, pair.item1.identity(), pair.item2.identity());
             if ascending && key.dist.get() > est.current_dmax() {
                 self.stats.pruned_by_estimate += 1;
                 return Ok(StepOutcome::Continue);

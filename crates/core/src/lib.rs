@@ -86,7 +86,6 @@ pub use config::{
     ResultOrder, TiePolicy, TraversalPolicy,
 };
 pub use cursor::{open_cursor, BulkCursor, JoinCursor};
-pub use estimate::{Estimator, EstimatorMode};
 pub use index::{IndexEntry, IndexNode, NodeId, SpatialIndex};
 pub use intersect::{IntersectionPair, OrderedIntersectionJoin};
 pub use join::{DistanceJoin, DistanceSemiJoin, EmissionWatermark, JoinFrontier, ResultPair};

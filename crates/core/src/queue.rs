@@ -12,6 +12,14 @@
 //! All four combinations realise the same `(key, arrival)` total order, so
 //! result streams are bit-identical across them.
 //!
+//! Every entry also carries a `u32` *slot*: the §2.2.4 estimator's handle
+//! on the member of `M` its pair was offered into
+//! (`crate::estimate::Estimator::offer`), or `NO_SLOT`. The queue never
+//! reads it; it stores it next to the payload, spills and reloads it with
+//! the entry, and hands it back at the pop, so the estimator finds a popped
+//! pair's member without a lookup. Under the flat layout that makes the
+//! inline value 12 bytes.
+//!
 //! The flat layouts keep the last popped pair's arena references until the
 //! next [`JoinQueue::push_batch`] (or pop): the expansion that follows a pop
 //! pushes children that repeat its unexpanded item, which then takes a
@@ -21,31 +29,58 @@
 use std::sync::Arc;
 
 use sdj_obs::Gauge;
-use sdj_pqueue::{FlatHeap, HybridConfig, HybridQueue, PairingHeap, PriorityQueue};
+use sdj_pqueue::{Codec, FlatHeap, HybridConfig, HybridQueue, PairingHeap, PriorityQueue};
+use sdj_storage::codec::{PageReader, PageWriter};
 use sdj_storage::DiskStats;
 
 use crate::config::{QueueBackend, QueueLayout};
+use crate::estimate::NO_SLOT;
 use crate::pair::{Pair, PairKey};
 use crate::slab::{ItemArena, PackedPair};
+
+/// A queued payload with its pair's estimator slot (see the module docs).
+#[derive(Clone, Copy, Debug)]
+struct Slotted<V> {
+    value: V,
+    slot: u32,
+}
+
+impl<V: Codec> Codec for Slotted<V> {
+    fn encoded_size() -> usize {
+        V::encoded_size() + 4
+    }
+
+    fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
+        self.value.encode(w)?;
+        w.put_u32(self.slot)
+    }
+
+    fn decode(r: &mut PageReader<'_>) -> sdj_storage::Result<Self> {
+        Ok(Self {
+            value: V::decode(r)?,
+            slot: r.get_u32()?,
+        })
+    }
+}
 
 /// The backing structure: backend (memory/hybrid) × layout (pairing/flat).
 enum Backend<const D: usize> {
     /// In-memory pairing heap over fat pairs.
-    Pairing(PairingHeap<PairKey, Pair<D>>),
+    Pairing(PairingHeap<PairKey, Slotted<Pair<D>>>),
     /// In-memory flat 4-ary heap over compact pair handles, with the fat
     /// items interned once each in the arena.
     Flat {
-        heap: FlatHeap<PairKey, PackedPair>,
+        heap: FlatHeap<PairKey, Slotted<PackedPair>>,
         arena: ItemArena<D>,
     },
     /// Hybrid three-tier queue over fat pairs.
-    HybridPairing(Box<HybridQueue<PairKey, Pair<D>>>),
+    HybridPairing(Box<HybridQueue<PairKey, Slotted<Pair<D>>>>),
     /// Hybrid three-tier queue over compact pair handles: the in-memory
-    /// tiers use the flat layout and spill pages carry 8-byte records.
+    /// tiers use the flat layout and spill pages carry 12-byte records.
     /// Spilled handles keep their items pinned in the arena (references
     /// bracket the full push..pop window), so reloads never re-intern.
     HybridFlat {
-        queue: Box<HybridQueue<PairKey, PackedPair>>,
+        queue: Box<HybridQueue<PairKey, Slotted<PackedPair>>>,
         arena: ItemArena<D>,
     },
 }
@@ -58,7 +93,7 @@ pub struct JoinQueue<const D: usize> {
     /// by the next `push_batch` or pop (see the module docs).
     held: Option<PackedPair>,
     /// Flat memory layout: the interned batch, reused across flushes.
-    staged: Vec<(PairKey, PackedPair)>,
+    staged: Vec<(PairKey, Slotted<PackedPair>)>,
     /// `pq.bytes` gauge (registered by [`attach_obs`](Self::attach_obs) for
     /// every backend), synced from [`queue_bytes`](Self::queue_bytes).
     bytes_gauge: Option<Arc<Gauge>>,
@@ -119,27 +154,42 @@ impl<const D: usize> JoinQueue<D> {
         }
     }
 
-    /// Inserts a pair. The memory backends are infallible; the hybrid
-    /// backends surface disk faults (transient I/O, disk-full, corruption).
+    /// Inserts a pair that holds no estimator slot. The memory backends
+    /// are infallible; the hybrid backends surface disk faults (transient
+    /// I/O, disk-full, corruption).
     pub fn push(&mut self, key: PairKey, pair: Pair<D>) -> sdj_storage::Result<()> {
+        self.push_slotted(key, pair, NO_SLOT)
+    }
+
+    /// Inserts a pair with its estimator slot, handed back by
+    /// [`pop_slotted`](Self::pop_slotted).
+    pub(crate) fn push_slotted(
+        &mut self,
+        key: PairKey,
+        pair: Pair<D>,
+        slot: u32,
+    ) -> sdj_storage::Result<()> {
         match &mut self.backend {
             Backend::Pairing(q) => {
-                q.push(key, pair);
+                q.push(key, Slotted { value: pair, slot });
                 Ok(())
             }
             Backend::Flat { heap, arena } => {
-                heap.push(key, arena.intern_pair(&pair)?);
+                let value = arena.intern_pair(&pair)?;
+                heap.push(key, Slotted { value, slot });
                 Ok(())
             }
-            Backend::HybridPairing(q) => PriorityQueue::push(q.as_mut(), key, pair),
+            Backend::HybridPairing(q) => {
+                PriorityQueue::push(q.as_mut(), key, Slotted { value: pair, slot })
+            }
             Backend::HybridFlat { queue, arena } => {
-                let packed = arena.intern_pair(&pair)?;
-                match PriorityQueue::push(queue.as_mut(), key, packed) {
+                let value = arena.intern_pair(&pair)?;
+                match PriorityQueue::push(queue.as_mut(), key, Slotted { value, slot }) {
                     Ok(()) => Ok(()),
                     Err(e) => {
                         // The pair never entered the queue; its references
                         // must not pin the arena.
-                        arena.release_pair(packed);
+                        arena.release_pair(value);
                         Err(e)
                     }
                 }
@@ -147,19 +197,24 @@ impl<const D: usize> JoinQueue<D> {
         }
     }
 
-    /// Inserts a batch of pairs, then releases the held popped pair (see
-    /// the module docs). The memory backends grow their storage at most
-    /// once for the whole batch; the hybrid backends push per element
-    /// (tiering decisions are per-element anyway) and stop at the first
-    /// storage error, dropping the rest of the batch — callers abort the
-    /// join on `Err`, so the partial state is never observed as output.
+    /// Inserts a batch of `(key, pair, slot)` entries, then releases the
+    /// held popped pair (see the module docs). The memory backends grow
+    /// their storage at most once for the whole batch; the hybrid backends
+    /// push per element (tiering decisions are per-element anyway) and stop
+    /// at the first storage error, dropping the rest of the batch — callers
+    /// abort the join on `Err`, so the partial state is never observed as
+    /// output.
     pub fn push_batch<I>(&mut self, batch: I) -> sdj_storage::Result<()>
     where
-        I: IntoIterator<Item = (PairKey, Pair<D>)>,
+        I: IntoIterator<Item = (PairKey, Pair<D>, u32)>,
     {
         let pushed = match &mut self.backend {
             Backend::Pairing(q) => {
-                q.push_batch(batch);
+                q.push_batch(
+                    batch
+                        .into_iter()
+                        .map(|(key, value, slot)| (key, Slotted { value, slot })),
+                );
                 Ok(())
             }
             Backend::Flat { heap, arena } => {
@@ -167,22 +222,23 @@ impl<const D: usize> JoinQueue<D> {
                 // mid-batch slot exhaustion releases every staged reference
                 // and leaves the queue unchanged.
                 let staged = &mut self.staged;
-                let interned = batch.into_iter().try_for_each(|(key, pair)| {
-                    staged.push((key, arena.intern_pair(&pair)?));
+                let interned = batch.into_iter().try_for_each(|(key, pair, slot)| {
+                    let value = arena.intern_pair(&pair)?;
+                    staged.push((key, Slotted { value, slot }));
                     Ok(())
                 });
                 if interned.is_ok() {
                     heap.push_batch(staged.drain(..));
                 } else {
-                    for (_, packed) in staged.drain(..) {
-                        arena.release_pair(packed);
+                    for (_, entry) in staged.drain(..) {
+                        arena.release_pair(entry.value);
                     }
                 }
                 interned
             }
             _ => batch
                 .into_iter()
-                .try_for_each(|(key, pair)| self.push(key, pair)),
+                .try_for_each(|(key, pair, slot)| self.push_slotted(key, pair, slot)),
         };
         self.release_held();
         pushed
@@ -199,39 +255,40 @@ impl<const D: usize> JoinQueue<D> {
         }
     }
 
-    /// Drains every queued pair in arbitrary order, visiting each exactly
-    /// once, and leaves the queue empty. The flat memory backend walks its
-    /// entry arrays directly, resolving interned slab payloads in place —
-    /// no per-pop sifting and no fat-pair staging — which is what the
-    /// adaptive handoff wants: the whole frontier, order discarded. The
-    /// pairing backend pop-drains (its entries are pointer-linked), and the
-    /// hybrid backends pop-drain too because spilled tiers must be reloaded
-    /// through the ordered path anyway; those pops surface storage errors.
+    /// Drains every queued `(key, pair, slot)` entry in arbitrary order,
+    /// visiting each exactly once, and leaves the queue empty. The flat
+    /// memory backend walks its entry arrays directly, resolving interned
+    /// slab payloads in place — no per-pop sifting and no fat-pair staging
+    /// — which is what the adaptive handoff wants: the whole frontier,
+    /// order discarded. The pairing backend pop-drains (its entries are
+    /// pointer-linked), and the hybrid backends pop-drain too because
+    /// spilled tiers must be reloaded through the ordered path anyway;
+    /// those pops surface storage errors.
     pub fn drain_unordered(
         &mut self,
-        mut visit: impl FnMut(PairKey, Pair<D>),
+        mut visit: impl FnMut(PairKey, Pair<D>, u32),
     ) -> sdj_storage::Result<()> {
         self.release_held();
         if matches!(
             self.backend,
             Backend::HybridPairing(_) | Backend::HybridFlat { .. }
         ) {
-            while let Some((key, pair)) = self.pop()? {
-                visit(key, pair);
+            while let Some((key, pair, slot)) = self.pop_slotted()? {
+                visit(key, pair, slot);
             }
             return Ok(());
         }
         match &mut self.backend {
             Backend::Pairing(q) => {
-                while let Some((key, pair)) = q.pop() {
-                    visit(key, pair);
+                while let Some((key, entry)) = q.pop() {
+                    visit(key, entry.value, entry.slot);
                 }
             }
             Backend::Flat { heap, arena } => {
-                heap.drain_unordered(|key, packed| {
-                    let pair = arena.resolve_pair(packed);
-                    arena.release_pair(packed);
-                    visit(key, pair);
+                heap.drain_unordered(|key, entry| {
+                    let pair = arena.resolve_pair(entry.value);
+                    arena.release_pair(entry.value);
+                    visit(key, pair, entry.slot);
                 });
             }
             Backend::HybridPairing(_) | Backend::HybridFlat { .. } => unreachable!(),
@@ -239,19 +296,30 @@ impl<const D: usize> JoinQueue<D> {
         Ok(())
     }
 
-    /// Removes the minimum pair. Under the flat layouts the pair's arena
-    /// references are held until the next `push_batch` or pop.
+    /// Removes the minimum pair, dropping its estimator slot.
     pub fn pop(&mut self) -> sdj_storage::Result<Option<(PairKey, Pair<D>)>> {
+        Ok(self.pop_slotted()?.map(|(key, pair, _)| (key, pair)))
+    }
+
+    /// Removes the minimum pair with the slot it was pushed with. Under the
+    /// flat layouts the pair's arena references are held until the next
+    /// `push_batch` or pop.
+    pub(crate) fn pop_slotted(&mut self) -> sdj_storage::Result<Option<(PairKey, Pair<D>, u32)>> {
         self.release_held();
         let (popped, arena) = match &mut self.backend {
-            Backend::Pairing(q) => return Ok(q.pop()),
-            Backend::HybridPairing(q) => return PriorityQueue::pop(q.as_mut()),
+            Backend::Pairing(q) => {
+                return Ok(q.pop().map(|(key, entry)| (key, entry.value, entry.slot)))
+            }
+            Backend::HybridPairing(q) => {
+                return Ok(PriorityQueue::pop(q.as_mut())?
+                    .map(|(key, entry)| (key, entry.value, entry.slot)))
+            }
             Backend::Flat { heap, arena } => (heap.pop(), arena),
             Backend::HybridFlat { queue, arena } => (PriorityQueue::pop(queue.as_mut())?, arena),
         };
-        Ok(popped.map(|(key, packed)| {
-            self.held = Some(packed);
-            (key, arena.resolve_pair(packed))
+        Ok(popped.map(|(key, entry)| {
+            self.held = Some(entry.value);
+            (key, arena.resolve_pair(entry.value), entry.slot)
         }))
     }
 
@@ -327,10 +395,10 @@ impl<const D: usize> JoinQueue<D> {
     /// visited pair from the arena.
     pub fn peek_top(&self, limit: usize, mut visit: impl FnMut(&PairKey, &Pair<D>)) {
         match &self.backend {
-            Backend::Pairing(q) => q.peek_top(limit, visit),
+            Backend::Pairing(q) => q.peek_top(limit, |key, entry| visit(key, &entry.value)),
             Backend::Flat { heap, arena } => {
-                heap.peek_top(limit, |key, packed| {
-                    visit(&key, &arena.resolve_pair(*packed));
+                heap.peek_top(limit, |key, entry| {
+                    visit(&key, &arena.resolve_pair(entry.value));
                 });
             }
             Backend::HybridPairing(_) | Backend::HybridFlat { .. } => {}
@@ -630,23 +698,88 @@ mod tests {
     /// A drained queue as a sorted multiset (drain order is unspecified).
     fn drained(q: &mut JoinQueue<2>) -> Vec<String> {
         let mut out = Vec::new();
-        q.drain_unordered(|k, p| out.push(format!("{k:?} {p:?}")))
+        q.drain_unordered(|k, p, slot| out.push(format!("{k:?} {p:?} {slot}")))
             .unwrap();
         out.sort();
         out
     }
 
+    /// Every backend hands each entry's slot back exactly as it was pushed
+    /// — one at a time or in a batch, through pops, an unordered drain and,
+    /// on the hybrid backends, a spill to disk and a reload.
+    #[test]
+    fn slots_round_trip_on_every_backend() {
+        let backends = [
+            (QueueBackend::Memory, QueueLayout::Pairing),
+            (QueueBackend::Memory, QueueLayout::FlatDary),
+            (
+                QueueBackend::Hybrid(HybridConfig::with_dt(0.5)),
+                QueueLayout::Pairing,
+            ),
+            (
+                QueueBackend::Hybrid(HybridConfig::with_dt(0.5)),
+                QueueLayout::FlatDary,
+            ),
+        ];
+        let n = 300u32;
+        let slot_of = |oid: u64| match oid % 5 {
+            0 => NO_SLOT,
+            r => u32::MAX - 1 - u32::try_from(oid * 13 + r).unwrap(),
+        };
+        for (backend, layout) in backends {
+            let mut q = JoinQueue::<2>::new(&backend, layout, keyspace());
+            let entry = |i: u32| {
+                let p = pair(u64::from(i));
+                let d = f64::from(i * 37 % n) * 0.01;
+                (
+                    PairKey::new(d, &p, TiePolicy::DepthFirst),
+                    p,
+                    slot_of(u64::from(i)),
+                )
+            };
+            for i in 0..n / 2 {
+                let (key, p, slot) = entry(i);
+                q.push_slotted(key, p, slot).unwrap();
+            }
+            q.push_batch((n / 2..n).map(entry)).unwrap();
+            let check = |p: &Pair<2>, slot: u32| {
+                let oid = p.item1.object_id().unwrap().0;
+                assert_eq!(slot, slot_of(oid), "{backend:?}/{layout:?}: oid {oid}");
+            };
+            let mut last = None;
+            for _ in 0..n / 2 {
+                let (key, p, slot) = q.pop_slotted().unwrap().unwrap();
+                assert!(last <= Some(key), "{backend:?}/{layout:?}: pop order");
+                last = Some(key);
+                check(&p, slot);
+            }
+            let mut rest = 0;
+            q.drain_unordered(|_, p, slot| {
+                check(&p, slot);
+                rest += 1;
+            })
+            .unwrap();
+            assert_eq!(rest, n / 2);
+            if let Some((tiers, _)) = q.hybrid_info() {
+                assert!(
+                    tiers.spilled > 0 && tiers.reloaded > 0,
+                    "{layout:?}: {tiers:?}"
+                );
+            }
+        }
+    }
+
     proptest! {
         /// Join-shaped op sequences — pop then flush a batch that repeats
         /// the popped pair's items and repeats items within itself, peeks,
-        /// unordered drains — give identical `(key, pair)` streams under
-        /// both layouts, also across a forced 24-bit tag wrap. The flat
-        /// arena holds nothing once the queue is empty, and never more
+        /// unordered drains — give identical `(key, pair, slot)` streams
+        /// under both layouts, also across a forced 24-bit tag wrap. The
+        /// flat arena holds nothing once the queue is empty, and never more
         /// slots than distinct items pushed.
         #[test]
         fn flat_layout_matches_pairing_and_releases_its_arena(
             steps in prop::collection::vec(
-                (0u8..10, prop::collection::vec((0u32..6, 0u8..3, 0u8..9, 0u8..9), 0..10)),
+                (0u8..10, prop::collection::vec((0u32..6, 0u8..3, 0u8..9, 0u8..9, any::<u32>()), 0..10)),
                 1..80,
             ),
             wrap in prop::option::of(0u32..40),
@@ -665,22 +798,22 @@ mod tests {
                     1 => prop_assert_eq!(drained(&mut fat), drained(&mut flat)),
                     _ => {
                         // One join step: pop, then flush the expansion.
-                        let popped = fat.pop().unwrap();
-                        prop_assert_eq!(popped, flat.pop().unwrap());
-                        let popped = popped.map(|(_, p)| p);
-                        let batch: Vec<(PairKey, Pair<2>)> = batch
+                        let popped = fat.pop_slotted().unwrap();
+                        prop_assert_eq!(popped, flat.pop_slotted().unwrap());
+                        let popped = popped.map(|(_, p, _)| p);
+                        let batch: Vec<(PairKey, Pair<2>, u32)> = batch
                             .into_iter()
-                            .map(|(d, repeat, i, j)| {
+                            .map(|(d, repeat, i, j, slot)| {
                                 let pair = match (popped, repeat) {
                                     (Some(p), 0) => Pair::new(p.item1, pool_item(j)),
                                     (Some(p), 1) => Pair::new(pool_item(i), p.item2),
                                     _ => Pair::new(pool_item(i), pool_item(j)),
                                 };
                                 let key = PairKey::new(f64::from(d), &pair, TiePolicy::DepthFirst);
-                                (key, pair)
+                                (key, pair, slot)
                             })
                             .collect();
-                        for (_, p) in &batch {
+                        for (_, p, _) in &batch {
                             distinct.insert((false, format!("{:?}", p.item1)));
                             distinct.insert((true, format!("{:?}", p.item2)));
                         }
@@ -696,8 +829,8 @@ mod tests {
                 prop_assert!(high <= distinct.len(), "{} slots for {} items", high, distinct.len());
             }
             loop {
-                let a = fat.pop().unwrap();
-                prop_assert_eq!(a, flat.pop().unwrap());
+                let a = fat.pop_slotted().unwrap();
+                prop_assert_eq!(a, flat.pop_slotted().unwrap());
                 if a.is_none() {
                     break;
                 }

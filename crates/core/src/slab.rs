@@ -123,7 +123,8 @@ impl SlotIndex {
 
 /// Compact pair payload stored by the flat queue layout: two [`ItemArena`]
 /// slots. Eight bytes in memory and on spill pages, versus the fat
-/// [`Pair`]'s two inline items.
+/// [`Pair`]'s two inline items; the queue adds the pair's 4-byte estimator
+/// slot next to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedPair {
     /// Arena slot of the first-relation item.

@@ -5,8 +5,8 @@
 use sdj_core::bulk::BulkConfig;
 use sdj_core::{
     open_cursor, AdaptiveConfig, DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig,
-    PlanChoice, QueueBackend, ResultOrder, ResultPair, SemiConfig, SemiFilter, SliceOracle,
-    TiePolicy, TraversalPolicy,
+    JoinStats, PlanChoice, QueueBackend, QueueLayout, ResultOrder, ResultPair, SemiConfig,
+    SemiFilter, SliceOracle, TiePolicy, TraversalPolicy,
 };
 use sdj_datagen::{gaussian_clusters, tiger, uniform_points, unit_box};
 use sdj_geom::{Metric, Point, Segment, SpatialObject};
@@ -633,5 +633,86 @@ fn default_layout_stats_repeat_exactly() {
         let (first, second) = (run(), run());
         assert!(first.queue_bytes_peak > 0);
         assert_eq!(first, second);
+    }
+}
+
+/// K-bounded joins and a K-bounded semi-join give the same stream and the
+/// same counters on every queue backend × layout. Each queued pair carries
+/// its §2.2.4 estimator slot through the queue, and a backend that lost it
+/// — in a pop, a batch push or a spill page — would leave stale members in
+/// `M` and prune pairs the reference keeps. The hybrid runs spill.
+#[test]
+fn estimator_slots_survive_every_queue_backend() {
+    let (a, b) = sample_sets();
+    let (t1, t2) = (build_tree(&a, 6), build_tree(&b, 6));
+    let want = brute_distances(&a, &b, Metric::Euclidean);
+    let all = (a.len() * b.len()) as u64;
+    let backends = [
+        (QueueBackend::Memory, QueueLayout::FlatDary),
+        (QueueBackend::Memory, QueueLayout::Pairing),
+        (
+            QueueBackend::Hybrid(HybridConfig::with_dt(0.01)),
+            QueueLayout::FlatDary,
+        ),
+        (
+            QueueBackend::Hybrid(HybridConfig::with_dt(0.01)),
+            QueueLayout::Pairing,
+        ),
+    ];
+    let semi = SemiConfig {
+        filter: SemiFilter::Inside2,
+        dmax: DmaxStrategy::GlobalAll,
+    };
+    // (estimation bound, K, semi-join?)
+    let mut queries = vec![(EstimationBound::AllPairs, 120, true)];
+    for bound in [EstimationBound::AllPairs, EstimationBound::ExistsPair] {
+        queries.extend([1, 100, all].map(|k| (bound, k, false)));
+    }
+    for (bound, k, is_semi) in queries {
+        let mut reference = None;
+        for (queue, layout) in backends {
+            let config = JoinConfig {
+                estimation: bound,
+                queue,
+                layout,
+                ..JoinConfig::default()
+            }
+            .with_max_pairs(k);
+            let mut join = if is_semi {
+                DistanceJoin::semi(&t1, &t2, config, semi)
+            } else {
+                DistanceJoin::new(&t1, &t2, config)
+            };
+            let what = format!("{bound:?} K={k} semi={is_semi} {queue:?}/{layout:?}");
+            let got: Vec<(u64, u64, u64)> = join
+                .by_ref()
+                .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
+                .collect();
+            assert!(join.take_error().is_none(), "{what}");
+            assert_eq!(got.len() as u64, k, "{what}");
+            if let Some((tiers, _)) = join.hybrid_queue_info() {
+                assert!(tiers.spilled > 0, "{what}: the hybrid queue never spilled");
+            }
+            // Spill traffic and queue bytes are what backends may differ in.
+            let counters = JoinStats {
+                node_io: 0,
+                queue_bytes_peak: 0,
+                ..join.stats()
+            };
+            match &reference {
+                None => {
+                    if !is_semi {
+                        for (g, w) in got.iter().zip(&want) {
+                            assert!((f64::from_bits(g.0) - w).abs() < EPS, "{what}");
+                        }
+                    }
+                    reference = Some((got, counters));
+                }
+                Some((stream, stats)) => {
+                    assert_eq!(&got, stream, "{what}: stream");
+                    assert_eq!(&counters, stats, "{what}: counters");
+                }
+            }
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! comparison and drags the full `(K, V)` payload through every merge. Here
 //! the heap sifts only a compact entry — `(key: u64, tag: u32, value: V)`
 //! in SoA layout — with the value stored inline and moved with its entry.
-//! Values are meant to be small `Copy` handles (the join stores an 8-byte
-//! pair of arena slots), so an entry is 20 bytes and a push or pop touches
-//! no memory outside the three columns. The key is *not* stored at all:
+//! Values are meant to be small `Copy` handles (the join stores two arena
+//! slots and an estimator slot, 12 bytes), so an entry is 24 bytes and a
+//! push or pop touches no memory outside the three columns. The key is
+//! *not* stored at all:
 //! [`QueueKey`] keys are fully determined by their order image, so pops
 //! rebuild them from the entry via [`QueueKey::from_parts`].
 //!

@@ -587,3 +587,41 @@ fn descending_adaptive_session_is_pull_paced() {
     assert_eq!(triples(&got), triples(&want));
     assert_eq!(session.held_bytes(), 0);
 }
+
+/// A K-bounded incremental session holds its queue *and* the §2.2.4
+/// estimator's set `M`, and its budget meters both: between pulls it holds
+/// exactly what a solo engine paused at the same point holds, which is more
+/// than that engine's queue.
+#[test]
+fn k_bounded_session_budget_meters_the_estimator() {
+    let rects: Vec<Rect<2>> = (0..400)
+        .map(|i| {
+            let x = f64::from(i % 20) * 1.13;
+            let y = f64::from(i / 20) * 0.87;
+            Rect::new([x, y], [x + 0.25, y + 0.25])
+        })
+        .collect();
+    let t1 = tree(&rects, 8);
+    let t2 = tree(&rects[..300], 8);
+    let join = JoinConfig::default().with_max_pairs(5_000);
+    let service = JoinService::new(&t1, &t2, ServiceConfig::default());
+    let mut session = service
+        .open(SessionConfig {
+            join,
+            force_plan: Some(PlanChoice::Incremental),
+            ..SessionConfig::default()
+        })
+        .unwrap();
+    let mut solo = DistanceJoin::new(&t1, &t2, join);
+
+    let n = 100;
+    let first = session.next_batch(n).unwrap();
+    let reference: Vec<_> = solo.by_ref().take(n).collect();
+    assert_eq!(triples(&first.results), triples(&reference));
+    assert!(solo.estimator_bytes() > 0);
+    assert_eq!(
+        session.held_bytes(),
+        solo.queue_bytes() + solo.estimator_bytes()
+    );
+    assert!(session.held_bytes() > solo.queue_bytes());
+}
