@@ -107,10 +107,15 @@ cargo test -p sdj-exec --offline -q --test bulk_parallel
 ./target/release/sdj-report --check results/RunReport_bulk.json --expect-plan bulk
 
 echo "==> observability smoke gate"
-# A small instrumented join must produce a schema-valid RunReport whose
-# rank curve is monotone and whose queue curve grows then drains; the
-# no-op-sink engine must stay within --overhead-pct (default 2%) of the
-# uninstrumented one on identical work.
+# The engine counts in plain fields and publishes to the registry only at
+# its pop-sampling stride, at the end of the stream and on drop: the named
+# root suite proves a live registry lags and a dropped join's registry
+# agrees with JoinStats exactly, and that bare and instrumented twins emit
+# identical streams and identical JoinStats (K-bounded join, semi-join,
+# hybrid queue). A small instrumented join must then produce a schema-valid
+# RunReport whose rank curve is monotone and whose queue curve grows then
+# drains.
+cargo test --offline -q --test observability
 ./target/release/sdj-report --n 4000 --k 800 --threads 2 \
     --out results/RunReport_ci.json --events results/RunReport_ci.ndjson
 ./target/release/sdj-report --check results/RunReport_ci.json --expect-drain
@@ -120,14 +125,13 @@ echo "==> profiling gate"
 # per-phase span table whose self-times conserve against the lane budget,
 # plus a well-formed planner calibration section. Profiling must be a pure
 # observer: streams stay bit-identical with spans off/sampled/always
-# (proptested), and the overhead gate runs both comparisons — bare vs
-# fully instrumented, and spans-off vs spans-on — under --overhead-pct.
+# (proptested). What instrumentation costs is measured by the benchmark's
+# traced runs (obs.trace_overhead_ratio), not gated on a wall clock here.
 cargo test -p sdj-core --offline -q --test profiling_invariance
 ./target/release/sdj-report --n 20000 --k 5000 \
     --out results/RunReport_profile.json --profile
 ./target/release/sdj-report --check results/RunReport_profile.json \
     --expect-drain --expect-profile
-./target/release/sdj-report --overhead --n 20000 --k 10000
 
 echo "==> adaptive replanning gate"
 # The adaptive path must stay invisible in the result stream: the forced
@@ -153,8 +157,8 @@ echo "==> queue-layout gate"
 # proptests (pop streams across tiers and the 24-bit tag wrap, tier gauge
 # conservation, spill round-trips, an arena that is empty whenever the
 # queue is) must pass, and a pairing-layout report run must produce the
-# same pair counts as the default flat run while recording non-zero
-# queue-memory gauges.
+# same pair counts as the default flat run while recording a non-zero
+# pq.bytes high-water mark equal to the engine's queue_bytes_peak.
 cargo test -p sdj-pqueue --offline -q --test layout_equivalence
 cargo test -p sdj-core --offline -q --lib queue::tests
 cargo test -p sdj-exec --offline -q --test parallel_equivalence flat_layout_is_stream_invisible_across_engines_and_backends

@@ -1,7 +1,7 @@
 //! `sdj-report`: run an instrumented distance join and emit a
-//! schema-versioned [`RunReport`], or check / benchmark one.
+//! schema-versioned [`RunReport`], or check one.
 //!
-//! Three modes:
+//! Two modes:
 //!
 //! * **Run** (default): joins two uniform `n`-point sets in two passes —
 //!   pass 1 takes the `k` closest pairs (distance-vs-rank curve, the shape
@@ -20,10 +20,6 @@
 //!   `--expect-drain` also the Figure-6 queue shape; with
 //!   `--expect-sessions N` also the service pass's attribution rows). Exits
 //!   non-zero on any failure — this is the CI gate.
-//! * **`--overhead`**: interleaved min-of-N timing of the uninstrumented
-//!   engine against the same engine with a no-op sink attached; fails if
-//!   the no-op instrumentation costs more than `--overhead-pct` (default
-//!   2%). The two runs must agree exactly on `distance_calcs`.
 //!
 //! The tool reads no environment: `--queue-layout flat|pairing` picks the
 //! queue layout of every pass (default: the engine's, `JoinConfig::default()`),
@@ -44,7 +40,7 @@ use sdj_exec::{run_planned, ParallelConfig};
 use sdj_geom::Point;
 use sdj_obs::{
     sparkline, CalibrationSection, EventSink, NdjsonWriter, ObsContext, ProfileSection,
-    RunRecorder, RunReport, SessionSection, SpanMode, TeeSink,
+    RunRecorder, RunReport, SessionSection, TeeSink,
 };
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 use sdj_service::{drain_round_robin, JoinService, ServiceConfig, SessionConfig};
@@ -64,7 +60,6 @@ struct Args {
     expect_profile: bool,
     expect_queue_bytes: bool,
     expect_pairs_match: Option<String>,
-    overhead: bool,
     profile: bool,
     label: String,
     force_plan: Option<PlanChoice>,
@@ -75,7 +70,6 @@ struct Args {
     fault_seed: Option<u64>,
     fault_rate: f64,
     fault_retries: u32,
-    overhead_pct: f64,
 }
 
 impl Args {
@@ -94,7 +88,6 @@ impl Args {
             expect_profile: false,
             expect_queue_bytes: false,
             expect_pairs_match: None,
-            overhead: false,
             profile: false,
             label: "uniform distance join".into(),
             force_plan: None,
@@ -105,7 +98,6 @@ impl Args {
             fault_seed: None,
             fault_rate: 0.01,
             fault_retries: 16,
-            overhead_pct: 2.0,
         };
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -162,7 +154,6 @@ impl Args {
                     a.expect_pairs_match = Some(take(&argv, i, "--expect-pairs-match"));
                     i += 1;
                 }
-                "--overhead" => a.overhead = true,
                 "--profile" => a.profile = true,
                 "--label" => {
                     a.label = take(&argv, i, "--label");
@@ -228,17 +219,11 @@ impl Args {
                         .expect("--fault-retries takes an integer");
                     i += 1;
                 }
-                "--overhead-pct" => {
-                    a.overhead_pct = take(&argv, i, "--overhead-pct")
-                        .parse()
-                        .expect("--overhead-pct takes a number");
-                    i += 1;
-                }
                 other => panic!(
                     "unknown argument {other} (expected --n/--k/--threads/--out/--events/\
                      --check/--expect-drain/--expect-retries/--expect-plan/--expect-replans/\
                      --expect-profile/--expect-queue-bytes/--expect-pairs-match/\
-                     --overhead/--overhead-pct/--profile/--label/--force-plan/\
+                     --profile/--label/--force-plan/\
                      --adaptive-force-at/--sessions/--expect-sessions/--queue-layout/\
                      --fault-seed/--fault-rate/--fault-retries)"
                 ),
@@ -963,13 +948,14 @@ fn run_check(path: &str, args: &Args) -> Result<(), String> {
     };
     if expect_queue_bytes {
         // The queue gate: the run must have recorded a non-zero queue-byte
-        // high-water mark, both as the engine-side JoinStats sample and as
-        // the pq.bytes gauge peak from the observability registry.
+        // high-water mark, and the registry's pq.bytes gauge peak must be
+        // that same JoinStats sample (the gauge publishes it).
         let (engine, gauge) = (counter("queue_bytes_peak"), counter("pq.bytes.peak"));
-        if engine == 0 || gauge == 0 {
+        if engine == 0 || gauge != engine {
             return Err(format!(
-                "{path}: expected a recorded queue-byte high-water mark, got \
-                 queue_bytes_peak={engine} pq.bytes.peak={gauge}"
+                "{path}: expected a non-zero queue-byte high-water mark shared by \
+                 JoinStats and the registry, got queue_bytes_peak={engine} \
+                 pq.bytes.peak={gauge}"
             ));
         }
         println!(
@@ -1065,128 +1051,10 @@ fn run_check(path: &str, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Interleaved min-of-N comparison of a baseline against a candidate;
-/// fails when the candidate's best time exceeds the baseline's by more
-/// than `budget` percent, or when the two disagree on `distance_calcs`.
-///
-/// Warm-up once each, then interleave and keep the per-variant minimum:
-/// min-of-N is robust against one-off scheduler noise in either direction,
-/// and alternating the within-round order cancels slow drift (cache
-/// warming, frequency scaling). Rounds are adaptive: per-run scheduler
-/// noise on a busy single-core host can dwarf a ~0% true delta, but both
-/// minima converge to the quiet-machine time, so we keep sampling until
-/// the comparison clears the budget (or a cap).
-fn compare_overhead(
-    base_label: &str,
-    cand_label: &str,
-    budget: f64,
-    base: impl Fn() -> (f64, u64),
-    cand: impl Fn() -> (f64, u64),
-) -> Result<(), String> {
-    let _ = base();
-    let _ = cand();
-    let mut best_base = f64::INFINITY;
-    let mut best_cand = f64::INFINITY;
-    let mut calcs = (0u64, 0u64);
-    let mut overhead = f64::INFINITY;
-    const MIN_ROUNDS: usize = 3;
-    const MAX_ROUNDS: usize = 15;
-    for round in 0..MAX_ROUNDS {
-        let ((sb, cb), (sn, cn)) = if round % 2 == 0 {
-            let b = base();
-            let n = cand();
-            (b, n)
-        } else {
-            let n = cand();
-            let b = base();
-            (b, n)
-        };
-        best_base = best_base.min(sb);
-        best_cand = best_cand.min(sn);
-        calcs = (cb, cn);
-        overhead = (best_cand - best_base) / best_base * 100.0;
-        eprintln!(
-            "# round {round}: {base_label} {sb:.4}s, {cand_label} {sn:.4}s \
-             (best-vs-best delta {overhead:+.2}%)"
-        );
-        if round + 1 >= MIN_ROUNDS && overhead <= budget {
-            break;
-        }
-    }
-    if calcs.0 != calcs.1 {
-        return Err(format!(
-            "{cand_label} changed the work: {} vs {} distance calcs",
-            calcs.0, calcs.1
-        ));
-    }
-    println!(
-        "overhead: {base_label} {best_base:.4}s, {cand_label} {best_cand:.4}s, \
-         delta {overhead:+.2}% (budget {budget}%)"
-    );
-    if overhead > budget {
-        return Err(format!(
-            "{cand_label} overhead {overhead:.2}% over {base_label} exceeds {budget}%"
-        ));
-    }
-    Ok(())
-}
-
-fn run_overhead(args: &Args) -> Result<(), String> {
-    let budget = args.overhead_pct;
-    eprintln!("# building two uniform {}-point trees ...", args.n);
-    let (t1, t2) = build_env(args);
-    let config = JoinConfig::default().with_max_pairs(args.k);
-
-    // One timing sample runs the join several times: a single K-pass is a
-    // few tens of ms, and scheduler jitter on a busy single-core host is
-    // the same order — far too noisy to resolve a 2% budget. Repetition
-    // amortizes the noise without changing what is measured.
-    const REPS: usize = 8;
-    let run_with = |ctx: Option<&ObsContext>| -> (f64, u64) {
-        let mut calcs = 0;
-        let start = Instant::now();
-        for _ in 0..REPS {
-            let mut join = DistanceJoin::new(&t1, &t2, config);
-            if let Some(ctx) = ctx {
-                join = join.with_obs(ctx);
-            }
-            let n = join.by_ref().count();
-            assert!(n > 0);
-            calcs = join.stats().distance_calcs;
-        }
-        (start.elapsed().as_secs_f64(), calcs)
-    };
-
-    // Gate 1: the fully uninstrumented engine against the default
-    // instrumented configuration (no-op sink, sampled spans) — the
-    // historical "instrumentation is free" guarantee, now spans included.
-    compare_overhead(
-        "bare",
-        "noop-instrumented",
-        budget,
-        || run_with(None),
-        || run_with(Some(&ObsContext::noop())),
-    )?;
-
-    // Gate 2: spans isolated — the same no-op instrumented engine with
-    // span accounting off versus on (sampled). This is the phase-profiling
-    // layer's own overhead budget.
-    compare_overhead(
-        "spans-off",
-        "spans-on",
-        budget,
-        || run_with(Some(&ObsContext::noop().with_span_mode(SpanMode::Off))),
-        || run_with(Some(&ObsContext::noop())),
-    )?;
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = Args::parse();
     let result = if let Some(path) = &args.check {
         run_check(path, &args)
-    } else if args.overhead {
-        run_overhead(&args)
     } else {
         run_report(&args)
     };

@@ -19,7 +19,8 @@ pub struct JoinStats {
     pub max_queue: usize,
     /// High-water mark of the queue's approximate resident bytes (entry
     /// storage, item arena, spill buffer pool), sampled once per insertion
-    /// flush.
+    /// flush and when read. The registry's `pq.bytes` high-water mark is
+    /// published from it.
     pub queue_bytes_peak: usize,
     /// Logical node reads performed by the join (each may or may not hit the
     /// buffer pool).

@@ -34,7 +34,9 @@ pub mod span;
 
 pub use event::{Event, PairKind, PlanPath, Side, Tier};
 pub use json::JsonValue;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, Registry, Snapshot};
+pub use metrics::{
+    Counter, Gauge, Histogram, HistogramSummary, LocalHistogram, Registry, Snapshot,
+};
 pub use report::{
     sparkline, write_atomic, CalibrationSection, HostInfo, PhaseRow, ProfileSection, RunRecorder,
     RunReport, SessionSection,

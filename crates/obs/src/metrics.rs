@@ -5,7 +5,9 @@
 //! Instruments are `Arc`-shared atomics. Components look them up (or
 //! create them) once, outside the hot path, then update them with plain
 //! atomic ops — the registry's internal lock is touched only at
-//! registration and snapshot time, never per update.
+//! registration and snapshot time, never per update. A hot loop that owns
+//! its counts keeps them in plain fields (a [`LocalHistogram`] for
+//! distributions) and publishes the deltas every so often instead.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,6 +62,13 @@ impl Gauge {
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Sets the value and raises the high-water mark to `peak`: how a
+    /// component that tracks its own peak between publishes reports both.
+    pub fn publish(&self, value: i64, peak: i64) {
+        self.value.store(value, Ordering::Relaxed);
+        self.max.fetch_max(peak.max(value), Ordering::Relaxed);
     }
 
     /// Adjusts the value by `delta`, updating the high-water mark.
@@ -163,9 +172,27 @@ impl Histogram {
         }
         self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        // CAS-add into the f64 sum. Contention here is light (one CAS per
-        // sample); overhead-sensitive callers sample rather than record
-        // every value.
+        self.add_sum(v);
+    }
+
+    /// Adds a [`LocalHistogram`]'s samples and empties it: one atomic
+    /// update per touched bucket, however many samples it holds.
+    pub fn absorb(&self, local: &mut LocalHistogram) {
+        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+        self.invalid.fetch_add(local.invalid, Ordering::Relaxed);
+        self.add_sum(local.sum);
+        *local = LocalHistogram::default();
+    }
+
+    /// CAS-adds into the f64 sum: one CAS per call, so hot loops record
+    /// into a [`LocalHistogram`] and publish it rather than call this per
+    /// sample.
+    fn add_sum(&self, v: f64) {
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
@@ -214,6 +241,41 @@ impl Histogram {
             invalid: self.invalid(),
             buckets,
         }
+    }
+}
+
+/// A single-owner [`Histogram`] in plain fields, with the same buckets:
+/// recording is a few non-atomic adds. Its owner publishes the accumulated
+/// samples with [`Histogram::absorb`].
+#[derive(Clone, Debug)]
+pub struct LocalHistogram {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: f64,
+    invalid: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        Self {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0.0,
+            invalid: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one sample. Negative or NaN samples count as invalid.
+    pub fn record(&mut self, v: f64) {
+        if v.is_nan() || v < 0.0 {
+            self.invalid += 1;
+            return;
+        }
+        self.buckets[Histogram::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum += v;
     }
 }
 
@@ -551,6 +613,36 @@ mod tests {
         assert!((s.mean() - 10.9).abs() < 1e-9);
         assert_eq!(s.quantile(0.5), 2.0);
         assert_eq!(s.quantile(0.95), 128.0);
+    }
+
+    #[test]
+    fn absorbing_a_local_histogram_matches_recording_directly() {
+        let samples = [0.0, 0.25, 1.0, 1.5, 100.0, 3e9, -1.0, f64::NAN];
+        let direct = Histogram::new();
+        let absorbed = Histogram::new();
+        let mut local = LocalHistogram::default();
+        for v in samples {
+            direct.record(v);
+            local.record(v);
+        }
+        absorbed.absorb(&mut local);
+        absorbed.absorb(&mut local); // emptied: a second absorb adds nothing
+        let (d, a) = (direct.summary(), absorbed.summary());
+        assert_eq!(
+            (d.count, d.invalid, d.buckets),
+            (a.count, a.invalid, a.buckets)
+        );
+        assert_eq!(d.sum, a.sum);
+
+        let g = Gauge::new();
+        g.publish(3, 9);
+        assert_eq!((g.get(), g.max()), (3, 9));
+        g.publish(5, 4);
+        assert_eq!(
+            (g.get(), g.max()),
+            (5, 9),
+            "a lower peak never lowers the mark"
+        );
     }
 
     #[test]

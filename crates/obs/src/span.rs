@@ -270,8 +270,7 @@ pub enum SpanMode {
     #[default]
     Sampled,
     /// Every span timed (stride pinned at 1). For tests and short runs —
-    /// the per-span clock reads are too expensive for the 2% gate on hot
-    /// workloads.
+    /// the per-span clock reads are too expensive for hot workloads.
     Always,
 }
 

@@ -3,7 +3,9 @@
 //! algorithms.
 
 use sdj_geom::{Metric, Rect};
-use sdj_storage::{BufferPool, DiskStats, PageId, Pager, PoolConfig, PoolStats, Result};
+use sdj_storage::{
+    BufferPool, DiskStats, PageId, Pager, PoolConfig, PoolStats, Result, StorageError,
+};
 
 use crate::config::RTreeConfig;
 use crate::entry::{Entry, ObjectId};
@@ -280,10 +282,16 @@ impl<const D: usize> RTree<D> {
 
     /// Inserts an object with the given minimal bounding rectangle.
     ///
-    /// # Panics
-    /// Panics if `mbr` is empty or non-finite.
+    /// # Errors
+    /// [`StorageError::InvalidInput`] if `mbr` is empty or has a NaN or
+    /// infinite coordinate (the tree is left unchanged), or the storage
+    /// error that stopped the insertion.
     pub fn insert(&mut self, oid: ObjectId, mbr: Rect<D>) -> Result<()> {
-        assert!(mbr.is_finite(), "object MBR must be finite and non-empty");
+        if !mbr.is_finite() {
+            return Err(StorageError::InvalidInput(
+                "object MBR must be finite and non-empty",
+            ));
+        }
         let mut reinserted_levels: u64 = 0;
         self.insert_at_level(Entry::object(mbr, oid), 0, &mut reinserted_levels)?;
         self.len += 1;
@@ -614,6 +622,31 @@ mod tests {
         let tree = grid_tree(100, 4);
         assert_eq!(tree.len(), 100);
         assert!(tree.height() > 1);
+        tree.validate().unwrap();
+    }
+
+    #[test]
+    fn bad_mbrs_are_refused_with_a_typed_error() {
+        let mut tree = grid_tree(50, 4);
+        let nan = Point::xy(f64::NAN, 0.5);
+        for bad in [
+            Rect::from_corners(&nan, &nan),
+            Rect::new([0.0, 0.0], [f64::INFINITY, 1.0]),
+            Rect::new([f64::NEG_INFINITY, 0.0], [0.0, 1.0]),
+            Rect::empty(),
+        ] {
+            assert!(
+                matches!(
+                    tree.insert(ObjectId(999), bad),
+                    Err(StorageError::InvalidInput(_))
+                ),
+                "{bad:?} must be refused"
+            );
+            assert_eq!(tree.len(), 50, "{bad:?} changed the tree");
+            tree.validate().unwrap();
+        }
+        tree.insert(ObjectId(50), pt(0.5, 0.5)).unwrap();
+        assert_eq!(tree.len(), 51);
         tree.validate().unwrap();
     }
 

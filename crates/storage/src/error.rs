@@ -29,6 +29,9 @@ pub enum StorageError {
     /// per-session queue budget) ran out of capacity. Permanent for the
     /// query that hit it; the process stays up.
     ResourceExhausted(&'static str),
+    /// The caller handed over a value the structure cannot store (e.g. a
+    /// NaN, infinite or empty bounding rectangle). Nothing was modified.
+    InvalidInput(&'static str),
 }
 
 impl StorageError {
@@ -63,6 +66,7 @@ impl fmt::Display for StorageError {
             StorageError::ResourceExhausted(what) => {
                 write!(f, "resource exhausted: {what}")
             }
+            StorageError::InvalidInput(what) => write!(f, "invalid input: {what}"),
         }
     }
 }
@@ -103,6 +107,9 @@ mod tests {
         assert!(StorageError::ResourceExhausted("arena slots")
             .to_string()
             .contains("arena slots"));
+        assert!(StorageError::InvalidInput("bad mbr")
+            .to_string()
+            .contains("bad mbr"));
     }
 
     #[test]
@@ -113,5 +120,6 @@ mod tests {
         assert!(!StorageError::Corrupt("x").is_transient());
         assert!(!StorageError::UnknownPage(0).is_transient());
         assert!(!StorageError::ResourceExhausted("x").is_transient());
+        assert!(!StorageError::InvalidInput("x").is_transient());
     }
 }
