@@ -50,10 +50,10 @@ echo "==> estimator gate"
 # slot contract (ties, u64-scale counts, evicted members whose slots other
 # pairs reuse, never-offered pairs, barred nodes, reports past K); the unit
 # tests pin a stale reused slot and the u32 slot ceiling; the backend matrix
-# runs K-bounded joins and a semi-join on every queue backend x layout, the
-# hybrid ones spilling, and requires identical streams and counters (the
-# memory backends also compact their queue against the estimate, and must drop
-# the same pairs); the adaptive unit test requires a compacting run to record
+# runs K-bounded joins and a semi-join on the three queue cells (memory flat,
+# memory pairing, spilling hybrid) and requires identical streams and counters
+# (the two memory cells also compact their queue against the estimate, and
+# must drop the same pairs); the adaptive unit test requires a compacting run to record
 # the replan signals of one that keeps every pair; the root test runs
 # tie-heavy K-bounded joins and a semi-join against the brute-force baselines.
 cargo test -p sdj-core --offline -q --lib estimate::tests::equivalence
@@ -158,17 +158,28 @@ cargo test -p sdj-core --offline -q --test adaptive_equivalence
     --expect-plan adaptive --expect-replans 1
 
 echo "==> queue-layout gate"
-# The flat 4-ary layout is the default; the paper's pairing heap stays
-# selectable and must stay interchangeable with it: the cross-layout
-# proptests (pop streams across tiers and the 24-bit tag wrap, tier gauge
-# conservation, spill round-trips, retain and discard-above-a-bound dropping
-# the same entries from both layouts, an arena that is empty whenever the
-# queue is) must pass, and a pairing-layout report run must produce the
+# Three queue cells remain: the memory backend in the flat 4-ary layout (the
+# default) or the paper's pairing heap, and the hybrid queue, whose in-memory
+# tiers are one flat heap. The in-memory PairingHeap is the model for the
+# rest: the hybrid queue must pop its (key, value) sequence exactly across
+# heap-only, list-heavy and spilling schedules with its tier gauges summing
+# to its length (layout_equivalence's
+# hybrid_pops_like_pairing_heap_and_gauges_account_for_every_element and
+# spill_reload_cycle_matches_pairing_heap, and the unit proptest below);
+# the flat heap must match it across the 24-bit tag wrap and drop the same
+# entries on retain; the join queue's cells must agree on join-shaped
+# pop/peek/drain/discard-above-a-bound sequences and hand every estimator
+# slot back, with an arena that is empty whenever the queue is; and every
+# engine must emit one stream on all three cells. A pairing-layout report run must produce the
 # same pair counts as the default flat run while recording a non-zero
-# pq.bytes high-water mark equal to the engine's queue_bytes_peak.
+# pq.bytes high-water mark equal to the engine's queue_bytes_peak. A hybrid
+# queue in the pairing layout, or with an unusable spill area, is a typed
+# config error, never a panic.
 cargo test -p sdj-pqueue --offline -q --test layout_equivalence
+cargo test -p sdj-pqueue --offline -q --lib hybrid::tests::pops_like_a_pairing_heap
 cargo test -p sdj-pqueue --offline -q --lib flat::tests::retain_matches_pairing_retain
 cargo test -p sdj-core --offline -q --lib queue::tests
+cargo test -p sdj-core --offline -q --lib config::tests::invalid_configs_are_typed_errors
 cargo test -p sdj-exec --offline -q --test parallel_equivalence flat_layout_is_stream_invisible_across_engines_and_backends
 ./target/release/sdj-report --n 4000 --k 800 \
     --out results/RunReport_queue_flat.json
@@ -182,12 +193,14 @@ echo "==> session service gate"
 # The cursor-session service must stay invisible in every result stream:
 # interleaved/paused/resumed/budgeted sessions emit bit-identical streams
 # to solo runs and cancellation leaks nothing (fuzzed-schedule proptests),
-# a kind-confused queue pair must decode to a typed Corrupt error rather
-# than a panic (one corrupt query must not take down a serving process),
+# a config no engine can run (bad bounds, a pairing-layout or hostile
+# hybrid queue) is refused at open with a typed error that returns its
+# admission slot (one bad query must not take down a serving process),
 # and a 4-session interleaved report run must attribute each session's
 # share of the shared buffer pool in the report's sessions rows.
 cargo test -p sdj-service --offline -q --test session_equivalence
-cargo test -p sdj-core --offline -q --test chaos kind_confused_pair_decodes_to_error_or_honest_kinds
+cargo test -p sdj-service --offline -q --test session_equivalence \
+    invalid_configs_are_typed_errors_and_open_sessions_keep_streaming
 ./target/release/sdj-report --n 4000 --k 400 --sessions 4 \
     --out results/RunReport_sessions.json
 ./target/release/sdj-report --check results/RunReport_sessions.json \

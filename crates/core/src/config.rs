@@ -3,14 +3,24 @@
 use sdj_geom::Metric;
 use sdj_pqueue::HybridConfig;
 
+use crate::queue::MIN_SPILL_PAGE;
+
 pub use crate::pair::TiePolicy;
-/// Queue memory layout (`DESIGN.md` §14): `FlatDary`, the default, keeps
-/// compact entries in a flat 4-ary implicit heap, each carrying an 8-byte
-/// handle to its pair's items interned in a shared arena (and the pair's
-/// §2.2.4 estimator slot); `Pairing` is the
-/// paper's pointer-based pairing heap over fat pairs. Result streams are
-/// bit-identical across layouts.
-pub use sdj_pqueue::Layout as QueueLayout;
+
+/// Memory layout of the in-memory queue backend (`DESIGN.md` §14). Result
+/// streams are bit-identical across layouts; only footprint and cache
+/// behaviour differ. The hybrid backend runs the flat layout only.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum QueueLayout {
+    /// The paper's pointer-based pairing heap over fat pairs, kept as the
+    /// cross-check layout.
+    Pairing,
+    /// Compact entries in a flat 4-ary implicit heap, each carrying an
+    /// 8-byte handle to its pair's items interned in a shared arena (and
+    /// the pair's §2.2.4 estimator slot). The default.
+    #[default]
+    FlatDary,
+}
 
 /// How node/node pairs are expanded (§2.2.2, evaluated in §4.1.1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -108,10 +118,9 @@ pub struct JoinConfig {
     pub tie: TiePolicy,
     /// Priority-queue backend.
     pub queue: QueueBackend,
-    /// Priority-queue memory layout, applied to whichever backend is
-    /// selected (this field overrides any layout carried by a
-    /// [`HybridConfig`]). Pop order and result streams are identical across
-    /// layouts; only footprint and cache behaviour differ.
+    /// Memory layout of the [`QueueBackend::Memory`] heap. The hybrid
+    /// backend takes only the default, [`QueueLayout::FlatDary`]. Pop order
+    /// and result streams are identical across layouts.
     pub layout: QueueLayout,
     /// Minimum result distance (`WHERE d >= dmin`); pairs that cannot reach
     /// it are pruned via MAXDIST.
@@ -176,15 +185,38 @@ pub enum ConfigError {
     /// Descending order with the hybrid queue, whose disk buckets are keyed
     /// by non-negative distance.
     DescendingHybrid,
+    /// The pairing layout with the hybrid queue, whose in-memory tiers are
+    /// the flat layout only.
+    PairingHybrid,
+    /// A hybrid queue whose `D_T` is not a positive finite distance (or so
+    /// small that its square is zero).
+    SpillIncrement,
+    /// A hybrid queue whose spill pages cannot hold one record.
+    SpillPageTooSmall,
+    /// A hybrid queue with no buffer frames for its spill area.
+    NoSpillFrames,
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::NegativeBound => "distance bounds must be non-negative",
-            Self::InvertedRange => "min_distance exceeds max_distance",
-            Self::DescendingHybrid => "descending joins require the memory queue backend",
-        })
+        match self {
+            Self::NegativeBound => f.write_str("distance bounds must be non-negative"),
+            Self::InvertedRange => f.write_str("min_distance exceeds max_distance"),
+            Self::DescendingHybrid => {
+                f.write_str("descending joins require the memory queue backend")
+            }
+            Self::PairingHybrid => {
+                f.write_str("the hybrid queue backend runs the flat queue layout only")
+            }
+            Self::SpillIncrement => {
+                f.write_str("the hybrid queue's D_T must be a positive finite distance")
+            }
+            Self::SpillPageTooSmall => write!(
+                f,
+                "the hybrid queue's page_size must be at least {MIN_SPILL_PAGE} bytes"
+            ),
+            Self::NoSpillFrames => f.write_str("the hybrid queue needs at least one buffer frame"),
+        }
     }
 }
 
@@ -192,7 +224,8 @@ impl std::error::Error for ConfigError {}
 
 impl JoinConfig {
     /// Checks internal consistency: non-negative range bounds, a
-    /// non-inverted range, and no descending order over a hybrid queue.
+    /// non-inverted range, and a hybrid queue only in ascending order, under
+    /// the flat layout, and with a usable spill area.
     ///
     /// # Errors
     /// The first violated rule, as a [`ConfigError`].
@@ -203,10 +236,26 @@ impl JoinConfig {
         if self.min_distance > self.max_distance {
             return Err(ConfigError::InvertedRange);
         }
-        if matches!(self.order, ResultOrder::Descending)
-            && !matches!(self.queue, QueueBackend::Memory)
-        {
+        let QueueBackend::Hybrid(hybrid) = self.queue else {
+            return Ok(());
+        };
+        if matches!(self.order, ResultOrder::Descending) {
             return Err(ConfigError::DescendingHybrid);
+        }
+        if self.layout == QueueLayout::Pairing {
+            return Err(ConfigError::PairingHybrid);
+        }
+        // Squared keys map D_T to D_T²; one that underflows to zero would
+        // put the first tier boundary at key 0.
+        let dt = hybrid.dt;
+        if !(dt > 0.0 && dt.is_finite() && dt * dt > 0.0) {
+            return Err(ConfigError::SpillIncrement);
+        }
+        if hybrid.page_size < MIN_SPILL_PAGE {
+            return Err(ConfigError::SpillPageTooSmall);
+        }
+        if hybrid.buffer_frames == 0 {
+            return Err(ConfigError::NoSpillFrames);
         }
         Ok(())
     }
@@ -328,6 +377,65 @@ mod tests {
         assert!(ConfigError::DescendingHybrid
             .to_string()
             .contains("memory queue"));
+        let hybrid = |layout, h: HybridConfig| JoinConfig {
+            queue: QueueBackend::Hybrid(h),
+            layout,
+            ..c
+        };
+        let flat = QueueLayout::FlatDary;
+        let page = |page_size| HybridConfig {
+            page_size,
+            ..HybridConfig::default()
+        };
+        let bad = [
+            (
+                hybrid(QueueLayout::Pairing, HybridConfig::default()),
+                ConfigError::PairingHybrid,
+            ),
+            (
+                hybrid(flat, HybridConfig::with_dt(0.0)),
+                ConfigError::SpillIncrement,
+            ),
+            (
+                hybrid(flat, HybridConfig::with_dt(-1.0)),
+                ConfigError::SpillIncrement,
+            ),
+            (
+                hybrid(flat, HybridConfig::with_dt(f64::NAN)),
+                ConfigError::SpillIncrement,
+            ),
+            (
+                hybrid(flat, HybridConfig::with_dt(f64::INFINITY)),
+                ConfigError::SpillIncrement,
+            ),
+            (
+                hybrid(flat, HybridConfig::with_dt(1e-200)),
+                ConfigError::SpillIncrement,
+            ),
+            (hybrid(flat, page(0)), ConfigError::SpillPageTooSmall),
+            (hybrid(flat, page(5)), ConfigError::SpillPageTooSmall),
+            (
+                hybrid(flat, page(MIN_SPILL_PAGE - 1)),
+                ConfigError::SpillPageTooSmall,
+            ),
+            (
+                hybrid(
+                    flat,
+                    HybridConfig {
+                        buffer_frames: 0,
+                        ..HybridConfig::default()
+                    },
+                ),
+                ConfigError::NoSpillFrames,
+            ),
+        ];
+        for (config, want) in bad {
+            assert_eq!(config.validate(), Err(want), "{config:?}");
+        }
+        assert_eq!(hybrid(flat, page(MIN_SPILL_PAGE)).validate(), Ok(()));
+        assert!(ConfigError::SpillPageTooSmall
+            .to_string()
+            .contains(&MIN_SPILL_PAGE.to_string()));
     }
 
     #[test]

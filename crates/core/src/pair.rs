@@ -249,9 +249,7 @@ impl QueueKey for PairKey {
 }
 
 impl Codec for PairKey {
-    fn encoded_size() -> usize {
-        9
-    }
+    const ENCODED_SIZE: usize = 9;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
         w.put_f64(self.dist.get())?;
@@ -267,91 +265,6 @@ impl Codec for PairKey {
         Ok(Self {
             dist: OrdF64::new(dist),
             tie,
-        })
-    }
-}
-
-// Item/Pair codecs so pairs can spill to the hybrid queue's disk tier.
-
-const TAG_NODE: u8 = 0;
-const TAG_OBR: u8 = 1;
-const TAG_OBJECT: u8 = 2;
-
-impl<const D: usize> Codec for Item<D> {
-    fn encoded_size() -> usize {
-        // tag + id + level + rect
-        1 + 8 + 1 + 16 * D
-    }
-
-    fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
-        let (tag, id, level, mbr) = match self {
-            Item::Node { page, level, mbr } => (TAG_NODE, *page, *level, mbr),
-            Item::Obr { oid, mbr } => (TAG_OBR, oid.0, 0, mbr),
-            Item::Object { oid, mbr } => (TAG_OBJECT, oid.0, 0, mbr),
-        };
-        w.put_u8(tag)?;
-        w.put_u64(id)?;
-        w.put_u8(level)?;
-        for a in 0..D {
-            w.put_f64(mbr.lo()[a])?;
-        }
-        for a in 0..D {
-            w.put_f64(mbr.hi()[a])?;
-        }
-        Ok(())
-    }
-
-    fn decode(r: &mut PageReader<'_>) -> sdj_storage::Result<Self> {
-        let tag = r.get_u8()?;
-        let id = r.get_u64()?;
-        let level = r.get_u8()?;
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for v in &mut lo {
-            *v = r.get_f64()?;
-        }
-        for v in &mut hi {
-            *v = r.get_f64()?;
-        }
-        for a in 0..D {
-            if !lo[a].is_finite() || !hi[a].is_finite() || lo[a] > hi[a] {
-                return Err(StorageError::Corrupt("invalid item rectangle"));
-            }
-        }
-        let mbr = Rect::new(lo, hi);
-        Ok(match tag {
-            TAG_NODE => Item::Node {
-                page: id,
-                level,
-                mbr,
-            },
-            TAG_OBR => Item::Obr {
-                oid: ObjectId(id),
-                mbr,
-            },
-            TAG_OBJECT => Item::Object {
-                oid: ObjectId(id),
-                mbr,
-            },
-            _ => return Err(StorageError::Corrupt("unknown item tag")),
-        })
-    }
-}
-
-impl<const D: usize> Codec for Pair<D> {
-    fn encoded_size() -> usize {
-        2 * Item::<D>::encoded_size()
-    }
-
-    fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
-        self.item1.encode(w)?;
-        self.item2.encode(w)
-    }
-
-    fn decode(r: &mut PageReader<'_>) -> sdj_storage::Result<Self> {
-        Ok(Self {
-            item1: Item::decode(r)?,
-            item2: Item::decode(r)?,
         })
     }
 }
@@ -421,33 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_codec_roundtrip() {
-        let pairs = [
-            Pair::new(node(3, 2), node(9, 1)),
-            Pair::new(obr(7), node(1, 0)),
-            Pair::new(
-                Item::Object {
-                    oid: ObjectId(u64::MAX),
-                    mbr: rect(-4.0, 4.0),
-                },
-                obr(0),
-            ),
-        ];
-        for p in pairs {
-            let mut buf = vec![0u8; Pair::<2>::encoded_size()];
-            p.encode(&mut PageWriter::new(&mut buf)).unwrap();
-            let back = Pair::<2>::decode(&mut PageReader::new(&buf)).unwrap();
-            assert_eq!(p, back);
-        }
-    }
-
-    #[test]
     fn key_codec_roundtrip() {
         let k = PairKey {
             dist: OrdF64::new(123.456),
             tie: 7,
         };
-        let mut buf = vec![0u8; PairKey::encoded_size()];
+        let mut buf = vec![0u8; PairKey::ENCODED_SIZE];
         k.encode(&mut PageWriter::new(&mut buf)).unwrap();
         assert_eq!(PairKey::decode(&mut PageReader::new(&buf)).unwrap(), k);
     }

@@ -1,16 +1,17 @@
-//! The join's priority queue: one facade over the four backend × layout
-//! combinations, tracking the paper's "maximum queue size" measure plus the
-//! queue's resident bytes.
+//! The join's priority queue: one facade over three backends, tracking the
+//! paper's "maximum queue size" measure plus the queue's resident bytes.
 //!
 //! The [`crate::config::QueueBackend`] axis picks the paper's structure
-//! (in-memory heap vs the §3.2 hybrid memory/disk scheme); the
-//! [`QueueLayout`] axis picks its memory representation. Under
+//! (in-memory heap vs the §3.2 hybrid memory/disk scheme). The memory
+//! backend's heap is picked by [`QueueLayout`]: under
 //! [`QueueLayout::FlatDary`], the default, pairs are stored as 8-byte
 //! [`PackedPair`] handles into a shared [`ItemArena`], carried inline in the
 //! entries of a flat 4-ary implicit heap ([`sdj_pqueue::FlatHeap`]);
 //! [`QueueLayout::Pairing`] keeps the paper's pairing heap over fat pairs.
-//! All four combinations realise the same `(key, arrival)` total order, so
-//! result streams are bit-identical across them.
+//! The hybrid backend stores the same handles: its in-memory tiers are a
+//! flat heap, and its spill pages carry one record format — key, handle and
+//! slot. All three backends realise the same `(key, arrival)` total order,
+//! so result streams are bit-identical across them.
 //!
 //! Every entry also carries a `u32` *slot*: the §2.2.4 estimator's handle
 //! on the member of `M` its pair was offered into
@@ -20,7 +21,7 @@
 //! pair's member without a lookup. Under the flat layout that makes the
 //! inline value 12 bytes.
 //!
-//! The flat layouts keep the last popped pair's arena references until the
+//! The flat backends keep the last popped pair's arena references until the
 //! next [`JoinQueue::push_batch`] (or pop): the expansion that follows a pop
 //! pushes children that repeat its unexpanded item, which then takes a
 //! reference-count bump on its live slot instead of being freed at the pop
@@ -29,7 +30,7 @@
 use std::sync::Arc;
 
 use sdj_obs::Gauge;
-use sdj_pqueue::{Codec, FlatHeap, HybridConfig, HybridQueue, PairingHeap, PriorityQueue};
+use sdj_pqueue::{Codec, FlatHeap, HybridQueue, KeyScale, PairingHeap};
 use sdj_storage::codec::{PageReader, PageWriter};
 use sdj_storage::DiskStats;
 
@@ -37,6 +38,13 @@ use crate::config::{QueueBackend, QueueLayout};
 use crate::estimate::NO_SLOT;
 use crate::pair::{Pair, PairKey};
 use crate::slab::{ItemArena, PackedPair};
+
+/// The hybrid backend's queue: spill records are a 9-byte key, an 8-byte
+/// pair handle and a 4-byte estimator slot.
+type SpillQueue = HybridQueue<PairKey, Slotted<PackedPair>>;
+
+/// The smallest hybrid `page_size` that holds one spill record.
+pub(crate) const MIN_SPILL_PAGE: usize = SpillQueue::MIN_PAGE_SIZE;
 
 /// A queued payload with its pair's estimator slot (see the module docs).
 #[derive(Clone, Copy, Debug)]
@@ -46,9 +54,7 @@ struct Slotted<V> {
 }
 
 impl<V: Codec> Codec for Slotted<V> {
-    fn encoded_size() -> usize {
-        V::encoded_size() + 4
-    }
+    const ENCODED_SIZE: usize = V::ENCODED_SIZE + 4;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
         self.value.encode(w)?;
@@ -63,7 +69,8 @@ impl<V: Codec> Codec for Slotted<V> {
     }
 }
 
-/// The backing structure: backend (memory/hybrid) × layout (pairing/flat).
+/// The backing structure: the memory backend in either layout, or the
+/// hybrid backend.
 enum Backend<const D: usize> {
     /// In-memory pairing heap over fat pairs.
     Pairing(PairingHeap<PairKey, Slotted<Pair<D>>>),
@@ -73,23 +80,19 @@ enum Backend<const D: usize> {
         heap: FlatHeap<PairKey, Slotted<PackedPair>>,
         arena: ItemArena<D>,
     },
-    /// Hybrid three-tier queue over fat pairs.
-    HybridPairing(Box<HybridQueue<PairKey, Slotted<Pair<D>>>>),
-    /// Hybrid three-tier queue over compact pair handles: the in-memory
-    /// tiers use the flat layout and spill pages carry 12-byte records.
-    /// Spilled handles keep their items pinned in the arena (references
-    /// bracket the full push..pop window), so reloads never re-intern.
-    HybridFlat {
-        queue: Box<HybridQueue<PairKey, Slotted<PackedPair>>>,
+    /// Hybrid three-tier queue over compact pair handles. Spilled handles
+    /// keep their items pinned in the arena (references bracket the full
+    /// push..pop window), so reloads never re-intern.
+    Hybrid {
+        queue: Box<SpillQueue>,
         arena: ItemArena<D>,
     },
 }
 
-/// Priority queue of pairs; see the module docs for the backend × layout
-/// matrix.
+/// Priority queue of pairs; see the module docs for the three backends.
 pub struct JoinQueue<const D: usize> {
     backend: Backend<D>,
-    /// Flat layouts: the arena references of the last popped pair, released
+    /// Flat backends: the arena references of the last popped pair, released
     /// by the next `push_batch` or pop (see the module docs).
     held: Option<PackedPair>,
     /// Flat memory layout: the interned batch, reused across flushes.
@@ -97,17 +100,18 @@ pub struct JoinQueue<const D: usize> {
     /// `pq.bytes` gauge (registered by [`attach_obs`](Self::attach_obs) for
     /// every backend), published from [`queue_bytes`](Self::queue_bytes).
     bytes_gauge: Option<Arc<Gauge>>,
-    /// `pq.slab_live` / `pq.slab_recycled` gauges (flat layouts only).
+    /// `pq.slab_live` / `pq.slab_recycled` gauges (flat backends only).
     slab_gauges: Option<(Arc<Gauge>, Arc<Gauge>)>,
 }
 
 impl<const D: usize> JoinQueue<D> {
-    /// Creates the queue selected by `backend` and `layout`, with keys in
-    /// `keys`'s domain. The hybrid backend's `D_T` is expressed in distance
+    /// Creates the queue selected by `backend`, with keys in `keys`'s
+    /// domain. `layout` picks the memory backend's heap; the hybrid backend
+    /// always runs the flat layout ([`crate::JoinConfig::validate`] refuses
+    /// it any other). The hybrid backend's `D_T` is expressed in distance
     /// units; its tier boundaries are mapped into the key domain via
-    /// [`sdj_pqueue::KeyScale`], so the same config tiers identically under
-    /// squared and plain keys. `layout` overrides any layout carried by the
-    /// backend's [`HybridConfig`] — the join config is the single switch.
+    /// [`KeyScale`], so the same config tiers identically under squared and
+    /// plain keys.
     #[must_use]
     pub fn new(backend: &QueueBackend, layout: QueueLayout, keys: sdj_geom::KeySpace) -> Self {
         let backend = match (backend, layout) {
@@ -116,41 +120,24 @@ impl<const D: usize> JoinQueue<D> {
                 heap: FlatHeap::new(),
                 arena: ItemArena::new(),
             },
-            (QueueBackend::Hybrid(config), layout) => {
+            (QueueBackend::Hybrid(config), _) => {
                 let scale = if keys.is_squared() {
-                    sdj_pqueue::KeyScale::Squared
+                    KeyScale::Squared
                 } else {
-                    sdj_pqueue::KeyScale::Identity
+                    KeyScale::Identity
                 };
-                Self::hybrid_backend(config.with_key_scale(scale).with_layout(layout))
+                Backend::Hybrid {
+                    queue: Box::new(HybridQueue::new(config.with_key_scale(scale))),
+                    arena: ItemArena::new(),
+                }
             }
         };
-        Self::over(backend)
-    }
-
-    /// Creates a hybrid-backed queue directly, honouring `config.layout`.
-    #[must_use]
-    pub fn hybrid(config: HybridConfig) -> Self {
-        Self::over(Self::hybrid_backend(config))
-    }
-
-    fn over(backend: Backend<D>) -> Self {
         Self {
             backend,
             held: None,
             staged: Vec::new(),
             bytes_gauge: None,
             slab_gauges: None,
-        }
-    }
-
-    fn hybrid_backend(config: HybridConfig) -> Backend<D> {
-        match config.layout {
-            QueueLayout::Pairing => Backend::HybridPairing(Box::new(HybridQueue::new(config))),
-            QueueLayout::FlatDary => Backend::HybridFlat {
-                queue: Box::new(HybridQueue::new(config)),
-                arena: ItemArena::new(),
-            },
         }
     }
 
@@ -179,12 +166,9 @@ impl<const D: usize> JoinQueue<D> {
                 heap.push(key, Slotted { value, slot });
                 Ok(())
             }
-            Backend::HybridPairing(q) => {
-                PriorityQueue::push(q.as_mut(), key, Slotted { value: pair, slot })
-            }
-            Backend::HybridFlat { queue, arena } => {
+            Backend::Hybrid { queue, arena } => {
                 let value = arena.intern_pair(&pair)?;
-                match PriorityQueue::push(queue.as_mut(), key, Slotted { value, slot }) {
+                match queue.push(key, Slotted { value, slot }) {
                     Ok(()) => Ok(()),
                     Err(e) => {
                         // The pair never entered the queue; its references
@@ -199,8 +183,8 @@ impl<const D: usize> JoinQueue<D> {
 
     /// Inserts a batch of `(key, pair, slot)` entries, then releases the
     /// held popped pair (see the module docs). The memory backends grow
-    /// their storage at most once for the whole batch; the hybrid backends
-    /// push per element (tiering decisions are per-element anyway) and stop
+    /// their storage at most once for the whole batch; the hybrid backend
+    /// pushes per element (tiering decisions are per-element anyway) and stop
     /// at the first storage error, dropping the rest of the batch — callers
     /// abort the join on `Err`, so the partial state is never observed as
     /// output.
@@ -236,7 +220,7 @@ impl<const D: usize> JoinQueue<D> {
                 }
                 interned
             }
-            _ => batch
+            Backend::Hybrid { .. } => batch
                 .into_iter()
                 .try_for_each(|(key, pair, slot)| self.push_slotted(key, pair, slot)),
         };
@@ -247,9 +231,7 @@ impl<const D: usize> JoinQueue<D> {
     /// Drops the held popped pair's arena references, if any.
     fn release_held(&mut self) {
         if let Some(packed) = self.held.take() {
-            if let Backend::Flat { arena, .. } | Backend::HybridFlat { arena, .. } =
-                &mut self.backend
-            {
+            if let Backend::Flat { arena, .. } | Backend::Hybrid { arena, .. } = &mut self.backend {
                 arena.release_pair(packed);
             }
         }
@@ -261,7 +243,7 @@ impl<const D: usize> JoinQueue<D> {
     /// slab payloads in place — no per-pop sifting and no fat-pair staging
     /// — which is what the adaptive handoff wants: the whole frontier,
     /// order discarded. The pairing backend pop-drains (its entries are
-    /// pointer-linked), and the hybrid backends pop-drain too because
+    /// pointer-linked), and the hybrid backend pop-drains too because
     /// spilled tiers must be reloaded through the ordered path anyway;
     /// those pops surface storage errors.
     pub fn drain_unordered(
@@ -269,10 +251,7 @@ impl<const D: usize> JoinQueue<D> {
         mut visit: impl FnMut(PairKey, Pair<D>, u32),
     ) -> sdj_storage::Result<()> {
         self.release_held();
-        if matches!(
-            self.backend,
-            Backend::HybridPairing(_) | Backend::HybridFlat { .. }
-        ) {
+        if matches!(self.backend, Backend::Hybrid { .. }) {
             while let Some((key, pair, slot)) = self.pop_slotted()? {
                 visit(key, pair, slot);
             }
@@ -291,7 +270,7 @@ impl<const D: usize> JoinQueue<D> {
                     visit(key, pair, entry.slot);
                 });
             }
-            Backend::HybridPairing(_) | Backend::HybridFlat { .. } => unreachable!(),
+            Backend::Hybrid { .. } => unreachable!(),
         }
         Ok(())
     }
@@ -300,8 +279,8 @@ impl<const D: usize> JoinQueue<D> {
     /// with its slot before it goes, and returns how many went. The flat
     /// layout releases the dropped pairs' arena references. The survivors
     /// pop in the order they would have anyway (see
-    /// [`FlatHeap::retain`]). The hybrid backends keep everything and
-    /// return 0: they bound resident memory by spilling instead.
+    /// [`FlatHeap::retain`]). The hybrid backend keeps everything and
+    /// returns 0: it bounds resident memory by spilling instead.
     pub(crate) fn discard_above(
         &mut self,
         bound: f64,
@@ -319,7 +298,7 @@ impl<const D: usize> JoinQueue<D> {
                     arena.release_pair(entry.value);
                 },
             ),
-            Backend::HybridPairing(_) | Backend::HybridFlat { .. } => 0,
+            Backend::Hybrid { .. } => 0,
         }
     }
 
@@ -329,7 +308,7 @@ impl<const D: usize> JoinQueue<D> {
     }
 
     /// Removes the minimum pair with the slot it was pushed with. Under the
-    /// flat layouts the pair's arena references are held until the next
+    /// flat backends the pair's arena references are held until the next
     /// `push_batch` or pop.
     pub(crate) fn pop_slotted(&mut self) -> sdj_storage::Result<Option<(PairKey, Pair<D>, u32)>> {
         self.release_held();
@@ -337,12 +316,8 @@ impl<const D: usize> JoinQueue<D> {
             Backend::Pairing(q) => {
                 return Ok(q.pop().map(|(key, entry)| (key, entry.value, entry.slot)))
             }
-            Backend::HybridPairing(q) => {
-                return Ok(PriorityQueue::pop(q.as_mut())?
-                    .map(|(key, entry)| (key, entry.value, entry.slot)))
-            }
             Backend::Flat { heap, arena } => (heap.pop(), arena),
-            Backend::HybridFlat { queue, arena } => (PriorityQueue::pop(queue.as_mut())?, arena),
+            Backend::Hybrid { queue, arena } => (queue.pop()?, arena),
         };
         Ok(popped.map(|(key, entry)| {
             self.held = Some(entry.value);
@@ -355,8 +330,7 @@ impl<const D: usize> JoinQueue<D> {
         match &mut self.backend {
             Backend::Pairing(q) => Ok(q.peek().copied()),
             Backend::Flat { heap, .. } => Ok(heap.peek()),
-            Backend::HybridPairing(q) => PriorityQueue::peek_key(q.as_mut()),
-            Backend::HybridFlat { queue, .. } => PriorityQueue::peek_key(queue.as_mut()),
+            Backend::Hybrid { queue, .. } => queue.peek_key(),
         }
     }
 
@@ -366,8 +340,7 @@ impl<const D: usize> JoinQueue<D> {
         match &self.backend {
             Backend::Pairing(q) => q.len(),
             Backend::Flat { heap, .. } => heap.len(),
-            Backend::HybridPairing(q) => PriorityQueue::len(q.as_ref()),
-            Backend::HybridFlat { queue, .. } => PriorityQueue::len(queue.as_ref()),
+            Backend::Hybrid { queue, .. } => queue.len(),
         }
     }
 
@@ -381,34 +354,32 @@ impl<const D: usize> JoinQueue<D> {
     #[must_use]
     pub fn max_len(&self) -> usize {
         match &self.backend {
-            Backend::Pairing(q) => PriorityQueue::max_len(q),
-            Backend::Flat { heap, .. } => PriorityQueue::max_len(heap),
-            Backend::HybridPairing(q) => PriorityQueue::max_len(q.as_ref()),
-            Backend::HybridFlat { queue, .. } => PriorityQueue::max_len(queue.as_ref()),
+            Backend::Pairing(q) => q.max_len(),
+            Backend::Flat { heap, .. } => heap.max_len(),
+            Backend::Hybrid { queue, .. } => queue.max_len(),
         }
     }
 
     /// Approximate resident bytes of the queue: heap/entry storage at
-    /// capacity, plus (flat layouts) the item arena and (hybrid backends)
+    /// capacity, plus (flat backends) the item arena and (hybrid backend)
     /// the spill buffer pool.
     #[must_use]
     pub fn queue_bytes(&self) -> usize {
         match &self.backend {
             Backend::Pairing(q) => q.approx_bytes(),
             Backend::Flat { heap, arena } => heap.approx_bytes() + arena.approx_bytes(),
-            Backend::HybridPairing(q) => q.approx_bytes(),
-            Backend::HybridFlat { queue, arena } => queue.approx_bytes() + arena.approx_bytes(),
+            Backend::Hybrid { queue, arena } => queue.approx_bytes() + arena.approx_bytes(),
         }
     }
 
-    /// Item-arena occupancy for the flat layouts: `(live distinct items,
+    /// Item-arena occupancy for the flat backends: `(live distinct items,
     /// lifetime high-water, recycled allocations)`. `None` under the
     /// pairing layout, which has no arena.
     #[must_use]
     pub fn slab_stats(&self) -> Option<(usize, usize, u64)> {
         match &self.backend {
-            Backend::Pairing(_) | Backend::HybridPairing(_) => None,
-            Backend::Flat { arena, .. } | Backend::HybridFlat { arena, .. } => {
+            Backend::Pairing(_) => None,
+            Backend::Flat { arena, .. } | Backend::Hybrid { arena, .. } => {
                 Some((arena.live(), arena.high_water(), arena.recycled()))
             }
         }
@@ -416,9 +387,9 @@ impl<const D: usize> JoinQueue<D> {
 
     /// Visits up to `limit` entries near the head of the queue (see
     /// [`PairingHeap::peek_top`]): the minimum first, then subtree minima in
-    /// breadth-first order. Memory backends only — the hybrid backends' head
+    /// breadth-first order. Memory backends only — the hybrid backend's head
     /// tier is reorganised on access, so peeking it is not side-effect-free;
-    /// they simply get no prefetch hints. The flat layout materialises each
+    /// it simply gets no prefetch hints. The flat layout materialises each
     /// visited pair from the arena.
     pub fn peek_top(&self, limit: usize, mut visit: impl FnMut(&PairKey, &Pair<D>)) {
         match &self.backend {
@@ -428,32 +399,30 @@ impl<const D: usize> JoinQueue<D> {
                     visit(&key, &arena.resolve_pair(entry.value));
                 });
             }
-            Backend::HybridPairing(_) | Backend::HybridFlat { .. } => {}
+            Backend::Hybrid { .. } => {}
         }
     }
 
-    /// Disk traffic of the hybrid backends (zeros for the memory backends).
+    /// Disk traffic of the hybrid backend (zeros for the memory backends).
     #[must_use]
     pub fn disk_stats(&self) -> DiskStats {
         match &self.backend {
             Backend::Pairing(_) | Backend::Flat { .. } => DiskStats::default(),
-            Backend::HybridPairing(q) => q.disk_stats(),
-            Backend::HybridFlat { queue, .. } => queue.disk_stats(),
+            Backend::Hybrid { queue, .. } => queue.disk_stats(),
         }
     }
 
-    /// Tiering information for the hybrid backends: `(tier stats, in-memory
+    /// Tiering information for the hybrid backend: `(tier stats, in-memory
     /// element peak)`. `None` for the memory backends.
     #[must_use]
     pub fn hybrid_info(&self) -> Option<(sdj_pqueue::HybridStats, usize)> {
         match &self.backend {
             Backend::Pairing(_) | Backend::Flat { .. } => None,
-            Backend::HybridPairing(q) => Some((q.stats(), q.in_memory_peak())),
-            Backend::HybridFlat { queue, .. } => Some((queue.stats(), queue.in_memory_peak())),
+            Backend::Hybrid { queue, .. } => Some((queue.stats(), queue.in_memory_peak())),
         }
     }
 
-    /// Attaches a fault injector to the hybrid backends' simulated disk.
+    /// Attaches a fault injector to the hybrid backend's simulated disk.
     /// No-op for the memory backends, which never touch storage.
     pub fn set_fault_injector(
         &mut self,
@@ -461,37 +430,34 @@ impl<const D: usize> JoinQueue<D> {
     ) {
         match &mut self.backend {
             Backend::Pairing(_) | Backend::Flat { .. } => {}
-            Backend::HybridPairing(q) => q.set_fault_injector(injector),
-            Backend::HybridFlat { queue, .. } => queue.set_fault_injector(injector),
+            Backend::Hybrid { queue, .. } => queue.set_fault_injector(injector),
         }
     }
 
-    /// Bounds how many times the hybrid backends retry a transient disk
+    /// Bounds how many times the hybrid backend retries a transient disk
     /// fault before surfacing it. No-op for the memory backends.
     pub fn set_retry_limit(&mut self, limit: u32) {
         match &mut self.backend {
             Backend::Pairing(_) | Backend::Flat { .. } => {}
-            Backend::HybridPairing(q) => q.set_retry_limit(limit),
-            Backend::HybridFlat { queue, .. } => queue.set_retry_limit(limit),
+            Backend::Hybrid { queue, .. } => queue.set_retry_limit(limit),
         }
     }
 
-    /// Buffer-pool fault/retry counters of the hybrid backends (zeros for
+    /// Buffer-pool fault/retry counters of the hybrid backend (zeros for
     /// the memory backends).
     #[must_use]
     pub fn pool_stats(&self) -> sdj_storage::PoolStats {
         match &self.backend {
             Backend::Pairing(_) | Backend::Flat { .. } => sdj_storage::PoolStats::default(),
-            Backend::HybridPairing(q) => q.pool_stats(),
-            Backend::HybridFlat { queue, .. } => queue.pool_stats(),
+            Backend::Hybrid { queue, .. } => queue.pool_stats(),
         }
     }
 
     /// Attaches observability: the `pq.bytes` gauge is registered for every
-    /// backend (and `pq.slab_live`/`pq.slab_recycled` for the flat layouts),
+    /// backend (and `pq.slab_live`/`pq.slab_recycled` for the flat backends),
     /// for the join to publish through
-    /// [`publish_gauges`](Self::publish_gauges); the hybrid backends
-    /// additionally emit tier migrations to the context's sink and register
+    /// [`publish_gauges`](Self::publish_gauges); the hybrid backend
+    /// additionally emits tier migrations to the context's sink and registers
     /// the `pq.tier.*` occupancy gauges.
     pub fn attach_obs(&mut self, ctx: &sdj_obs::ObsContext) {
         self.attach_obs_prefixed(ctx, "");
@@ -509,19 +475,14 @@ impl<const D: usize> JoinQueue<D> {
                 ctx.registry.gauge(&format!("{prefix}pq.slab_recycled")),
             ));
         }
-        let hybrid = match &mut self.backend {
-            Backend::Pairing(_) | Backend::Flat { .. } => None,
-            Backend::HybridPairing(q) => Some(q.as_mut() as &mut dyn HybridObsHook),
-            Backend::HybridFlat { queue, .. } => Some(queue.as_mut() as &mut dyn HybridObsHook),
-        };
-        if let Some(q) = hybrid {
+        if let Backend::Hybrid { queue, .. } = &mut self.backend {
             let gauges = sdj_pqueue::TierGauges::register_prefixed(&ctx.registry, prefix);
-            q.hook_obs(std::sync::Arc::clone(&ctx.sink), gauges);
+            queue.attach_obs(Arc::clone(&ctx.sink), Some(gauges));
             if let (Some(spill), Some(reload)) = (
                 sdj_obs::LeafSpan::from_context(ctx, sdj_obs::Phase::Spill),
                 sdj_obs::LeafSpan::from_context(ctx, sdj_obs::Phase::Reload),
             ) {
-                q.hook_spans(spill, reload);
+                queue.attach_spans(spill, reload);
             }
         }
     }
@@ -545,37 +506,13 @@ impl<const D: usize> JoinQueue<D> {
     }
 }
 
-/// Object-safe slice of [`HybridQueue`]'s obs hooks, so the two payload
-/// instantiations share one attachment path.
-trait HybridObsHook {
-    fn hook_obs(
-        &mut self,
-        sink: std::sync::Arc<dyn sdj_obs::EventSink>,
-        gauges: sdj_pqueue::TierGauges,
-    );
-    fn hook_spans(&mut self, spill: sdj_obs::LeafSpan, reload: sdj_obs::LeafSpan);
-}
-
-impl<V: sdj_pqueue::Codec + Copy> HybridObsHook for HybridQueue<PairKey, V> {
-    fn hook_obs(
-        &mut self,
-        sink: std::sync::Arc<dyn sdj_obs::EventSink>,
-        gauges: sdj_pqueue::TierGauges,
-    ) {
-        self.attach_obs(sink, Some(gauges));
-    }
-
-    fn hook_spans(&mut self, spill: sdj_obs::LeafSpan, reload: sdj_obs::LeafSpan) {
-        self.attach_spans(spill, reload);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pair::{Item, TiePolicy};
     use proptest::prelude::*;
     use sdj_geom::Rect;
+    use sdj_pqueue::HybridConfig;
     use sdj_rtree::ObjectId;
 
     fn pair(oid: u64) -> Pair<2> {
@@ -593,7 +530,11 @@ mod tests {
     #[test]
     fn both_backends_agree() {
         let mut mem = JoinQueue::<2>::new(&QueueBackend::Memory, QueueLayout::Pairing, keyspace());
-        let mut hyb = JoinQueue::<2>::hybrid(HybridConfig::with_dt(1.0));
+        let mut hyb = JoinQueue::<2>::new(
+            &QueueBackend::Hybrid(HybridConfig::with_dt(1.0)),
+            QueueLayout::FlatDary,
+            keyspace(),
+        );
         for (i, d) in [3.0, 0.5, 7.25, 1.5, 4.0].iter().enumerate() {
             let p = pair(i as u64);
             let k = PairKey::new(*d, &p, TiePolicy::DepthFirst);
@@ -642,21 +583,25 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_layouts_pop_identical_pairs_across_spill() {
-        let mut fat = JoinQueue::<2>::hybrid(HybridConfig::with_dt(0.5));
-        let mut flat =
-            JoinQueue::<2>::hybrid(HybridConfig::with_dt(0.5).with_layout(QueueLayout::FlatDary));
+    fn hybrid_pops_like_the_pairing_heap_across_spill() {
+        let mut fat = JoinQueue::<2>::new(&QueueBackend::Memory, QueueLayout::Pairing, keyspace());
+        let mut hybrid = JoinQueue::<2>::new(
+            &QueueBackend::Hybrid(HybridConfig::with_dt(0.5)),
+            QueueLayout::FlatDary,
+            keyspace(),
+        );
         for i in 0..200u64 {
             let p = pair(i % 7);
             let d = f64::from(u32::try_from(i).unwrap()) * 0.17;
             let k = PairKey::new(d, &p, TiePolicy::DepthFirst);
             fat.push(k, p).unwrap();
-            flat.push(k, p).unwrap();
+            hybrid.push(k, p).unwrap();
         }
+        assert!(hybrid.hybrid_info().unwrap().0.spilled > 0);
         let mut popped = 0;
         loop {
             let a = fat.pop().unwrap();
-            let b = flat.pop().unwrap();
+            let b = hybrid.pop().unwrap();
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -664,7 +609,7 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 200);
-        let (live, _, _) = flat.slab_stats().unwrap();
+        let (live, _, _) = hybrid.slab_stats().unwrap();
         assert_eq!(live, 0);
     }
 
@@ -736,16 +681,12 @@ mod tests {
 
     /// Every backend hands each entry's slot back exactly as it was pushed
     /// — one at a time or in a batch, through pops, an unordered drain and,
-    /// on the hybrid backends, a spill to disk and a reload.
+    /// on the hybrid backend, a spill to disk and a reload.
     #[test]
     fn slots_round_trip_on_every_backend() {
         let backends = [
             (QueueBackend::Memory, QueueLayout::Pairing),
             (QueueBackend::Memory, QueueLayout::FlatDary),
-            (
-                QueueBackend::Hybrid(HybridConfig::with_dt(0.5)),
-                QueueLayout::Pairing,
-            ),
             (
                 QueueBackend::Hybrid(HybridConfig::with_dt(0.5)),
                 QueueLayout::FlatDary,

@@ -134,9 +134,7 @@ pub struct PackedPair {
 }
 
 impl Codec for PackedPair {
-    fn encoded_size() -> usize {
-        8
-    }
+    const ENCODED_SIZE: usize = 8;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
         w.put_u32(self.i1)?;
@@ -449,7 +447,7 @@ mod tests {
             i1: 7,
             i2: u32::MAX,
         };
-        let mut buf = vec![0u8; PackedPair::encoded_size()];
+        let mut buf = vec![0u8; PackedPair::ENCODED_SIZE];
         pp.encode(&mut PageWriter::new(&mut buf)).unwrap();
         assert_eq!(PackedPair::decode(&mut PageReader::new(&buf)).unwrap(), pp);
     }

@@ -59,7 +59,6 @@ fn hybrid_backend(dt: f64) -> QueueBackend {
         page_size: 256,
         buffer_frames: 2,
         key_scale: KeyScale::Squared,
-        ..HybridConfig::default()
     })
 }
 

@@ -45,7 +45,6 @@ fn hybrid_backend(dt: f64) -> QueueBackend {
         page_size: 256,
         buffer_frames: 2,
         key_scale: KeyScale::Squared,
-        ..HybridConfig::default()
     })
 }
 
@@ -357,63 +356,4 @@ fn ordered_intersection_join_survives_tree_faults() {
         None => assert_eq!(got, golden),
         Some(_) => assert_eq!(got, golden[..got.len()]),
     }
-}
-
-/// Kind-confusing corruption: a spilled pair whose tag bytes are damaged
-/// into *valid but wrong* kinds (an object demoted to a node, a node
-/// promoted to an object), not just invalid ones. The decoder either
-/// rejects the bytes as [`StorageError::Corrupt`], or yields a pair whose
-/// claimed kinds are internally honest — in particular, any pair
-/// `is_final` would report carries an object id on BOTH sides, so the
-/// join's finalisation path can always take its typed-error branch and
-/// never needs a panicking unwrap. This pins the invariant the engine's
-/// fail-clean finalisation relies on.
-#[test]
-fn kind_confused_pair_decodes_to_error_or_honest_kinds() {
-    use sdj_core::{Item, Pair};
-    use sdj_pqueue::Codec;
-    use sdj_storage::codec::{PageReader, PageWriter};
-
-    let mbr = sdj_geom::Rect::new([0.25, 0.5], [1.0, 2.0]);
-    let pair: Pair<2> = Pair {
-        item1: Item::Object {
-            oid: ObjectId(7),
-            mbr,
-        },
-        item2: Item::Object {
-            oid: ObjectId(11),
-            mbr,
-        },
-    };
-    let size = Pair::<2>::encoded_size();
-    let item_size = Item::<2>::encoded_size();
-    let mut buf = vec![0u8; size];
-    let mut w = PageWriter::new(&mut buf);
-    pair.encode(&mut w).unwrap();
-
-    let mut corrupt_rejections = 0;
-    for tag1 in 0u8..=3 {
-        for tag2 in 0u8..=3 {
-            let mut bytes = buf.clone();
-            bytes[0] = tag1;
-            bytes[item_size] = tag2;
-            let mut r = PageReader::new(&bytes);
-            match Pair::<2>::decode(&mut r) {
-                Err(StorageError::Corrupt(_)) => corrupt_rejections += 1,
-                Err(e) => panic!("kind confusion must surface as Corrupt, got {e:?}"),
-                Ok(p) => {
-                    for exact_obrs in [false, true] {
-                        if p.is_final(exact_obrs) {
-                            assert!(
-                                p.item1.object_id().is_some() && p.item2.object_id().is_some(),
-                                "a final pair must expose object ids on both sides: {p:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Tag 3 is invalid on either side: 7 of the 16 combinations.
-    assert_eq!(corrupt_rejections, 7, "invalid tags must all be rejected");
 }

@@ -637,16 +637,17 @@ fn default_layout_stats_repeat_exactly() {
 }
 
 /// K-bounded joins and a K-bounded semi-join give the same stream and the
-/// same counters on every queue backend × layout. Each queued pair carries
-/// its §2.2.4 estimator slot through the queue, and a backend that lost it
-/// — in a pop, a batch push or a spill page — would leave stale members in
-/// `M` and prune pairs the reference keeps. The hybrid runs spill.
+/// same counters on every queue backend: memory in both layouts, and the
+/// hybrid queue. Each queued pair carries its §2.2.4 estimator slot through
+/// the queue, and a backend that lost it — in a pop, a batch push or a
+/// spill page — would leave stale members in `M` and prune pairs the
+/// reference keeps. The hybrid runs spill.
 ///
 /// The memory backends also compact their queue against the estimate: the
 /// two layouts drop the same pairs, so they agree on every counter, queue
-/// high-water and discards included. The hybrid backends never compact;
-/// they agree with the memory ones on everything but those two and the
-/// queue length left at the end. Every run accounts for each enqueued pair
+/// high-water and discards included. The hybrid backend never compacts; it
+/// agrees with the memory ones on everything but those two and the queue
+/// length left at the end. Every run accounts for each enqueued pair
 /// as dequeued, discarded or still queued.
 #[test]
 fn estimator_slots_survive_every_queue_backend() {
@@ -666,10 +667,6 @@ fn estimator_slots_survive_every_queue_backend() {
         (
             QueueBackend::Hybrid(HybridConfig::with_dt(0.01)),
             QueueLayout::FlatDary,
-        ),
-        (
-            QueueBackend::Hybrid(HybridConfig::with_dt(0.01)),
-            QueueLayout::Pairing,
         ),
     ];
     let semi = SemiConfig {

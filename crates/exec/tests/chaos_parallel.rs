@@ -42,7 +42,6 @@ fn spilly_config() -> JoinConfig {
             page_size: 256,
             buffer_frames: 2,
             key_scale: KeyScale::Squared,
-            ..HybridConfig::default()
         }),
         ..JoinConfig::default()
     }

@@ -437,44 +437,50 @@ fn prefetch_is_stream_invisible_and_conserves_io() {
     }
 }
 
-/// The compact flat 4-ary queue layout is a pure representation change:
-/// every engine (serial, parallel at several thread counts) and every queue
-/// backend (memory, hybrid with spilling) must produce the bit-identical
-/// result stream under `QueueLayout::FlatDary` that it produces under the
-/// default pairing layout.
+/// The queue backend is a pure representation change: every engine
+/// (serial, parallel at several thread counts) on each of the three queue
+/// cells — memory flat, memory pairing, and the hybrid queue with spilling
+/// — produces the bit-identical result stream of a serial join on the
+/// memory pairing heap, the paper's layout.
 #[test]
 fn flat_layout_is_stream_invisible_across_engines_and_backends() {
     let a = uniform(300, 101);
     let b = uniform(350, 102);
     let t1 = tree(&a, 8);
     let t2 = tree(&b, 8);
-    let backends: [QueueBackend; 2] = [
-        QueueBackend::Memory,
-        // A small D_T increment forces real list-tier and spill traffic.
-        QueueBackend::Hybrid(sdj_pqueue::HybridConfig {
-            dt: 0.05,
-            page_size: 256,
-            buffer_frames: 2,
-            ..sdj_pqueue::HybridConfig::default()
-        }),
+    let memory = |layout| JoinConfig::default().with_layout(layout);
+    let reference = memory(QueueLayout::Pairing);
+    let want: Vec<_> = DistanceJoin::new(&t1, &t2, reference)
+        .map(|r| key(&r))
+        .collect();
+    let semi_want: Vec<_> = DistanceJoin::semi(&t1, &t2, reference, SemiConfig::default())
+        .map(|r| key(&r))
+        .collect();
+    let cells = [
+        memory(QueueLayout::FlatDary),
+        reference,
+        JoinConfig {
+            // A small D_T increment forces real list-tier and spill traffic.
+            queue: QueueBackend::Hybrid(sdj_pqueue::HybridConfig {
+                dt: 0.05,
+                page_size: 256,
+                buffer_frames: 2,
+                ..sdj_pqueue::HybridConfig::default()
+            }),
+            ..JoinConfig::default()
+        },
     ];
-    for backend in backends {
-        let config = |layout: QueueLayout| JoinConfig {
-            queue: backend,
-            ..JoinConfig::default().with_layout(layout)
-        };
-        let want: Vec<_> = DistanceJoin::new(&t1, &t2, config(QueueLayout::Pairing))
+    for config in cells {
+        let what = format!("{:?}/{:?}", config.queue, config.layout);
+        let serial: Vec<_> = DistanceJoin::new(&t1, &t2, config)
             .map(|r| key(&r))
             .collect();
-        let serial_flat: Vec<_> = DistanceJoin::new(&t1, &t2, config(QueueLayout::FlatDary))
-            .map(|r| key(&r))
-            .collect();
-        assert_eq!(serial_flat, want, "serial stream drifted under flat layout");
+        assert_eq!(serial, want, "{what}: serial stream drifted");
         for threads in [1usize, 4] {
             let run = ParallelDistanceJoin::new(
                 &t1,
                 &t2,
-                config(QueueLayout::FlatDary),
+                config,
                 ParallelConfig {
                     threads,
                     frontier_factor: 8,
@@ -486,30 +492,17 @@ fn flat_layout_is_stream_invisible_across_engines_and_backends() {
             assert_eq!(
                 run.value.iter().map(key).collect::<Vec<_>>(),
                 want,
-                "parallel flat-layout stream drifted at threads={threads}"
+                "{what}: parallel stream drifted at threads={threads}"
             );
             assert!(
                 run.stats.queue_bytes_peak > 0,
-                "flat layout must report queue bytes"
+                "{what}: every backend reports queue bytes"
             );
         }
-        let semi_want: Vec<_> = DistanceJoin::semi(
-            &t1,
-            &t2,
-            config(QueueLayout::Pairing),
-            SemiConfig::default(),
-        )
-        .map(|r| key(&r))
-        .collect();
-        let semi_flat: Vec<_> = DistanceJoin::semi(
-            &t1,
-            &t2,
-            config(QueueLayout::FlatDary),
-            SemiConfig::default(),
-        )
-        .map(|r| key(&r))
-        .collect();
-        assert_eq!(semi_flat, semi_want, "semi-join drifted under flat layout");
+        let semi: Vec<_> = DistanceJoin::semi(&t1, &t2, config, SemiConfig::default())
+            .map(|r| key(&r))
+            .collect();
+        assert_eq!(semi, semi_want, "{what}: semi-join drifted");
     }
 }
 

@@ -36,7 +36,7 @@
 //! sorted pass ([`FlatHeap::promote_staged`]) when the window advances —
 //! promotion into an empty heap is a move, with zero sift steps.
 
-use crate::traits::{PriorityQueue, QueueKey};
+use crate::traits::QueueKey;
 
 /// Heap arity: children of `i` live at `ARITY*i + 1 ..= ARITY*i + ARITY`.
 /// 4 × u64 keys span one 32-byte chunk, matching the geometry kernels'
@@ -96,6 +96,12 @@ impl<K: QueueKey, V: Copy> FlatHeap<K, V> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// High-water mark of [`FlatHeap::len`] over the heap's lifetime.
+    #[must_use]
+    pub fn max_len(&self) -> usize {
+        self.max_len
     }
 
     /// Number of entries in the sifted (heap-ordered) region.
@@ -159,8 +165,7 @@ impl<K: QueueKey, V: Copy> FlatHeap<K, V> {
     }
 
     /// The minimum key of the *sifted* region, rebuilt from its compact
-    /// entry. Staged entries are invisible until promoted (use
-    /// [`PriorityQueue::peek_key`] for the promoting variant).
+    /// entry. Staged entries are invisible until promoted.
     #[must_use]
     pub fn peek(&self) -> Option<K> {
         let (&bits, &tag) = (self.keys.first()?, self.tags.first()?);
@@ -501,32 +506,6 @@ impl<K: QueueKey, V: Copy> FlatHeap<K, V> {
     /// without 2^24 pushes.
     pub fn skip_to_sequence_wrap(&mut self, n: u32) {
         self.seq = self.seq.max((SEQ_MASK + 1).saturating_sub(n));
-    }
-}
-
-impl<K: QueueKey, V: Copy> PriorityQueue<K, V> for FlatHeap<K, V> {
-    fn push(&mut self, key: K, value: V) -> sdj_storage::Result<()> {
-        FlatHeap::push(self, key, value);
-        Ok(())
-    }
-
-    fn pop(&mut self) -> sdj_storage::Result<Option<(K, V)>> {
-        Ok(FlatHeap::pop(self))
-    }
-
-    fn peek_key(&mut self) -> sdj_storage::Result<Option<K>> {
-        if self.keys.is_empty() && !self.staged.is_empty() {
-            self.promote_staged();
-        }
-        Ok(self.peek())
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn max_len(&self) -> usize {
-        self.max_len
     }
 }
 
@@ -896,7 +875,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(flat.len(), pairing.len());
-                prop_assert_eq!(PriorityQueue::max_len(&flat), PriorityQueue::max_len(&pairing));
+                prop_assert_eq!(flat.max_len(), pairing.max_len());
             }
             flat.promote_staged();
             while let Some(got) = flat.pop() {

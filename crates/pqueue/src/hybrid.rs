@@ -1,12 +1,16 @@
 //! The hybrid memory/disk priority queue of §3.2.
 //!
-//! Elements with key distance below `D1` live in a heap (either [`Layout`]);
-//! distances in `[D1, D2)` sit in an unorganised in-memory list; everything
-//! at `D2` or beyond spills to disk, organised as "linked lists of pages
-//! with the pairs in each list having distances in the range
-//! `[k·D_T, (k+1)·D_T)`". When the heap empties, the list is poured into
-//! the heap, the window advances by `D_T`, and the next disk bucket is
-//! loaded into the list.
+//! Elements with key distance below `D1` live in a heap; distances in
+//! `[D1, D2)` sit in an unorganised in-memory list; everything at `D2` or
+//! beyond spills to disk, organised as "linked lists of pages with the pairs
+//! in each list having distances in the range `[k·D_T, (k+1)·D_T)`". When
+//! the heap empties, the list is poured into the heap, the window advances
+//! by `D_T`, and the next disk bucket is loaded into the list.
+//!
+//! Both in-memory tiers live inside one [`FlatHeap`]: the heap tier is its
+//! sifted region, the list tier its staged run, and the pour is
+//! [`FlatHeap::promote_staged`] — a sort plus a move, with zero sift steps,
+//! because the pour only ever lands in an empty heap.
 //!
 //! The window boundaries are maintained as an integer bucket counter
 //! (`D1 = w·D_T`, `D2 = (w+1)·D_T`) so repeated advancement cannot drift.
@@ -19,8 +23,7 @@ use sdj_storage::codec::{PageReader, PageWriter};
 use sdj_storage::{BufferPool, DiskStats, FaultInjector, PageId, Pager, PoolStats, StorageError};
 
 use crate::flat::FlatHeap;
-use crate::pairing::PairingHeap;
-use crate::traits::{Codec, PriorityQueue, QueueKey};
+use crate::traits::{Codec, QueueKey};
 
 /// Bytes of a spill-page header: record count (`u16`) + next page (`u32`).
 const BUCKET_HEADER: usize = 6;
@@ -30,24 +33,6 @@ const BUCKET_HEADER: usize = 6;
 /// page without it: spill pages never outlive the process that wrote them,
 /// so an unmarked header can only be corruption.
 const SPILL_V2_MARK: u16 = 0x8000;
-
-/// Memory layout of the queue's in-memory tiers.
-///
-/// Both layouts realise the identical total order `(key, arrival)` — equal
-/// keys pop in FIFO arrival order — so the choice is invisible in the
-/// result stream and purely a cache/memory trade-off.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Layout {
-    /// Pointer-based pairing heap (+ `Vec` list tier) holding full
-    /// `(K, V)` pairs in its nodes — the structure the paper chose.
-    Pairing,
-    /// Flat 4-ary implicit heap sifting compact entries with their values
-    /// inline; the list tier is a staged compact-entry run in the same
-    /// structure (see [`FlatHeap`]). The default: it pops cheaper and holds
-    /// a fraction of the pairing heap's bytes.
-    #[default]
-    FlatDary,
-}
 
 /// How queue keys relate to the distance units `D_T` is expressed in.
 ///
@@ -101,8 +86,6 @@ pub struct HybridConfig {
     pub buffer_frames: usize,
     /// The key domain of pushed keys (see [`KeyScale`]).
     pub key_scale: KeyScale,
-    /// Memory layout of the in-memory tiers (see [`Layout`]).
-    pub layout: Layout,
 }
 
 impl Default for HybridConfig {
@@ -112,7 +95,6 @@ impl Default for HybridConfig {
             page_size: 1024,
             buffer_frames: 64,
             key_scale: KeyScale::Identity,
-            layout: Layout::default(),
         }
     }
 }
@@ -131,13 +113,6 @@ impl HybridConfig {
     #[must_use]
     pub fn with_key_scale(mut self, key_scale: KeyScale) -> Self {
         self.key_scale = key_scale;
-        self
-    }
-
-    /// Returns the configuration with its in-memory layout replaced.
-    #[must_use]
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
         self
     }
 }
@@ -210,136 +185,18 @@ struct Bucket {
     total: usize,
 }
 
-/// The two in-memory tiers (heap + list) in either [`Layout`].
-///
-/// In the flat layout both tiers live inside one [`FlatHeap`]: the heap
-/// tier is its sifted region, the list tier its staged run, and the window
-/// pour is `promote_staged` — a sort plus a move, with zero sift steps,
-/// because the pour only ever lands in an empty heap.
-enum MemTier<K, V> {
-    Pairing {
-        heap: PairingHeap<K, V>,
-        list: Vec<(K, V)>,
-    },
-    Flat(FlatHeap<K, V>),
-}
-
-impl<K: QueueKey, V: Copy> MemTier<K, V> {
-    fn new(layout: Layout) -> Self {
-        match layout {
-            Layout::Pairing => MemTier::Pairing {
-                heap: PairingHeap::new(),
-                list: Vec::new(),
-            },
-            Layout::FlatDary => MemTier::Flat(FlatHeap::new()),
-        }
-    }
-
-    fn heap_len(&self) -> usize {
-        match self {
-            MemTier::Pairing { heap, .. } => heap.len(),
-            MemTier::Flat(f) => f.sifted_len(),
-        }
-    }
-
-    fn list_len(&self) -> usize {
-        match self {
-            MemTier::Pairing { list, .. } => list.len(),
-            MemTier::Flat(f) => f.staged_len(),
-        }
-    }
-
-    fn heap_is_empty(&self) -> bool {
-        self.heap_len() == 0
-    }
-
-    fn list_is_empty(&self) -> bool {
-        self.list_len() == 0
-    }
-
-    fn push_heap(&mut self, key: K, value: V) {
-        match self {
-            MemTier::Pairing { heap, .. } => heap.push(key, value),
-            MemTier::Flat(f) => f.push(key, value),
-        }
-    }
-
-    fn push_list(&mut self, key: K, value: V) {
-        match self {
-            MemTier::Pairing { list, .. } => list.push((key, value)),
-            MemTier::Flat(f) => f.stage(key, value),
-        }
-    }
-
-    /// Appends reloaded records to the list tier, preserving their order.
-    fn extend_list(&mut self, records: Vec<(K, V)>) {
-        match self {
-            MemTier::Pairing { list, .. } => list.extend(records),
-            MemTier::Flat(f) => {
-                for (k, v) in records {
-                    f.stage(k, v);
-                }
-            }
-        }
-    }
-
-    /// Pours the list tier into the heap tier, returning how many moved.
-    ///
-    /// Both layouts realise the same resulting order: the pairing heap
-    /// stamps arrival sequence numbers as it pushes (list order *is*
-    /// arrival order — see `reload_bucket_inner`), and the flat heap's
-    /// staged entries keep the arrival tags they were given at stage time.
-    fn pour(&mut self) -> usize {
-        match self {
-            MemTier::Pairing { heap, list } => {
-                let n = list.len();
-                heap.reserve(n);
-                for (key, value) in list.drain(..) {
-                    heap.push(key, value);
-                }
-                n
-            }
-            MemTier::Flat(f) => f.promote_staged(),
-        }
-    }
-
-    /// Pops the heap tier's minimum. Callers pour the list first
-    /// (`ensure_front`), so this never has to look past the heap tier.
-    fn pop_heap(&mut self) -> Option<(K, V)> {
-        match self {
-            MemTier::Pairing { heap, .. } => heap.pop(),
-            MemTier::Flat(f) => f.pop(),
-        }
-    }
-
-    fn peek_heap(&self) -> Option<K> {
-        match self {
-            MemTier::Pairing { heap, .. } => heap.peek().cloned(),
-            MemTier::Flat(f) => f.peek(),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        match self {
-            MemTier::Pairing { heap, list } => {
-                heap.approx_bytes() + list.capacity() * std::mem::size_of::<(K, V)>()
-            }
-            MemTier::Flat(f) => f.approx_bytes(),
-        }
-    }
-}
-
 /// A three-tier memory/disk min-priority queue.
 ///
 /// Storage errors on the simulated spill disk (transient I/O faults,
 /// disk-full during spill, corrupt bucket pages) surface as
-/// `sdj_storage::Result` errors from [`PriorityQueue::push`] /
-/// [`PriorityQueue::pop`] / [`PriorityQueue::peek_key`]. After an error the
+/// `sdj_storage::Result` errors from [`HybridQueue::push`] /
+/// [`HybridQueue::pop`] / [`HybridQueue::peek_key`]. After an error the
 /// queue's contents may be incomplete (a mid-spill fault can drop the
 /// element being pushed); callers are expected to abort the enclosing run,
 /// which is what the join engines do.
 pub struct HybridQueue<K, V> {
-    mem: MemTier<K, V>,
+    /// The heap tier (sifted region) and the list tier (staged run).
+    mem: FlatHeap<K, V>,
     buckets: BTreeMap<u64, Bucket>,
     pool: BufferPool,
     /// Resident bytes of the spill buffer pool (frames × page size).
@@ -362,24 +219,30 @@ where
     K: QueueKey + Codec,
     V: Codec + Copy,
 {
+    /// Bytes of one spill record: the key, then the value.
+    const RECORD: usize = K::ENCODED_SIZE + V::ENCODED_SIZE;
+
+    /// The smallest `page_size` whose spill pages hold one record.
+    pub const MIN_PAGE_SIZE: usize = BUCKET_HEADER + Self::RECORD;
+
     /// Creates an empty hybrid queue.
     ///
     /// # Panics
-    /// Panics if `dt` is not positive or a spill page cannot hold at least
-    /// one record.
+    /// Panics if `dt` is not positive, a spill page is smaller than
+    /// [`HybridQueue::MIN_PAGE_SIZE`], or `buffer_frames` is zero.
     #[must_use]
     pub fn new(config: HybridConfig) -> Self {
         assert!(config.dt > 0.0, "D_T must be positive");
-        let record = K::encoded_size() + V::encoded_size();
-        let records_per_page = (config.page_size - BUCKET_HEADER) / record;
         assert!(
-            records_per_page >= 1,
-            "page size {} cannot hold a {record}-byte record",
-            config.page_size
+            config.page_size >= Self::MIN_PAGE_SIZE,
+            "page size {} cannot hold a {}-byte record",
+            config.page_size,
+            Self::RECORD
         );
+        let records_per_page = (config.page_size - BUCKET_HEADER) / Self::RECORD;
         let pool = BufferPool::new(Pager::new(config.page_size), config.buffer_frames);
         Self {
-            mem: MemTier::new(config.layout),
+            mem: FlatHeap::new(),
             buckets: BTreeMap::new(),
             pool,
             pool_bytes: config.page_size * config.buffer_frames,
@@ -424,8 +287,8 @@ where
             gauges: Some(g), ..
         }) = &self.obs
         {
-            g.heap.set(self.mem.heap_len() as i64);
-            g.list.set(self.mem.list_len() as i64);
+            g.heap.set(self.mem.sifted_len() as i64);
+            g.list.set(self.mem.staged_len() as i64);
             g.disk.set(self.on_disk_len() as i64);
         }
     }
@@ -470,7 +333,7 @@ where
     /// Number of elements currently resident in memory (heap + list).
     #[must_use]
     pub fn in_memory_len(&self) -> usize {
-        self.mem.heap_len() + self.mem.list_len()
+        self.mem.len()
     }
 
     /// Approximate resident bytes of the queue: in-memory tiers at their
@@ -495,7 +358,7 @@ where
     }
 
     fn note_memory(&mut self) {
-        let m = self.mem.heap_len() + self.mem.list_len();
+        let m = self.mem.len();
         if m > self.mem_peak {
             self.mem_peak = m;
         }
@@ -582,7 +445,7 @@ where
             return Err(StorageError::Corrupt("spill bucket vanished"));
         };
         let head_count = b.head_count;
-        let offset = BUCKET_HEADER + head_count * (K::encoded_size() + V::encoded_size());
+        let offset = BUCKET_HEADER + head_count * Self::RECORD;
         let written = self.pool.update(b.head, |buf| {
             let new_count = u16::try_from(head_count + 1)
                 .ok()
@@ -630,15 +493,14 @@ where
         let Some(bucket) = self.buckets.remove(&k) else {
             return Ok(());
         };
-        let record = K::encoded_size() + V::encoded_size();
+        let record = Self::RECORD;
         let records_per_page = self.records_per_page;
         let mut page = bucket.head;
         let mut loaded = 0usize;
-        // The chain runs newest page first. Collect per page, then append
-        // oldest first: the list tier then holds the bucket in *arrival*
+        // The chain runs newest page first. Collect per page, then stage
+        // oldest first: the list tier then tags the bucket in *arrival*
         // order, independent of how many records fit a page — which is what
-        // keeps equal-key pop order identical across queue layouts (their
-        // record widths, and hence page boundaries, differ).
+        // keeps equal-key pop order FIFO across a spill.
         let mut pages: Vec<Vec<(K, V)>> = Vec::new();
         while !page.is_invalid() {
             let read = self.pool.with_page(page, |buf| -> sdj_storage::Result<_> {
@@ -669,8 +531,8 @@ where
             self.pool.free(page)?;
             page = next;
         }
-        for records in pages.into_iter().rev() {
-            self.mem.extend_list(records);
+        for (key, value) in pages.into_iter().rev().flatten() {
+            self.mem.stage(key, value);
         }
         debug_assert_eq!(loaded, bucket.total);
         self.stats.reloaded += loaded as u64;
@@ -683,11 +545,11 @@ where
     /// Makes the heap's minimum the queue's global minimum, advancing the
     /// window and reloading disk buckets as needed.
     fn ensure_front(&mut self) -> sdj_storage::Result<()> {
-        while self.mem.heap_is_empty() {
-            if self.mem.list_is_empty() && self.buckets.is_empty() {
+        while self.mem.sifted_len() == 0 {
+            if self.mem.staged_len() == 0 && self.buckets.is_empty() {
                 return Ok(());
             }
-            if self.mem.list_is_empty() {
+            if self.mem.staged_len() == 0 {
                 // Jump the window straight to the first non-empty bucket.
                 let Some(&k) = self.buckets.keys().next() else {
                     return Ok(());
@@ -695,7 +557,7 @@ where
                 self.window = k;
                 self.reload_bucket(k)?;
             }
-            let drained = self.mem.pour();
+            let drained = self.mem.promote_staged();
             self.stats.promotions += 1;
             if drained > 0 {
                 self.emit_migration(Tier::List, Tier::Heap, drained);
@@ -708,20 +570,22 @@ where
         }
         Ok(())
     }
-}
 
-impl<K, V> PriorityQueue<K, V> for HybridQueue<K, V>
-where
-    K: QueueKey + Codec,
-    V: Codec + Copy,
-{
-    fn push(&mut self, key: K, value: V) -> sdj_storage::Result<()> {
+    /// Inserts an element; a key at or past `D2` is written to its disk
+    /// bucket.
+    ///
+    /// # Errors
+    /// A storage error of the spill write (the element is then lost).
+    ///
+    /// # Panics
+    /// Panics on a negative key distance.
+    pub fn push(&mut self, key: K, value: V) -> sdj_storage::Result<()> {
         let d = key.distance();
         assert!(d >= 0.0, "distance keys must be non-negative");
         if d < self.d1() {
-            self.mem.push_heap(key, value);
+            self.mem.push(key, value);
         } else if d < self.d2() {
-            self.mem.push_list(key, value);
+            self.mem.stage(key, value);
         } else {
             self.spill(key, value)?;
         }
@@ -732,9 +596,14 @@ where
         Ok(())
     }
 
-    fn pop(&mut self) -> sdj_storage::Result<Option<(K, V)>> {
+    /// Removes and returns the minimum element, reloading disk buckets as
+    /// the window advances.
+    ///
+    /// # Errors
+    /// A storage error of a bucket reload.
+    pub fn pop(&mut self) -> sdj_storage::Result<Option<(K, V)>> {
         self.ensure_front()?;
-        let out = self.mem.pop_heap();
+        let out = self.mem.pop();
         if out.is_some() {
             self.len -= 1;
         }
@@ -742,17 +611,33 @@ where
         Ok(out)
     }
 
-    fn peek_key(&mut self) -> sdj_storage::Result<Option<K>> {
+    /// The current minimum key, if any; may promote spilled elements into
+    /// memory.
+    ///
+    /// # Errors
+    /// A storage error of a bucket reload.
+    pub fn peek_key(&mut self) -> sdj_storage::Result<Option<K>> {
         self.ensure_front()?;
         self.sync_obs_gauges();
-        Ok(self.mem.peek_heap())
+        Ok(self.mem.peek())
     }
 
-    fn len(&self) -> usize {
+    /// Number of elements queued, in memory and on disk.
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn max_len(&self) -> usize {
+    /// True if no elements are queued.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// High-water mark of [`HybridQueue::len`] over the queue's lifetime —
+    /// the "maximum queue size" column of the paper's Table 1.
+    #[must_use]
+    pub fn max_len(&self) -> usize {
         self.max_len
     }
 }
@@ -771,7 +656,6 @@ mod tests {
             page_size: 128,
             buffer_frames: 4,
             key_scale: KeyScale::Identity,
-            layout: Layout::Pairing,
         })
     }
 
@@ -793,6 +677,7 @@ mod tests {
         assert_eq!(got, want);
         assert!(q.stats().spilled > 0);
         assert_eq!(q.stats().spilled, q.stats().reloaded);
+        assert_eq!(q.in_memory_len() + q.on_disk_len(), 0);
     }
 
     #[test]
@@ -887,7 +772,6 @@ mod tests {
                 page_size: 128,
                 buffer_frames: 4,
                 key_scale: scale,
-                layout: Layout::Pairing,
             })
         };
         let mut plain = mk(KeyScale::Identity);
@@ -914,42 +798,12 @@ mod tests {
         assert_eq!(plain.stats(), squared.stats());
     }
 
-    fn flat_queue(dt: f64) -> HybridQueue<OrdF64, u64> {
-        HybridQueue::new(HybridConfig {
-            dt,
-            page_size: 128,
-            buffer_frames: 4,
-            key_scale: KeyScale::Identity,
-            layout: Layout::FlatDary,
-        })
-    }
-
-    #[test]
-    fn flat_layout_pops_in_global_order_across_tiers() {
-        let mut q = flat_queue(1.0);
-        let ds = [5.5, 0.25, 3.75, 1.5, 0.75, 9.0, 2.25, 1.25, 7.5];
-        for (i, d) in ds.iter().enumerate() {
-            q.push(OrdF64::new(*d), i as u64).unwrap();
-        }
-        assert!(q.on_disk_len() > 0, "some elements must have spilled");
-        let mut got = Vec::new();
-        while let Some((k, _)) = q.pop().unwrap() {
-            got.push(k.get());
-        }
-        let mut want = ds.to_vec();
-        want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(got, want);
-        assert_eq!(q.stats().spilled, q.stats().reloaded);
-        assert_eq!(q.in_memory_len() + q.on_disk_len(), 0);
-    }
-
     #[test]
     fn approx_bytes_counts_pool_frames() {
         assert!(
             queue(1.0).approx_bytes() >= 128 * 4,
             "pool frames accounted"
         );
-        assert!(flat_queue(1.0).approx_bytes() >= 128 * 4);
     }
 
     /// Every spill page is stamped with the codec mark, so a header without
@@ -991,43 +845,37 @@ mod tests {
     }
 
     proptest! {
-        /// The flat layout's pop sequence — keys AND values — is
-        /// bit-identical to the pairing layout's under fuzzed interleavings
-        /// of pushes (with heavy key duplication, exercising FIFO ties) and
-        /// pops, across tier shapes (dt sweeps the heap/list/disk split) and
-        /// page-boundary differences.
+        /// The queue's pop sequence — keys AND values — is bit-identical to
+        /// an in-memory [`PairingHeap`](crate::PairingHeap)'s under fuzzed
+        /// interleavings of pushes (with heavy key duplication, exercising
+        /// FIFO ties) and pops, across tier shapes (dt sweeps the
+        /// heap/list/disk split).
         #[test]
-        fn layouts_pop_identically(
+        fn pops_like_a_pairing_heap(
             ops in prop::collection::vec((any::<bool>(), 0u32..60), 1..400),
             dt in 0.1..30.0f64,
         ) {
-            let mk = |layout| HybridQueue::<OrdF64, u64>::new(HybridConfig {
-                dt,
-                page_size: 128,
-                buffer_frames: 4,
-                key_scale: KeyScale::Identity,
-                layout,
-            });
-            let mut pairing = mk(Layout::Pairing);
-            let mut flat = mk(Layout::FlatDary);
+            let mut model = crate::PairingHeap::new();
+            let mut q = queue(dt);
             for (i, (is_pop, k)) in ops.into_iter().enumerate() {
                 if is_pop {
-                    prop_assert_eq!(pairing.pop().unwrap(), flat.pop().unwrap());
+                    prop_assert_eq!(model.pop(), q.pop().unwrap());
                 } else {
                     let d = OrdF64::new(f64::from(k) * 0.37);
-                    pairing.push(d, i as u64).unwrap();
-                    flat.push(d, i as u64).unwrap();
+                    model.push(d, i as u64);
+                    q.push(d, i as u64).unwrap();
                 }
-                prop_assert_eq!(pairing.len(), flat.len());
+                prop_assert_eq!(model.len(), q.len());
             }
             loop {
-                let (a, b) = (pairing.pop().unwrap(), flat.pop().unwrap());
+                let (a, b) = (model.pop(), q.pop().unwrap());
                 prop_assert_eq!(&a, &b);
                 if a.is_none() {
                     break;
                 }
             }
-            prop_assert_eq!(pairing.stats(), flat.stats());
+            prop_assert_eq!(q.stats().spilled, q.stats().reloaded);
+            prop_assert_eq!(model.max_len(), q.max_len());
         }
     }
 
@@ -1133,7 +981,6 @@ mod tests {
                 page_size: 256,
                 buffer_frames: 2,
                 key_scale: KeyScale::Identity,
-                layout: Layout::Pairing,
             });
             for (i, d) in ds.iter().enumerate() {
                 q.push(OrdF64::new(*d), i as u64).unwrap();

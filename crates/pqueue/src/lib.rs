@@ -8,18 +8,18 @@
 //!   the pairing heap structure", §3.2), with O(1) insert and amortised
 //!   O(log n) delete-min;
 //! * [`FlatHeap`] — a cache-conscious flat 4-ary implicit heap sifting
-//!   compact entries in SoA layout with small `Copy` values inline
-//!   ([`Layout::FlatDary`], the default layout);
+//!   compact entries in SoA layout with small `Copy` values inline;
 //! * [`HybridQueue`] — the three-tier memory/disk scheme of §3.2: keys below
-//!   `D1` live in a heap (either layout), keys in `[D1, D2)` in an
-//!   unorganised in-memory list, and keys of `D2` and above spill to linked
-//!   page lists on a simulated disk, bucketed by a fixed distance increment
-//!   `D_T`.
+//!   `D1` live in a heap, keys in `[D1, D2)` in an unorganised in-memory
+//!   list (both inside one [`FlatHeap`]), and keys of `D2` and above spill
+//!   to linked page lists on a simulated disk, bucketed by a fixed distance
+//!   increment `D_T`.
 //!
-//! All queues implement the fallible [`PriorityQueue`] trait so the join
-//! algorithms can be configured with any backend, and all of them realise
+//! Each queue's operations are inherent methods. The two heaps cannot fail;
+//! the hybrid queue's `push`, `pop` and `peek_key` return
+//! `sdj_storage::Result`, because its disk tier can. All of them realise
 //! the same total order `(key, arrival)` — equal keys pop in FIFO arrival
-//! order — so the backend choice is invisible in result streams.
+//! order — so the choice of queue is invisible in result streams.
 //!
 //! # Key domains
 //!
@@ -36,6 +36,6 @@ mod pairing;
 mod traits;
 
 pub use flat::{FlatHeap, ARITY};
-pub use hybrid::{HybridConfig, HybridQueue, HybridStats, KeyScale, Layout, TierGauges};
+pub use hybrid::{HybridConfig, HybridQueue, HybridStats, KeyScale, TierGauges};
 pub use pairing::PairingHeap;
-pub use traits::{f64_from_order_bits, f64_order_bits, Codec, PriorityQueue, QueueKey};
+pub use traits::{f64_from_order_bits, f64_order_bits, Codec, QueueKey};

@@ -5,8 +5,6 @@
 //! perform no allocation. `push` and `merge` are O(1); `pop` performs the
 //! classic two-pass pairing of the root's children, amortised O(log n).
 
-use crate::traits::PriorityQueue;
-
 const NIL: usize = usize::MAX;
 
 struct Slot<K, V> {
@@ -237,7 +235,7 @@ impl<K: Ord, V> PairingHeap<K, V> {
 
     /// Largest length observed.
     #[must_use]
-    pub fn high_water_mark(&self) -> usize {
+    pub fn max_len(&self) -> usize {
         self.max_len
     }
 
@@ -302,29 +300,6 @@ impl<K: Ord, V> PairingHeap<K, V> {
             root = if root == NIL { p } else { self.merge(root, p) };
         }
         root
-    }
-}
-
-impl<K: Ord + Clone, V> PriorityQueue<K, V> for PairingHeap<K, V> {
-    fn push(&mut self, key: K, value: V) -> sdj_storage::Result<()> {
-        PairingHeap::push(self, key, value);
-        Ok(())
-    }
-
-    fn pop(&mut self) -> sdj_storage::Result<Option<(K, V)>> {
-        Ok(PairingHeap::pop(self))
-    }
-
-    fn peek_key(&mut self) -> sdj_storage::Result<Option<K>> {
-        Ok(self.peek().cloned())
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn max_len(&self) -> usize {
-        self.max_len
     }
 }
 
@@ -410,7 +385,7 @@ mod tests {
             h.pop();
         }
         h.push(0, ());
-        assert_eq!(h.high_water_mark(), 50);
+        assert_eq!(h.max_len(), 50);
         assert_eq!(h.len(), 21);
     }
 

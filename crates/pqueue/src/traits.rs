@@ -1,4 +1,4 @@
-//! The queue abstraction shared by the join algorithms.
+//! Key and record traits shared by the queues.
 
 use sdj_storage::codec::{PageReader, PageWriter};
 
@@ -83,7 +83,7 @@ impl QueueKey for sdj_geom::OrdF64 {
 pub trait Codec: Sized {
     /// Encoded size in bytes; every instance must encode to exactly this
     /// many bytes.
-    fn encoded_size() -> usize;
+    const ENCODED_SIZE: usize;
 
     /// Writes `self` to the cursor.
     fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()>;
@@ -93,9 +93,7 @@ pub trait Codec: Sized {
 }
 
 impl Codec for sdj_geom::OrdF64 {
-    fn encoded_size() -> usize {
-        8
-    }
+    const ENCODED_SIZE: usize = 8;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
         w.put_f64(self.get())
@@ -107,9 +105,7 @@ impl Codec for sdj_geom::OrdF64 {
 }
 
 impl Codec for u64 {
-    fn encoded_size() -> usize {
-        8
-    }
+    const ENCODED_SIZE: usize = 8;
 
     fn encode(&self, w: &mut PageWriter<'_>) -> sdj_storage::Result<()> {
         w.put_u64(*self)
@@ -118,37 +114,6 @@ impl Codec for u64 {
     fn decode(r: &mut PageReader<'_>) -> sdj_storage::Result<Self> {
         r.get_u64()
     }
-}
-
-/// A min-priority queue of `(key, value)` pairs.
-///
-/// The mutating operations are fallible: tiered implementations touch a
-/// simulated disk whose faults (transient I/O, disk-full, corruption)
-/// surface as `sdj_storage::StorageError` instead of panicking. Purely
-/// in-memory implementations always return `Ok`.
-pub trait PriorityQueue<K: Ord, V> {
-    /// Inserts an element.
-    fn push(&mut self, key: K, value: V) -> sdj_storage::Result<()>;
-
-    /// Removes and returns the minimum element.
-    fn pop(&mut self) -> sdj_storage::Result<Option<(K, V)>>;
-
-    /// The current minimum key, if any.
-    ///
-    /// For tiered queues this may promote spilled elements into memory.
-    fn peek_key(&mut self) -> sdj_storage::Result<Option<K>>;
-
-    /// Number of elements currently queued.
-    fn len(&self) -> usize;
-
-    /// True if no elements are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// High-water mark of [`PriorityQueue::len`] over the queue's lifetime —
-    /// the "maximum queue size" column of the paper's Table 1.
-    fn max_len(&self) -> usize;
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use sdj_geom::OrdF64;
 use sdj_obs::{Event, EventSink, NdjsonWriter, Registry, RingRecorder, TeeSink};
-use sdj_pqueue::{HybridConfig, HybridQueue, PriorityQueue, TierGauges};
+use sdj_pqueue::{HybridConfig, HybridQueue, TierGauges};
 
 /// A `Write` target that can be read back after the writer is dropped.
 #[derive(Clone, Default)]

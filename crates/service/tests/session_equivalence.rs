@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use sdj_core::bulk::BulkDistanceJoin;
 use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, ConfigError, DistanceJoin, JoinConfig, PlanChoice,
-    QueueBackend, ResultOrder,
+    QueueBackend, QueueLayout, ResultOrder,
 };
 use sdj_geom::Rect;
 use sdj_pqueue::{HybridConfig, KeyScale};
@@ -65,7 +65,6 @@ fn hybrid_backend() -> QueueBackend {
         page_size: 256,
         buffer_frames: 2,
         key_scale: KeyScale::Squared,
-        ..HybridConfig::default()
     })
 }
 
@@ -395,9 +394,11 @@ fn admission_limit_is_enforced_and_slots_recycle() {
         .expect("slot recycled");
 }
 
-/// A join config no engine can run is refused at `open` with a typed error
-/// on every plan — no panic, no admission slot kept — while a session
-/// opened before it keeps streaming its solo stream.
+/// A join config no engine can run — bad bounds, or a hybrid queue in the
+/// pairing layout, with a non-positive `D_T`, a page too small for one
+/// record or no buffer frames — is refused at `open` with a typed error on
+/// every plan — no panic, no admission slot kept — while a session opened
+/// before it keeps streaming its solo stream.
 #[test]
 fn invalid_configs_are_typed_errors_and_open_sessions_keep_streaming() {
     let rects: Vec<Rect<2>> = (0..40)
@@ -418,6 +419,10 @@ fn invalid_configs_are_typed_errors_and_open_sessions_keep_streaming() {
         .unwrap();
     let mut got = live.next_batch(5).unwrap().results;
 
+    let hostile = |h: HybridConfig| JoinConfig {
+        queue: QueueBackend::Hybrid(h),
+        ..JoinConfig::default()
+    };
     let bad = [
         (
             JoinConfig::default().with_range(3.0, 1.0),
@@ -434,6 +439,45 @@ fn invalid_configs_are_typed_errors_and_open_sessions_keep_streaming() {
                 ..JoinConfig::default()
             },
             ConfigError::DescendingHybrid,
+        ),
+        (
+            JoinConfig {
+                queue: hybrid_backend(),
+                layout: QueueLayout::Pairing,
+                ..JoinConfig::default()
+            },
+            ConfigError::PairingHybrid,
+        ),
+        (
+            hostile(HybridConfig::with_dt(0.0)),
+            ConfigError::SpillIncrement,
+        ),
+        (
+            hostile(HybridConfig::with_dt(f64::NAN)),
+            ConfigError::SpillIncrement,
+        ),
+        (
+            hostile(HybridConfig {
+                page_size: 5,
+                ..HybridConfig::default()
+            }),
+            ConfigError::SpillPageTooSmall,
+        ),
+        (
+            // One byte short of the 6-byte page header plus one 21-byte
+            // record (key, pair handle, estimator slot).
+            hostile(HybridConfig {
+                page_size: 26,
+                ..HybridConfig::default()
+            }),
+            ConfigError::SpillPageTooSmall,
+        ),
+        (
+            hostile(HybridConfig {
+                buffer_frames: 0,
+                ..HybridConfig::default()
+            }),
+            ConfigError::NoSpillFrames,
         ),
     ];
     for (join, want) in bad {
