@@ -16,14 +16,15 @@ echo "==> cargo clippy (geom kernels: suboptimal_flops)"
 cargo clippy -p sdj-geom --all-targets --no-deps --offline -- \
     -D warnings -D clippy::suboptimal_flops
 
-echo "==> library crates and sdj-report read no environment"
+echo "==> library crates and the harness read no environment"
 # Configuration reaches the engines as plain data from the call site; a
 # library that consults the process environment cannot be configured per
 # query, and cannot be benchmarked without scrubbing it first. sdj-report
-# takes flags for the same reason: a CI line shows every knob it ran with.
+# and exp take flags for the same reason: a CI line shows every knob it ran
+# with.
 if grep -rn 'std::env::var' crates/core/src crates/service/src crates/exec/src \
-    crates/bench/src/bin/sdj_report.rs; then
-    echo "crates/{core,service,exec}/src and sdj-report must not read the environment" >&2
+    crates/bench/src; then
+    echo "crates/{core,service,exec,bench}/src must not read the environment" >&2
     exit 1
 fi
 
@@ -32,6 +33,25 @@ cargo build --release --workspace --offline
 
 echo "==> cargo test"
 cargo test --workspace --offline -q
+
+echo "==> paper evaluation smoke gate"
+# One exp invocation regenerates every table and figure of the paper's §4
+# at 1 % scale (about two seconds). It must exit zero and write each
+# artefact's table; the event logs' completeness is sdj-bench's exp test.
+exp_out="$(mktemp -d)"
+artefacts=(table1 fig6 fig7 fig8 fig9 fig10 swap_order alt_join alt_semijoin ablation)
+if ! ./target/release/exp "${artefacts[@]}" --scale 0.01 --out "$exp_out" \
+    2> "$exp_out/exp.log"; then
+    cat "$exp_out/exp.log" >&2
+    exit 1
+fi
+for a in "${artefacts[@]}"; do
+    if [ ! -s "$exp_out/$a.txt" ]; then
+        echo "exp $a wrote no $a.txt" >&2
+        exit 1
+    fi
+done
+rm -rf "$exp_out"
 
 echo "==> kernel-equivalence smoke gate"
 # Batched SoA distance kernels must match the scalar bound functions

@@ -43,7 +43,7 @@ use sdj_obs::{
     sparkline, CalibrationSection, EventSink, NdjsonWriter, ObsContext, ProfileSection,
     RunRecorder, RunReport, SessionSection, TeeSink,
 };
-use sdj_rtree::{ObjectId, RTree, RTreeConfig};
+use sdj_rtree::RTree;
 use sdj_service::{drain_round_robin, JoinService, ServiceConfig, SessionConfig};
 use sdj_storage::{BufferObs, FaultConfig, FaultInjector};
 
@@ -238,25 +238,13 @@ impl Args {
 fn build_env(args: &Args) -> (RTree<2>, RTree<2>) {
     let a: Vec<Point<2>> = uniform_points(args.n, &unit_box(), 97);
     let b: Vec<Point<2>> = uniform_points(args.n, &unit_box(), 98);
+    let mut config = sdj_bench::paper_tree_config();
     if args.fault_seed.is_some() {
         // Thrash-sized pools: the paper config's 128 frames can cache a
         // small tree whole, leaving the injector no pager I/O to fault.
-        let config = RTreeConfig {
-            buffer_frames: 8,
-            ..sdj_bench::paper_tree_config()
-        };
-        let small = |pts: &[Point<2>]| {
-            let items: Vec<_> = pts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (ObjectId(i as u64), p.to_rect()))
-                .collect();
-            RTree::bulk_load(config, items)
-        };
-        (small(&a), small(&b))
-    } else {
-        (build_tree(&a), build_tree(&b))
+        config.buffer_frames = 8;
     }
+    (build_tree(config, &a), build_tree(config, &b))
 }
 
 /// What pass 1 measures, whichever execution path ran it.

@@ -202,6 +202,49 @@ fn estimation_prunes_queue_growth() {
     );
 }
 
+/// `estimated_max_distance` reads the §2.2.4 bound: absent without `K` and
+/// under descending order; with `K`, never below the K-th reported distance
+/// and never rising while the stream is read.
+#[test]
+fn estimated_max_distance_bounds_the_kth_result_and_never_rises() {
+    let (a, b) = sample_sets();
+    let t1 = build_tree(&a, 6);
+    let t2 = build_tree(&b, 6);
+    let descending = JoinConfig {
+        order: ResultOrder::Descending,
+        ..JoinConfig::default()
+    };
+    for config in [JoinConfig::default(), descending.with_max_pairs(100)] {
+        let mut join = DistanceJoin::new(&t1, &t2, config);
+        assert_eq!(join.estimated_max_distance(), None);
+        while join.next().is_some() {
+            assert_eq!(join.estimated_max_distance(), None);
+        }
+    }
+    for k in [1u64, 10, 100, 1_000] {
+        let mut join = DistanceJoin::new(&t1, &t2, JoinConfig::default().with_max_pairs(k));
+        let mut reads = vec![join.estimated_max_distance().unwrap()];
+        let mut kth = 0.0;
+        while let Some(r) = join.next() {
+            kth = r.distance;
+            reads.push(join.estimated_max_distance().unwrap());
+        }
+        assert_eq!(reads.len() as u64, k + 1, "K = {k} results");
+        assert!(
+            reads.iter().all(|d| *d >= kth),
+            "K = {k}: {reads:?} vs {kth}"
+        );
+        assert!(
+            reads.windows(2).all(|w| w[1] <= w[0]),
+            "K = {k}: the bound rose: {reads:?}"
+        );
+        assert!(
+            reads[k as usize].is_finite(),
+            "K = {k}: the bound tightened"
+        );
+    }
+}
+
 /// Regression: `max_queue` must observe *batch* insertions, not just single
 /// pushes. Expansions stage children and flush them in one `push_batch`, so
 /// both the flush-time sample and the backend high-water mark must keep the

@@ -1,6 +1,6 @@
 //! Automated checks of the paper's *qualitative* findings at test scale:
 //! who wins, and in which direction each knob moves the cost. These mirror
-//! the full experiment binaries in `sdj-bench` but run in seconds under
+//! the artefacts of `sdj-bench`'s `exp` binary but run in seconds under
 //! `cargo test`. Costs are compared by work counters (distance
 //! calculations, queue growth, node accesses) rather than wall-clock, which
 //! is noisy at this scale.
