@@ -1,5 +1,6 @@
 //! Shared plumbing for the `exp` binary, which regenerates the paper's
-//! tables and figures (one artefact per table or figure; see DESIGN.md §3).
+//! tables and figures (one artefact per table or figure; see DESIGN.md §3),
+//! and the instrumented run behind `sdj-report` ([`report`]).
 //!
 //! The environment reproduces §3.1: two R*-trees with fan-out 50 over
 //! Water-like and Roads-like point sets sharing one coordinate frame, a
@@ -16,6 +17,8 @@ use sdj_datagen::tiger;
 use sdj_geom::Point;
 use sdj_obs::ObsContext;
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
+
+pub mod report;
 
 /// Paper-like experiment environment.
 pub struct Env {

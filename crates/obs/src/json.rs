@@ -1,6 +1,6 @@
 //! A minimal JSON value type with a recursive-descent parser and a string
-//! escaper — just enough to parse back the NDJSON event lines and
-//! `RunReport` documents this crate writes, with zero dependencies.
+//! escaper — just enough to parse back the NDJSON event lines this crate
+//! writes, with zero dependencies.
 //!
 //! Not a general-purpose JSON library: numbers are `f64`, object keys keep
 //! insertion order in a `Vec`, and the parser rejects anything deeper than
@@ -89,31 +89,11 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload as a `u64`, if this is a non-negative integer.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
     /// The boolean payload, if this is a boolean.
     #[must_use]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -380,14 +360,11 @@ mod tests {
     #[test]
     fn parses_nested_structures() {
         let v = JsonValue::parse("{\"a\": [1, 2, {\"b\": \"c\"}], \"d\": null}").unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2]
-                .get("b")
-                .unwrap()
-                .as_str(),
-            Some("c")
-        );
+        let Some(JsonValue::Arr(a)) = v.get("a") else {
+            panic!("a is an array");
+        };
+        assert_eq!(a.len(), 3);
+        assert_eq!(a[2].get("b").unwrap().as_str(), Some("c"));
         assert_eq!(v.get("d"), Some(&JsonValue::Null));
         assert_eq!(v.get("missing"), None);
     }
@@ -417,12 +394,5 @@ mod tests {
         let mut out = String::new();
         escape_into(&mut out, "a\"b\\c\nd\u{1}");
         assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
-    }
-
-    #[test]
-    fn as_u64_accepts_only_nonnegative_integers() {
-        assert_eq!(JsonValue::Num(7.0).as_u64(), Some(7));
-        assert_eq!(JsonValue::Num(-1.0).as_u64(), None);
-        assert_eq!(JsonValue::Num(1.5).as_u64(), None);
     }
 }

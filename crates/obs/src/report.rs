@@ -3,9 +3,8 @@
 //! A [`RunReport`] is a schema-versioned JSON document describing one
 //! instrumented join run: host info, workload parameters, counters, the
 //! queue-size-vs-results time series, and the distance-vs-rank curve — the
-//! raw material of the paper's Figures 6–8. Reports are written atomically
-//! ([`write_atomic`]) and can be parsed back and validated
-//! ([`RunReport::from_json`], [`RunReport::validate`]).
+//! raw material of the paper's Figures 6–8. Reports are validated
+//! ([`RunReport::validate`]) and written atomically ([`write_atomic`]).
 //!
 //! [`RunRecorder`] is the [`EventSink`] that collects the two series from a
 //! live event stream, and [`sparkline`] renders any series as a one-line
@@ -16,7 +15,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use crate::event::Event;
-use crate::json::{escape_into, JsonValue};
+use crate::json::escape_into;
 use crate::metrics::Snapshot;
 use crate::sink::EventSink;
 use crate::span::Phase;
@@ -97,18 +96,6 @@ impl HostInfo {
         out.push_str("\",\"build_profile\":\"");
         escape_into(out, &self.build_profile);
         out.push_str("\"}");
-    }
-
-    fn from_json(v: &JsonValue) -> Option<Self> {
-        Some(Self {
-            nproc: v.get("nproc")?.as_u64()?,
-            cpu_model: v
-                .get("cpu_model")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            build_profile: v.get("build_profile")?.as_str()?.to_string(),
-        })
     }
 }
 
@@ -263,6 +250,19 @@ pub struct SessionSection {
     pub counters: Vec<(String, u64)>,
 }
 
+impl SessionSection {
+    /// The named attributed counter; 0 when the session recorded none.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        lookup(&self.counters, name).unwrap_or(0)
+    }
+}
+
+/// The value recorded under `name`, first match.
+fn lookup<T: Copy>(pairs: &[(String, T)], name: &str) -> Option<T> {
+    pairs.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+}
+
 /// One instrumented run, ready to serialise.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
@@ -326,6 +326,18 @@ impl RunReport {
             host: Some(HostInfo::detect()),
             ..Self::default()
         }
+    }
+
+    /// The named counter; 0 when the run recorded none.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        lookup(&self.counters, name).unwrap_or(0)
+    }
+
+    /// The named workload parameter, if the run recorded it.
+    #[must_use]
+    pub fn workload(&self, name: &str) -> Option<f64> {
+        lookup(&self.workload, name)
     }
 
     /// Renders the report as pretty-ish JSON (stable field order).
@@ -462,252 +474,7 @@ impl RunReport {
         out
     }
 
-    /// Parses a report previously written by [`RunReport::to_json`].
-    /// Rejects unknown schema versions.
-    pub fn from_json(text: &str) -> Result<Self, ReportError> {
-        let v = JsonValue::parse(text).map_err(|e| ReportError(format!("bad json: {e}")))?;
-        let version = v
-            .get("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| ReportError("missing schema_version".into()))?;
-        if version != SCHEMA_VERSION {
-            return Err(ReportError(format!(
-                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-            )));
-        }
-        let label = v
-            .get("label")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ReportError("missing label".into()))?
-            .to_string();
-        let host = match v.get("host") {
-            Some(JsonValue::Null) | None => None,
-            Some(h) => {
-                Some(HostInfo::from_json(h).ok_or_else(|| ReportError("malformed host".into()))?)
-            }
-        };
-        let obj_pairs = |key: &str| -> Result<Vec<(String, f64)>, ReportError> {
-            match v.get(key) {
-                Some(JsonValue::Obj(fields)) => fields
-                    .iter()
-                    .map(|(k, val)| match val {
-                        JsonValue::Num(n) => Ok((k.clone(), *n)),
-                        JsonValue::Null => Ok((k.clone(), f64::NAN)),
-                        _ => Err(ReportError(format!("non-numeric {key}.{k}"))),
-                    })
-                    .collect(),
-                None => Ok(Vec::new()),
-                _ => Err(ReportError(format!("{key} is not an object"))),
-            }
-        };
-        let workload = obj_pairs("workload")?;
-        let metrics = obj_pairs("metrics")?;
-        let counters = match v.get("counters") {
-            Some(JsonValue::Obj(fields)) => fields
-                .iter()
-                .map(|(k, val)| {
-                    val.as_u64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| ReportError(format!("counter {k} not a non-negative int")))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-            _ => return Err(ReportError("counters is not an object".into())),
-        };
-        let pair_u64 = |p: &JsonValue, what: &str| -> Result<(u64, u64), ReportError> {
-            let arr = p
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| ReportError(format!("{what} entry is not a pair")))?;
-            Ok((
-                arr[0]
-                    .as_u64()
-                    .ok_or_else(|| ReportError(format!("{what} x not a u64")))?,
-                arr[1]
-                    .as_u64()
-                    .ok_or_else(|| ReportError(format!("{what} y not a u64")))?,
-            ))
-        };
-        let queue_series = match v.get("queue_series") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|p| pair_u64(p, "queue_series"))
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-            _ => return Err(ReportError("queue_series is not an array".into())),
-        };
-        let distance_by_rank = match v.get("distance_by_rank") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|p| -> Result<(u64, f64), ReportError> {
-                    let arr = p
-                        .as_arr()
-                        .filter(|a| a.len() == 2)
-                        .ok_or_else(|| ReportError("distance_by_rank entry not a pair".into()))?;
-                    Ok((
-                        arr[0]
-                            .as_u64()
-                            .ok_or_else(|| ReportError("rank not a u64".into()))?,
-                        arr[1]
-                            .as_f64()
-                            .ok_or_else(|| ReportError("distance not a number".into()))?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-            _ => return Err(ReportError("distance_by_rank is not an array".into())),
-        };
-        let events_recorded = v
-            .get("events_recorded")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let profile = match v.get("profile") {
-            Some(JsonValue::Null) | None => None,
-            Some(p) => Some(Self::profile_from_json(p)?),
-        };
-        let calibration = match v.get("plan").and_then(|p| p.get("calibration")) {
-            Some(JsonValue::Null) | None => None,
-            Some(c) => Some(Self::calibration_from_json(c)?),
-        };
-        let sessions = match v.get("sessions") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(Self::session_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            None | Some(JsonValue::Null) => Vec::new(),
-            _ => return Err(ReportError("sessions is not an array".into())),
-        };
-        Ok(Self {
-            label,
-            host,
-            workload,
-            counters,
-            queue_series,
-            distance_by_rank,
-            metrics,
-            events_recorded,
-            profile,
-            calibration,
-            sessions,
-        })
-    }
-
-    fn session_from_json(s: &JsonValue) -> Result<SessionSection, ReportError> {
-        let uint = |key: &str| -> Result<u64, ReportError> {
-            s.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| ReportError(format!("session {key} missing or not a u64")))
-        };
-        let text = |key: &str| -> Result<String, ReportError> {
-            Ok(s.get(key)
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ReportError(format!("session {key} missing")))?
-                .to_string())
-        };
-        let counters = match s.get("counters") {
-            Some(JsonValue::Obj(fields)) => fields
-                .iter()
-                .map(|(k, val)| {
-                    val.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                        ReportError(format!("session counter {k} not a non-negative int"))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-            _ => return Err(ReportError("session counters is not an object".into())),
-        };
-        Ok(SessionSection {
-            id: u32::try_from(uint("id")?)
-                .map_err(|_| ReportError("session id exceeds u32".into()))?,
-            label: text("label")?,
-            plan: text("plan")?,
-            results: uint("results")?,
-            batches: uint("batches")?,
-            cancelled: s
-                .get("cancelled")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| ReportError("session cancelled missing".into()))?,
-            counters,
-        })
-    }
-
-    fn profile_from_json(p: &JsonValue) -> Result<ProfileSection, ReportError> {
-        let num = |key: &str| -> Result<f64, ReportError> {
-            p.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ReportError(format!("profile.{key} missing or not a number")))
-        };
-        let phases = match p.get("phases") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|row| -> Result<PhaseRow, ReportError> {
-                    let rnum = |key: &str| -> Result<f64, ReportError> {
-                        row.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                            ReportError(format!("profile phase {key} missing or not a number"))
-                        })
-                    };
-                    let runt = |key: &str| -> Result<u64, ReportError> {
-                        row.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
-                            ReportError(format!("profile phase {key} missing or not a u64"))
-                        })
-                    };
-                    Ok(PhaseRow {
-                        phase: row
-                            .get("phase")
-                            .and_then(JsonValue::as_str)
-                            .ok_or_else(|| ReportError("profile phase has no name".into()))?
-                            .to_string(),
-                        calls: runt("calls")?,
-                        sampled_calls: runt("sampled_calls")?,
-                        est_total_ns: rnum("est_total_ns")?,
-                        max_ns: runt("max_ns")?,
-                        p50_ns: rnum("p50_ns")?,
-                        p95_ns: rnum("p95_ns")?,
-                        p99_ns: rnum("p99_ns")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(ReportError("profile.phases is not an array".into())),
-        };
-        Ok(ProfileSection {
-            wall_seconds: num("wall_seconds")?,
-            threads: p
-                .get("threads")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| ReportError("profile.threads missing".into()))?,
-            phases,
-        })
-    }
-
-    fn calibration_from_json(c: &JsonValue) -> Result<CalibrationSection, ReportError> {
-        let num = |key: &str| -> Result<f64, ReportError> {
-            c.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ReportError(format!("plan.calibration.{key} missing")))
-        };
-        Ok(CalibrationSection {
-            choice: c
-                .get("choice")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ReportError("plan.calibration.choice missing".into()))?
-                .to_string(),
-            forced: c
-                .get("forced")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| ReportError("plan.calibration.forced missing".into()))?,
-            est_incremental: num("est_incremental")?,
-            est_bulk: num("est_bulk")?,
-            est_pairs: num("est_pairs")?,
-            predicted_ratio: num("predicted_ratio")?,
-            observed_seconds: num("observed_seconds")?,
-            observed_pairs: c
-                .get("observed_pairs")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| ReportError("plan.calibration.observed_pairs missing".into()))?,
-        })
-    }
-
-    /// Schema checks beyond parseability: host sanity, ranks strictly
+    /// Schema checks: host sanity, ranks strictly
     /// increasing, distances non-negative and non-decreasing.
     pub fn validate(&self) -> Result<(), ReportError> {
         if let Some(h) = &self.host {
@@ -1116,32 +883,48 @@ mod tests {
         }
     }
 
+    /// `sample_report().to_json()`, every section present.
+    const GOLDEN: &str = r#"{
+  "schema_version": 2,
+  "label": "test run",
+  "host": {"nproc":4,"cpu_model":"Test CPU @ 2.0GHz","build_profile":"release"},
+  "workload": {"n": 10000.0, "k": 1000.0},
+  "counters": {"distance_calcs": 12345},
+  "metrics": {"seconds": 1.25},
+  "events_recorded": 42,
+  "profile": {"wall_seconds": 1.25, "threads": 1, "phases": [
+    {"phase": "queue_pop", "calls": 5000, "sampled_calls": 120, "est_total_ns": 400000000.0, "max_ns": 90000, "p50_ns": 70000.0, "p95_ns": 85000.0, "p99_ns": 89000.0},
+    {"phase": "emit", "calls": 1000, "sampled_calls": 60, "est_total_ns": 500000000.0, "max_ns": 600000, "p50_ns": 480000.0, "p95_ns": 550000.0, "p99_ns": 590000.0}
+  ]},
+  "plan": {"calibration": {"choice": "incremental", "forced": false, "est_incremental": 123000.0, "est_bulk": 456000.0, "est_pairs": 1000.0, "predicted_ratio": 0.26973684210526316, "observed_seconds": 1.25, "observed_pairs": 1000}},
+  "sessions": [
+    {"id": 0, "label": "s0", "plan": "incremental", "results": 400, "batches": 7, "cancelled": false, "counters": {"buf.accesses": 900, "pq.bytes_peak": 4096}},
+    {"id": 1, "label": "", "plan": "bulk", "results": 600, "batches": 3, "cancelled": true, "counters": {}}
+  ],
+  "queue_series": [[0,10],[100,500],[200,900],[300,50]],
+  "distance_by_rank": [[1,0.0],[2,0.5],[10,0.5],[100,2.25]]
+}
+"#;
+
     #[test]
-    fn report_json_roundtrip() {
-        let r = sample_report();
-        let json = r.to_json();
-        let back = RunReport::from_json(&json).expect("parses");
-        assert_eq!(back.label, r.label);
-        assert_eq!(back.host, r.host);
-        assert_eq!(back.counters, r.counters);
-        assert_eq!(back.queue_series, r.queue_series);
-        assert_eq!(back.distance_by_rank, r.distance_by_rank);
-        assert_eq!(back.events_recorded, 42);
-        assert_eq!(back.profile, r.profile);
-        assert_eq!(back.calibration, r.calibration);
-        assert_eq!(back.sessions, r.sessions);
-        back.validate().expect("valid");
+    fn to_json_matches_the_golden_document() {
+        assert_eq!(sample_report().to_json(), GOLDEN);
+
+        // An empty sessions array is omitted, key and all.
+        let mut r = sample_report();
+        r.sessions.clear();
+        let (start, end) = (
+            GOLDEN.find(",\n  \"sessions\"").unwrap(),
+            GOLDEN.find(",\n  \"queue_series\"").unwrap(),
+        );
+        assert_eq!(
+            r.to_json(),
+            format!("{}{}", &GOLDEN[..start], &GOLDEN[end..])
+        );
     }
 
     #[test]
-    fn sessions_section_is_optional_and_validated() {
-        let mut r = sample_report();
-        r.sessions.clear();
-        let json = r.to_json();
-        assert!(!json.contains("\"sessions\""), "empty section omitted");
-        let back = RunReport::from_json(&json).expect("parses");
-        assert!(back.sessions.is_empty());
-
+    fn sessions_are_validated() {
         let mut dup = sample_report();
         dup.sessions[1].id = dup.sessions[0].id;
         assert!(dup.validate().is_err(), "duplicate session id");
@@ -1152,10 +935,14 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_bad_schema_version() {
-        let mut json = sample_report().to_json();
-        json = json.replace("\"schema_version\": 2", "\"schema_version\": 99");
-        assert!(RunReport::from_json(&json).is_err());
+    fn counters_and_workload_are_looked_up_by_name() {
+        let r = sample_report();
+        assert_eq!(r.counter("distance_calcs"), 12345);
+        assert_eq!(r.counter("missing"), 0);
+        assert_eq!(r.workload("k"), Some(1000.0));
+        assert_eq!(r.workload("missing"), None);
+        assert_eq!(r.sessions[0].counter("pq.bytes_peak"), 4096);
+        assert_eq!(r.sessions[1].counter("buf.accesses"), 0);
     }
 
     #[test]
@@ -1185,17 +972,6 @@ mod tests {
         let mut over = r;
         over.profile.as_mut().unwrap().phases[0].est_total_ns = 5e9;
         assert!(!over.profile.unwrap().conserves(0.25), "attribution > wall");
-    }
-
-    #[test]
-    fn reports_without_profile_still_parse() {
-        let mut r = sample_report();
-        r.profile = None;
-        r.calibration = None;
-        let back = RunReport::from_json(&r.to_json()).expect("parses");
-        assert!(back.profile.is_none());
-        assert!(back.calibration.is_none());
-        back.validate().expect("valid");
     }
 
     #[test]
