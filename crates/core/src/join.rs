@@ -26,7 +26,7 @@
 //! (`DESIGN.md` §8 gives the argument).
 
 use sdj_geom::{KeySpace, Rect, SoaRects};
-use sdj_obs::{ObsContext, PairKind, Phase, Side};
+use sdj_obs::{ObsContext, Phase};
 use sdj_rtree::{ObjectId, RTree};
 use sdj_storage::StorageError;
 
@@ -1383,12 +1383,7 @@ where
         };
         let n = view.rects.len();
         if let Some(obs) = &mut self.obs {
-            let side = if first_side {
-                Side::First
-            } else {
-                Side::Second
-            };
-            obs.on_expand(side, n as u32);
+            obs.on_expand();
         }
         let path = self.config.expansion;
         let mut minds = std::mem::take(&mut self.scratch_keys);
@@ -1523,7 +1518,7 @@ where
             }
         };
         if let Some(obs) = &mut self.obs {
-            obs.on_expand(Side::Both, (view1.rects.len() + view2.rects.len()) as u32);
+            obs.on_expand();
         }
         let keys = self.keys;
         let path = self.config.expansion;
@@ -1791,12 +1786,6 @@ where
         };
         self.stats.pairs_dequeued += 1;
         if self.obs.is_some() {
-            let kind = match (pair.item1.is_node(), pair.item2.is_node()) {
-                (true, true) => PairKind::NodeNode,
-                (true, false) => PairKind::NodeObject,
-                (false, true) => PairKind::ObjectNode,
-                (false, false) => PairKind::ObjectObject,
-            };
             // Descending runs key on negated MAXDIST; report the magnitude.
             // Instrumentation sees real distances (uncounted by
             // `stats.sqrt_calls`, which tracks the result path).
@@ -1804,7 +1793,7 @@ where
             let queue_len = self.queue.len();
             let results = self.reported;
             if let Some(obs) = &mut self.obs {
-                if obs.on_pop(kind, dist, queue_len, results) {
+                if obs.on_pop(dist, queue_len, results) {
                     self.publish_queue_gauges(self.flushed_bytes);
                 }
             }

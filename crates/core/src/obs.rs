@@ -14,8 +14,7 @@ use std::mem::take;
 use std::sync::Arc;
 
 use sdj_obs::{
-    Counter, Event, EventSink, Gauge, Histogram, LocalHistogram, ObsContext, PairKind, Phase, Side,
-    SpanTimer,
+    Counter, Event, EventSink, Gauge, Histogram, LocalHistogram, ObsContext, Phase, SpanTimer,
 };
 
 /// The registry instruments only [`JoinObs::publish`] touches.
@@ -37,7 +36,6 @@ pub struct JoinObs {
     published: Published,
     pop_sample_every: u64,
     result_sample_every: u64,
-    detail: bool,
     /// Emit `ResultReported` events (disabled for parallel workers, whose
     /// per-shard ranks would interleave; the executor emits them from the
     /// merged stream instead).
@@ -91,7 +89,6 @@ impl JoinObs {
             },
             pop_sample_every: ctx.pop_sample_every,
             result_sample_every: ctx.result_sample_every,
-            detail: ctx.detail,
             emit_results: true,
             worker,
             pops: 0,
@@ -169,20 +166,11 @@ impl JoinObs {
     /// Records one pop. Returns whether it fell on the sampling stride, in
     /// which case the counts were published and the caller publishes its
     /// queue gauges too.
-    pub(crate) fn on_pop(
-        &mut self,
-        kind: PairKind,
-        dist: f64,
-        queue_len: usize,
-        results: u64,
-    ) -> bool {
+    pub(crate) fn on_pop(&mut self, dist: f64, queue_len: usize, results: u64) -> bool {
         self.pops += 1;
         self.pop_distance.record(dist);
         self.queue_len = queue_len as i64;
         self.queue_peak = self.queue_peak.max(self.queue_len);
-        if self.detail {
-            self.sink.emit(&Event::PairPopped { kind, dist });
-        }
         // The first pop is always sampled: a bounded run can reach its peak
         // queue size within one stride, and a series that starts there has
         // lost its growth phase.
@@ -198,11 +186,8 @@ impl JoinObs {
         sampled
     }
 
-    pub(crate) fn on_expand(&mut self, side: Side, children: u32) {
+    pub(crate) fn on_expand(&mut self) {
         self.expansions += 1;
-        if self.detail {
-            self.sink.emit(&Event::NodeExpanded { side, children });
-        }
     }
 
     /// Records the engine's `rank`-th result.
@@ -248,7 +233,6 @@ impl std::fmt::Debug for JoinObs {
         f.debug_struct("JoinObs")
             .field("worker", &self.worker)
             .field("pops", &self.pops)
-            .field("detail", &self.detail)
             .finish_non_exhaustive()
     }
 }

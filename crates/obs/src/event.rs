@@ -2,79 +2,8 @@
 //!
 //! Events are small `Copy` records so emitting one costs a match and a few
 //! stores, never an allocation. Each event serialises to one NDJSON line
-//! (`{"e":"<name>", ...}`) and parses back losslessly, so a recorded stream
-//! can be replayed through any [`crate::EventSink`] — the replay property
-//! the tier-migration tests rely on.
-
-use crate::json::{escape_into, JsonValue};
-
-/// Which sides of a queued pair are index nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PairKind {
-    /// Both items are nodes.
-    NodeNode,
-    /// First item a node, second an object.
-    NodeObject,
-    /// First item an object, second a node.
-    ObjectNode,
-    /// Both items are objects (bounding rectangles or exact).
-    ObjectObject,
-}
-
-impl PairKind {
-    /// Stable wire name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PairKind::NodeNode => "node_node",
-            PairKind::NodeObject => "node_object",
-            PairKind::ObjectNode => "object_node",
-            PairKind::ObjectObject => "object_object",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "node_node" => PairKind::NodeNode,
-            "node_object" => PairKind::NodeObject,
-            "object_node" => PairKind::ObjectNode,
-            "object_object" => PairKind::ObjectObject,
-            _ => return None,
-        })
-    }
-}
-
-/// Which relation a node expansion opened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Side {
-    /// The first relation's node was expanded.
-    First,
-    /// The second relation's node was expanded.
-    Second,
-    /// Both nodes were opened simultaneously (§2.2.2 plane sweep).
-    Both,
-}
-
-impl Side {
-    /// Stable wire name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Side::First => "first",
-            Side::Second => "second",
-            Side::Both => "both",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "first" => Side::First,
-            "second" => Side::Second,
-            "both" => Side::Both,
-            _ => return None,
-        })
-    }
-}
+//! (`{"e":"<name>", ...}`); the format is write-only, pinned by a golden
+//! line per variant in the root `tests/observability.rs`.
 
 /// One tier of the hybrid memory/disk priority queue (§3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -96,15 +25,6 @@ impl Tier {
             Tier::List => "list",
             Tier::Disk => "disk",
         }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "heap" => Tier::Heap,
-            "list" => Tier::List,
-            "disk" => Tier::Disk,
-            _ => return None,
-        })
     }
 }
 
@@ -130,34 +50,11 @@ impl PlanPath {
             PlanPath::Adaptive => "adaptive",
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "incremental" => PlanPath::Incremental,
-            "bulk" => PlanPath::Bulk,
-            "adaptive" => PlanPath::Adaptive,
-            _ => return None,
-        })
-    }
 }
 
 /// One instrumentation event. All payloads are `Copy`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Event {
-    /// A pair left the priority queue (high-frequency; detail mode only).
-    PairPopped {
-        /// Node/object shape of the pair.
-        kind: PairKind,
-        /// The pair's key distance.
-        dist: f64,
-    },
-    /// An index node was opened and its entries paired (detail mode only).
-    NodeExpanded {
-        /// Which relation's node (or both).
-        side: Side,
-        /// Number of child entries considered.
-        children: u32,
-    },
     /// A result pair was reported to the consumer.
     ResultReported {
         /// 1-based rank of the result in emission order.
@@ -293,26 +190,11 @@ fn fmt_f64(out: &mut String, v: f64) {
     }
 }
 
-fn parse_f64(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Num(n) => Some(*n),
-        JsonValue::Str(s) => match s.as_str() {
-            "nan" => Some(f64::NAN),
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 impl Event {
     /// Stable wire name of the event type.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            Event::PairPopped { .. } => "pair_popped",
-            Event::NodeExpanded { .. } => "node_expanded",
             Event::ResultReported { .. } => "result_reported",
             Event::QueueSampled { .. } => "queue_sampled",
             Event::TierMigration { .. } => "tier_migration",
@@ -335,18 +217,6 @@ impl Event {
         out.push_str(self.name());
         out.push('"');
         match *self {
-            Event::PairPopped { kind, dist } => {
-                out.push_str(",\"kind\":\"");
-                out.push_str(kind.name());
-                out.push_str("\",\"dist\":");
-                fmt_f64(out, dist);
-            }
-            Event::NodeExpanded { side, children } => {
-                out.push_str(",\"side\":\"");
-                out.push_str(side.name());
-                out.push_str("\",\"children\":");
-                out.push_str(&children.to_string());
-            }
             Event::ResultReported { rank, dist } => {
                 out.push_str(",\"rank\":");
                 out.push_str(&rank.to_string());
@@ -464,240 +334,5 @@ impl Event {
             }
         }
         out.push('}');
-    }
-
-    /// Renders the event as one NDJSON line (with trailing newline).
-    #[must_use]
-    pub fn to_ndjson(&self) -> String {
-        let mut s = String::with_capacity(64);
-        self.write_ndjson(&mut s);
-        s.push('\n');
-        s
-    }
-
-    /// Parses one NDJSON line produced by [`Event::write_ndjson`].
-    /// Returns `None` for malformed lines or unknown event types.
-    #[must_use]
-    pub fn parse_ndjson(line: &str) -> Option<Event> {
-        let v = JsonValue::parse(line).ok()?;
-        let name = v.get("e")?.as_str()?;
-        let num = |k: &str| v.get(k).and_then(JsonValue::as_f64);
-        let int = |k: &str| num(k).map(|f| f as u64);
-        Some(match name {
-            "pair_popped" => Event::PairPopped {
-                kind: PairKind::parse(v.get("kind")?.as_str()?)?,
-                dist: parse_f64(v.get("dist")?)?,
-            },
-            "node_expanded" => Event::NodeExpanded {
-                side: Side::parse(v.get("side")?.as_str()?)?,
-                children: int("children")? as u32,
-            },
-            "result_reported" => Event::ResultReported {
-                rank: int("rank")?,
-                dist: parse_f64(v.get("dist")?)?,
-            },
-            "queue_sampled" => Event::QueueSampled {
-                pops: int("pops")?,
-                len: int("len")?,
-                results: int("results")?,
-            },
-            "tier_migration" => Event::TierMigration {
-                from: Tier::parse(v.get("from")?.as_str()?)?,
-                to: Tier::parse(v.get("to")?.as_str()?)?,
-                n: int("n")? as u32,
-            },
-            "buffer_evict" => Event::BufferEvict {
-                writeback: v.get("writeback")?.as_bool()?,
-            },
-            "bound_tightened" => Event::BoundTightened {
-                worker: int("worker")? as u32,
-                bound: parse_f64(v.get("bound")?)?,
-            },
-            "worker_finished" => Event::WorkerFinished {
-                worker: int("worker")? as u32,
-                results: int("results")?,
-            },
-            "fault_injected" => Event::FaultInjected {
-                write: v.get("write")?.as_bool()?,
-                transient: v.get("transient")?.as_bool()?,
-            },
-            "retry_succeeded" => Event::RetrySucceeded {
-                retries: int("retries")? as u32,
-            },
-            "plan_chosen" => Event::PlanChosen {
-                path: PlanPath::parse(v.get("path")?.as_str()?)?,
-                forced: v.get("forced")?.as_bool()?,
-                est_incremental: parse_f64(v.get("est_incremental")?)?,
-                est_bulk: parse_f64(v.get("est_bulk")?)?,
-            },
-            "replanned" => Event::Replanned {
-                from: PlanPath::parse(v.get("from")?.as_str()?)?,
-                to: PlanPath::parse(v.get("to")?.as_str()?)?,
-                at_pop: int("at_pop")?,
-                at_pair: int("at_pair")?,
-                est_incremental_remaining: parse_f64(v.get("est_incremental_remaining")?)?,
-                est_bulk_remaining: parse_f64(v.get("est_bulk_remaining")?)?,
-            },
-            "session_opened" => Event::SessionOpened {
-                session: int("session")? as u32,
-                path: PlanPath::parse(v.get("path")?.as_str()?)?,
-            },
-            "session_batch" => Event::SessionBatch {
-                session: int("session")? as u32,
-                results: int("results")?,
-                total: int("total")?,
-            },
-            "session_closed" => Event::SessionClosed {
-                session: int("session")? as u32,
-                results: int("results")?,
-                cancelled: v.get("cancelled")?.as_bool()?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-/// Escapes `s` and appends it as a JSON string literal (quotes included).
-/// Re-exported here so event-adjacent writers share one escaper.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn all_events() -> Vec<Event> {
-        vec![
-            Event::PairPopped {
-                kind: PairKind::NodeNode,
-                dist: 1.5,
-            },
-            Event::PairPopped {
-                kind: PairKind::ObjectObject,
-                dist: 0.0,
-            },
-            Event::NodeExpanded {
-                side: Side::Both,
-                children: 50,
-            },
-            Event::ResultReported {
-                rank: 17,
-                dist: 0.125,
-            },
-            Event::QueueSampled {
-                pops: 1024,
-                len: 4096,
-                results: 12,
-            },
-            Event::TierMigration {
-                from: Tier::Disk,
-                to: Tier::List,
-                n: 200,
-            },
-            Event::BufferEvict { writeback: true },
-            Event::BufferEvict { writeback: false },
-            Event::BoundTightened {
-                worker: 3,
-                bound: 2.25,
-            },
-            Event::BoundTightened {
-                worker: 0,
-                bound: f64::INFINITY,
-            },
-            Event::WorkerFinished {
-                worker: 1,
-                results: 999,
-            },
-            Event::FaultInjected {
-                write: true,
-                transient: false,
-            },
-            Event::FaultInjected {
-                write: false,
-                transient: true,
-            },
-            Event::RetrySucceeded { retries: 3 },
-            Event::PlanChosen {
-                path: PlanPath::Bulk,
-                forced: false,
-                est_incremental: 1.0e6,
-                est_bulk: 4.5e5,
-            },
-            Event::PlanChosen {
-                path: PlanPath::Incremental,
-                forced: true,
-                est_incremental: 2_000.0,
-                est_bulk: f64::INFINITY,
-            },
-            Event::PlanChosen {
-                path: PlanPath::Adaptive,
-                forced: true,
-                est_incremental: 2_000.0,
-                est_bulk: 3_000.0,
-            },
-            Event::Replanned {
-                from: PlanPath::Incremental,
-                to: PlanPath::Bulk,
-                at_pop: 8192,
-                at_pair: 120,
-                est_incremental_remaining: 9.5e5,
-                est_bulk_remaining: 3.25e5,
-            },
-            Event::SessionOpened {
-                session: 3,
-                path: PlanPath::Adaptive,
-            },
-            Event::SessionBatch {
-                session: 3,
-                results: 64,
-                total: 192,
-            },
-            Event::SessionClosed {
-                session: 3,
-                results: 192,
-                cancelled: true,
-            },
-            Event::SessionClosed {
-                session: 0,
-                results: 0,
-                cancelled: false,
-            },
-        ]
-    }
-
-    #[test]
-    fn ndjson_roundtrip_all_variants() {
-        for e in all_events() {
-            let line = e.to_ndjson();
-            assert!(line.ends_with('\n'));
-            let back = Event::parse_ndjson(&line).unwrap_or_else(|| panic!("parse {line}"));
-            match (e, back) {
-                (
-                    Event::BoundTightened { bound: a, .. },
-                    Event::BoundTightened { bound: b, .. },
-                ) if a.is_infinite() => assert!(b.is_infinite()),
-                (e, back) => assert_eq!(e, back, "line {line}"),
-            }
-        }
-    }
-
-    #[test]
-    fn integer_distances_still_parse_as_floats() {
-        let e = Event::ResultReported { rank: 1, dist: 2.0 };
-        let line = e.to_ndjson();
-        assert!(line.contains("2.0"), "{line}");
-        assert_eq!(Event::parse_ndjson(&line), Some(e));
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected() {
-        assert_eq!(Event::parse_ndjson(""), None);
-        assert_eq!(Event::parse_ndjson("{}"), None);
-        assert_eq!(Event::parse_ndjson("{\"e\":\"no_such_event\"}"), None);
-        assert_eq!(Event::parse_ndjson("{\"e\":\"result_reported\"}"), None);
-        assert_eq!(Event::parse_ndjson("not json at all"), None);
     }
 }

@@ -18,6 +18,12 @@
 //!    series, host info), written atomically and renderable as text
 //!    sparklines that reproduce the *shape* of the paper's Figures 6–8.
 //!
+//! The crate writes and never reads: an NDJSON log or a report is output
+//! for a person or an outside tool, and nothing here parses either back.
+//! What a run's consumers need in process — the report series, per-variant
+//! event counts — the [`RunRecorder`] and [`RingRecorder`] sinks collect
+//! from the live stream.
+//!
 //! Like the `rand`/`proptest` shims, the crate is vendored in-tree and has
 //! zero registry dependencies; everything is `std`. The design rule
 //! throughout is that the *uninstrumented* hot path pays only an
@@ -26,14 +32,12 @@
 //! stores or writes is attached.
 
 pub mod event;
-pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod sink;
 pub mod span;
 
-pub use event::{Event, PairKind, PlanPath, Side, Tier};
-pub use json::JsonValue;
+pub use event::{Event, PlanPath, Tier};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, LocalHistogram, Registry, Snapshot,
 };
@@ -44,7 +48,7 @@ pub use report::{
 pub use sink::{EventCounts, EventSink, NdjsonWriter, NoopSink, RingRecorder, TeeSink};
 pub use span::{LeafSpan, Phase, PhaseSnapshot, SpanMode, SpanSet, SpanTimer, PHASE_COUNT};
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Everything an instrumented component needs, bundled for cheap cloning:
 /// the event sink, the metrics registry, and the sampling cadences.
@@ -63,10 +67,6 @@ pub struct ObsContext {
     pub pop_sample_every: u64,
     /// Emit a `ResultReported` event every this many results (1 = all).
     pub result_sample_every: u64,
-    /// Also emit the high-frequency per-operation events (`PairPopped`,
-    /// `NodeExpanded`). Off by default: they are meant for ring-buffer
-    /// debugging, not for long NDJSON logs.
-    pub detail: bool,
     /// Phase-span accounting mode (see [`span::SpanMode`]). Sampled by
     /// default — exact per-phase call counts, stride-sampled self-times.
     pub span_mode: SpanMode,
@@ -82,7 +82,6 @@ impl ObsContext {
             registry: Arc::new(Registry::new()),
             pop_sample_every: 128,
             result_sample_every: 1,
-            detail: false,
             span_mode: SpanMode::default(),
         }
     }
@@ -108,13 +107,6 @@ impl ObsContext {
         self
     }
 
-    /// Enables the high-frequency per-operation events.
-    #[must_use]
-    pub fn with_detail(mut self, detail: bool) -> Self {
-        self.detail = detail;
-        self
-    }
-
     /// Sets the phase-span accounting mode.
     #[must_use]
     pub fn with_span_mode(mut self, mode: SpanMode) -> Self {
@@ -123,12 +115,19 @@ impl ObsContext {
     }
 }
 
+/// Takes `m`'s lock, recovering it if a panicking holder poisoned it. Each
+/// lock in this crate guards a buffered writer, a ring, tallies or an
+/// instrument list; a panic leaves none of them torn, so the data behind a
+/// poisoned lock is still good to use.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl std::fmt::Debug for ObsContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsContext")
             .field("pop_sample_every", &self.pop_sample_every)
             .field("result_sample_every", &self.result_sample_every)
-            .field("detail", &self.detail)
             .field("span_mode", &self.span_mode)
             .finish_non_exhaustive()
     }
@@ -142,10 +141,8 @@ mod tests {
     fn context_builders_clamp_cadence() {
         let ctx = ObsContext::noop()
             .with_pop_sample_every(0)
-            .with_result_sample_every(0)
-            .with_detail(true);
+            .with_result_sample_every(0);
         assert_eq!(ctx.pop_sample_every, 1);
         assert_eq!(ctx.result_sample_every, 1);
-        assert!(ctx.detail);
     }
 }

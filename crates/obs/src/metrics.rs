@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::escape_into;
+use crate::lock;
 use crate::span::{PhaseSnapshot, SpanSet};
 
 /// Monotone atomic counter.
@@ -376,7 +376,7 @@ impl Registry {
     /// The counter named `name`, created on first use.
     #[must_use]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if let Some((_, c)) = inner.counters.iter().find(|(n, _)| n == name) {
             return Arc::clone(c);
         }
@@ -388,7 +388,7 @@ impl Registry {
     /// The gauge named `name`, created on first use.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if let Some((_, g)) = inner.gauges.iter().find(|(n, _)| n == name) {
             return Arc::clone(g);
         }
@@ -400,7 +400,7 @@ impl Registry {
     /// The histogram named `name`, created on first use.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if let Some((_, h)) = inner.histograms.iter().find(|(n, _)| n == name) {
             return Arc::clone(h);
         }
@@ -412,7 +412,7 @@ impl Registry {
     /// Freezes every instrument into a [`Snapshot`], names sorted.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         let mut counters: Vec<(String, u64)> = inner
             .counters
             .iter()
@@ -442,7 +442,7 @@ impl Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         f.debug_struct("Registry")
             .field("counters", &inner.counters.len())
             .field("gauges", &inner.gauges.len())
@@ -491,69 +491,6 @@ impl Snapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// Renders the snapshot as a JSON object (counters and gauges exact;
-    /// histograms as count/sum/mean/p50/p95/p99; span phases as
-    /// calls/sampled_calls/sampled_ns/weighted_ns/max_ns/est_total_ns).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, n);
-            out.push_str("\":");
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (n, v, m)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, n);
-            out.push_str("\":{\"value\":");
-            out.push_str(&v.to_string());
-            out.push_str(",\"max\":");
-            out.push_str(&m.to_string());
-            out.push('}');
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (n, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, n);
-            out.push_str(&format!(
-                "\":{{\"count\":{},\"sum\":{:.6},\"mean\":{:.6},\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6}}}",
-                h.count,
-                h.sum,
-                h.mean(),
-                h.p50(),
-                h.p95(),
-                h.p99()
-            ));
-        }
-        out.push_str("},\"spans\":{");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, s.phase.name());
-            out.push_str(&format!(
-                "\":{{\"calls\":{},\"sampled_calls\":{},\"sampled_ns\":{},\"weighted_ns\":{},\"max_ns\":{},\"est_total_ns\":{:.0}}}",
-                s.calls, s.sampled_calls, s.sampled_ns, s.weighted_ns, s.max_ns,
-                s.est_total_ns()
-            ));
-        }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -660,13 +597,6 @@ mod tests {
         assert_eq!(snap.gauge("pq.tier.heap"), Some((5, 5)));
         assert_eq!(snap.histogram("join.pop_distance").unwrap().count, 1);
         assert_eq!(snap.counter("missing"), None);
-
-        let json = snap.to_json();
-        let v = crate::json::JsonValue::parse(&json).expect("snapshot json parses");
-        assert_eq!(
-            v.get("counters").unwrap().get("join.results").unwrap(),
-            &crate::json::JsonValue::Num(2.0)
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use crate::event::Event;
-use crate::json::escape_into;
+use crate::lock;
 use crate::metrics::Snapshot;
 use crate::sink::EventSink;
 use crate::span::Phase;
@@ -614,6 +614,23 @@ impl RunReport {
     }
 }
 
+/// Appends `s` to `out` with JSON string escaping applied (no quotes).
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
 /// Writes `bytes` to `path` atomically: the data goes to a uniquely named
 /// temp file in the same directory (same filesystem, so rename cannot
 /// cross devices), is flushed, then renamed over the destination. Readers
@@ -748,7 +765,7 @@ impl RunRecorder {
     /// `events_recorded`). The final reported result is appended to the
     /// rank curve if decimation dropped it.
     pub fn fill_report(&self, report: &mut RunReport) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         report.events_recorded = inner.events;
         report.queue_series = std::mem::take(&mut inner.queue_series);
         let mut ranks = std::mem::take(&mut inner.distance_by_rank);
@@ -759,17 +776,11 @@ impl RunRecorder {
         }
         report.distance_by_rank = ranks;
     }
-
-    /// Total events seen so far.
-    #[must_use]
-    pub fn events_seen(&self) -> u64 {
-        self.inner.lock().unwrap().events
-    }
 }
 
 impl EventSink for RunRecorder {
     fn emit(&self, event: &Event) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.events += 1;
         match *event {
             Event::QueueSampled { len, results, .. } => {
@@ -1030,6 +1041,13 @@ mod tests {
         let wide = sparkline(&[0.0, 0.0, 9.0, 0.0, 0.0, 0.0], 2);
         assert_eq!(wide.chars().count(), 2);
         assert!(wide.contains('█'));
+    }
+
+    #[test]
+    fn escape_into_escapes_specials() {
+        let mut out = String::new();
+        escape_into(&mut out, "a\"b\\c\nd\u{1}");
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
     }
 
     #[test]

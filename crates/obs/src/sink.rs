@@ -4,7 +4,10 @@
 //! implementations must be `Send + Sync` and cheap under concurrent emit.
 //! The provided sinks are intentionally simple: a no-op used to measure
 //! instrumentation overhead, a bounded in-memory ring for post-mortem
-//! inspection, an NDJSON line writer for durable logs, and a tee.
+//! inspection, an NDJSON line writer for durable logs, and a tee. The log
+//! is output only: nothing in the workspace parses it back, and in-process
+//! checks read a [`RingRecorder`]'s events and [`EventCounts`] instead. No
+//! sink panics, not even after a panicking writer poisoned its lock.
 
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
@@ -13,10 +16,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::event::{Event, Tier};
+use crate::lock;
 
 /// Destination for instrumentation events.
 pub trait EventSink: Send + Sync {
-    /// Accepts one event. Must not panic; should be cheap.
+    /// Accepts one event. Must not panic; should be cheap. A sink that
+    /// takes a lock recovers it from poisoning, so one panicking writer
+    /// does not turn every later emit into a panic inside whichever engine
+    /// emits next.
     fn emit(&self, event: &Event);
 
     /// Flushes any buffered output. Default: nothing to flush.
@@ -31,15 +38,12 @@ impl EventSink for NoopSink {
     fn emit(&self, _event: &Event) {}
 }
 
-/// Per-variant event tallies, including tier-migration element sums keyed
-/// by direction. Two recorders that saw equivalent streams compare equal —
-/// the replay-equality property the pqueue tests assert.
+/// Per-variant event tallies of one stream, including tier-migration
+/// element sums keyed by direction, so a test can check a component's event
+/// stream against that component's own counters (the hybrid queue's spills
+/// and reloads, the buffer pool's writebacks).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventCounts {
-    /// `PairPopped` events seen.
-    pub pair_popped: u64,
-    /// `NodeExpanded` events seen.
-    pub node_expanded: u64,
     /// `ResultReported` events seen.
     pub result_reported: u64,
     /// `QueueSampled` events seen.
@@ -75,8 +79,6 @@ pub struct EventCounts {
 impl EventCounts {
     fn record(&mut self, event: &Event) {
         match *event {
-            Event::PairPopped { .. } => self.pair_popped += 1,
-            Event::NodeExpanded { .. } => self.node_expanded += 1,
             Event::ResultReported { .. } => self.result_reported += 1,
             Event::QueueSampled { .. } => self.queue_sampled += 1,
             Event::TierMigration { from, to, n } => {
@@ -112,9 +114,7 @@ impl EventCounts {
     /// Total events recorded.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.pair_popped
-            + self.node_expanded
-            + self.result_reported
+        self.result_reported
             + self.queue_sampled
             + self.tier_migration
             + self.buffer_evict
@@ -159,7 +159,7 @@ impl RingRecorder {
     /// Snapshot of the retained tail of the event stream, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         inner.buf.iter().copied().collect()
     }
 
@@ -167,13 +167,13 @@ impl RingRecorder {
     /// retained tail).
     #[must_use]
     pub fn counts(&self) -> EventCounts {
-        self.inner.lock().unwrap().counts
+        lock(&self.inner).counts
     }
 
     /// Events evicted from the ring because the stream outgrew `capacity`.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        lock(&self.inner).dropped
     }
 
     /// The configured capacity.
@@ -185,7 +185,7 @@ impl RingRecorder {
 
 impl EventSink for RingRecorder {
     fn emit(&self, event: &Event) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.counts.record(event);
         if inner.buf.len() == self.capacity {
             inner.buf.pop_front();
@@ -240,7 +240,7 @@ impl EventSink for NdjsonWriter {
         let mut line = String::with_capacity(96);
         event.write_ndjson(&mut line);
         line.push('\n');
-        let mut out = self.out.lock().unwrap();
+        let mut out = lock(&self.out);
         if out.write_all(line.as_bytes()).is_ok() {
             self.lines.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -249,7 +249,7 @@ impl EventSink for NdjsonWriter {
     }
 
     fn flush(&self) {
-        if self.out.lock().unwrap().flush().is_err() {
+        if lock(&self.out).flush().is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -257,9 +257,7 @@ impl EventSink for NdjsonWriter {
 
 impl Drop for NdjsonWriter {
     fn drop(&mut self) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
-        }
+        let _ = lock(&self.out).flush();
     }
 }
 
@@ -315,13 +313,41 @@ impl<S: EventSink + ?Sized> EventSink for std::sync::Arc<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PairKind;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    fn popped(dist: f64) -> Event {
-        Event::PairPopped {
-            kind: PairKind::NodeNode,
-            dist,
+    fn reported(rank: u64) -> Event {
+        Event::ResultReported {
+            rank,
+            dist: rank as f64,
+        }
+    }
+
+    /// An in-memory `Write` target readable while a writer owns a clone.
+    /// Its next `flush` panics once `panic_on_flush` is set.
+    #[derive(Clone, Default)]
+    struct Shared {
+        bytes: Arc<Mutex<Vec<u8>>>,
+        panic_on_flush: Arc<AtomicBool>,
+    }
+
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.bytes.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            if self.panic_on_flush.swap(false, Ordering::Relaxed) {
+                panic!("writer failed");
+            }
+            Ok(())
         }
     }
 
@@ -329,14 +355,14 @@ mod tests {
     fn ring_keeps_tail_and_exact_counts() {
         let ring = RingRecorder::new(3);
         for i in 0..5 {
-            ring.emit(&popped(i as f64));
+            ring.emit(&reported(i));
         }
         ring.emit(&Event::BufferEvict { writeback: true });
         let events = ring.events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[2], Event::BufferEvict { writeback: true });
         let counts = ring.counts();
-        assert_eq!(counts.pair_popped, 5);
+        assert_eq!(counts.result_reported, 5);
         assert_eq!(counts.buffer_evict, 1);
         assert_eq!(counts.writebacks, 1);
         assert_eq!(counts.total(), 6);
@@ -370,23 +396,9 @@ mod tests {
 
     #[test]
     fn ndjson_writer_emits_parseable_lines() {
-        use std::sync::Mutex as StdMutex;
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<StdMutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
         let shared = Shared::default();
         let w = NdjsonWriter::new(Box::new(shared.clone()));
-        let sent = [popped(1.0), Event::BufferEvict { writeback: false }];
+        let sent = [reported(1), Event::BufferEvict { writeback: false }];
         for e in &sent {
             w.emit(e);
         }
@@ -394,10 +406,32 @@ mod tests {
         assert_eq!(w.lines_written(), 2);
         assert_eq!(w.write_errors(), 0);
 
-        let bytes = shared.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
-        let parsed: Vec<Event> = text.lines().filter_map(Event::parse_ndjson).collect();
-        assert_eq!(parsed, sent);
+        let mut expected = String::new();
+        for e in &sent {
+            e.write_ndjson(&mut expected);
+            expected.push('\n');
+        }
+        assert_eq!(shared.text(), expected);
+    }
+
+    #[test]
+    fn a_panicking_writer_does_not_poison_later_emits() {
+        let shared = Shared::default();
+        let w = NdjsonWriter::new(Box::new(shared.clone()));
+        w.emit(&reported(1));
+        shared.panic_on_flush.store(true, Ordering::Relaxed);
+        // The writer panics while the sink holds its lock, poisoning it.
+        assert!(catch_unwind(AssertUnwindSafe(|| w.flush())).is_err());
+
+        w.emit(&reported(2));
+        w.flush();
+        assert_eq!(w.lines_written(), 2);
+        let mut expected = String::new();
+        for rank in [1, 2] {
+            reported(rank).write_ndjson(&mut expected);
+            expected.push('\n');
+        }
+        assert_eq!(shared.text(), expected);
     }
 
     #[test]
@@ -406,8 +440,8 @@ mod tests {
         let b = Arc::new(RingRecorder::new(4));
         let tee = TeeSink::new(Arc::clone(&a), Arc::clone(&b));
         let dynamic: Arc<dyn EventSink> = Arc::new(tee);
-        dynamic.emit(&popped(2.5));
-        assert_eq!(a.counts().pair_popped, 1);
-        assert_eq!(b.counts().pair_popped, 1);
+        dynamic.emit(&reported(3));
+        assert_eq!(a.counts().result_reported, 1);
+        assert_eq!(b.counts().result_reported, 1);
     }
 }

@@ -464,11 +464,9 @@ impl SpanTimer {
     }
 
     fn hist(&mut self, p: usize) -> &Arc<Histogram> {
-        if self.hists[p].is_none() {
-            let name = format!("span.{}.ns", Phase::ALL[p].name());
-            self.hists[p] = Some(self.registry.histogram(&name));
-        }
-        self.hists[p].as_ref().expect("histogram just created")
+        let registry = &self.registry;
+        self.hists[p]
+            .get_or_insert_with(|| registry.histogram(&format!("span.{}.ns", Phase::ALL[p].name())))
     }
 
     /// Flushes locally batched call counts into the shared set. Called

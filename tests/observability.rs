@@ -3,16 +3,22 @@
 //! tier gauges and migration events (sdj-pqueue), the buffer pool's
 //! hit/miss/eviction counters (sdj-storage via sdj-rtree) — and the
 //! collected stream must reconstruct into a valid [`RunReport`] whose
-//! series match the results the join actually produced.
+//! series match the results the join actually produced. The NDJSON event
+//! format that `exp --out` and `sdj-report --events` write is pinned line
+//! by line.
 
-use std::sync::Arc;
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex};
 
 use sdj_core::{
     DistanceJoin, DmaxStrategy, JoinConfig, QueueBackend, ResultPair, SemiConfig, SemiFilter,
 };
 use sdj_datagen::{uniform_points, unit_box};
 use sdj_geom::Point;
-use sdj_obs::{EventSink, ObsContext, RingRecorder, RunRecorder, RunReport, TeeSink};
+use sdj_obs::{
+    Event, EventSink, NdjsonWriter, ObsContext, PlanPath, RingRecorder, RunRecorder, RunReport,
+    TeeSink, Tier,
+};
 use sdj_pqueue::HybridConfig;
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 use sdj_storage::BufferObs;
@@ -231,4 +237,106 @@ fn published_at_the_stride(config: JoinConfig) {
     agrees("at the end of the stream");
     drop(join);
     agrees("after drop");
+}
+
+/// An in-memory `Write` target readable while a writer owns a clone.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One line per event variant, as the `NdjsonWriter` renders it. An
+/// integral distance keeps its `.0` and an infinite bound is the string
+/// `"inf"`, since JSON has no infinities.
+const GOLDEN_LOG: &str = r#"{"e":"result_reported","rank":7,"dist":2.0}
+{"e":"queue_sampled","pops":1024,"len":4096,"results":12}
+{"e":"tier_migration","from":"list","to":"disk","n":200}
+{"e":"buffer_evict","writeback":true}
+{"e":"bound_tightened","worker":0,"bound":"inf"}
+{"e":"worker_finished","worker":1,"results":999}
+{"e":"fault_injected","write":false,"transient":true}
+{"e":"retry_succeeded","retries":3}
+{"e":"plan_chosen","path":"bulk","forced":false,"est_incremental":1000000.0,"est_bulk":0.125}
+{"e":"replanned","from":"incremental","to":"bulk","at_pop":8192,"at_pair":120,"est_incremental_remaining":950000.0,"est_bulk_remaining":325000.5}
+{"e":"session_opened","session":3,"path":"adaptive"}
+{"e":"session_batch","session":3,"results":64,"total":192}
+{"e":"session_closed","session":3,"results":192,"cancelled":true}
+"#;
+
+#[test]
+fn ndjson_log_writes_one_golden_line_per_event() {
+    let events = [
+        Event::ResultReported { rank: 7, dist: 2.0 },
+        Event::QueueSampled {
+            pops: 1024,
+            len: 4096,
+            results: 12,
+        },
+        Event::TierMigration {
+            from: Tier::List,
+            to: Tier::Disk,
+            n: 200,
+        },
+        Event::BufferEvict { writeback: true },
+        Event::BoundTightened {
+            worker: 0,
+            bound: f64::INFINITY,
+        },
+        Event::WorkerFinished {
+            worker: 1,
+            results: 999,
+        },
+        Event::FaultInjected {
+            write: false,
+            transient: true,
+        },
+        Event::RetrySucceeded { retries: 3 },
+        Event::PlanChosen {
+            path: PlanPath::Bulk,
+            forced: false,
+            est_incremental: 1.0e6,
+            est_bulk: 0.125,
+        },
+        Event::Replanned {
+            from: PlanPath::Incremental,
+            to: PlanPath::Bulk,
+            at_pop: 8192,
+            at_pair: 120,
+            est_incremental_remaining: 9.5e5,
+            est_bulk_remaining: 325_000.5,
+        },
+        Event::SessionOpened {
+            session: 3,
+            path: PlanPath::Adaptive,
+        },
+        Event::SessionBatch {
+            session: 3,
+            results: 64,
+            total: 192,
+        },
+        Event::SessionClosed {
+            session: 3,
+            results: 192,
+            cancelled: true,
+        },
+    ];
+    let buf = SharedBuf::default();
+    let writer = NdjsonWriter::new(Box::new(buf.clone()));
+    for event in &events {
+        writer.emit(event);
+    }
+    writer.flush();
+    assert_eq!(writer.lines_written(), 13);
+    assert_eq!(writer.write_errors(), 0);
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    assert_eq!(text, GOLDEN_LOG);
 }
