@@ -408,7 +408,7 @@ fn alt_semijoin(env: &Env, out: &mut dyn Write) -> io::Result<()> {
                 None => nn_semijoin(t1, t2, Metric::Euclidean),
             });
             assert_eq!(pairs.expect("simulated disk").len() as u64, outer);
-            (seconds, t1.io_stats().misses + t2.io_stats().misses)
+            (seconds, t1.pool_stats().misses + t2.pool_stats().misses)
         };
         let (nn, nn_rand) = (nn_run(None), nn_run(Some(42)));
 

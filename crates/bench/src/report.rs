@@ -64,7 +64,8 @@ pub struct ReportSpec {
     pub fault_seed: Option<u64>,
     /// Transient-fault rate under chaos mode (`--fault-rate`).
     pub fault_rate: f64,
-    /// Bounded retries per faulted read (`--fault-retries`).
+    /// The schedule's retry budget, `FaultConfig::retries`
+    /// (`--fault-retries`).
     pub fault_retries: u32,
 }
 
@@ -112,11 +113,12 @@ fn install_chaos(t1: &RTree<2>, t2: &RTree<2>, spec: &ReportSpec) {
     };
     let (rate, retries) = (spec.fault_rate, spec.fault_retries);
     eprintln!("# chaos: transient faults at rate {rate}, seed {seed}, retries {retries}");
-    let inj = Arc::new(FaultInjector::new(FaultConfig::transient_only(seed, rate)));
+    let inj = Arc::new(FaultInjector::new(FaultConfig {
+        retries,
+        ..FaultConfig::transient_only(seed, rate)
+    }));
     t1.set_fault_injector(Some(Arc::clone(&inj)));
     t2.set_fault_injector(Some(inj));
-    t1.set_retry_limit(retries);
-    t2.set_retry_limit(retries);
 }
 
 /// The service pass: opens `n_sessions` concurrent cursor sessions over the

@@ -196,7 +196,6 @@ pub struct AdaptiveDistanceJoin<'a, const D: usize, I1 = RTree<D>, I2 = RTree<D>
     adaptive: AdaptiveConfig,
     ctx: Option<ObsContext>,
     queue_fault: Option<std::sync::Arc<sdj_storage::FaultInjector>>,
-    queue_retry_limit: Option<u32>,
 }
 
 impl<'a, const D: usize, I1, I2> AdaptiveDistanceJoin<'a, D, I1, I2>
@@ -222,7 +221,6 @@ where
             adaptive,
             ctx: None,
             queue_fault: None,
-            queue_retry_limit: None,
         }
     }
 
@@ -243,11 +241,6 @@ where
         injector: Option<std::sync::Arc<sdj_storage::FaultInjector>>,
     ) {
         self.queue_fault = injector;
-    }
-
-    /// Bounds transient-fault retries of the hybrid queue's pager.
-    pub fn set_queue_retry_limit(&mut self, limit: u32) {
-        self.queue_retry_limit = Some(limit);
     }
 
     /// True when a checkpoint of this run may ever switch: a plain ascending
@@ -302,9 +295,6 @@ where
         }
         if let Some(inj) = &self.queue_fault {
             join.set_queue_fault_injector(Some(std::sync::Arc::clone(inj)));
-        }
-        if let Some(limit) = self.queue_retry_limit {
-            join.set_queue_retry_limit(limit);
         }
         join.track_watermark();
         AdaptiveCursor {

@@ -209,7 +209,7 @@ impl<const D: usize> SpatialIndex<D> for RTree<D> {
     }
 
     fn io_misses(&self) -> u64 {
-        self.io_stats().misses
+        self.pool_stats().misses
     }
 
     fn prefetch_nodes(&self, ids: &[NodeId]) {

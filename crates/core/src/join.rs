@@ -736,13 +736,6 @@ where
         self.queue.set_fault_injector(injector);
     }
 
-    /// Bounds how many times the hybrid queue's buffer pool retries an
-    /// operation that failed with a transient fault. No-op for the memory
-    /// backend.
-    pub fn set_queue_retry_limit(&mut self, limit: u32) {
-        self.queue.set_retry_limit(limit);
-    }
-
     /// Buffer-pool statistics for the hybrid queue's spill tier (zeroed
     /// stats for the memory backend).
     #[must_use]

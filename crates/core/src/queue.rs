@@ -434,15 +434,6 @@ impl<const D: usize> JoinQueue<D> {
         }
     }
 
-    /// Bounds how many times the hybrid backend retries a transient disk
-    /// fault before surfacing it. No-op for the memory backends.
-    pub fn set_retry_limit(&mut self, limit: u32) {
-        match &mut self.backend {
-            Backend::Pairing(_) | Backend::Flat { .. } => {}
-            Backend::Hybrid { queue, .. } => queue.set_retry_limit(limit),
-        }
-    }
-
     /// Buffer-pool fault/retry counters of the hybrid backend (zeros for
     /// the memory backends).
     #[must_use]

@@ -300,13 +300,12 @@ proptest! {
             write_transient: write_p,
             bit_flip: flip_p,
             torn_write: torn_p,
+            retries,
             ..FaultConfig::default()
         };
         let inj = Arc::new(FaultInjector::new(fault));
         t1.set_fault_injector(Some(Arc::clone(&inj)));
         t2.set_fault_injector(Some(Arc::clone(&inj)));
-        t1.set_retry_limit(retries);
-        t2.set_retry_limit(retries);
         let mut join = AdaptiveDistanceJoin::with_configs(
             &t1,
             &t2,
@@ -315,7 +314,6 @@ proptest! {
             adaptive_config_of(&case),
         );
         join.set_queue_fault_injector(Some(Arc::clone(&inj)));
-        join.set_queue_retry_limit(retries);
         let run = join.run();
         let got = triples(&run.results);
         match &run.error {

@@ -53,31 +53,29 @@ fn hybrid_backend(dt: f64) -> QueueBackend {
 fn run(
     config: JoinConfig,
     semi: Option<SemiConfig>,
-    fault: Option<(&FaultConfig, u32)>,
+    fault: Option<&FaultConfig>,
 ) -> (Stream, Option<StorageError>, u64) {
     let (a, b) = sample_sets();
     let t1 = build_tree(&a, 5);
     let t2 = build_tree(&b, 5);
     // One injector shared by both trees and the queue's spill pager: the
     // run is single-threaded, so the combined operation sequence — and with
-    // it the schedule — is deterministic. Installed only after the build so
-    // construction is never faulted.
+    // it the schedule — is deterministic; every pool retries as often as
+    // the schedule allows. Installed only after the build so construction
+    // is never faulted.
     let mut retries_recorded = 0;
-    let injector = fault.map(|(cfg, retry_limit)| {
+    let injector = fault.map(|cfg| {
         let inj = Arc::new(FaultInjector::new(cfg.clone()));
         t1.set_fault_injector(Some(Arc::clone(&inj)));
         t2.set_fault_injector(Some(Arc::clone(&inj)));
-        t1.set_retry_limit(retry_limit);
-        t2.set_retry_limit(retry_limit);
-        (inj, retry_limit)
+        inj
     });
     let mut join = match semi {
         Some(s) => DistanceJoin::semi(&t1, &t2, config, s),
         None => DistanceJoin::new(&t1, &t2, config),
     };
-    if let Some((inj, retry_limit)) = &injector {
+    if let Some(inj) = &injector {
         join.set_queue_fault_injector(Some(Arc::clone(inj)));
-        join.set_queue_retry_limit(*retry_limit);
     }
     let stream: Stream = (&mut join)
         .map(|r| (r.oid1.0, r.oid2.0, r.distance.to_bits()))
@@ -153,8 +151,11 @@ proptest! {
         };
         let (golden, no_err, _) = run(config, None, None);
         prop_assert!(no_err.is_none(), "golden run must be fault-free");
-        let fault = fuzzed_fault_config(seed, read_p, write_p, flip_p, torn_p, disk_full);
-        let (got, error, _) = run(config, None, Some((&fault, retries)));
+        let fault = FaultConfig {
+            retries,
+            ..fuzzed_fault_config(seed, read_p, write_p, flip_p, torn_p, disk_full)
+        };
+        let (got, error, _) = run(config, None, Some(&fault));
         assert_fail_clean(&golden, &got, &error);
     }
 
@@ -176,8 +177,11 @@ proptest! {
         let semi = SemiConfig::default();
         let (golden, no_err, _) = run(config, Some(semi), None);
         prop_assert!(no_err.is_none(), "golden run must be fault-free");
-        let fault = fuzzed_fault_config(seed, read_p, write_p, flip_p, torn_p, None);
-        let (got, error, _) = run(config, Some(semi), Some((&fault, retries)));
+        let fault = FaultConfig {
+            retries,
+            ..fuzzed_fault_config(seed, read_p, write_p, flip_p, torn_p, None)
+        };
+        let (got, error, _) = run(config, Some(semi), Some(&fault));
         assert_fail_clean(&golden, &got, &error);
     }
 
@@ -194,9 +198,12 @@ proptest! {
             ..JoinConfig::default()
         };
         let (golden, _, _) = run(config, None, None);
-        let fault = FaultConfig::transient_only(seed, p);
         // 16 retries: (1-p)^16 failure odds per op are negligible at p ≤ 5%.
-        let (got, error, retries) = run(config, None, Some((&fault, 16)));
+        let fault = FaultConfig {
+            retries: 16,
+            ..FaultConfig::transient_only(seed, p)
+        };
+        let (got, error, retries) = run(config, None, Some(&fault));
         prop_assert!(error.is_none(), "transient-only schedule failed: {error:?}");
         prop_assert_eq!(got, golden);
         // The schedule is probabilistic, so a lucky seed may inject nothing;
@@ -219,7 +226,7 @@ fn nth_read_fault_without_retries_is_a_typed_error() {
         fail_read_nth: Some(1),
         ..FaultConfig::default()
     };
-    let (got, error, _) = run(config, None, Some((&fault, 0)));
+    let (got, error, _) = run(config, None, Some(&fault));
     assert_fail_clean(&golden, &got, &error);
     assert!(
         matches!(error, Some(StorageError::Io { transient: true })),
@@ -237,9 +244,10 @@ fn bit_flip_surfaces_as_checksum_corruption() {
     let fault = FaultConfig {
         seed: 11,
         bit_flip: 1.0,
+        retries: 4,
         ..FaultConfig::default()
     };
-    let (got, error, _) = run(config, None, Some((&fault, 4)));
+    let (got, error, _) = run(config, None, Some(&fault));
     assert_fail_clean(&golden, &got, &error);
     assert!(
         matches!(error, Some(StorageError::Corrupt(_))),
@@ -258,9 +266,10 @@ fn disk_full_during_spill_surfaces_as_typed_error() {
     let fault = FaultConfig {
         seed: 5,
         disk_full_after: Some(0),
+        retries: 4,
         ..FaultConfig::default()
     };
-    let (got, error, _) = run(config, None, Some((&fault, 4)));
+    let (got, error, _) = run(config, None, Some(&fault));
     assert_fail_clean(&golden, &got, &error);
     assert!(
         matches!(error, Some(StorageError::DiskFull)),
@@ -278,9 +287,10 @@ fn torn_write_is_never_retried_and_poisons_the_page() {
     let fault = FaultConfig {
         seed: 17,
         torn_write: 1.0,
+        retries: 8,
         ..FaultConfig::default()
     };
-    let (got, error, _) = run(config, None, Some((&fault, 8)));
+    let (got, error, _) = run(config, None, Some(&fault));
     assert_fail_clean(&golden, &got, &error);
     assert!(
         matches!(
@@ -299,8 +309,11 @@ fn transient_faults_record_retries_in_pool_stats() {
     };
     let (golden, _, _) = run(config, None, None);
     // High enough rate that injections are certain over hundreds of ops.
-    let fault = FaultConfig::transient_only(23, 0.05);
-    let (got, error, retries) = run(config, None, Some((&fault, 16)));
+    let fault = FaultConfig {
+        retries: 16,
+        ..FaultConfig::transient_only(23, 0.05)
+    };
+    let (got, error, retries) = run(config, None, Some(&fault));
     assert!(
         error.is_none(),
         "retries must absorb transient faults: {error:?}"

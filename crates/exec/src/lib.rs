@@ -136,7 +136,7 @@ where
     window2: Option<Rect<D>>,
     parallel: ParallelConfig,
     obs: Option<ObsContext>,
-    queue_fault: Option<(FaultConfig, u32)>,
+    queue_fault: Option<FaultConfig>,
 }
 
 impl<'a, const D: usize, I1, I2> ParallelDistanceJoin<'a, D, MbrOracle, I1, I2>
@@ -232,12 +232,12 @@ where
 
     /// Installs a fault schedule on every engine's hybrid-queue spill pager
     /// (chaos testing). The partitioner and each worker own independent
-    /// queues, so each gets its own injector built from `config`; `retries`
-    /// bounds the buffer pools' transient-fault retries. No-op under the
-    /// memory queue backend.
+    /// queues, so each gets its own injector built from `config`, whose
+    /// `retries` bounds the buffer pools' transient-fault retries. No-op
+    /// under the memory queue backend.
     #[must_use]
-    pub fn with_queue_fault_config(mut self, config: FaultConfig, retries: u32) -> Self {
-        self.queue_fault = Some((config, retries));
+    pub fn with_queue_fault_config(mut self, config: FaultConfig) -> Self {
+        self.queue_fault = Some(config);
         self
     }
 
@@ -298,9 +298,8 @@ where
             ),
         };
         let mut join = join.with_windows(self.window1, self.window2);
-        if let Some((fault, retries)) = &self.queue_fault {
+        if let Some(fault) = &self.queue_fault {
             join.set_queue_fault_injector(Some(Arc::new(FaultInjector::new(fault.clone()))));
-            join.set_queue_retry_limit(*retries);
         }
         match &self.obs {
             Some(ctx) => {

@@ -109,6 +109,7 @@ proptest! {
             read_transient: read_p,
             write_transient: write_p,
             disk_full_after: disk_full,
+            retries,
             ..FaultConfig::default()
         };
         let run = ParallelDistanceJoin::new(
@@ -117,7 +118,7 @@ proptest! {
             config,
             ParallelConfig::with_threads(threads),
         )
-        .with_queue_fault_config(fault, retries)
+        .with_queue_fault_config(fault)
         .collect();
         assert_parallel_fail_clean(&golden, &run);
     }
@@ -142,7 +143,10 @@ proptest! {
             config,
             ParallelConfig::with_threads(threads),
         )
-        .with_queue_fault_config(FaultConfig::transient_only(seed, p), 16)
+        .with_queue_fault_config(FaultConfig {
+            retries: 16,
+            ..FaultConfig::transient_only(seed, p)
+        })
         .collect();
         prop_assert!(run.error.is_none(), "retries must absorb transient faults: {:?}", run.error);
         assert_parallel_fail_clean(&golden, &run);
@@ -167,7 +171,7 @@ fn worker_error_propagates_through_the_stream() {
     };
     let mut stream_error = None;
     let run = ParallelDistanceJoin::new(&t1, &t2, config, ParallelConfig::with_threads(2))
-        .with_queue_fault_config(fault, 0)
+        .with_queue_fault_config(fault)
         .run(|stream| {
             let out: Vec<_> = stream.collect();
             stream_error = stream.error().cloned();
@@ -200,7 +204,10 @@ fn parallel_semi_join_transient_retries_match_serial() {
         .collect();
 
     let run = ParallelDistanceJoin::semi(&t1, &t2, config, semi, ParallelConfig::with_threads(3))
-        .with_queue_fault_config(FaultConfig::transient_only(41, 0.02), 16)
+        .with_queue_fault_config(FaultConfig {
+            retries: 16,
+            ..FaultConfig::transient_only(41, 0.02)
+        })
         .collect();
     assert!(run.error.is_none(), "retries must absorb transient faults");
     let got: HashMap<u64, u64> = run

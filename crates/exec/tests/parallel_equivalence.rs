@@ -400,7 +400,7 @@ fn prefetch_is_stream_invisible_and_conserves_io() {
         let stream: Vec<_> = join.by_ref().map(|r| key(&r)).collect();
         let stats = join.stats();
         drop(join);
-        let pool = |t: &RTree<2>| t.io_stats();
+        let pool = |t: &RTree<2>| t.pool_stats();
         let (s1, s2) = (pool(&t1), pool(&t2));
         assert_eq!(
             s1.evictions + s2.evictions,

@@ -320,14 +320,9 @@ where
     }
 
     /// Installs (or clears) a deterministic fault injector on the spill
-    /// area's simulated disk.
+    /// area's simulated disk; its schedule carries the retry budget.
     pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
         self.pool.set_fault_injector(injector);
-    }
-
-    /// Sets the spill pool's bounded retry limit for transient faults.
-    pub fn set_retry_limit(&self, retries: u32) {
-        self.pool.set_retry_limit(retries);
     }
 
     /// Number of elements currently resident in memory (heap + list).
@@ -916,10 +911,10 @@ mod tests {
     fn transient_spill_faults_retried_to_completion() {
         use sdj_storage::{FaultConfig, FaultInjector};
         let mut q = queue(1.0);
-        q.set_retry_limit(8);
-        q.set_fault_injector(Some(Arc::new(FaultInjector::new(
-            FaultConfig::transient_only(21, 0.2),
-        ))));
+        q.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultConfig {
+            retries: 8,
+            ..FaultConfig::transient_only(21, 0.2)
+        }))));
         let ds: Vec<f64> = (0..300).map(|i| 5.0 + (i as f64) * 0.01).collect();
         for (i, d) in ds.iter().enumerate() {
             q.push(OrdF64::new(*d), i as u64).unwrap();

@@ -130,9 +130,10 @@ impl<const D: usize> PrQuadtree<D> {
         self.leaf_cap
     }
 
-    /// Buffer-pool counters (misses = node I/O).
+    /// Buffer-pool counters (misses = node I/O), including fault/retry
+    /// totals.
     #[must_use]
-    pub fn io_stats(&self) -> PoolStats {
+    pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
@@ -145,12 +146,6 @@ impl<const D: usize> PrQuadtree<D> {
     /// (chaos testing); see the R-tree's method of the same name.
     pub fn set_fault_injector(&self, injector: Option<std::sync::Arc<sdj_storage::FaultInjector>>) {
         self.pool.set_fault_injector(injector);
-    }
-
-    /// Bounds how many times the buffer pool retries an operation that
-    /// failed with a transient fault (0 = fail on first fault).
-    pub fn set_retry_limit(&self, limit: u32) {
-        self.pool.set_retry_limit(limit);
     }
 
     pub(crate) fn pool(&self) -> &BufferPool {

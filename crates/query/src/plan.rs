@@ -11,10 +11,12 @@
 //!    worth it when the predicate is highly selective.
 //!
 //! [`DistanceQuery::execute`] picks between them with a sampled selectivity
-//! estimate (or obeys an explicit [`FilterPlacement`]).
+//! estimate (or obeys an explicit [`FilterPlacement`]). A semi-join with a
+//! predicate on its right side always filters before the join.
 
 use sdj_core::{DistanceJoin, JoinConfig, SemiConfig};
 use sdj_rtree::ObjectId;
+use sdj_storage::StorageError;
 
 use crate::predicate::Predicate;
 use crate::relation::Relation;
@@ -33,12 +35,20 @@ pub struct QueryRow {
 /// Where the attribute filters run relative to the distance join. (Which
 /// *engine* runs the join is `sdj_core::PlanChoice`'s business, not this
 /// crate's.)
+///
+/// A semi-join with a right-side predicate runs [`FilterBeforeJoin`]
+/// whatever is asked: the semi-join pairs each left row with its nearest
+/// right row, so dropping that pair after the join would drop the left row
+/// instead of finding its nearest *qualifying* partner.
+///
+/// [`FilterBeforeJoin`]: FilterPlacement::FilterBeforeJoin
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FilterPlacement {
     /// Let the optimizer decide from estimated selectivities.
     #[default]
     Auto,
-    /// Force filter-after-join (fully pipelined).
+    /// Force filter-after-join (fully pipelined), except for a semi-join
+    /// with a right-side predicate.
     FilterAfterJoin,
     /// Force filter-before-join (materialise + re-index).
     FilterBeforeJoin,
@@ -146,6 +156,9 @@ impl<'a> DistanceQuery<'a> {
             }
         }
         out.push_str(&format!("\n  plan: {plan:?}"));
+        if self.semi_filters_right() {
+            out.push_str(" (a semi-join filters its right side before the join)");
+        }
         out
     }
 
@@ -177,7 +190,16 @@ impl<'a> DistanceQuery<'a> {
         self
     }
 
+    /// Whether this is a semi-join with a right-side predicate, which must
+    /// filter before the join (see [`FilterPlacement`]).
+    fn semi_filters_right(&self) -> bool {
+        self.semi.is_some() && self.right_predicate.is_some()
+    }
+
     fn decide_plan(&self) -> FilterPlacement {
+        if self.semi_filters_right() {
+            return FilterPlacement::FilterBeforeJoin;
+        }
         match self.plan {
             FilterPlacement::Auto => {
                 let sel = |rel: &Relation, p: &Option<Predicate>| {
@@ -222,27 +244,20 @@ impl<'a> DistanceQuery<'a> {
                 remaining: self.stop_after,
                 plan: FilterPlacement::FilterAfterJoin,
             },
-            FilterPlacement::FilterBeforeJoin => {
-                let (left_sub, left_map) = self.left.filter(self.left_predicate.as_ref());
-                let (right_sub, right_map) = self.right.filter(self.right_predicate.as_ref());
-                QueryOutput {
-                    inner: Inner::Materialized {
-                        state: Box::new(MaterializedState {
-                            left_sub,
-                            right_sub,
-                            left_map,
-                            right_map,
-                            config,
-                            semi: self.semi,
-                            started: false,
-                            results: Vec::new(),
-                            cursor: 0,
-                        }),
-                    },
-                    remaining: self.stop_after,
-                    plan: FilterPlacement::FilterBeforeJoin,
-                }
-            }
+            FilterPlacement::FilterBeforeJoin => QueryOutput {
+                inner: Inner::Materialized(Box::new(MaterializedState {
+                    left: self.left,
+                    right: self.right,
+                    left_predicate: self.left_predicate,
+                    right_predicate: self.right_predicate,
+                    config,
+                    semi: self.semi,
+                    results: None,
+                    error: None,
+                })),
+                remaining: self.stop_after,
+                plan: FilterPlacement::FilterBeforeJoin,
+            },
         }
     }
 }
@@ -259,16 +274,41 @@ fn make_join<'a>(
     }
 }
 
-struct MaterializedState {
-    left_sub: Relation,
-    right_sub: Relation,
-    left_map: Vec<ObjectId>,
-    right_map: Vec<ObjectId>,
+struct MaterializedState<'a> {
+    left: &'a Relation,
+    right: &'a Relation,
+    left_predicate: Option<Predicate>,
+    right_predicate: Option<Predicate>,
     config: JoinConfig,
     semi: Option<SemiConfig>,
-    started: bool,
-    results: Vec<QueryRow>,
-    cursor: usize,
+    /// `None` until the first `next` materialises the plan.
+    results: Option<std::vec::IntoIter<QueryRow>>,
+    error: Option<StorageError>,
+}
+
+impl MaterializedState<'_> {
+    /// Filters both sides into new indexes and drains their join (the
+    /// upfront cost that makes this plan non-pipelined), returning the rows
+    /// in the original relations' ids and the error that ended them early.
+    fn materialize(&self) -> (Vec<QueryRow>, Option<StorageError>) {
+        let subs = self
+            .left
+            .filter(self.left_predicate.as_ref())
+            .and_then(|l| Ok((l, self.right.filter(self.right_predicate.as_ref())?)));
+        let ((left_sub, left_map), (right_sub, right_map)) = match subs {
+            Ok(subs) => subs,
+            Err(e) => return (Vec::new(), Some(e)),
+        };
+        let mut join = make_join(&left_sub, &right_sub, self.config, self.semi);
+        let rows = (&mut join)
+            .map(|pair| QueryRow {
+                left: left_map[pair.oid1.0 as usize],
+                right: right_map[pair.oid2.0 as usize],
+                distance: pair.distance,
+            })
+            .collect();
+        (rows, join.take_error())
+    }
 }
 
 enum Inner<'a> {
@@ -279,9 +319,7 @@ enum Inner<'a> {
         left_predicate: Option<Predicate>,
         right_predicate: Option<Predicate>,
     },
-    Materialized {
-        state: Box<MaterializedState>,
-    },
+    Materialized(Box<MaterializedState<'a>>),
 }
 
 /// Pipelined query results.
@@ -296,6 +334,17 @@ impl QueryOutput<'_> {
     #[must_use]
     pub fn plan(&self) -> FilterPlacement {
         self.plan
+    }
+
+    /// Takes the storage error that ended the rows early, if any. A faulted
+    /// query stops after a correct prefix of its rows; this is what tells
+    /// that prefix from a complete result (see
+    /// [`DistanceJoin::take_error`]).
+    pub fn take_error(&mut self) -> Option<StorageError> {
+        match &mut self.inner {
+            Inner::Pipelined { join, .. } => join.take_error(),
+            Inner::Materialized(state) => state.error.take(),
+        }
     }
 }
 
@@ -331,28 +380,13 @@ impl Iterator for QueryOutput<'_> {
                     distance: pair.distance,
                 };
             },
-            Inner::Materialized { state } => {
-                if !state.started {
-                    state.started = true;
-                    let join =
-                        make_join(&state.left_sub, &state.right_sub, state.config, state.semi);
-                    // The sub-relations live inside `state`, so the join
-                    // cannot outlive this call; drain it eagerly. The
-                    // upfront cost is precisely the non-pipelined nature of
-                    // this plan.
-                    state.results = join
-                        .map(|pair| QueryRow {
-                            left: state.left_map[pair.oid1.0 as usize],
-                            right: state.right_map[pair.oid2.0 as usize],
-                            distance: pair.distance,
-                        })
-                        .collect();
+            Inner::Materialized(state) => {
+                if state.results.is_none() {
+                    let (rows, error) = state.materialize();
+                    state.results = Some(rows.into_iter());
+                    state.error = error;
                 }
-                if state.cursor >= state.results.len() {
-                    return None;
-                }
-                state.cursor += 1;
-                state.results[state.cursor - 1]
+                state.results.as_mut()?.next()?
             }
         };
         if let Some(n) = &mut self.remaining {
@@ -372,7 +406,8 @@ mod tests {
     fn rivers() -> Relation {
         let mut r = Relation::with_tree_config("rivers", &["name"], RTreeConfig::small(4));
         for (i, name) in ["nile", "amazon", "danube"].iter().enumerate() {
-            r.insert(Point::xy(10.0 * i as f64, 0.0), vec![Value::from(*name)]);
+            r.insert(Point::xy(10.0 * i as f64, 0.0), vec![Value::from(*name)])
+                .unwrap();
         }
         r
     }
@@ -388,7 +423,8 @@ mod tests {
             ("capital", 6_000_000, 5.0, 5.0),
         ];
         for (name, pop, x, y) in data {
-            r.insert(Point::xy(x, y), vec![Value::from(name), Value::from(pop)]);
+            r.insert(Point::xy(x, y), vec![Value::from(name), Value::from(pop)])
+                .unwrap();
         }
         r
     }
@@ -510,6 +546,37 @@ mod tests {
         assert!(plan.contains("DistanceJoin cities ⋈ rivers"));
         assert!(plan.contains("stop after: 1"));
         assert!(plan.contains("FilterBeforeJoin"), "{plan}");
+    }
+
+    /// A query whose join hits a corrupt page ends early, and says so.
+    #[test]
+    fn a_faulted_query_surfaces_its_error() {
+        use sdj_storage::{FaultConfig, FaultInjector};
+        use std::sync::Arc;
+        // One frame, so the join must read the points' nodes from disk.
+        let config = RTreeConfig {
+            buffer_frames: 1,
+            ..RTreeConfig::small(4)
+        };
+        let mut points = Relation::with_tree_config("points", &[], config);
+        for i in 0..12 {
+            points.insert(Point::xy(f64::from(i), 1.0), vec![]).unwrap();
+        }
+        let r = rivers();
+        let golden: Vec<QueryRow> = DistanceQuery::join(&points, &r).execute().collect();
+        assert_eq!(golden.len(), 36);
+        points
+            .tree()
+            .set_fault_injector(Some(Arc::new(FaultInjector::new(FaultConfig {
+                bit_flip: 1.0,
+                ..FaultConfig::default()
+            }))));
+        let mut out = DistanceQuery::join(&points, &r).execute();
+        let rows: Vec<QueryRow> = out.by_ref().collect();
+        assert!(rows.len() < golden.len());
+        assert_eq!(rows[..], golden[..rows.len()]);
+        assert!(matches!(out.take_error(), Some(StorageError::Corrupt(_))));
+        assert_eq!(out.take_error(), None, "the error is taken once");
     }
 
     #[test]

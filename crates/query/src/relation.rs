@@ -3,8 +3,9 @@
 
 use std::collections::HashMap;
 
-use sdj_geom::Point;
+use sdj_geom::{Point, Rect};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
+use sdj_storage::StorageError;
 
 use crate::predicate::{Predicate, Value};
 
@@ -78,22 +79,27 @@ impl Relation {
 
     /// Inserts a row; `values` must match the declared columns.
     ///
-    /// # Panics
-    /// Panics if the value count does not match the column count.
-    pub fn insert(&mut self, point: Point<2>, values: Vec<Value>) -> ObjectId {
-        assert_eq!(
-            values.len(),
-            self.columns.len(),
-            "row arity mismatch for relation {}",
-            self.name
-        );
+    /// # Errors
+    /// [`StorageError::InvalidInput`] if the value count does not match the
+    /// column count or the point has a NaN or infinite coordinate; the
+    /// relation is then unchanged. Any error of the index's simulated disk.
+    pub fn insert(
+        &mut self,
+        point: Point<2>,
+        values: Vec<Value>,
+    ) -> Result<ObjectId, StorageError> {
+        if values.len() != self.columns.len() {
+            return Err(StorageError::InvalidInput(
+                "row arity does not match the relation's columns",
+            ));
+        }
         let id = ObjectId(self.points.len() as u64);
-        self.tree
-            .insert(id, point.to_rect())
-            .expect("simulated disk cannot fail");
+        // `from_corners`, not `to_rect`: the latter debug-asserts on a NaN,
+        // which the tree refuses with a typed error instead.
+        self.tree.insert(id, Rect::from_corners(&point, &point))?;
         self.points.push(point);
         self.values.push(values);
-        id
+        Ok(id)
     }
 
     /// The spatial attribute of a row.
@@ -139,8 +145,13 @@ impl Relation {
     /// Materialises the sub-relation of rows satisfying `predicate` (all
     /// rows when `None`), re-indexing them — the "filter before join" plan.
     /// The returned relation's row ids map back via the second return value.
-    #[must_use]
-    pub fn filter(&self, predicate: Option<&Predicate>) -> (Relation, Vec<ObjectId>) {
+    ///
+    /// # Errors
+    /// Any error of the new index's simulated disk.
+    pub fn filter(
+        &self,
+        predicate: Option<&Predicate>,
+    ) -> Result<(Relation, Vec<ObjectId>), StorageError> {
         let mut out = Relation::with_tree_config(
             &format!("{}_filtered", self.name),
             &self.columns.iter().map(String::as_str).collect::<Vec<_>>(),
@@ -150,11 +161,11 @@ impl Relation {
         for i in 0..self.len() {
             let id = ObjectId(i as u64);
             if predicate.is_none_or(|p| self.matches(id, p)) {
-                out.insert(self.points[i], self.values[i].clone());
+                out.insert(self.points[i], self.values[i].clone())?;
                 mapping.push(id);
             }
         }
-        (out, mapping)
+        Ok((out, mapping))
     }
 }
 
@@ -178,7 +189,8 @@ mod tests {
             r.insert(
                 Point::xy(i as f64, i as f64),
                 vec![Value::from(*name), Value::from(*pop)],
-            );
+            )
+            .unwrap();
         }
         r
     }
@@ -201,8 +213,8 @@ mod tests {
     fn filter_materialises_and_maps_back() {
         let r = cities();
         let big = Predicate::cmp("population", CmpOp::Gt, 5_000_000i64);
-        let (filtered, mapping) = r.filter(Some(&big));
-        let (all, all_map) = r.filter(None);
+        let (filtered, mapping) = r.filter(Some(&big)).unwrap();
+        let (all, all_map) = r.filter(None).unwrap();
         assert_eq!(all.len(), r.len());
         assert_eq!(all_map.len(), r.len());
         assert_eq!(filtered.len(), 2);
@@ -223,9 +235,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
-    fn arity_checked() {
+    fn bad_rows_are_refused_and_leave_the_relation_unchanged() {
         let mut r = cities();
-        r.insert(Point::xy(0.0, 0.0), vec![Value::from("x")]);
+        assert!(matches!(
+            r.insert(Point::xy(0.0, 0.0), vec![Value::from("x")]),
+            Err(StorageError::InvalidInput(_))
+        ));
+        assert!(matches!(
+            r.insert(
+                Point::xy(f64::NAN, 0.0),
+                vec![Value::from("x"), Value::from(1i64)]
+            ),
+            Err(StorageError::InvalidInput(_))
+        ));
+        assert_eq!((r.len(), r.tree().len()), (4, 4));
+        let id = r
+            .insert(
+                Point::xy(9.0, 9.0),
+                vec![Value::from("x"), Value::from(1i64)],
+            )
+            .unwrap();
+        assert_eq!(id, ObjectId(4));
     }
 }

@@ -18,7 +18,7 @@ pub struct RTreeConfig {
     /// Number of buffer-pool shards. `1` (the default) keeps the historical
     /// single-shard LRU pool — byte-identical miss counts for the
     /// experiments; larger values split the frames across independently
-    /// locked CLOCK shards so parallel workers' node reads never serialise.
+    /// locked LRU shards so parallel workers' node reads never serialise.
     /// A runtime-only knob: not persisted with the tree.
     pub buffer_shards: usize,
     /// Optional cap on the fan-out, applied after computing how many entries

@@ -291,12 +291,12 @@ mod tests {
             .nearest_neighbors(Point::xy(50.0, 50.0), Metric::Euclidean)
             .next()
             .unwrap();
-        let one = tree.io_stats().accesses();
+        let one = tree.pool_stats().accesses();
         tree.reset_io_stats();
         let _all: Vec<_> = tree
             .nearest_neighbors(Point::xy(50.0, 50.0), Metric::Euclidean)
             .collect();
-        let all = tree.io_stats().accesses();
+        let all = tree.pool_stats().accesses();
         assert!(
             one * 5 < all,
             "first neighbour should touch far fewer nodes ({one} vs {all})"

@@ -3,9 +3,7 @@
 //! algorithms.
 
 use sdj_geom::{Metric, Rect};
-use sdj_storage::{
-    BufferPool, DiskStats, PageId, Pager, PoolConfig, PoolStats, Result, StorageError,
-};
+use sdj_storage::{BufferPool, DiskStats, PageId, Pager, PoolStats, Result, StorageError};
 
 use crate::config::RTreeConfig;
 use crate::entry::{Entry, ObjectId};
@@ -15,7 +13,7 @@ use crate::split::rstar_split;
 /// A disk-resident R*-tree over `D`-dimensional rectangles.
 ///
 /// Every node occupies one page of a simulated disk and is accessed through
-/// an LRU buffer pool, so [`RTree::io_stats`] reports the node I/O counts the
+/// an LRU buffer pool, so [`RTree::pool_stats`] reports the node I/O counts the
 /// paper's experiments measure. Object ids are opaque `u64`s; leaf entries
 /// store the object's minimal bounding rectangle inline (for points, the MBR
 /// *is* the point).
@@ -46,7 +44,7 @@ impl<const D: usize> RTree<D> {
     #[must_use]
     pub fn new(config: RTreeConfig) -> Self {
         let pager = Pager::new(config.page_size);
-        let pool = BufferPool::with_config(pager, config.buffer_frames, Self::pool_config(&config));
+        let pool = BufferPool::sharded(pager, config.buffer_frames, config.buffer_shards);
         let root = pool.allocate();
         let tree = Self {
             pool,
@@ -118,12 +116,6 @@ impl<const D: usize> RTree<D> {
         Ok(self.read_node(self.root)?.mbr())
     }
 
-    /// Buffer-pool counters (misses = node I/O).
-    #[must_use]
-    pub fn io_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
     /// Disk counters of the underlying pager.
     #[must_use]
     pub fn disk_stats(&self) -> DiskStats {
@@ -145,25 +137,14 @@ impl<const D: usize> RTree<D> {
         self.config.buffer_shards = shards;
         let dummy = BufferPool::new(Pager::new(self.config.page_size), 1);
         let pager = std::mem::replace(&mut self.pool, dummy).into_pager()?;
-        self.pool = BufferPool::with_config(pager, frames, Self::pool_config(&self.config));
+        self.pool = BufferPool::sharded(pager, frames, shards);
         Ok(())
-    }
-
-    /// Buffer-pool configuration implied by an [`RTreeConfig`]: one shard
-    /// keeps the historical LRU pool (byte-identical miss counts for the
-    /// experiments); more shards switch to per-shard CLOCK eviction.
-    pub(crate) fn pool_config(config: &RTreeConfig) -> PoolConfig {
-        if config.buffer_shards <= 1 {
-            PoolConfig::default()
-        } else {
-            PoolConfig::sharded(config.buffer_shards)
-        }
     }
 
     /// Batch prefetch hint for node pages likely to be read soon (see
     /// [`sdj_storage::BufferPool::prefetch`]): absent pages are faulted in
     /// and counted as prefetch reads, *not* demand misses, so
-    /// [`RTree::io_stats`] miss counts stay comparable across runs with and
+    /// [`RTree::pool_stats`] miss counts stay comparable across runs with and
     /// without hinting.
     pub fn prefetch_pages(&self, pages: &[PageId]) {
         self.pool.prefetch(pages);
@@ -179,20 +160,17 @@ impl<const D: usize> RTree<D> {
 
     /// Installs (or clears) a fault injector on the tree's simulated disk:
     /// every node read/write through the buffer pool becomes subject to the
-    /// injector's schedule (chaos testing).
+    /// injector's schedule, retried as often as its
+    /// [`FaultConfig::retries`](sdj_storage::FaultConfig::retries) allows
+    /// (chaos testing).
     pub fn set_fault_injector(&self, injector: Option<std::sync::Arc<sdj_storage::FaultInjector>>) {
         self.pool.set_fault_injector(injector);
     }
 
-    /// Bounds how many times the buffer pool retries an operation that
-    /// failed with a transient fault (0 = fail on first fault).
-    pub fn set_retry_limit(&self, limit: u32) {
-        self.pool.set_retry_limit(limit);
-    }
-
-    /// Buffer-pool counters, including fault/retry totals.
+    /// Buffer-pool counters (misses = node I/O), including fault/retry
+    /// totals.
     #[must_use]
-    pub fn pool_stats(&self) -> sdj_storage::PoolStats {
+    pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
@@ -724,13 +702,13 @@ mod tests {
     }
 
     #[test]
-    fn io_stats_accumulate() {
+    fn pool_stats_accumulate() {
         let tree = grid_tree(200, 4);
         tree.reset_io_stats();
         let _ = tree
             .query_window(&Rect::new([0.0, 0.0], [20.0, 20.0]))
             .unwrap();
-        let stats = tree.io_stats();
+        let stats = tree.pool_stats();
         assert!(stats.accesses() > 0);
     }
 

@@ -15,15 +15,17 @@
 //! and writes to a pinned page copy-on-write, so an outstanding guard is
 //! always a consistent snapshot of the page it pinned.
 //!
-//! Two eviction policies are available per pool. [`EvictionPolicy::Lru`]
-//! (the default, and the only policy of the historical single-lock pool) is
-//! an intrusive doubly-linked recency list over frame indices — hits,
-//! evictions and invalidations are all O(1) (plus hashing), and with one
-//! shard its counters are byte-identical to the historical pool's, keeping
-//! EXPERIMENTS.md miss counts comparable. [`EvictionPolicy::Clock`]
-//! (second chance) replaces the list with a reference bit and a sweeping
-//! hand; it is the natural policy for the sharded configuration because a
-//! hit is a single bit set instead of a list splice.
+//! Every shard evicts in exact least-recently-used order: an intrusive
+//! doubly-linked recency list over frame indices, so hits, evictions and
+//! invalidations are all O(1) (plus hashing). With one shard the counters
+//! are byte-identical to the historical single-lock pool's, keeping
+//! EXPERIMENTS.md miss counts comparable; with N shards each shard is that
+//! pool over its own pages and its share of the frames.
+//!
+//! A device fault is retried only when it is transient, and at most as many
+//! times as the installed [`FaultInjector`](crate::FaultInjector)'s
+//! [`FaultConfig::retries`](crate::FaultConfig::retries) allows: the budget
+//! travels with the schedule that produces the faults.
 //!
 //! [`BufferPool::prefetch`] accepts batch hints ("these pages are about to
 //! be read") and faults absent ones in, counting them as `prefetch_reads` —
@@ -167,52 +169,6 @@ impl std::fmt::Debug for BufferObs {
     }
 }
 
-/// Per-shard frame replacement policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Exact least-recently-used via an intrusive recency list. This is the
-    /// historical pool's policy: with one shard, all counters are
-    /// byte-identical to the old single-lock pool on any access trace.
-    #[default]
-    Lru,
-    /// CLOCK / second chance: one reference bit per frame, cleared by a
-    /// sweeping hand. Hits are a bit set instead of a list splice, which is
-    /// what the sharded concurrent configuration wants.
-    Clock,
-}
-
-/// Construction parameters of a [`BufferPool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Number of independent shards the frames are split across. Pages map
-    /// to shards by `page_id % shards`, so consecutively allocated pages
-    /// round-robin across shards. Clamped to the frame capacity (every
-    /// shard needs at least one frame).
-    pub shards: usize,
-    /// Frame replacement policy of every shard.
-    pub eviction: EvictionPolicy,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        Self {
-            shards: 1,
-            eviction: EvictionPolicy::Lru,
-        }
-    }
-}
-
-impl PoolConfig {
-    /// The sharded concurrent configuration: `shards` CLOCK shards.
-    #[must_use]
-    pub fn sharded(shards: usize) -> Self {
-        Self {
-            shards,
-            eviction: EvictionPolicy::Clock,
-        }
-    }
-}
-
 /// A pinned, zero-copy view of one page.
 ///
 /// Dereferences to the page bytes as they were when the guard was acquired.
@@ -285,11 +241,9 @@ struct Frame {
     /// (which runs under the shard lock) skips any frame it reads as pinned.
     pins: Arc<AtomicU32>,
     dirty: bool,
-    /// CLOCK reference bit (unused under LRU).
-    referenced: bool,
     /// Brought in by a prefetch hint and not yet demanded.
     prefetched: bool,
-    /// LRU recency links (unused under CLOCK).
+    /// LRU recency links.
     prev: usize,
     next: usize,
 }
@@ -301,7 +255,6 @@ impl Frame {
             data: Arc::new(data),
             pins: Arc::new(AtomicU32::new(0)),
             dirty: false,
-            referenced: true,
             prefetched,
             prev: NIL,
             next: NIL,
@@ -329,7 +282,6 @@ impl Frame {
         };
         self.page = page;
         self.dirty = false;
-        self.referenced = true;
         self.prefetched = prefetched;
         self.prev = NIL;
         self.next = NIL;
@@ -349,14 +301,11 @@ enum Fetched {
 struct ShardInner {
     frames: Vec<Frame>,
     map: HashMap<PageId, usize>,
-    /// Most recently used frame (LRU only).
+    /// Most recently used frame.
     head: usize,
-    /// Least recently used frame (LRU only).
+    /// Least recently used frame.
     tail: usize,
-    /// Sweep position (CLOCK only).
-    hand: usize,
     capacity: usize,
-    policy: EvictionPolicy,
     stats: PoolStats,
     obs: Option<BufferObs>,
     /// The last evicted frame's page buffer, kept for the next fault to
@@ -394,9 +343,6 @@ pub struct BufferPool {
     read_copies: AtomicU64,
     /// Pool-wide pager-lock acquisition count.
     shared_locks: AtomicU64,
-    /// Maximum number of retries for a transient device fault (0 = fail on
-    /// the first fault, the historical behaviour).
-    retry_limit: AtomicU32,
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -411,27 +357,27 @@ impl std::fmt::Debug for BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a pool of `capacity` frames over `pager` with the default
-    /// configuration (one LRU shard — the historical pool, byte-identical
-    /// counters included).
+    /// Creates a pool of `capacity` frames over `pager` in one shard (the
+    /// historical pool, byte-identical counters included).
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn new(pager: Pager, capacity: usize) -> Self {
-        Self::with_config(pager, capacity, PoolConfig::default())
+        Self::sharded(pager, capacity, 1)
     }
 
     /// Creates a pool of `capacity` frames over `pager`, split into
-    /// `config.shards` shards (clamped to `capacity`) with the configured
-    /// eviction policy.
+    /// `shards` independently locked shards (clamped to `1..=capacity`).
+    /// Pages map to shards by `page_id % shards`, so consecutively
+    /// allocated pages round-robin across shards.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn with_config(pager: Pager, capacity: usize, config: PoolConfig) -> Self {
+    pub fn sharded(pager: Pager, capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        let n = config.shards.clamp(1, capacity);
+        let n = shards.clamp(1, capacity);
         let page_size = pager.page_size();
         let shards = (0..n)
             .map(|i| {
@@ -444,9 +390,7 @@ impl BufferPool {
                         map: HashMap::new(),
                         head: NIL,
                         tail: NIL,
-                        hand: 0,
                         capacity: cap,
-                        policy: config.eviction,
                         stats: PoolStats::default(),
                         obs: None,
                         spare: None,
@@ -461,25 +405,13 @@ impl BufferPool {
             capacity,
             read_copies: AtomicU64::new(0),
             shared_locks: AtomicU64::new(0),
-            retry_limit: AtomicU32::new(0),
         }
     }
 
-    /// Sets the bounded retry policy: how many times a transient device
-    /// fault is retried before it is surfaced. Zero (the default) fails on
-    /// the first fault. Non-transient faults are never retried.
-    pub fn set_retry_limit(&self, retries: u32) {
-        self.retry_limit.store(retries, Ordering::Relaxed);
-    }
-
-    /// The current transient-fault retry limit.
-    #[must_use]
-    pub fn retry_limit(&self) -> u32 {
-        self.retry_limit.load(Ordering::Relaxed)
-    }
-
     /// Installs (or clears) a deterministic fault injector on the underlying
-    /// pager. See [`crate::fault::FaultInjector`].
+    /// pager. See [`crate::fault::FaultInjector`]; its
+    /// [`FaultConfig::retries`](crate::FaultConfig::retries) bounds how often
+    /// the pool retries a transient fault.
     pub fn set_fault_injector(&self, injector: Option<Arc<crate::fault::FaultInjector>>) {
         self.lock_pager().set_fault_injector(injector);
     }
@@ -568,43 +500,31 @@ impl BufferPool {
             .spare
             .take()
             .unwrap_or_else(|| vec![0u8; self.page_size].into_boxed_slice());
-        let limit = self.retry_limit();
         // One pager-lock acquisition covers the read and any write-back.
         s.stats.shared_lock_acquisitions += 1;
         let mut pager = self.lock_pager();
-        let mut failed = 0u32;
-        loop {
-            match pager.read(id, &mut data) {
-                Ok(()) => {
-                    s.note_retry_success(failed);
-                    break;
-                }
-                Err(e) => {
-                    s.note_fault(false, &e);
-                    if !e.is_transient() || failed >= limit {
-                        s.spare = Some(data);
-                        return Err(e);
-                    }
-                    failed += 1;
-                }
-            }
+        if let Err(e) = retrying(&mut s.stats, s.obs.as_ref(), &mut pager, false, |p| {
+            p.read(id, &mut data)
+        }) {
+            s.spare = Some(data);
+            return Err(e);
         }
         if s.frames.len() >= s.capacity {
             let Some(victim) = s.pick_victim() else {
                 return Ok(Fetched::Transient(data));
             };
-            s.evict(victim, &mut pager, limit)?;
+            s.evict(victim, &mut pager)?;
             drop(pager);
             s.spare = s.frames[victim].refill(id, data, prefetched);
             s.map.insert(id, victim);
-            s.link_new(victim);
+            s.push_front(victim);
             return Ok(Fetched::Resident(victim));
         }
         drop(pager);
         let idx = s.frames.len();
         s.frames.push(Frame::new(id, data, prefetched));
         s.map.insert(id, idx);
-        s.link_new(idx);
+        s.push_front(idx);
         Ok(Fetched::Resident(idx))
     }
 
@@ -671,29 +591,10 @@ impl BufferPool {
                     // Every frame pinned: modify the transient buffer and
                     // write it straight through.
                     let r = f(&mut data);
-                    s.stats.writebacks += 1;
-                    if let Some(obs) = &s.obs {
-                        obs.writebacks.inc();
-                    }
+                    let s = &mut *s;
                     s.stats.shared_lock_acquisitions += 1;
-                    let limit = self.retry_limit();
                     let mut pager = self.lock_pager();
-                    let mut failed = 0u32;
-                    loop {
-                        match pager.write(id, &data) {
-                            Ok(()) => {
-                                s.note_retry_success(failed);
-                                break;
-                            }
-                            Err(e) => {
-                                s.note_fault(true, &e);
-                                if !e.is_transient() || failed >= limit {
-                                    return Err(e);
-                                }
-                                failed += 1;
-                            }
-                        }
-                    }
+                    write_back(&mut s.stats, s.obs.as_ref(), &mut pager, id, &data)?;
                     return Ok(r);
                 }
             }
@@ -727,35 +628,16 @@ impl BufferPool {
 
     /// Writes all dirty frames back to the pager.
     pub fn flush_all(&self) -> Result<()> {
-        let limit = self.retry_limit();
         for shard in self.shards.iter() {
             let mut s = shard.lock();
             s.stats.shared_lock_acquisitions += 1;
             let mut pager = self.lock_pager();
-            for idx in 0..s.frames.len() {
-                if s.frames[idx].dirty {
-                    let mut failed = 0u32;
-                    loop {
-                        match pager.write(s.frames[idx].page, &s.frames[idx].data) {
-                            Ok(()) => {
-                                s.note_retry_success(failed);
-                                break;
-                            }
-                            Err(e) => {
-                                s.note_fault(true, &e);
-                                if !e.is_transient() || failed >= limit {
-                                    return Err(e);
-                                }
-                                failed += 1;
-                            }
-                        }
-                    }
-                    s.frames[idx].dirty = false;
-                    s.stats.writebacks += 1;
-                    if let Some(obs) = &s.obs {
-                        obs.writebacks.inc();
-                    }
-                }
+            let ShardInner {
+                frames, stats, obs, ..
+            } = &mut *s;
+            for frame in frames.iter_mut().filter(|f| f.dirty) {
+                write_back(stats, obs.as_ref(), &mut pager, frame.page, &frame.data)?;
+                frame.dirty = false;
             }
         }
         Ok(())
@@ -847,30 +729,67 @@ impl BufferPool {
     }
 }
 
-impl ShardInner {
-    /// Records one failed device operation (counter + event).
-    fn note_fault(&mut self, write: bool, e: &crate::StorageError) {
-        self.stats.faults += 1;
-        if let Some(obs) = &self.obs {
-            obs.faults.inc();
-            obs.sink.emit(&Event::FaultInjected {
-                write,
-                transient: e.is_transient(),
-            });
-        }
-    }
-
-    /// Records a success that needed `failed` retries of a transient fault.
-    fn note_retry_success(&mut self, failed: u32) {
-        if failed > 0 {
-            self.stats.retries += u64::from(failed);
-            if let Some(obs) = &self.obs {
-                obs.retries.add(u64::from(failed));
-                obs.sink.emit(&Event::RetrySucceeded { retries: failed });
+/// Runs one device operation under the installed fault schedule's retry
+/// budget ([`FaultConfig::retries`](crate::FaultConfig::retries), 0 without
+/// an injector). Every failed attempt is counted as a fault; a transient one
+/// is retried until the budget is spent, a non-transient one never. A
+/// success after retries counts them. A free function over the shard's
+/// counters, so a caller may pass a frame's bytes while they are borrowed.
+fn retrying(
+    stats: &mut PoolStats,
+    obs: Option<&BufferObs>,
+    pager: &mut Pager,
+    write: bool,
+    mut op: impl FnMut(&mut Pager) -> Result<()>,
+) -> Result<()> {
+    let budget = pager.retry_budget();
+    let mut failed = 0u32;
+    loop {
+        match op(pager) {
+            Ok(()) => break,
+            Err(e) => {
+                stats.faults += 1;
+                if let Some(obs) = obs {
+                    obs.faults.inc();
+                    obs.sink.emit(&Event::FaultInjected {
+                        write,
+                        transient: e.is_transient(),
+                    });
+                }
+                if !e.is_transient() || failed >= budget {
+                    return Err(e);
+                }
+                failed += 1;
             }
         }
     }
+    if failed > 0 {
+        stats.retries += u64::from(failed);
+        if let Some(obs) = obs {
+            obs.retries.add(u64::from(failed));
+            obs.sink.emit(&Event::RetrySucceeded { retries: failed });
+        }
+    }
+    Ok(())
+}
 
+/// Writes `data` to page `id` with [`retrying`] and counts the write-back.
+fn write_back(
+    stats: &mut PoolStats,
+    obs: Option<&BufferObs>,
+    pager: &mut Pager,
+    id: PageId,
+    data: &[u8],
+) -> Result<()> {
+    retrying(stats, obs, pager, true, |p| p.write(id, data))?;
+    stats.writebacks += 1;
+    if let Some(obs) = obs {
+        obs.writebacks.inc();
+    }
+    Ok(())
+}
+
+impl ShardInner {
     fn on_hit(&mut self, idx: usize) {
         self.stats.hits += 1;
         if let Some(obs) = &self.obs {
@@ -883,9 +802,9 @@ impl ShardInner {
                 obs.prefetch_hits.inc();
             }
         }
-        match self.policy {
-            EvictionPolicy::Lru => self.touch(idx),
-            EvictionPolicy::Clock => self.frames[idx].referenced = true,
+        if self.head != idx {
+            self.unlink(idx);
+            self.push_front(idx);
         }
     }
 
@@ -907,104 +826,38 @@ impl ShardInner {
         }
     }
 
-    /// Selects an eviction victim, skipping pinned frames. `None` when every
-    /// frame is pinned.
-    fn pick_victim(&mut self) -> Option<usize> {
-        match self.policy {
-            EvictionPolicy::Lru => {
-                // Exact LRU: the tail unless pinned, else walk towards the
-                // head. Without outstanding guards this is always the tail —
-                // the historical pool's choice.
-                let mut idx = self.tail;
-                while idx != NIL {
-                    if self.frames[idx].pin_count() == 0 {
-                        return Some(idx);
-                    }
-                    idx = self.frames[idx].prev;
-                }
-                None
+    /// Selects an eviction victim: the least recently used unpinned frame,
+    /// walking from the tail towards the head. Without outstanding guards
+    /// this is always the tail, the historical pool's choice. `None` when
+    /// every frame is pinned.
+    fn pick_victim(&self) -> Option<usize> {
+        let mut idx = self.tail;
+        while idx != NIL {
+            if self.frames[idx].pin_count() == 0 {
+                return Some(idx);
             }
-            EvictionPolicy::Clock => {
-                // Two sweeps: the first clears reference bits, the second
-                // must find an unreferenced unpinned frame if any frame is
-                // unpinned at all.
-                let n = self.frames.len();
-                for _ in 0..2 * n {
-                    let idx = self.hand;
-                    self.hand = (self.hand + 1) % n;
-                    let frame = &mut self.frames[idx];
-                    if frame.pin_count() > 0 {
-                        continue;
-                    }
-                    if frame.referenced {
-                        frame.referenced = false;
-                        continue;
-                    }
-                    return Some(idx);
-                }
-                None
-            }
+            idx = self.frames[idx].prev;
         }
+        None
     }
 
-    /// Removes frame `victim` from the shard's bookkeeping, writing it back
-    /// if dirty (with bounded retries of transient faults). The caller
-    /// immediately re-fills the frame slot.
-    fn evict(&mut self, victim: usize, pager: &mut Pager, retry_limit: u32) -> Result<()> {
-        if self.policy == EvictionPolicy::Lru {
-            self.unlink(victim);
-        }
-        let old = self.frames[victim].page;
-        self.map.remove(&old);
-        let writeback = self.frames[victim].dirty;
+    /// Writes frame `victim` back if dirty, then removes it from the
+    /// shard's bookkeeping. A failed write-back leaves the frame resident
+    /// and dirty. The caller immediately re-fills the frame slot.
+    fn evict(&mut self, victim: usize, pager: &mut Pager) -> Result<()> {
+        let frame = &self.frames[victim];
+        let (old, writeback) = (frame.page, frame.dirty);
         if writeback {
-            let mut failed = 0u32;
-            loop {
-                match pager.write(old, &self.frames[victim].data) {
-                    Ok(()) => {
-                        self.note_retry_success(failed);
-                        break;
-                    }
-                    Err(e) => {
-                        self.note_fault(true, &e);
-                        if !e.is_transient() || failed >= retry_limit {
-                            return Err(e);
-                        }
-                        failed += 1;
-                    }
-                }
-            }
-            self.stats.writebacks += 1;
-            if let Some(obs) = &self.obs {
-                obs.writebacks.inc();
-            }
+            write_back(&mut self.stats, self.obs.as_ref(), pager, old, &frame.data)?;
         }
+        self.unlink(victim);
+        self.map.remove(&old);
         self.stats.evictions += 1;
         if let Some(obs) = &self.obs {
             obs.evictions.inc();
             obs.sink.emit(&Event::BufferEvict { writeback });
         }
         Ok(())
-    }
-
-    /// Registers a freshly installed frame with the replacement policy.
-    fn link_new(&mut self, idx: usize) {
-        match self.policy {
-            EvictionPolicy::Lru => self.push_front(idx),
-            EvictionPolicy::Clock => {
-                // `Frame::new` starts with the reference bit set (second
-                // chance for freshly faulted pages); nothing else to do.
-            }
-        }
-    }
-
-    /// Moves frame `idx` to the front (most recently used; LRU only).
-    fn touch(&mut self, idx: usize) {
-        if self.head == idx {
-            return;
-        }
-        self.unlink(idx);
-        self.push_front(idx);
     }
 
     fn push_front(&mut self, idx: usize) {
@@ -1036,21 +889,14 @@ impl ShardInner {
     }
 
     /// Marks a frame as reusable after its page has been freed: it is made
-    /// clean, tagged with the invalid page id, and (under LRU) parked at the
-    /// recency tail so it becomes the next eviction victim with no
-    /// write-back; under CLOCK its reference bit is cleared for the same
-    /// effect.
+    /// clean, tagged with the invalid page id, and parked at the recency
+    /// tail so it becomes the next eviction victim with no write-back.
     fn discard_frame(&mut self, idx: usize) {
         self.frames[idx].dirty = false;
         self.frames[idx].page = PageId::INVALID;
         self.frames[idx].prefetched = false;
-        match self.policy {
-            EvictionPolicy::Lru => {
-                self.unlink(idx);
-                self.push_back(idx);
-            }
-            EvictionPolicy::Clock => self.frames[idx].referenced = false,
-        }
+        self.unlink(idx);
+        self.push_back(idx);
     }
 
     fn push_back(&mut self, idx: usize) {
@@ -1071,17 +917,17 @@ mod tests {
     use super::*;
 
     fn pool(frames: usize) -> (BufferPool, Vec<PageId>) {
-        pool_with(frames, PoolConfig::default())
+        pool_with(frames, 1)
     }
 
-    fn pool_with(frames: usize, config: PoolConfig) -> (BufferPool, Vec<PageId>) {
+    fn pool_with(frames: usize, shards: usize) -> (BufferPool, Vec<PageId>) {
         let mut pager = Pager::new(8);
         let ids: Vec<PageId> = (0..10).map(|_| pager.allocate()).collect();
         for (i, id) in ids.iter().enumerate() {
             pager.write(*id, &[i as u8; 8]).unwrap();
         }
         pager.reset_stats();
-        (BufferPool::with_config(pager, frames, config), ids)
+        (BufferPool::sharded(pager, frames, shards), ids)
     }
 
     #[test]
@@ -1240,10 +1086,10 @@ mod tests {
         let ctx = ObsContext::new(ring.clone() as Arc<dyn EventSink>);
         let (pool, ids) = pool(2);
         pool.attach_obs(BufferObs::new(&ctx, "buf"));
-        pool.set_retry_limit(8);
-        pool.set_fault_injector(Some(Arc::new(FaultInjector::new(
-            FaultConfig::transient_only(99, 0.5),
-        ))));
+        pool.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultConfig {
+            retries: 8,
+            ..FaultConfig::transient_only(99, 0.5)
+        }))));
         // A scan over more pages than frames: every access is a demand miss
         // plus possible writeback, so plenty of device ops get faulted.
         let mut buf = [0u8; 8];
@@ -1266,27 +1112,66 @@ mod tests {
         assert!(counts.retry_succeeded > 0);
     }
 
+    /// Each of the pool's four device-op sites (a plain fault-in, the
+    /// write-back of an evicted dirty frame, `flush_all`, and the
+    /// write-through of an update into a fully pinned shard) spends the
+    /// schedule's retry budget: one retry absorbs one transient fault, and
+    /// no budget surfaces it.
     #[test]
-    fn zero_retry_limit_surfaces_first_transient_fault() {
+    fn every_retry_site_spends_the_schedules_budget() {
         use crate::fault::{FaultConfig, FaultInjector};
-        let (pool, ids) = pool(2);
-        pool.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultConfig {
-            seed: 7,
-            fail_read_nth: Some(1),
-            ..FaultConfig::default()
-        }))));
+        type Site = fn(&BufferPool, &[PageId]) -> Result<()>;
+        // (site, frames, the op, whether the faulted op is a read)
+        let sites: [(&str, usize, Site, bool); 4] = [
+            ("fault-in", 2, |p, ids| p.read(ids[1], &mut [0; 8]), true),
+            (
+                "dirty eviction",
+                1,
+                |p, ids| p.read(ids[1], &mut [0; 8]),
+                false,
+            ),
+            ("flush_all", 4, |p, _| p.flush_all(), false),
+            (
+                "update into a fully pinned shard",
+                1,
+                |p, ids| {
+                    let _guard = p.read_guard(ids[0])?;
+                    p.update(ids[1], |d| d[0] = 0xEE)
+                },
+                false,
+            ),
+        ];
         let mut buf = [0u8; 8];
-        assert_eq!(
-            pool.read(ids[0], &mut buf),
-            Err(crate::StorageError::Io { transient: true })
-        );
-        assert_eq!(pool.stats().faults, 1);
-        assert_eq!(pool.stats().retries, 0);
-        // The page is intact; a later read succeeds.
-        pool.read(ids[0], &mut buf).unwrap();
+        for (name, frames, site, read) in sites {
+            for retries in [0, 1] {
+                let (pool, ids) = pool(frames);
+                // Dirty page 0 before the schedule starts counting.
+                pool.write(ids[0], &[0xAB; 8]).unwrap();
+                pool.reset_stats();
+                pool.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultConfig {
+                    fail_read_nth: read.then_some(1),
+                    fail_write_nth: (!read).then_some(1),
+                    retries,
+                    ..FaultConfig::default()
+                }))));
+                let got = site(&pool, &ids);
+                let s = pool.stats();
+                let want = if retries == 0 {
+                    Err(crate::StorageError::Io { transient: true })
+                } else {
+                    Ok(())
+                };
+                assert_eq!(got, want, "{name} at retries {retries}");
+                assert_eq!((s.faults, s.retries), (1, u64::from(retries)), "{name}");
+                // Nothing was lost: the dirty page still reads back.
+                pool.set_fault_injector(None);
+                pool.read(ids[0], &mut buf).unwrap();
+                assert_eq!(buf, [0xAB; 8], "{name} at retries {retries}");
+            }
+        }
     }
 
-    // ------------------------------------------------ guards, shards, CLOCK
+    // ------------------------------------------------------ guards, shards
 
     #[test]
     fn warm_guard_reads_share_the_frame_and_copy_nothing() {
@@ -1354,7 +1239,7 @@ mod tests {
 
     #[test]
     fn sharded_pool_aggregates_shard_stats() {
-        let (pool, ids) = pool_with(8, PoolConfig::sharded(4));
+        let (pool, ids) = pool_with(8, 4);
         assert_eq!(pool.shard_count(), 4);
         let mut buf = [0u8; 8];
         for id in &ids {
@@ -1371,36 +1256,6 @@ mod tests {
         assert_eq!(per_shard.iter().map(|s| s.accesses()).sum::<u64>(), 20);
         // Sequentially allocated pages round-robin across shards.
         assert!(per_shard.iter().all(|s| s.accesses() > 0));
-    }
-
-    #[test]
-    fn clock_gives_second_chance_to_referenced_frames() {
-        let (pool, ids) = pool_with(
-            2,
-            PoolConfig {
-                shards: 1,
-                eviction: EvictionPolicy::Clock,
-            },
-        );
-        let mut buf = [0u8; 8];
-        pool.read(ids[0], &mut buf).unwrap(); // miss; ref(0)
-        pool.read(ids[1], &mut buf).unwrap(); // miss; ref(1)
-        pool.read(ids[0], &mut buf).unwrap(); // hit; ref(0) again
-                                              // Both referenced: the hand clears both bits, comes around, and
-                                              // takes the first frame — CLOCK approximates but does not equal LRU.
-        pool.read(ids[2], &mut buf).unwrap(); // miss, evicts one of them
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
-        // Whichever survived is still a hit.
-        let resident_hits_before = pool.stats().hits;
-        pool.read(ids[1], &mut buf).unwrap();
-        pool.read(ids[0], &mut buf).unwrap();
-        let s = pool.stats();
-        assert_eq!(
-            s.hits,
-            resident_hits_before + 1,
-            "exactly one of the two old pages survived the CLOCK sweep"
-        );
     }
 
     #[test]
@@ -1432,7 +1287,7 @@ mod tests {
 
     #[test]
     fn hits_take_no_shared_lock() {
-        let (pool, ids) = pool_with(8, PoolConfig::sharded(2));
+        let (pool, ids) = pool_with(8, 2);
         let mut buf = [0u8; 8];
         for id in &ids[..4] {
             pool.read(*id, &mut buf).unwrap();

@@ -46,12 +46,18 @@ pub struct FaultConfig {
     pub fail_read_nth: Option<u64>,
     /// Fail exactly the Nth write (1-based) with a transient `Io` fault.
     pub fail_write_nth: Option<u64>,
+    /// How many times a buffer pool whose pager runs this schedule retries
+    /// one device operation that failed with a transient fault before it
+    /// surfaces the error. 0 (the default) fails on the first fault.
+    /// Non-transient faults (corruption, torn writes, a full disk) are never
+    /// retried.
+    pub retries: u32,
 }
 
 impl FaultConfig {
     /// A schedule that only ever injects transient faults, at rate `p` on
-    /// both reads and writes. Runs under this schedule with retries enabled
-    /// should complete successfully.
+    /// both reads and writes, with no retries. Runs under this schedule with
+    /// [`FaultConfig::retries`] raised should complete successfully.
     pub fn transient_only(seed: u64, p: f64) -> Self {
         FaultConfig {
             seed,

@@ -23,7 +23,7 @@ pub mod fault;
 mod pager;
 pub mod persist;
 
-pub use buffer::{BufferObs, BufferPool, EvictionPolicy, PageGuard, PoolConfig, PoolStats};
+pub use buffer::{BufferObs, BufferPool, PageGuard, PoolStats};
 pub use error::StorageError;
 pub use fault::{FaultConfig, FaultInjector};
 pub use pager::{DiskStats, PageId, Pager};

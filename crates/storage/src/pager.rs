@@ -84,6 +84,13 @@ impl Pager {
         self.injector = injector;
     }
 
+    /// How many times a transient fault may be retried: the installed
+    /// schedule's [`FaultConfig::retries`](crate::FaultConfig::retries), or
+    /// 0 without an injector (which never produces a transient fault).
+    pub(crate) fn retry_budget(&self) -> u32 {
+        self.injector.as_ref().map_or(0, |i| i.config().retries)
+    }
+
     /// The page size in bytes.
     #[must_use]
     pub fn page_size(&self) -> usize {

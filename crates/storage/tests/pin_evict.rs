@@ -2,10 +2,10 @@
 //!
 //! Three properties of the sharded pool:
 //!
-//! 1. **Continuity** — with one LRU shard, `PoolStats` is byte-identical to
-//!    a straightforward model of the historical single-lock pool on any
+//! 1. **Continuity** — with one shard, `PoolStats` is byte-identical to a
+//!    straightforward model of the historical single-lock LRU pool on any
 //!    read/write trace (EXPERIMENTS.md miss counts stay comparable), and
-//!    any shard count preserves the hit+miss access total.
+//!    with N shards every shard is that model over its own sub-trace.
 //! 2. **Pin safety** — with capacity C and up to C−1 concurrently held
 //!    guards, a pinned page is never evicted (a later demand access is
 //!    always a hit) and every guard keeps observing its acquisition-time
@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use sdj_storage::{BufferPool, EvictionPolicy, PageId, Pager, PoolConfig, PoolStats};
+use sdj_storage::{BufferPool, PageId, Pager, PoolStats};
 
 const PAGE: usize = 16;
 
@@ -66,14 +66,14 @@ impl ModelLru {
     }
 }
 
-fn pool_over(pages: u32, capacity: usize, config: PoolConfig) -> (BufferPool, Vec<PageId>) {
+fn pool_over(pages: u32, capacity: usize, shards: usize) -> (BufferPool, Vec<PageId>) {
     let mut pager = Pager::new(PAGE);
     let ids: Vec<PageId> = (0..pages).map(|_| pager.allocate()).collect();
     for (i, id) in ids.iter().enumerate() {
         pager.write(*id, &[i as u8; PAGE]).unwrap();
     }
     pager.reset_stats();
-    (BufferPool::with_config(pager, capacity, config), ids)
+    (BufferPool::sharded(pager, capacity, shards), ids)
 }
 
 /// One operation of a fuzzed access trace.
@@ -103,14 +103,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Shard count 1 ⇒ byte-identical stats to the historical pool's model
-    /// on a guard-free trace; any shard count preserves the access total.
+    /// on a guard-free trace. With 2 or 4 shards, each shard's stats equal
+    /// the model run over that shard's sub-trace (pages `p % shards`) with
+    /// that shard's share of the frames.
     #[test]
     fn single_shard_stats_match_the_serial_model(
         capacity in 1usize..6,
         trace in arb_trace(10),
     ) {
         let mut model = ModelLru::new(capacity);
-        let (pool, ids) = pool_over(10, capacity, PoolConfig::default());
+        let (pool, ids) = pool_over(10, capacity, 1);
         let mut buf = [0u8; PAGE];
         for op in &trace {
             match *op {
@@ -128,42 +130,51 @@ proptest! {
         prop_assert_eq!(pool.stats(), model.stats);
 
         for shards in [2usize, 4] {
-            let (pool, ids) = pool_over(10, capacity, PoolConfig::sharded(shards));
+            let (pool, ids) = pool_over(10, capacity, shards);
+            // The pool clamps its shard count to its frames and gives the
+            // first `capacity % n` shards one extra frame.
+            let n = pool.shard_count();
+            prop_assert_eq!(n, shards.min(capacity));
+            let mut models: Vec<ModelLru> = (0..n)
+                .map(|i| ModelLru::new(capacity / n + usize::from(i < capacity % n)))
+                .collect();
             for op in &trace {
-                match *op {
+                let (p, write) = match *op {
                     Op::Read(p) | Op::Guard(p) => {
                         pool.read(ids[p as usize], &mut buf).unwrap();
+                        (p, false)
                     }
-                    Op::Write(p, v) => pool.write(ids[p as usize], &[v; PAGE]).unwrap(),
-                    Op::Release => {}
-                }
+                    Op::Write(p, v) => {
+                        pool.write(ids[p as usize], &[v; PAGE]).unwrap();
+                        (p, true)
+                    }
+                    Op::Release => continue,
+                };
+                models[ids[p as usize].0 as usize % n].access(p, write);
             }
-            let s = pool.stats();
-            prop_assert_eq!(
-                s.accesses(),
-                model.stats.accesses(),
-                "hit+miss total must not depend on the shard count"
-            );
-            let per_shard: u64 = pool.shard_stats().iter().map(PoolStats::accesses).sum();
-            prop_assert_eq!(per_shard, s.accesses());
+            for (i, (got, model)) in pool.shard_stats().iter().zip(&models).enumerate() {
+                // `read_copies` and pager-lock acquisitions are pool-wide
+                // counters, which `shard_stats` leaves at zero.
+                let want = PoolStats {
+                    read_copies: 0,
+                    shared_lock_acquisitions: 0,
+                    ..model.stats
+                };
+                prop_assert_eq!(*got, want, "shard {} of {}", i, n);
+            }
         }
     }
 
     /// With up to C−1 live guards, pinned pages are never evicted and every
-    /// guard keeps its acquisition-time snapshot — under both policies and
-    /// under sharding.
+    /// guard keeps its acquisition-time snapshot, with and without
+    /// sharding.
     #[test]
     fn pinned_pages_are_never_evicted(
         capacity in 2usize..6,
         shards in 1usize..3,
-        clock in any::<bool>(),
         trace in arb_trace(12),
     ) {
-        let config = PoolConfig {
-            shards,
-            eviction: if clock { EvictionPolicy::Clock } else { EvictionPolicy::Lru },
-        };
-        let (pool, ids) = pool_over(12, capacity, config);
+        let (pool, ids) = pool_over(12, capacity, shards);
         // Current full-page fill value per page (initial fill = page index).
         let mut contents: HashMap<u32, u8> = (0..12u32).map(|p| (p, p as u8)).collect();
         // Live guards with their page index and acquisition-time snapshot.
@@ -219,15 +230,8 @@ proptest! {
 /// pinned pages again — zero new misses.
 #[test]
 fn held_guards_pin_their_pages_through_churn() {
-    for config in [
-        PoolConfig::default(),
-        PoolConfig {
-            shards: 1,
-            eviction: EvictionPolicy::Clock,
-        },
-        PoolConfig::sharded(2),
-    ] {
-        let (pool, ids) = pool_over(16, 4, config);
+    for shards in [1, 2] {
+        let (pool, ids) = pool_over(16, 4, shards);
         let g0 = pool.read_guard(ids[0]).unwrap();
         let g1 = pool.read_guard(ids[1]).unwrap();
         assert!(g0.is_pinned() && g1.is_pinned());
@@ -243,7 +247,7 @@ fn held_guards_pin_their_pages_through_churn() {
         assert_eq!(
             pool.stats().misses,
             before,
-            "pinned pages were evicted under churn ({config:?})"
+            "pinned pages were evicted under churn ({shards} shards)"
         );
         assert_eq!(&*g0, &[0u8; PAGE]);
         assert_eq!(&*g1, &[1u8; PAGE]);
@@ -256,7 +260,7 @@ fn held_guards_pin_their_pages_through_churn() {
 #[test]
 fn threaded_pin_evict_stress() {
     for shards in [1usize, 4] {
-        let (pool, ids) = pool_over(24, 8, PoolConfig::sharded(shards));
+        let (pool, ids) = pool_over(24, 8, shards);
         const THREADS: u64 = 4;
         const OPS: u64 = 2000;
         let demand_ops: u64 = std::thread::scope(|scope| {

@@ -15,7 +15,9 @@ fn main() {
     // Rivers: a Water-like set of 2,000 feature centroids.
     let mut rivers = Relation::new("rivers", &["feature"]);
     for (i, p) in tiger::water_like(2_000, 7).iter().enumerate() {
-        rivers.insert(*p, vec![Value::from(format!("river-{i}").as_str())]);
+        rivers
+            .insert(*p, vec![Value::from(format!("river-{i}").as_str())])
+            .expect("insert");
     }
 
     // Cities: 500 locations with synthetic populations (a handful large).
@@ -27,13 +29,15 @@ fn main() {
         } else {
             1_000 + (i as i64) * 37
         };
-        cities.insert(
-            *p,
-            vec![
-                Value::from(format!("city-{i}").as_str()),
-                Value::from(population),
-            ],
-        );
+        cities
+            .insert(
+                *p,
+                vec![
+                    Value::from(format!("city-{i}").as_str()),
+                    Value::from(population),
+                ],
+            )
+            .expect("insert");
     }
 
     let megacity = Predicate::cmp("population", CmpOp::Gt, 5_000_000i64);

@@ -7,7 +7,9 @@ use incremental_distance_join::geom::{Metric, Point};
 use incremental_distance_join::join::{
     DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig, SemiConfig, SemiFilter,
 };
-use incremental_distance_join::query::{CmpOp, DistanceQuery, Predicate, Relation, Value};
+use incremental_distance_join::query::{
+    CmpOp, DistanceQuery, FilterPlacement, Predicate, Relation, Value,
+};
 use incremental_distance_join::rtree::{ObjectId, RTree, RTreeConfig};
 
 type Items = Vec<(ObjectId, sdj_geom::Rect<2>)>;
@@ -83,11 +85,13 @@ fn query_layer_over_generated_relations() {
     let roads = tiger::roads_like(900, 5);
     let mut rivers = Relation::new("rivers", &["kind"]);
     for p in &water {
-        rivers.insert(*p, vec![Value::from("water")]);
+        rivers.insert(*p, vec![Value::from("water")]).unwrap();
     }
     let mut streets = Relation::new("streets", &["lanes"]);
     for (i, p) in roads.iter().enumerate() {
-        streets.insert(*p, vec![Value::from((i % 4 + 1) as i64)]);
+        streets
+            .insert(*p, vec![Value::from((i % 4 + 1) as i64)])
+            .unwrap();
     }
     // Multi-lane streets near water, closest first, stop after 20.
     let rows: Vec<_> = DistanceQuery::join(&streets, &rivers)
@@ -102,6 +106,49 @@ fn query_layer_over_generated_relations() {
     for row in &rows {
         let lanes = streets.value(row.left, "lanes").unwrap();
         assert!(matches!(lanes, Value::Int(l) if l >= 3));
+    }
+}
+
+/// A semi-join reports every left row's nearest *qualifying* right row. Each
+/// store has a closed warehouse 0.5 away and an open one 3.0 away; filtering
+/// the semi-join's pairs after the join would drop every store, so a right
+/// predicate always runs before the join, whatever plan is asked for.
+#[test]
+fn semi_join_with_a_right_predicate_keeps_every_left_row() {
+    let mut stores = Relation::new("stores", &[]);
+    let mut warehouses = Relation::new("warehouses", &["open"]);
+    for i in 0..3 {
+        let x = 100.0 * f64::from(i);
+        stores.insert(Point::xy(x, 0.0), vec![]).unwrap();
+        warehouses
+            .insert(Point::xy(x + 0.5, 0.0), vec![Value::from(0i64)])
+            .unwrap();
+        warehouses
+            .insert(Point::xy(x, 3.0), vec![Value::from(1i64)])
+            .unwrap();
+    }
+    let open = Predicate::cmp("open", CmpOp::Eq, 1i64);
+    for plan in [
+        FilterPlacement::Auto,
+        FilterPlacement::FilterAfterJoin,
+        FilterPlacement::FilterBeforeJoin,
+    ] {
+        let query = DistanceQuery::semi_join(&stores, &warehouses)
+            .where_right(open.clone())
+            .with_plan(plan);
+        assert!(
+            query.explain().contains("plan: FilterBeforeJoin"),
+            "{plan:?}"
+        );
+        let mut out = query.execute();
+        assert_eq!(out.plan(), FilterPlacement::FilterBeforeJoin, "{plan:?}");
+        let rows: Vec<_> = out.by_ref().collect();
+        assert!(out.take_error().is_none());
+        assert_eq!(rows.len(), 3, "{plan:?} lost semi-join rows");
+        for row in &rows {
+            assert!((row.distance - 3.0).abs() < 1e-12, "{plan:?}: {row:?}");
+            assert_eq!(warehouses.value(row.right, "open"), Some(Value::from(1i64)));
+        }
     }
 }
 

@@ -245,7 +245,7 @@ fn incremental_semijoin_competitive_with_nn_baseline() {
     tr.reset_io_stats();
     let baseline = nn_semijoin(&tw, &tr, Metric::Euclidean).unwrap();
     assert_eq!(baseline.len(), tw.len());
-    let nn_accesses = tw.io_stats().accesses() + tr.io_stats().accesses();
+    let nn_accesses = tw.pool_stats().accesses() + tr.pool_stats().accesses();
     assert!(
         inc_accesses <= nn_accesses * 2,
         "incremental semi-join should be in the same ballpark or better: \
