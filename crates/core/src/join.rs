@@ -36,17 +36,114 @@ use crate::estimate::{Estimator, EstimatorMode, NO_SLOT};
 use crate::index::{IndexEntry, NodeId, SpatialIndex};
 use crate::obs::JoinObs;
 use crate::oracle::{DistanceOracle, MbrOracle};
-use crate::pair::{Item, Pair, PairKey};
+use crate::pair::{Item, ItemId, Pair, PairKey};
 use crate::queue::JoinQueue;
 use crate::semi::{SeenSet, SemiConfig, SemiState};
 use crate::stats::JoinStats;
 use crate::view::{NodeView, ViewCache, VIEW_CACHE_CAP};
 
-/// Queue length below which the join never compacts its queue against the
-/// §2.2.4 estimate (see [`DistanceJoin::flush_pending`]): a small queue
+/// Queue length below which the join never compacts its queue against its
+/// pop-time filters (see [`DistanceJoin::compact_queue`]): a small queue
 /// costs little memory, and a filter pass over it would cost more than it
 /// frees.
 const COMPACT_FLOOR: usize = 4096;
+
+/// The tests a pair faces when it is popped, before it is reported or
+/// expanded (Figure 3's dequeue step plus §2.3's semi-join filters):
+/// the §2.2.4 estimate, a parallel run's shared bound, the reported set `S`
+/// and the pair's first item's `d_max` bound. Each only ever tightens, so a
+/// queued pair one of them drops now would be dropped when popped, which is
+/// what lets [`DistanceJoin::compact_queue`] apply them early.
+struct PopFilter<'s> {
+    /// The §2.2.4 estimate, or +∞ without an estimator (which only an
+    /// ascending run has).
+    estimate: f64,
+    /// A parallel run's shared bound, or +∞.
+    shared: f64,
+    semi: Option<&'s SemiState>,
+}
+
+/// What the pop-time filters know: the estimate, the size of the reported
+/// set and the number of `d_max` tightenings. Each moves one way only, so
+/// the filters can drop a pair they kept at the last compaction only once
+/// the state differs from what that compaction saw.
+#[derive(Clone, Copy, PartialEq)]
+struct FilterState {
+    estimate: f64,
+    seen: usize,
+    bounds_tightened: u64,
+}
+
+/// Which [`PopFilter`] test dropped a pair.
+#[derive(Clone, Copy)]
+enum Dropped {
+    Estimate,
+    Shared,
+    Seen,
+    Dmax,
+}
+
+impl Dropped {
+    /// The [`JoinStats`] counter a pop dropped this way feeds.
+    fn counter(self, stats: &mut JoinStats) -> &mut u64 {
+        match self {
+            Self::Estimate => &mut stats.pruned_by_estimate,
+            Self::Shared => &mut stats.pruned_by_shared,
+            Self::Seen => &mut stats.filtered_seen,
+            Self::Dmax => &mut stats.pruned_by_dmax,
+        }
+    }
+}
+
+impl<'s> PopFilter<'s> {
+    fn new(estimator: Option<&Estimator>, semi: Option<&'s SemiState>, shared: f64) -> Self {
+        Self {
+            estimate: estimator.map_or(f64::INFINITY, Estimator::current_dmax),
+            shared,
+            semi,
+        }
+    }
+
+    /// The test that drops a pair keyed `key`, if any. `limit` yields the
+    /// [`item_limit`](Self::item_limit) of the pair's first item; it is
+    /// called only for a semi-join, so a join's test reads the key alone.
+    fn test(&self, key: f64, limit: impl FnOnce() -> f64) -> Option<Dropped> {
+        if key > self.estimate {
+            return Some(Dropped::Estimate);
+        }
+        if key > self.shared {
+            return Some(Dropped::Shared);
+        }
+        self.semi?;
+        let limit = limit();
+        if key <= limit {
+            None
+        } else if limit == f64::NEG_INFINITY {
+            Some(Dropped::Seen)
+        } else {
+            Some(Dropped::Dmax)
+        }
+    }
+
+    /// The largest key a pair led by `item1` may have and pass the
+    /// semi-join's tests: −∞ once `item1` is a reported object (under
+    /// `Inside1`/`Inside2`), else its `d_max` bound, else +∞. Bounds are
+    /// finite (`SemiState::update_bound` refuses others), so −∞ means
+    /// reported.
+    fn item_limit(&self, item1: ItemId) -> f64 {
+        let Some(semi) = self.semi else {
+            return f64::INFINITY;
+        };
+        if let ItemId::Object(oid) = item1 {
+            if semi.filters_on_dequeue() && semi.seen.contains(oid) {
+                return f64::NEG_INFINITY;
+            }
+        }
+        // Only the global `d_max` strategies keep bounds, and they require
+        // ascending order.
+        semi.bound_for(item1).unwrap_or(f64::INFINITY)
+    }
+}
 
 /// Fills a MINDIST key column the way `path` asks: the batched kernel, its
 /// lane-unrolled form, or one scalar bound evaluation per rectangle
@@ -165,10 +262,13 @@ where
     /// [`queue_bytes`](JoinQueue::queue_bytes) at the last insertion flush.
     flushed_bytes: usize,
     /// Queue length at which the next flush compacts the queue against the
-    /// estimate, and the estimate the last compaction used (see
-    /// [`flush_pending`](Self::flush_pending)).
+    /// pop-time filters, and the filters' state the last compaction saw
+    /// (see [`compact_queue`](Self::compact_queue)).
     compact_at: usize,
-    compacted_below: f64,
+    compacted_state: FilterState,
+    /// Semi-join `d_max` bounds tightened so far (the events that also feed
+    /// `JoinObs::on_semi_bound`).
+    bounds_tightened: u64,
     /// Pairs accepted by the filter pipeline but not yet in the queue, each
     /// with its estimator slot; flushed in one batch per expansion.
     pending: Vec<(PairKey, Pair<D>, u32)>,
@@ -358,12 +458,14 @@ where
             )),
             _ => None,
         };
-        // Only a distance join with an estimator compacts its queue.
-        let compact_at = if semi.is_none() && estimator.is_some() {
-            COMPACT_FLOOR
-        } else {
-            usize::MAX
-        };
+        // Only an engine with a pop-time filter compacts its queue. Every
+        // `d_max` strategy implies `Inside2`, which filters at the pop.
+        let compact_at =
+            if estimator.is_some() || semi.as_ref().is_some_and(SemiState::filters_on_dequeue) {
+                COMPACT_FLOOR
+            } else {
+                usize::MAX
+            };
         let io_baseline = tree1.io_misses() + tree2.io_misses();
         Self {
             tree1,
@@ -390,7 +492,12 @@ where
             obs: None,
             flushed_bytes: 0,
             compact_at,
-            compacted_below: f64::INFINITY,
+            compacted_state: FilterState {
+                estimate: f64::INFINITY,
+                seen: 0,
+                bounds_tightened: 0,
+            },
+            bounds_tightened: 0,
             pending: Vec::new(),
             scratch_entries1: Vec::new(),
             scratch_entries2: Vec::new(),
@@ -1209,20 +1316,15 @@ where
                 self.stats.filtered_seen += 1;
                 return;
             }
-            if let Some(semi) = &mut self.semi {
-                if let Some(bound) = semi.bound_for(pair.item1.identity()) {
-                    if key > bound {
-                        self.stats.pruned_by_dmax += 1;
-                        return;
-                    }
-                }
-                // The pair itself proves a partner within this distance.
-                if semi.update_bound(pair.item1.identity(), key) {
-                    if let Some(obs) = &mut self.obs {
-                        obs.on_semi_bound();
-                    }
+            let item1 = pair.item1.identity();
+            if let Some(bound) = self.semi.as_ref().and_then(|s| s.bound_for(item1)) {
+                if key > bound {
+                    self.stats.pruned_by_dmax += 1;
+                    return;
                 }
             }
+            // The pair itself proves a partner within this distance.
+            self.tighten_bound(item1, key);
         }
         let ascending = self.ascending();
         let mut slot = NO_SLOT;
@@ -1234,6 +1336,20 @@ where
         }
         let key_dist = if ascending { key } else { -key };
         self.push(PairKey::new(key_dist, &pair, self.config.tie), pair, slot);
+    }
+
+    /// Records `bound` as a semi-join `d_max` bound for `item1` and counts
+    /// it if it tightened the stored one (no-op for a join, or for an item
+    /// the strategy does not track).
+    fn tighten_bound(&mut self, item1: ItemId, bound: f64) {
+        if let Some(semi) = &mut self.semi {
+            if semi.update_bound(item1, bound) {
+                self.bounds_tightened += 1;
+                if let Some(obs) = &mut self.obs {
+                    obs.on_semi_bound();
+                }
+            }
+        }
     }
 
     /// Stages a pair for insertion with the estimator slot its offer
@@ -1291,39 +1407,72 @@ where
         flushed
     }
 
-    /// Drops the queued pairs whose key is above the §2.2.4 estimate
-    /// (`DESIGN.md` §20). Paper §2.2.4 prunes such a pair only as it is
-    /// pushed; pairs already queued fall behind the tightening estimate and
-    /// would sit there until the query ends. None of them is in `M` (every
-    /// member's `d_max` is at most the estimate, and a pair's key at most
-    /// its `d_max`), and none can reach the head of the queue while the
-    /// query still owes results. So dropping them changes no pop, result or
-    /// node read, and the estimator owes nothing.
+    /// Drops every queued pair the pop-time filters ([`PopFilter`]) would
+    /// drop when it is popped (`DESIGN.md` §20). The paper applies them only
+    /// at the pop, so pairs already queued fall behind the tightening
+    /// estimate, the growing reported set and the tightening `d_max`
+    /// bounds, and sit there until they reach the head or the query ends.
+    /// Each filter only ever tightens, so a pair dropped now would be
+    /// dropped at its pop, and the survivors pop in the order they would
+    /// have anyway.
     ///
-    /// Runs only once the estimate has dropped since the last compaction;
-    /// the next one waits until the queue has doubled (at least
+    /// Two differences from the pop: a parallel run's shared bound is not
+    /// used (a pair above it may still hold a member of this engine's `M`),
+    /// and a pair whose slot holds a live member of `M` is kept, so the
+    /// estimator is owed no [`Estimator::on_dequeue`]. Only a semi-join can
+    /// hold one: its `M` is keyed by first item, while a join's members all
+    /// have keys at or below the estimate (debug builds assert it).
+    ///
+    /// Runs only once the filters' state has changed since the last
+    /// compaction; the next one waits until the queue has doubled (at least
     /// [`COMPACT_FLOOR`]), so the filter passes cost O(1) amortised per
-    /// push. A parallel run's shared bound is not used: a pair above it
-    /// may still hold a member of this engine's `M`.
+    /// push.
     fn compact_queue(&mut self) {
-        let Some(est) = &self.estimator else {
-            return;
-        };
-        let bound = est.current_dmax();
-        if bound >= self.compacted_below {
+        let state = self.filter_state();
+        if state == self.compacted_state {
             return;
         }
-        self.compacted_below = bound;
-        let discarded = self.queue.discard_above(bound, |pair, slot| {
-            debug_assert!(
-                !est.holds(slot, pair.item1.identity(), pair.item2.identity()),
-                "discarded pair {pair:?} holds a member of M"
-            );
+        self.compacted_state = state;
+        let filter = PopFilter::new(self.estimator.as_ref(), self.semi.as_ref(), f64::INFINITY);
+        let estimator = self.estimator.as_ref();
+        let semi = self.semi.is_some();
+        let discarded = self.queue.discard(|key, queued| {
+            if filter
+                .test(key.dist.get(), || filter.item_limit(queued.item1_id()))
+                .is_none()
+            {
+                return true;
+            }
+            let holds = |est: &Estimator| {
+                let pair = queued.pair();
+                est.holds(queued.slot(), pair.item1.identity(), pair.item2.identity())
+            };
+            if !semi {
+                debug_assert!(
+                    !estimator.is_some_and(holds),
+                    "discarded pair {:?} holds a member of M",
+                    queued.pair()
+                );
+                return false;
+            }
+            estimator.is_some_and(holds)
         });
         self.compact_at = (2 * self.queue.len()).max(COMPACT_FLOOR);
         self.stats.pairs_discarded += discarded as u64;
         if let Some(obs) = &mut self.obs {
             obs.on_discard(discarded as u64);
+        }
+    }
+
+    /// The pop-time filters' current [`FilterState`].
+    fn filter_state(&self) -> FilterState {
+        FilterState {
+            estimate: self
+                .estimator
+                .as_ref()
+                .map_or(f64::INFINITY, Estimator::current_dmax),
+            seen: self.semi.as_ref().map_or(0, |s| s.seen.len()),
+            bounds_tightened: self.bounds_tightened,
         }
     }
 
@@ -1414,14 +1563,7 @@ where
                 // bound and may tighten it with their own pair's d_max.
                 if global {
                     let own = self.semi_dmax_bound(&child_pair);
-                    let bound = inherited.map_or(own, |b| b.min(own));
-                    if let Some(semi) = &mut self.semi {
-                        if semi.update_bound(child.identity(), bound) {
-                            if let Some(obs) = &mut self.obs {
-                                obs.on_semi_bound();
-                            }
-                        }
-                    }
+                    self.tighten_bound(child.identity(), inherited.map_or(own, |b| b.min(own)));
                 }
                 self.consider(child_pair, Some(mind));
             }
@@ -1445,13 +1587,7 @@ where
                     best_bound = best_bound.min(bound);
                     children.push((child_pair, mind));
                 }
-                if let Some(semi) = &mut self.semi {
-                    if semi.update_bound(item1.identity(), best_bound) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.on_semi_bound();
-                        }
-                    }
-                }
+                self.tighten_bound(item1.identity(), best_bound);
                 let effective = self
                     .semi
                     .as_ref()
@@ -1791,46 +1927,28 @@ where
                 }
             }
         }
-        let ascending = self.ascending();
         if let Some(est) = &mut self.estimator {
             est.on_dequeue(slot, pair.item1.identity(), pair.item2.identity());
-            if ascending && key.dist.get() > est.current_dmax() {
-                self.stats.pruned_by_estimate += 1;
-                return Ok(StepOutcome::Continue);
-            }
         }
-        if key.dist.get() > self.shared_max() {
-            self.stats.pruned_by_shared += 1;
+        // A semi-join's pop filters are its dedup work.
+        let dedup = self.semi.is_some();
+        if dedup {
+            self.span_enter(Phase::Dedup);
+        }
+        let filter = PopFilter::new(
+            self.estimator.as_ref(),
+            self.semi.as_ref(),
+            self.shared_max(),
+        );
+        let dropped = filter.test(key.dist.get(), || filter.item_limit(pair.item1.identity()));
+        if dedup {
+            self.span_exit(Phase::Dedup);
+        }
+        if let Some(dropped) = dropped {
+            *dropped.counter(&mut self.stats) += 1;
             return Ok(StepOutcome::Continue);
         }
-        if self.semi.is_some() {
-            // The dequeue-time filters are the semi-join's dedup work; the
-            // span must close before any early return, hence the flag.
-            self.span_enter(Phase::Dedup);
-            let mut filtered = false;
-            if let Some(semi) = &self.semi {
-                if semi.filters_on_dequeue() {
-                    if let Some(oid1) = pair.item1.object_id() {
-                        if semi.seen.contains(oid1.0) {
-                            self.stats.filtered_seen += 1;
-                            filtered = true;
-                        }
-                    }
-                }
-                if !filtered && ascending {
-                    if let Some(bound) = semi.bound_for(pair.item1.identity()) {
-                        if key.dist.get() > bound {
-                            self.stats.pruned_by_dmax += 1;
-                            filtered = true;
-                        }
-                    }
-                }
-            }
-            self.span_exit(Phase::Dedup);
-            if filtered {
-                return Ok(StepOutcome::Continue);
-            }
-        }
+        let ascending = self.ascending();
 
         if pair.is_final(O::EXACT) {
             // `0.0 - k`, not `-k`: a zero key may come back from the queue

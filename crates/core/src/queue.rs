@@ -36,7 +36,7 @@ use sdj_storage::DiskStats;
 
 use crate::config::{QueueBackend, QueueLayout};
 use crate::estimate::NO_SLOT;
-use crate::pair::{Pair, PairKey};
+use crate::pair::{ItemId, Pair, PairKey};
 use crate::slab::{ItemArena, PackedPair};
 
 /// The hybrid backend's queue: spill records are a 9-byte key, an 8-byte
@@ -66,6 +66,43 @@ impl<V: Codec> Codec for Slotted<V> {
             value: V::decode(r)?,
             slot: r.get_u32()?,
         })
+    }
+}
+
+/// A queued entry as [`JoinQueue::discard`]'s predicate sees it.
+pub(crate) struct Queued<'q, const D: usize> {
+    slot: u32,
+    pair: QueuedPair<'q, D>,
+}
+
+/// Where a [`Queued`] entry's pair lives.
+enum QueuedPair<'q, const D: usize> {
+    Fat(&'q Pair<D>),
+    Packed(&'q ItemArena<D>, PackedPair),
+}
+
+impl<const D: usize> Queued<'_, D> {
+    /// The entry's estimator slot.
+    pub(crate) fn slot(&self) -> u32 {
+        self.slot
+    }
+
+    /// The entry's pair, resolved from the arena under the flat layout.
+    pub(crate) fn pair(&self) -> Pair<D> {
+        match self.pair {
+            QueuedPair::Fat(pair) => *pair,
+            QueuedPair::Packed(arena, packed) => arena.resolve_pair(packed),
+        }
+    }
+
+    /// The first item's identity. The flat layout decodes it from the
+    /// arena's key column ([`ItemArena::identity`]) without reading the
+    /// fat item.
+    pub(crate) fn item1_id(&self) -> ItemId {
+        match self.pair {
+            QueuedPair::Fat(pair) => pair.item1.identity(),
+            QueuedPair::Packed(arena, packed) => arena.identity(packed.i1),
+        }
     }
 }
 
@@ -275,28 +312,44 @@ impl<const D: usize> JoinQueue<D> {
         Ok(())
     }
 
-    /// Drops every queued pair whose key is above `bound`, visiting each
-    /// with its slot before it goes, and returns how many went. The flat
-    /// layout releases the dropped pairs' arena references. The survivors
-    /// pop in the order they would have anyway (see
+    /// Drops every queued entry `keep` refuses and returns how many went.
+    /// `keep` sees each entry's key and a [`Queued`] view that reads the
+    /// first item's identity or the whole pair only when asked, so a
+    /// key-only test touches no arena slot. The
+    /// flat layout releases the dropped pairs' arena references. The
+    /// survivors pop in the order they would have anyway (see
     /// [`FlatHeap::retain`]). The hybrid backend keeps everything and
     /// returns 0: it bounds resident memory by spilling instead.
-    pub(crate) fn discard_above(
+    pub(crate) fn discard(
         &mut self,
-        bound: f64,
-        mut visit: impl FnMut(&Pair<D>, u32),
+        mut keep: impl FnMut(&PairKey, &Queued<'_, D>) -> bool,
     ) -> usize {
-        let keep = |key: &PairKey| key.dist.get() <= bound;
         match &mut self.backend {
-            Backend::Pairing(q) => {
-                q.retain(|key, _| keep(key), |entry| visit(&entry.value, entry.slot))
-            }
-            Backend::Flat { heap, arena } => heap.retain(
-                |key, _| keep(key),
-                |entry| {
-                    visit(&arena.resolve_pair(entry.value), entry.slot);
-                    arena.release_pair(entry.value);
+            Backend::Pairing(q) => q.retain(
+                |key, entry| {
+                    let queued = Queued {
+                        slot: entry.slot,
+                        pair: QueuedPair::Fat(&entry.value),
+                    };
+                    keep(key, &queued)
                 },
+                |_| {},
+            ),
+            // `retain` asks `keep` exactly once per entry, so the release
+            // happens there: `keep` already holds the arena to resolve from.
+            Backend::Flat { heap, arena } => heap.retain(
+                |key, entry| {
+                    let queued = Queued {
+                        slot: entry.slot,
+                        pair: QueuedPair::Packed(arena, entry.value),
+                    };
+                    let kept = keep(key, &queued);
+                    if !kept {
+                        arena.release_pair(entry.value);
+                    }
+                    kept
+                },
+                |_| {},
             ),
             Backend::Hybrid { .. } => 0,
         }
@@ -734,7 +787,7 @@ mod tests {
     proptest! {
         /// Join-shaped op sequences — pop then flush a batch that repeats
         /// the popped pair's items and repeats items within itself, peeks,
-        /// unordered drains, discards above a bound — give identical
+        /// unordered drains, discards by key, slot and pair — give identical
         /// `(key, pair, slot)` streams under both layouts, also across a
         /// forced 24-bit tag wrap. The flat arena holds nothing once the
         /// queue is empty, and never more slots than distinct items pushed.
@@ -762,9 +815,21 @@ mod tests {
                         // Keys are whole numbers 0..6: every bound in
                         // -1..6 splits the queue differently.
                         let bound = batch.first().map_or(-1.0, |e| f64::from(e.0));
+                        // Entries above it go unless their slot's parity
+                        // says otherwise: the predicate reads slot, first
+                        // item and pair.
+                        let parity = batch.first().map_or(0, |e| e.4 % 2);
                         let discard = |q: &mut JoinQueue<2>| {
                             let mut gone = Vec::new();
-                            let n = q.discard_above(bound, |p, slot| gone.push(format!("{p:?} {slot}")));
+                            let n = q.discard(|key, queued| {
+                                let kept = key.dist.get() <= bound || queued.slot() % 2 == parity;
+                                if !kept {
+                                    let (pair, id) = (queued.pair(), queued.item1_id());
+                                    assert_eq!(id, pair.item1.identity());
+                                    gone.push(format!("{pair:?} {}", queued.slot()));
+                                }
+                                kept
+                            });
                             gone.sort();
                             (n, gone)
                         };

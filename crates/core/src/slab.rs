@@ -31,7 +31,7 @@ use sdj_storage::codec::{PageReader, PageWriter};
 use sdj_storage::StorageError;
 
 use crate::idhash::IdHashMap;
-use crate::pair::{Item, Pair};
+use crate::pair::{Item, ItemId, Pair};
 
 /// Interning key, packed into one `u64`: relation side (bit 63), item kind
 /// (bits 61–62), node/object id (low 61 bits). Two items with equal keys
@@ -319,6 +319,23 @@ impl<const D: usize> ItemArena<D> {
         Ok(PackedPair { i1, i2 })
     }
 
+    /// [`Item::identity`] of the item in `slot` (which must hold a live
+    /// reference), decoded from its 8-byte interning key: a pass over many
+    /// queued pairs that needs only identities reads the key column, not
+    /// the fat items.
+    #[must_use]
+    pub fn identity(&self, slot: u32) -> ItemId {
+        debug_assert!(self.refs[slot as usize] > 0, "reading a freed arena slot");
+        let key = self.keys[slot as usize];
+        let id = key & ((1 << 61) - 1);
+        // Kind 0 is a node; obrs and objects share the object's identity.
+        if (key >> 61) & 3 == 0 {
+            ItemId::Node(id)
+        } else {
+            ItemId::Object(id)
+        }
+    }
+
     /// The fat item in `slot` (which must hold a live reference).
     #[must_use]
     pub fn resolve(&self, slot: u32) -> Item<D> {
@@ -400,6 +417,17 @@ mod tests {
         let as_object = arena.intern(false, &o).unwrap();
         assert_ne!(as_obr, as_object, "obr and exact object are distinct");
         assert_eq!(arena.live(), 4);
+        // Identities decode from the packed keys, sparse ids included.
+        let far = arena.intern(true, &obr(DENSE_IDS + 3)).unwrap();
+        for (slot, item) in [
+            (left, node(1)),
+            (right, node(1)),
+            (as_obr, obr(9)),
+            (as_object, o),
+            (far, obr(DENSE_IDS + 3)),
+        ] {
+            assert_eq!(arena.identity(slot), item.identity());
+        }
     }
 
     #[test]

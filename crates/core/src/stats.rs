@@ -13,10 +13,15 @@ pub struct JoinStats {
     pub pairs_enqueued: u64,
     /// Pairs popped from the priority queue.
     pub pairs_dequeued: u64,
-    /// Queued pairs dropped unpopped because the §2.2.4 estimate had fallen
-    /// below their key (the join's queue compaction). Such a pair can never
-    /// reach the head of the queue while the query still owes results, so
-    /// dropping it changes no pop, result or node read.
+    /// Queued pairs dropped unpopped because a pop-time filter had come to
+    /// reject them (the queue compaction): the §2.2.4 estimate had fallen
+    /// below their key, or, in a semi-join, their first object had been
+    /// reported or their key exceeded their first item's `d_max` bound.
+    /// Each of those filters only tightens, so the pair would have been
+    /// dropped at its pop; dropping it early changes no result or node
+    /// read. A join's dropped pair would never have been popped at all; a
+    /// semi-join's might have, so its `pairs_dequeued` and pop-filter
+    /// counts fall by the same amount.
     pub pairs_discarded: u64,
     /// Pairs on the queue when the counters were read (sampled at call
     /// time). Every enqueued pair is dequeued, discarded or still queued:
@@ -41,14 +46,20 @@ pub struct JoinStats {
     pub node_io: u64,
     /// Pairs rejected by the `[Dmin, Dmax]` range restriction.
     pub pruned_by_range: u64,
-    /// Pairs rejected by the estimated maximum distance (§2.2.4).
+    /// Pairs rejected by the estimated maximum distance (§2.2.4), at the
+    /// push or the pop. A queued pair the compaction dropped first is
+    /// counted in `pairs_discarded` instead.
     pub pruned_by_estimate: u64,
-    /// Pairs rejected by semi-join `d_max` bounds (§4.2.1).
+    /// Pairs rejected by semi-join `d_max` bounds (§4.2.1), at the push,
+    /// during expansion or at the pop. A queued pair the compaction dropped
+    /// first is counted in `pairs_discarded` instead.
     pub pruned_by_dmax: u64,
     /// Pairs rejected by the executor's shared cross-worker distance bound.
     pub pruned_by_shared: u64,
     /// Pairs dropped because their first object already produced a
-    /// semi-join result.
+    /// semi-join result, at the push, during expansion, at the pop or at
+    /// the report. A queued pair the compaction dropped first is counted in
+    /// `pairs_discarded` instead.
     pub filtered_seen: u64,
     /// Self-pairs dropped by `exclude_equal_ids` (self-join applications).
     pub filtered_self: u64,

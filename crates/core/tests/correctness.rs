@@ -679,19 +679,24 @@ fn default_layout_stats_repeat_exactly() {
     }
 }
 
-/// K-bounded joins and a K-bounded semi-join give the same stream and the
-/// same counters on every queue backend: memory in both layouts, and the
-/// hybrid queue. Each queued pair carries its §2.2.4 estimator slot through
-/// the queue, and a backend that lost it — in a pop, a batch push or a
-/// spill page — would leave stale members in `M` and prune pairs the
-/// reference keeps. The hybrid runs spill.
+/// K-bounded joins and semi-joins give the same stream and the same
+/// counters on every queue backend: memory in both layouts, and the hybrid
+/// queue. Each queued pair carries its §2.2.4 estimator slot through the
+/// queue, and a backend that lost it — in a pop, a batch push or a spill
+/// page — would leave stale members in `M` and prune pairs the reference
+/// keeps. The hybrid runs spill.
 ///
-/// The memory backends also compact their queue against the estimate: the
-/// two layouts drop the same pairs, so they agree on every counter, queue
-/// high-water and discards included. The hybrid backend never compacts; it
-/// agrees with the memory ones on everything but those two and the queue
-/// length left at the end. Every run accounts for each enqueued pair
-/// as dequeued, discarded or still queued.
+/// The memory backends also compact their queue against the pop-time
+/// filters: the estimate, and a semi-join's reported set and `d_max`
+/// bounds. The two layouts drop the same pairs, so they agree on every
+/// counter, queue high-water and discards included, and every semi-join on
+/// the larger trees with a pop-time filter compacts. The hybrid backend
+/// never compacts. A join agrees with it on everything but the queue's
+/// high-water, discards and the length it is left with. A semi-join pops
+/// the pairs compaction dropped on the hybrid queue and filters them there,
+/// so its pops and its three pop-filter counts may differ too, by the same
+/// amount. Every run accounts for each enqueued pair as dequeued, discarded
+/// or still queued.
 #[test]
 fn estimator_slots_survive_every_queue_backend() {
     let (a, b) = sample_sets();
@@ -704,6 +709,11 @@ fn estimator_slots_survive_every_queue_backend() {
         uniform_points(1_500, &unit_box(), 52),
     );
     let (t3, t4) = (build_tree(&c, 8), build_tree(&d, 8));
+    let (e, f) = (
+        uniform_points(600, &unit_box(), 53),
+        uniform_points(600, &unit_box(), 54),
+    );
+    let (t5, t6) = (build_tree(&e, 8), build_tree(&f, 8));
     let backends = [
         (QueueBackend::Memory, QueueLayout::FlatDary),
         (QueueBackend::Memory, QueueLayout::Pairing),
@@ -712,60 +722,98 @@ fn estimator_slots_survive_every_queue_backend() {
             QueueLayout::FlatDary,
         ),
     ];
-    let semi = SemiConfig {
-        filter: SemiFilter::Inside2,
-        dmax: DmaxStrategy::GlobalAll,
-    };
-    // (trees, brute-force distances, estimation bound, K, semi-join?)
+    let semi = |filter, dmax| Some(SemiConfig { filter, dmax });
+    // (trees, brute-force distances, estimation bound, K, semi-join)
     let sample = ((&t1, &t2), Some(&want));
-    let mut queries = vec![(sample, EstimationBound::AllPairs, 120, true)];
+    let large = ((&t3, &t4), None);
+    let mut queries = vec![(
+        sample,
+        EstimationBound::AllPairs,
+        Some(120),
+        semi(SemiFilter::Inside2, DmaxStrategy::GlobalAll),
+    )];
     for bound in [EstimationBound::AllPairs, EstimationBound::ExistsPair] {
-        queries.extend([1, 100, all].map(|k| (sample, bound, k, false)));
-        queries.push((((&t3, &t4), None), bound, 5_000, false));
+        queries.extend([1, 100, all].map(|k| (sample, bound, Some(k), None)));
+        queries.push((large, bound, Some(5_000), None));
     }
+    // Every semi-join configuration with a pop-time filter (a `d_max`
+    // strategy implies `Inside2`; `Outside` filters nothing at the pop),
+    // unbounded and K-bounded. At K = 5 000, more than the first objects,
+    // the estimate never drops; K = 1 000 puts members in `M` that a pass
+    // must leave queued: one that dropped them would change these runs'
+    // counters. Without the global bounds a semi-join expands far more
+    // node pairs (on the 1 500 × 1 500 trees `Inside1` enqueues about 40
+    // times what `GlobalAll` does), so those run on 600 × 600 trees.
+    let medium = ((&t5, &t6), None);
+    for (trees, filter, dmax) in [
+        (medium, SemiFilter::Inside1, DmaxStrategy::None),
+        (medium, SemiFilter::Inside2, DmaxStrategy::None),
+        (medium, SemiFilter::Inside2, DmaxStrategy::Local),
+        (large, SemiFilter::Inside2, DmaxStrategy::GlobalNodes),
+        (large, SemiFilter::Inside2, DmaxStrategy::GlobalAll),
+    ] {
+        for k in [None, Some(1_000), Some(5_000)] {
+            queries.push((trees, EstimationBound::AllPairs, k, semi(filter, dmax)));
+        }
+    }
+    // `Inside1` leaves the pairs led by reported objects queued, and the
+    // global bounds kill queued pairs as they tighten: those compact.
+    // `Inside2` without them filters reported objects as it expands, so a
+    // pass may find only node-led pairs queued, which no pop filter drops.
+    let must_compact = |semi: SemiConfig| {
+        semi.filter == SemiFilter::Inside1
+            || matches!(
+                semi.dmax,
+                DmaxStrategy::GlobalNodes | DmaxStrategy::GlobalAll
+            )
+    };
     // What backends may differ in: spill traffic and queue bytes, and —
     // since only the memory backends compact — the queue's high-water mark,
-    // its discards and the length it is left with.
-    let masked = |stats: JoinStats, hybrid: bool| {
-        let stats = JoinStats {
+    // its discards and the length it is left with; for a semi-join also
+    // its pops and pop-filter counts.
+    let masked = |stats: JoinStats, hybrid: bool, is_semi: bool| {
+        let mut s = JoinStats {
             node_io: 0,
             queue_bytes_peak: 0,
             ..stats
         };
         if hybrid {
-            JoinStats {
-                max_queue: 0,
-                pairs_discarded: 0,
-                queue_len: 0,
-                ..stats
-            }
-        } else {
-            stats
+            (s.max_queue, s.pairs_discarded, s.queue_len) = (0, 0, 0);
         }
+        if hybrid && is_semi {
+            (s.pairs_dequeued, s.filtered_seen) = (0, 0);
+            (s.pruned_by_dmax, s.pruned_by_estimate) = (0, 0);
+        }
+        s
     };
+    let pop_filtered = |s: &JoinStats| s.filtered_seen + s.pruned_by_dmax + s.pruned_by_estimate;
     let mut discarded = 0;
-    for (((t1, t2), want), bound, k, is_semi) in queries {
+    for (((t1, t2), want), bound, k, semi) in queries {
         let mut reference = None;
         for (queue, layout) in backends {
             let config = JoinConfig {
                 estimation: bound,
                 queue,
                 layout,
+                max_pairs: k,
                 ..JoinConfig::default()
-            }
-            .with_max_pairs(k);
-            let mut join = if is_semi {
-                DistanceJoin::semi(t1, t2, config, semi)
-            } else {
-                DistanceJoin::new(t1, t2, config)
             };
-            let what = format!("{bound:?} K={k} semi={is_semi} {queue:?}/{layout:?}");
+            let mut join = match semi {
+                Some(semi) => DistanceJoin::semi(t1, t2, config, semi),
+                None => DistanceJoin::new(t1, t2, config),
+            };
+            let what = format!("{bound:?} K={k:?} semi={semi:?} {queue:?}/{layout:?}");
             let got: Vec<(u64, u64, u64)> = join
                 .by_ref()
                 .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
                 .collect();
             assert!(join.take_error().is_none(), "{what}");
-            assert_eq!(got.len() as u64, k, "{what}");
+            let first_objects = t1.len() as u64;
+            let want_len = match semi {
+                Some(_) => k.map_or(first_objects, |k| k.min(first_objects)),
+                None => k.unwrap(),
+            };
+            assert_eq!(got.len() as u64, want_len, "{what}");
             if let Some((tiers, _)) = join.hybrid_queue_info() {
                 assert!(tiers.spilled > 0, "{what}: the hybrid queue never spilled");
             }
@@ -777,13 +825,15 @@ fn estimator_slots_survive_every_queue_backend() {
                 "{what}: every enqueued pair is dequeued, discarded or queued"
             );
             let hybrid = matches!(queue, QueueBackend::Hybrid(_));
-            if hybrid || is_semi {
+            if hybrid {
                 assert_eq!(stats.pairs_discarded, 0, "{what}: compacted");
+            } else if semi.is_some_and(must_compact) && want.is_none() {
+                assert!(stats.pairs_discarded > 0, "{what}: never compacted");
             }
             discarded += stats.pairs_discarded;
             match &reference {
                 None => {
-                    if let (false, Some(want)) = (is_semi, want) {
+                    if let (None, Some(want)) = (semi, want) {
                         for (g, w) in got.iter().zip(want) {
                             assert!((f64::from_bits(g.0) - w).abs() < EPS, "{what}");
                         }
@@ -792,10 +842,18 @@ fn estimator_slots_survive_every_queue_backend() {
                 }
                 Some((stream, first)) => {
                     assert_eq!(&got, stream, "{what}: stream");
+                    let is_semi = semi.is_some();
                     assert_eq!(
-                        masked(stats, hybrid),
-                        masked(*first, hybrid),
+                        masked(stats, hybrid, is_semi),
+                        masked(*first, hybrid, is_semi),
                         "{what}: counters"
+                    );
+                    // The pairs compaction dropped are the pairs the other
+                    // queue popped and filtered.
+                    assert_eq!(
+                        stats.pairs_dequeued.wrapping_sub(first.pairs_dequeued),
+                        pop_filtered(&stats).wrapping_sub(pop_filtered(first)),
+                        "{what}: pops and pop filters differ by the same count"
                     );
                 }
             }

@@ -534,3 +534,53 @@ fn merged_stats_keep_queue_symmetry() {
         run.stats.pairs_enqueued
     );
 }
+
+/// Each worker of a parallel semi-join compacts its own queue against its
+/// own pop-time filters — its reported set and `d_max` bounds, the state
+/// its pops read — on both memory layouts. The stream is the serial one,
+/// and the merged counters still account for every enqueued pair.
+#[test]
+fn parallel_semi_join_workers_compact_their_queues() {
+    let a = uniform(4_000, 81);
+    let b = uniform(4_000, 82);
+    let t1 = tree(&a, 8);
+    let t2 = tree(&b, 8);
+    let semi = SemiConfig {
+        filter: SemiFilter::Inside2,
+        dmax: DmaxStrategy::GlobalAll,
+    };
+    for layout in [QueueLayout::FlatDary, QueueLayout::Pairing] {
+        let config = JoinConfig::default().with_layout(layout);
+        let serial: Vec<_> = DistanceJoin::semi(&t1, &t2, config, semi)
+            .map(|r| key(&r))
+            .collect();
+        for threads in [2, 4] {
+            let what = format!("{layout:?} threads={threads}");
+            let run = ParallelDistanceJoin::semi(
+                &t1,
+                &t2,
+                config,
+                semi,
+                ParallelConfig {
+                    threads,
+                    frontier_factor: 8,
+                    channel_capacity: 64,
+                },
+            )
+            .collect();
+            assert_eq!(run.error, None, "{what}");
+            assert_eq!(
+                run.value.iter().map(key).collect::<Vec<_>>(),
+                serial,
+                "{what}: stream"
+            );
+            let s = run.stats;
+            assert!(s.pairs_discarded > 0, "{what}: no worker compacted");
+            assert_eq!(
+                s.pairs_enqueued,
+                s.pairs_dequeued + s.pairs_discarded + s.queue_len,
+                "{what}: every enqueued pair is dequeued, discarded or queued"
+            );
+        }
+    }
+}

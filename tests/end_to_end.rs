@@ -64,6 +64,60 @@ fn incremental_semijoin_agrees_with_nn_baseline() {
     }
 }
 
+/// A semi-join whose queue passes the compaction floor drops queued pairs
+/// its pop-time filters would drop (first objects already reported, keys
+/// above their first item's `d_max` bound) and still answers exactly the
+/// per-object nearest-neighbour baseline.
+#[test]
+fn compacting_semijoin_agrees_with_nn_baseline() {
+    let load = |points: Vec<Point<2>>| {
+        let items = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (ObjectId(i as u64), p.to_rect()))
+            .collect();
+        RTree::bulk_load(RTreeConfig::default(), items)
+    };
+    let tw = load(tiger::water_like(2_000, 17));
+    let tr = load(tiger::roads_like(10_000, 17));
+    let semi = SemiConfig {
+        filter: SemiFilter::Inside2,
+        dmax: DmaxStrategy::GlobalAll,
+    };
+    let mut join = DistanceJoin::semi(&tw, &tr, JoinConfig::default(), semi);
+    let mut got: Vec<(u64, f64)> = join.by_ref().map(|r| (r.oid1.0, r.distance)).collect();
+    assert!(join.take_error().is_none());
+    let stats = join.stats();
+    assert!(stats.pairs_discarded > 0, "the queue never compacted");
+    assert_eq!(
+        stats.pairs_enqueued,
+        stats.pairs_dequeued + stats.pairs_discarded + stats.queue_len,
+        "every enqueued pair is dequeued, discarded or still queued"
+    );
+    let mut want: Vec<(u64, f64)> = nn_semijoin(&tw, &tr, Metric::Euclidean)
+        .unwrap()
+        .iter()
+        .map(|p| (p.oid1.0, p.distance))
+        .collect();
+    assert!(
+        got.windows(2).all(|w| w[0].1 <= w[1].1),
+        "stream out of order"
+    );
+    got.sort_by_key(|p| p.0);
+    want.sort_by_key(|p| p.0);
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g.0, w.0);
+        assert!(
+            (g.1 - w.1).abs() < 1e-9,
+            "object {}: {} vs {}",
+            g.0,
+            g.1,
+            w.1
+        );
+    }
+}
+
 #[test]
 fn incremental_range_join_agrees_with_within_baseline() {
     let (tw, tr, ..) = env();
