@@ -25,8 +25,8 @@ use sdj_bench::{
     Cell, Env, Variant,
 };
 use sdj_core::{
-    DmaxStrategy, EstimationBound, JoinConfig, QueueBackend, SemiConfig, SemiFilter, TiePolicy,
-    TraversalPolicy,
+    DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig, QueueBackend, SemiConfig, SemiFilter,
+    TiePolicy, TraversalPolicy,
 };
 use sdj_datagen::unit_box;
 use sdj_geom::{Metric, Point};
@@ -377,6 +377,11 @@ fn alt_join(env: &Env, out: &mut dyn Write) -> io::Result<()> {
 /// The paper reports GlobalAll ≈ 25 s vs NN ≈ 27 s for Water ⋈ Roads and
 /// 102 s vs 141 s for Roads ⋈ Water: the incremental algorithm wins both,
 /// more clearly with the larger outer relation.
+///
+/// Both answers are checked, not only timed: every outer object must get
+/// the same nearest-partner distance from the semi-join as from the NN
+/// baseline. The semi-join's results are collected in a separate, untimed
+/// run after the baselines'.
 fn alt_semijoin(env: &Env, out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
@@ -407,10 +412,35 @@ fn alt_semijoin(env: &Env, out: &mut dyn Write) -> io::Result<()> {
                 Some(seed) => nn_semijoin_shuffled(t1, t2, Metric::Euclidean, seed),
                 None => nn_semijoin(t1, t2, Metric::Euclidean),
             });
-            assert_eq!(pairs.expect("simulated disk").len() as u64, outer);
-            (seconds, t1.pool_stats().misses + t2.pool_stats().misses)
+            let pairs = pairs.expect("simulated disk");
+            assert_eq!(pairs.len() as u64, outer);
+            (
+                seconds,
+                t1.pool_stats().misses + t2.pool_stats().misses,
+                pairs,
+            )
         };
         let (nn, nn_rand) = (nn_run(None), nn_run(Some(42)));
+        // Collected after the baselines ran, so their buffer misses start
+        // from the pool state the timed semi-join left.
+        let mut answer: Vec<(ObjectId, f64)> =
+            DistanceJoin::semi(t1, t2, JoinConfig::default(), semi)
+                .map(|r| (r.oid1, r.distance))
+                .collect();
+        let mut want: Vec<(ObjectId, f64)> = nn.2.iter().map(|p| (p.oid1, p.distance)).collect();
+        answer.sort_by_key(|r| r.0);
+        want.sort_by_key(|r| r.0);
+        assert_eq!(answer.len(), want.len(), "{label}: result count");
+        for (got, nn) in answer.iter().zip(&want) {
+            assert_eq!(got.0, nn.0, "{label}: outer objects differ");
+            assert!(
+                (got.1 - nn.1).abs() < 1e-9,
+                "{label}: object {:?} at {} from the semi-join, {} from the NN baseline",
+                got.0,
+                got.1,
+                nn.1
+            );
+        }
 
         rows.push(vec![
             label.to_string(),

@@ -1,9 +1,10 @@
 //! A multiply-rotate hasher for the join's id-keyed maps.
 //!
 //! The engine's per-pair maps — the semi-join estimator's first-item table
-//! and `processed` set, the semi-join's per-item `d_max` table, the
-//! decoded-view cache and the item arena's map for ids too large for its
-//! direct tables — are keyed by node and object ids: a few machine words
+//! and `processed` set, the semi-join's per-item `d_max` table and the
+//! ids its reported set holds beyond its bit string, the decoded-view
+//! cache and the item arena's map for ids too large for its direct
+//! tables — are keyed by node and object ids: a few machine words
 //! that come from the indexes, never from an adversary. The standard library's SipHash defends against
 //! hash flooding that cannot happen here, and it is the dearest part of
 //! every lookup on these keys. [`IdHasher`] instead spends one rotate, two

@@ -200,6 +200,27 @@ fn scalar_keys_into<const D: usize>(
     out.extend(range.map(|i| bound(&soa.get(i))));
 }
 
+/// The axis the semi-join leaf sweep walks the second leaf along for the
+/// first object `r1` against the second leaf's region `r2`: the axis on
+/// which `r1` lies farthest outside `r2`, so the walk meets the side of the
+/// leaf facing `r1` first; for an object that overlaps the region on every
+/// axis, the axis on which the region is widest, where a window of a given
+/// width cuts most.
+fn sweep_axis<const D: usize>(r1: &Rect<D>, r2: &Rect<D>) -> usize {
+    let mut best = (0, f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for a in 0..D {
+        // Clamped: every axis on which `r1` overlaps the region ties at 0.
+        let gap = (r2.lo()[a] - r1.hi()[a])
+            .max(r1.lo()[a] - r2.hi()[a])
+            .max(0.0);
+        let extent = r2.extent(a);
+        if gap > best.1 || (gap == 0.0 && best.1 == 0.0 && extent > best.2) {
+            best = (a, gap, extent);
+        }
+    }
+    best.0
+}
+
 /// One result of a distance join: a pair of objects and their distance.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResultPair {
@@ -282,6 +303,11 @@ where
     scratch_keys2: Vec<f64>,
     /// Struct-of-arrays columns of the plane sweep's sorted right entries.
     scratch_soa2: SoaRects<D>,
+    /// The semi-join leaf sweep's second-leaf entries as `(low end, entry
+    /// index)`, one column per axis, each sorted; and one first object's
+    /// candidates as `(entry index, MINDIST key)`.
+    scratch_order: Vec<(f64, usize)>,
+    scratch_cands: Vec<(usize, f64)>,
     /// Per-side caches of decoded struct-of-arrays node views.
     views1: ViewCache<D>,
     views2: ViewCache<D>,
@@ -505,6 +531,8 @@ where
             scratch_keys: Vec::new(),
             scratch_keys2: Vec::new(),
             scratch_soa2: SoaRects::default(),
+            scratch_order: Vec::new(),
+            scratch_cands: Vec::new(),
             views1: ViewCache::new(VIEW_CACHE_CAP),
             views2: ViewCache::new(VIEW_CACHE_CAP),
             scratch_hints: Vec::new(),
@@ -924,12 +952,13 @@ where
     /// no bound at all (Figure 6) — the sweep degenerates towards the full
     /// cross product, all of it queued now at the bound of now, while the
     /// one-sided expansion defers each object's pairs until they reach the
-    /// head of the queue and the bound has shrunk; it stays. Semi-joins stay
-    /// one-sided as well: their per-object `d_max` bounds and seen-set
+    /// head of the queue and the bound has shrunk; it stays. Semi-joins do
+    /// not take this sweep: their per-object `d_max` bounds and seen-set
     /// filter prune a first-side object's (object, node) pairs before those
-    /// are ever opened, which a cross product of entries forfeits.
-    /// Descending runs key on MAXDIST, where a maximum-distance window
-    /// proves nothing.
+    /// are ever opened, which a cross product of entries forfeits. Under
+    /// `GlobalAll` their leaf pairs have a sweep of their own
+    /// ([`sweeps_semi_leaves`](Self::sweeps_semi_leaves)). Descending runs
+    /// key on MAXDIST, where a maximum-distance window proves nothing.
     fn sweeps_equal_levels(&self, pair: &Pair<D>) -> bool {
         if !self.ascending() || self.semi.is_some() {
             return false;
@@ -937,6 +966,21 @@ where
         let width = pair.item1.rect().extent(0).min(pair.item2.rect().extent(0));
         self.keys
             .axis_gap_exceeds(0.5 * width, self.effective_max_key())
+    }
+
+    /// Whether `Even` traversal opens the node pair at levels `l1`/`l2` with
+    /// [`sweep_semi_leaves`](Self::sweep_semi_leaves): a leaf/leaf pair of
+    /// an ascending semi-join under [`DmaxStrategy::GlobalAll`]. That is the
+    /// one strategy that keeps a bound per first object, and only a stored
+    /// bound stops an object swept in one leaf pair from being swept again,
+    /// at no profit, in the next (`DESIGN.md` §17).
+    ///
+    /// [`DmaxStrategy::GlobalAll`]: crate::semi::DmaxStrategy::GlobalAll
+    fn sweeps_semi_leaves(&self, l1: u8, l2: u8) -> bool {
+        self.semi.as_ref().is_some_and(SemiState::bounds_objects)
+            && l1 == 0
+            && l2 == 0
+            && self.ascending()
     }
 
     /// The shared bound's current value (a key), when one is attached and
@@ -1197,54 +1241,9 @@ where
             return;
         }
 
-        // Spatial selection windows (§2.2.5).
-        if !Self::passes_window(&pair.item1, &self.window1)
-            || !Self::passes_window(&pair.item2, &self.window2)
-        {
-            self.stats.pruned_by_range += 1;
+        let Some(maxd) = self.passes_pre_push(&pair, mind) else {
             return;
-        }
-
-        // Maximum-distance pruning (query bound, then estimator).
-        if mind > self.max_key {
-            self.stats.pruned_by_range += 1;
-            return;
-        }
-        if let Some(est) = &self.estimator {
-            if self.ascending() && mind > est.current_dmax() {
-                self.stats.pruned_by_estimate += 1;
-                return;
-            }
-        }
-        if mind > self.shared_max() {
-            self.stats.pruned_by_shared += 1;
-            return;
-        }
-
-        // Minimum-distance pruning: a pair none of whose results can reach
-        // Dmin is dead (Figure 5).
-        let mut maxd: Option<f64> = None;
-        if self.min_key > 0.0 {
-            let m = {
-                self.stats.distance_calcs += 1;
-                pair.maxdist_key(keys)
-            };
-            if m < self.min_key {
-                self.stats.pruned_by_range += 1;
-                return;
-            }
-            maxd = Some(m);
-        }
-
-        // Semi-join global d_max bound for the first item.
-        if let Some(semi) = &self.semi {
-            if let Some(bound) = semi.bound_for(pair.item1.identity()) {
-                if mind > bound {
-                    self.stats.pruned_by_dmax += 1;
-                    return;
-                }
-            }
-        }
+        };
 
         // Maximum-distance estimation (§2.2.4).
         let mut slot = NO_SLOT;
@@ -1282,6 +1281,69 @@ where
             -m
         };
         self.push(PairKey::new(key_dist, &pair, self.config.tie), pair, slot);
+    }
+
+    /// The filters [`consider`](Self::consider) applies to a non-final
+    /// `pair` with MINDIST key `mind` before it is offered and pushed, in
+    /// their order and with their counters: the windows, `Dmax`, the
+    /// estimate, the shared bound, `Dmin` and the first item's stored
+    /// semi-join bound. `None` when the pair is dropped; otherwise the
+    /// MAXDIST key the `Dmin` test computed, if it ran. Inlined, so that
+    /// `consider`, which every join runs per pair, keeps the code it had
+    /// with these filters written in place: called out of line, it made
+    /// `drain_ordered` about 5 % slower.
+    #[inline(always)]
+    fn passes_pre_push(&mut self, pair: &Pair<D>, mind: f64) -> Option<Option<f64>> {
+        let keys = self.keys;
+        // Spatial selection windows (§2.2.5).
+        if !Self::passes_window(&pair.item1, &self.window1)
+            || !Self::passes_window(&pair.item2, &self.window2)
+        {
+            self.stats.pruned_by_range += 1;
+            return None;
+        }
+
+        // Maximum-distance pruning (query bound, then estimator).
+        if mind > self.max_key {
+            self.stats.pruned_by_range += 1;
+            return None;
+        }
+        if let Some(est) = &self.estimator {
+            if self.ascending() && mind > est.current_dmax() {
+                self.stats.pruned_by_estimate += 1;
+                return None;
+            }
+        }
+        if mind > self.shared_max() {
+            self.stats.pruned_by_shared += 1;
+            return None;
+        }
+
+        // Minimum-distance pruning: a pair none of whose results can reach
+        // Dmin is dead (Figure 5).
+        let mut maxd: Option<f64> = None;
+        if self.min_key > 0.0 {
+            let m = {
+                self.stats.distance_calcs += 1;
+                pair.maxdist_key(keys)
+            };
+            if m < self.min_key {
+                self.stats.pruned_by_range += 1;
+                return None;
+            }
+            maxd = Some(m);
+        }
+
+        // Semi-join global d_max bound for the first item.
+        if let Some(semi) = &self.semi {
+            if let Some(bound) = semi.bound_for(pair.item1.identity()) {
+                if mind > bound {
+                    self.stats.pruned_by_dmax += 1;
+                    return None;
+                }
+            }
+        }
+        Some(maxd)
     }
 
     /// Filter-and-enqueue pipeline for a pair whose exact object distance is
@@ -1547,25 +1609,10 @@ where
                 )
             });
             for (entry, &mind) in view.node.entries.iter().zip(&minds) {
-                let child = Self::child_item(entry);
-                if let Some(oid) = child.object_id() {
-                    if self
-                        .semi
-                        .as_ref()
-                        .is_some_and(|s| s.filters_on_expand() && s.seen.contains(oid.0))
-                    {
-                        self.stats.filtered_seen += 1;
-                        continue;
-                    }
+                let child_pair = Pair::new(Self::child_item(entry), other);
+                if self.first_child_passes(&child_pair, inherited, global) {
+                    self.consider(child_pair, Some(mind));
                 }
-                let child_pair = Pair::new(child, other);
-                // Global bound maintenance: children inherit their parent's
-                // bound and may tighten it with their own pair's d_max.
-                if global {
-                    let own = self.semi_dmax_bound(&child_pair);
-                    self.tighten_bound(child.identity(), inherited.map_or(own, |b| b.min(own)));
-                }
-                self.consider(child_pair, Some(mind));
             }
             self.scratch_keys = minds;
             self.views1.checkin(page, view);
@@ -1611,6 +1658,36 @@ where
             self.views2.checkin(page, view);
         }
         Ok(())
+    }
+
+    /// The first-side expansion's step for one child, ahead of
+    /// [`consider`](Self::consider): a reported child object is dropped
+    /// (counted `filtered_seen`) when the configuration filters as it
+    /// expands; under a global strategy (`global`) the child then inherits
+    /// its parent's bound `inherited`, tightened by its own pair's `d_max`.
+    /// Returns whether `child_pair` goes on to `consider`.
+    fn first_child_passes(
+        &mut self,
+        child_pair: &Pair<D>,
+        inherited: Option<f64>,
+        global: bool,
+    ) -> bool {
+        let child = child_pair.item1;
+        if let Some(oid) = child.object_id() {
+            if self
+                .semi
+                .as_ref()
+                .is_some_and(|s| s.filters_on_expand() && s.seen.contains(oid.0))
+            {
+                self.stats.filtered_seen += 1;
+                return false;
+            }
+        }
+        if global {
+            let own = self.semi_dmax_bound(child_pair);
+            self.tighten_bound(child.identity(), inherited.map_or(own, |b| b.min(own)));
+        }
+        true
     }
 
     /// "Simultaneous" expansion of a node/node pair (§2.2.2): both nodes are
@@ -1796,6 +1873,212 @@ where
         self.scratch_entries2 = entries2;
         self.scratch_soa2 = soa2;
         Ok(())
+    }
+
+    /// A `GlobalAll` semi-join's leaf/leaf pair: §4.2.1's Local rule run
+    /// inside §2.2.2's plane sweep, each leaf opened at most once. Each
+    /// first object `o1` faces the filters that expanding the first leaf and
+    /// then considering `(o1, L2)` apply
+    /// ([`first_child_passes`](Self::first_child_passes), then
+    /// [`passes_pre_push`](Self::passes_pre_push)). Instead of queueing
+    /// `(o1, L2)`, which would open `L2` again for `o1` alone when popped,
+    /// `o1` is swept against `L2` now ([`sweep_object`](Self::sweep_object)):
+    /// it gets its best Local bound in `L2`, and the pairs the second-side
+    /// Local pass of [`expand_one`](Self::expand_one) would push are pushed.
+    /// Each walk runs along the axis [`sweep_axis`] picks for `o1`
+    /// (`DESIGN.md` §17). Kept out of line: inlined into the step loop, it
+    /// slowed joins that never take it (`first_pairs` by 10–20 %).
+    #[inline(never)]
+    fn sweep_semi_leaves(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
+        self.stats.sweep_expansions += 1;
+        self.span_enter(Phase::Expand);
+        let r = self.sweep_semi_leaves_inner(pair);
+        self.span_exit(Phase::Expand);
+        r
+    }
+
+    fn sweep_semi_leaves_inner(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
+        let (Item::Node { page: p1, .. }, Item::Node { page: p2, .. }) = (pair.item1, pair.item2)
+        else {
+            unreachable!("sweep_semi_leaves on a non-node pair")
+        };
+        let leaf2 = pair.item2;
+        if let Some(est) = &mut self.estimator {
+            est.on_expand_item1(pair.item1.identity());
+        }
+        let view1 = self.checkout1(p1)?;
+        if let Some(obs) = &mut self.obs {
+            obs.on_expand();
+        }
+        let keys = self.keys;
+
+        // The first leaf's MINDIST keys against the second leaf, from one
+        // kernel pass as in the first-side expansion.
+        let n1 = view1.rects.len();
+        let mut minds = std::mem::take(&mut self.scratch_keys);
+        minds.clear();
+        self.span_enter(Phase::Kernel);
+        mindist_keys_into(
+            &view1.rects,
+            self.config.expansion,
+            keys,
+            leaf2.rect(),
+            0..n1,
+            &mut minds,
+        );
+        self.span_exit(Phase::Kernel);
+        self.stats.distance_calcs += n1 as u64;
+
+        self.span_enter(Phase::Sweep);
+        let r2 = *leaf2.rect();
+        // The second leaf is opened for the first object that passes the
+        // filters, not before: a leaf pair whose first objects are all
+        // reported or bounded costs one node access, as one-sided.
+        let mut view2 = None;
+        let mut error = None;
+        // Per axis: the second leaf's entries sorted by their low end on
+        // that axis (filled on first use), and the widest entry.
+        let mut order = std::mem::take(&mut self.scratch_order);
+        order.clear();
+        let mut sorted = [false; D];
+        let mut max_width = [0.0f64; D];
+        let inherited = self
+            .semi
+            .as_ref()
+            .and_then(|s| s.bound_for(pair.item1.identity()));
+        for (entry, &mind) in view1.node.entries.iter().zip(&minds) {
+            // The filters expanding the first leaf, then considering
+            // `(o1, L2)`, would apply, with their counters. The pair is never
+            // queued, so the estimator is not offered it.
+            let first = Pair::new(Self::child_item(entry), leaf2);
+            if !self.first_child_passes(&first, inherited, true)
+                || self.passes_pre_push(&first, mind).is_none()
+            {
+                continue;
+            }
+            if view2.is_none() {
+                match self.checkout2(p2) {
+                    Ok(view) => view2 = Some(view),
+                    Err(e) => {
+                        error = Some(e);
+                        break;
+                    }
+                }
+            }
+            let Some(view2) = &view2 else { break };
+            let entries2 = &view2.node.entries;
+            let n2 = entries2.len();
+            if order.is_empty() {
+                order.resize(D * n2, (0.0, 0));
+                for e in entries2 {
+                    for (a, w) in max_width.iter_mut().enumerate() {
+                        *w = w.max(e.rect().extent(a));
+                    }
+                }
+            }
+            let ax = sweep_axis(first.item1.rect(), &r2);
+            if !sorted[ax] {
+                let col = &mut order[ax * n2..(ax + 1) * n2];
+                for (slot, (i, e)) in col.iter_mut().zip(entries2.iter().enumerate()) {
+                    *slot = (e.rect().lo()[ax], i);
+                }
+                // `total_cmp`, as in `expand_both`: a NaN coordinate from a
+                // corrupt page sorts last instead of panicking.
+                col.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                sorted[ax] = true;
+            }
+            let col = &order[ax * n2..(ax + 1) * n2];
+            self.sweep_object(first.item1, ax, max_width[ax], col, entries2);
+        }
+        self.span_exit(Phase::Sweep);
+        self.scratch_keys = minds;
+        self.scratch_order = order;
+        self.views1.checkin(p1, view1);
+        if let Some(view2) = view2 {
+            self.views2.checkin(p2, view2);
+        }
+        error.map_or(Ok(()), Err)
+    }
+
+    /// One first object `o1` of [`sweep_semi_leaves`](Self::sweep_semi_leaves)
+    /// against the second leaf's `entries`:
+    /// `col` holds them sorted by their low end on axis `ax`, and `width` is
+    /// the widest entry's extent on it. The walk starts where `o1` sits and
+    /// each step takes the next entry on the side with the smaller gap on
+    /// the axis — a lower bound on MINDIST, exact on the high side and taken
+    /// through the widest entry on the low side — so once that gap exceeds
+    /// the best bound so far, both sides are done. Then `o1` is tightened to
+    /// the best Local bound, and the entries within its bound are pushed in
+    /// entry order, as the second-side Local pass pushes them.
+    fn sweep_object(
+        &mut self,
+        o1: Item<D>,
+        ax: usize,
+        width: f64,
+        col: &[(f64, usize)],
+        entries: &[IndexEntry<D>],
+    ) {
+        let keys = self.keys;
+        let limit = self
+            .semi
+            .as_ref()
+            .and_then(|s| s.bound_for(o1.identity()))
+            .unwrap_or(f64::INFINITY);
+        let mut cands = std::mem::take(&mut self.scratch_cands);
+        let r1 = *o1.rect();
+        let (lo1, hi1) = (r1.lo()[ax], r1.hi()[ax]);
+        let mut right = col.partition_point(|&(lo2, _)| lo2 < lo1);
+        let mut left = right;
+        let mut best = f64::INFINITY;
+        cands.clear();
+        loop {
+            let gap_right = col.get(right).map(|&(lo2, _)| lo2 - hi1);
+            let gap_left = left.checked_sub(1).map(|l| lo1 - col[l].0 - width);
+            let (gap, go_right) = match (gap_left, gap_right) {
+                (None, None) => break,
+                (Some(gl), Some(gr)) => {
+                    if gr <= gl {
+                        (gr, true)
+                    } else {
+                        (gl, false)
+                    }
+                }
+                (Some(gl), None) => (gl, false),
+                (None, Some(gr)) => (gr, true),
+            };
+            if gap > 0.0 && keys.axis_gap_exceeds(gap, limit.min(best)) {
+                break;
+            }
+            let i = if go_right {
+                right += 1;
+                col[right - 1].1
+            } else {
+                left -= 1;
+                col[left].1
+            };
+            let o2 = Self::child_item(&entries[i]);
+            self.stats.distance_calcs += 1;
+            let mind = keys.mindist_rect_rect(o2.rect(), &r1);
+            // A Local bound is at least the MINDIST: past the bound so far,
+            // the entry can neither lower it nor be pushed.
+            if mind > limit.min(best) {
+                self.stats.pruned_by_dmax += 1;
+                continue;
+            }
+            best = best.min(self.semi_dmax_bound(&Pair::new(o1, o2)));
+            cands.push((i, mind));
+        }
+        self.tighten_bound(o1.identity(), best);
+        let effective = limit.min(best);
+        cands.sort_unstable_by_key(|&(i, _)| i);
+        for &(i, mind) in &cands {
+            if mind > effective {
+                self.stats.pruned_by_dmax += 1;
+                continue;
+            }
+            self.consider(Pair::new(o1, Self::child_item(&entries[i])), Some(mind));
+        }
+        self.scratch_cands = cands;
     }
 
     /// Reports the pair `(o1, o2)` whose distance key is `key`, updating
@@ -2020,6 +2303,9 @@ where
                 let (l1, l2) = (*l1, *l2);
                 match self.config.traversal {
                     TraversalPolicy::Basic => self.expand_one(&pair, true)?,
+                    TraversalPolicy::Even if self.sweeps_semi_leaves(l1, l2) => {
+                        self.sweep_semi_leaves(&pair)?;
+                    }
                     TraversalPolicy::Even if l1 == l2 && self.sweeps_equal_levels(&pair) => {
                         self.expand_both(&pair)?;
                     }

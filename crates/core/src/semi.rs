@@ -8,7 +8,7 @@
 //! first-item's nearest-partner distance prune the queue
 //! ([`DmaxStrategy`]).
 
-use crate::idhash::IdHashMap;
+use crate::idhash::{IdHashMap, IdHashSet};
 use crate::pair::ItemId;
 
 /// Where already-reported first objects are filtered out (§4.2.1, Figure 9).
@@ -40,7 +40,11 @@ pub enum DmaxStrategy {
     /// `Local`, plus a global table of the smallest known `d_max` for every
     /// *node* of the first index, inherited by its children.
     GlobalNodes,
-    /// `GlobalNodes`, plus the same table for first-index objects.
+    /// `GlobalNodes`, plus the same table for first-index objects. Because
+    /// every object keeps its bound, a leaf/leaf pair is opened on both
+    /// sides at once: each first object's nearest partner in the second leaf
+    /// comes from one plane-sweep pass, instead of from an (object, leaf)
+    /// pair queued per object that opens the second leaf again when popped.
     GlobalAll,
 }
 
@@ -53,46 +57,56 @@ pub struct SemiConfig {
     pub dmax: DmaxStrategy,
 }
 
-/// A growable bit set over object ids — the paper's "bit string
-/// representation" of the reported set `S` (§3.2).
+/// The reported set `S` over object ids, in the paper's "bit string
+/// representation" (§3.2) for the ids below the relation's size and a hash
+/// set for any larger id, so a sparse id costs one entry rather than a bit
+/// string reaching up to it.
 #[derive(Clone, Debug, Default)]
 pub struct SeenSet {
     bits: Vec<u64>,
+    sparse: IdHashSet<u64>,
     len: usize,
 }
 
 impl SeenSet {
-    /// Creates an empty set with capacity hints for `n` object ids.
+    /// Creates an empty set keeping ids below `n` as bits.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         Self {
             bits: vec![0; n.div_ceil(64)],
+            sparse: IdHashSet::default(),
             len: 0,
         }
+    }
+
+    /// The bit-string word and mask of `oid`, when it is below the bits'
+    /// range.
+    fn bit(&self, oid: u64) -> Option<(usize, u64)> {
+        let word = usize::try_from(oid / 64).ok()?;
+        (word < self.bits.len()).then_some((word, 1 << (oid % 64)))
     }
 
     /// True if `oid` has been inserted.
     #[must_use]
     pub fn contains(&self, oid: u64) -> bool {
-        let word = (oid / 64) as usize;
-        self.bits
-            .get(word)
-            .is_some_and(|w| w & (1 << (oid % 64)) != 0)
+        match self.bit(oid) {
+            Some((word, mask)) => self.bits[word] & mask != 0,
+            None => self.sparse.contains(&oid),
+        }
     }
 
     /// Inserts `oid`; returns true if it was new.
     pub fn insert(&mut self, oid: u64) -> bool {
-        let word = (oid / 64) as usize;
-        if word >= self.bits.len() {
-            self.bits.resize(word + 1, 0);
-        }
-        let mask = 1 << (oid % 64);
-        if self.bits[word] & mask != 0 {
-            return false;
-        }
-        self.bits[word] |= mask;
-        self.len += 1;
-        true
+        let new = match self.bit(oid) {
+            Some((word, mask)) => {
+                let new = self.bits[word] & mask == 0;
+                self.bits[word] |= mask;
+                new
+            }
+            None => self.sparse.insert(oid),
+        };
+        self.len += usize::from(new);
+        new
     }
 
     /// Number of inserted ids.
@@ -106,6 +120,13 @@ impl SeenSet {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Heap bytes held: the bit string plus the hash set's buckets.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
+            + self.sparse.capacity() * (std::mem::size_of::<u64>() + 1)
+    }
 }
 
 /// Mutable semi-join state carried by the join iterator.
@@ -113,17 +134,50 @@ pub(crate) struct SemiState {
     pub config: SemiConfig,
     /// Objects of the first relation already reported (the paper's `S`).
     pub seen: SeenSet,
-    /// Smallest known nearest-partner upper bound per first-index item
-    /// (`GlobalNodes` keeps nodes only; `GlobalAll` also objects).
-    pub bounds: IdHashMap<ItemId, f64>,
+    /// `GlobalAll`'s object bounds as a column indexed by object id, for
+    /// the ids below the first relation's size (+∞ = none yet). Empty under
+    /// every other strategy.
+    object_bounds: Vec<f64>,
+    /// Smallest known nearest-partner upper bound for every other tracked
+    /// first-index item: nodes, and objects whose id lies beyond the column.
+    bounds: IdHashMap<ItemId, f64>,
 }
 
 impl SemiState {
     pub fn new(config: SemiConfig, first_len: usize) -> Self {
+        let column = if matches!(config.dmax, DmaxStrategy::GlobalAll) {
+            first_len
+        } else {
+            0
+        };
         Self {
             config,
             seen: SeenSet::with_capacity(first_len),
+            object_bounds: vec![f64::INFINITY; column],
             bounds: IdHashMap::default(),
+        }
+    }
+
+    /// Does the strategy keep a bound per object (`GlobalAll`)?
+    pub fn bounds_objects(&self) -> bool {
+        matches!(self.config.dmax, DmaxStrategy::GlobalAll)
+    }
+
+    /// Whether the strategy keeps a bound for `item1`.
+    fn tracks(&self, item1: ItemId) -> bool {
+        matches!(
+            (self.config.dmax, item1),
+            (DmaxStrategy::GlobalNodes, ItemId::Node(_)) | (DmaxStrategy::GlobalAll, _)
+        )
+    }
+
+    /// `item1`'s cell in the object-bound column, if it has one.
+    fn column_index(&self, item1: ItemId) -> Option<usize> {
+        match item1 {
+            ItemId::Object(oid) => usize::try_from(oid)
+                .ok()
+                .filter(|&i| i < self.object_bounds.len()),
+            ItemId::Node(_) => None,
         }
     }
 
@@ -142,11 +196,12 @@ impl SemiState {
     /// distances under the default Euclidean configuration): the engine
     /// stores and compares them against MINDIST keys without conversion.
     pub fn bound_for(&self, item1: ItemId) -> Option<f64> {
-        match (self.config.dmax, item1) {
-            (DmaxStrategy::GlobalNodes, ItemId::Node(_)) | (DmaxStrategy::GlobalAll, _) => {
-                self.bounds.get(&item1).copied()
-            }
-            _ => None,
+        if !self.tracks(item1) {
+            return None;
+        }
+        match self.column_index(item1) {
+            Some(i) => Some(self.object_bounds[i]).filter(|b| b.is_finite()),
+            None => self.bounds.get(&item1).copied(),
         }
     }
 
@@ -154,27 +209,18 @@ impl SemiState {
     /// when the stored bound actually changed (a new entry, or a strictly
     /// tighter one) — the join counts these as `d_max` tightenings.
     pub fn update_bound(&mut self, item1: ItemId, bound: f64) -> bool {
-        let tracked = matches!(
-            (self.config.dmax, item1),
-            (DmaxStrategy::GlobalNodes, ItemId::Node(_)) | (DmaxStrategy::GlobalAll, _)
-        );
-        if !tracked || !bound.is_finite() {
+        if !self.tracks(item1) || !bound.is_finite() {
             return false;
         }
-        match self.bounds.entry(item1) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if bound < *e.get() {
-                    *e.get_mut() = bound;
-                    true
-                } else {
-                    false
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(bound);
-                true
-            }
+        let stored = match self.column_index(item1) {
+            Some(i) => &mut self.object_bounds[i],
+            None => self.bounds.entry(item1).or_insert(f64::INFINITY),
+        };
+        let tighter = bound < *stored;
+        if tighter {
+            *stored = bound;
         }
+        tighter
     }
 
     /// Uses `Local` (or stronger) bounding during expansion?
@@ -218,6 +264,22 @@ mod tests {
     }
 
     #[test]
+    fn seen_set_keeps_sparse_ids_in_a_hash_set() {
+        let mut s = SeenSet::with_capacity(100);
+        for oid in [7, 1 << 33, 1 << 40] {
+            assert!(s.insert(oid));
+            assert!(!s.insert(oid));
+        }
+        for oid in [7, 1 << 33, 1 << 40] {
+            assert!(s.contains(oid));
+        }
+        assert!(!s.contains(8));
+        assert!(!s.contains((1 << 33) + 1));
+        assert_eq!(s.len(), 3);
+        assert!(s.heap_bytes() < 1 << 20, "{} heap bytes", s.heap_bytes());
+    }
+
+    #[test]
     fn bound_tracking_respects_strategy() {
         let mut st = SemiState::new(
             SemiConfig {
@@ -247,6 +309,17 @@ mod tests {
         );
         st.update_bound(ItemId::Object(7), 2.5);
         assert_eq!(st.bound_for(ItemId::Object(7)), Some(2.5));
+        assert!(!st.update_bound(ItemId::Object(7), 3.0), "never loosens");
+        assert!(st.update_bound(ItemId::Object(7), 1.5));
+        assert_eq!(st.bound_for(ItemId::Object(7)), Some(1.5));
+        // Ids past the column (sparse or beyond the relation) and nodes
+        // keep their bounds in the table.
+        assert_eq!(st.bound_for(ItemId::Object(1 << 40)), None);
+        assert!(st.update_bound(ItemId::Object(1 << 40), 4.0));
+        assert_eq!(st.bound_for(ItemId::Object(1 << 40)), Some(4.0));
+        assert!(st.update_bound(ItemId::Node(7), 6.0));
+        assert_eq!(st.bound_for(ItemId::Node(7)), Some(6.0));
+        assert_eq!(st.bound_for(ItemId::Object(8)), None);
     }
 
     #[test]

@@ -714,6 +714,11 @@ fn estimator_slots_survive_every_queue_backend() {
         uniform_points(600, &unit_box(), 54),
     );
     let (t5, t6) = (build_tree(&e, 8), build_tree(&f, 8));
+    let (g, h) = (
+        uniform_points(4_000, &unit_box(), 51),
+        uniform_points(4_000, &unit_box(), 52),
+    );
+    let (t7, t8) = (build_tree(&g, 8), build_tree(&h, 8));
     let backends = [
         (QueueBackend::Memory, QueueLayout::FlatDary),
         (QueueBackend::Memory, QueueLayout::Pairing),
@@ -739,20 +744,28 @@ fn estimator_slots_survive_every_queue_backend() {
     // Every semi-join configuration with a pop-time filter (a `d_max`
     // strategy implies `Inside2`; `Outside` filters nothing at the pop),
     // unbounded and K-bounded. At K = 5 000, more than the first objects,
-    // the estimate never drops; K = 1 000 puts members in `M` that a pass
-    // must leave queued: one that dropped them would change these runs'
+    // the estimate never drops; a K below them puts members in `M` that a
+    // pass must leave queued: one that dropped them would change these runs'
     // counters. Without the global bounds a semi-join expands far more
     // node pairs (on the 1 500 × 1 500 trees `Inside1` enqueues about 40
     // times what `GlobalAll` does), so those run on 600 × 600 trees.
+    // `GlobalAll` sweeps its leaf pairs instead of queueing an (object,
+    // leaf) pair per first object: on the 1 500 × 1 500 trees at K = 1 000
+    // its queue peaks at 3 382 pairs, under the compaction floor of 4 096,
+    // so it runs on 4 000 × 4 000 trees, where K = 2 000 peaks near 7 000.
+    // (As `M` is never offered an (object, leaf) pair there, no `GlobalAll`
+    // run met so far queues a dead pair holding a member of `M`; `Inside1`
+    // at K = 1 000 is the run that does.)
     let medium = ((&t5, &t6), None);
-    for (trees, filter, dmax) in [
-        (medium, SemiFilter::Inside1, DmaxStrategy::None),
-        (medium, SemiFilter::Inside2, DmaxStrategy::None),
-        (medium, SemiFilter::Inside2, DmaxStrategy::Local),
-        (large, SemiFilter::Inside2, DmaxStrategy::GlobalNodes),
-        (large, SemiFilter::Inside2, DmaxStrategy::GlobalAll),
+    let larger = ((&t7, &t8), None);
+    for (trees, filter, dmax, k_below) in [
+        (medium, SemiFilter::Inside1, DmaxStrategy::None, 1_000),
+        (medium, SemiFilter::Inside2, DmaxStrategy::None, 1_000),
+        (medium, SemiFilter::Inside2, DmaxStrategy::Local, 1_000),
+        (large, SemiFilter::Inside2, DmaxStrategy::GlobalNodes, 1_000),
+        (larger, SemiFilter::Inside2, DmaxStrategy::GlobalAll, 2_000),
     ] {
-        for k in [None, Some(1_000), Some(5_000)] {
+        for k in [None, Some(k_below), Some(5_000)] {
             queries.push((trees, EstimationBound::AllPairs, k, semi(filter, dmax)));
         }
     }
@@ -860,4 +873,68 @@ fn estimator_slots_survive_every_queue_backend() {
         }
     }
     assert!(discarded > 0, "no query compacted its queue");
+}
+
+/// A `GlobalAll` semi-join sweeps its leaf pairs; `GlobalNodes` expands them
+/// one side at a time, queueing an (object, leaf) pair per first object.
+/// Both must answer the same: on the 1 500 × 1 500 trees, unbounded, at
+/// K = 1 000 and within a `Dmax`, the two give the same number of results,
+/// the same distance sequence bit for bit, and the same first objects. The
+/// sweep opens each leaf pair once, so `GlobalAll` reads strictly fewer
+/// nodes and pops strictly fewer pairs; both account for every enqueued
+/// pair.
+#[test]
+fn global_all_leaf_sweep_agrees_with_one_sided_global_nodes() {
+    let a = uniform_points(1_500, &unit_box(), 51);
+    let b = uniform_points(1_500, &unit_box(), 52);
+    let (t1, t2) = (build_tree(&a, 8), build_tree(&b, 8));
+    let run = |config: JoinConfig, dmax| {
+        let semi = SemiConfig {
+            filter: SemiFilter::Inside2,
+            dmax,
+        };
+        let mut join = DistanceJoin::semi(&t1, &t2, config, semi);
+        let got: Vec<ResultPair> = join.by_ref().collect();
+        assert!(join.take_error().is_none());
+        let s = join.stats();
+        assert_eq!(
+            s.pairs_enqueued,
+            s.pairs_dequeued + s.pairs_discarded + s.queue_len,
+            "{dmax:?}: every enqueued pair is dequeued, discarded or queued"
+        );
+        (got, s)
+    };
+    for config in [
+        JoinConfig::default(),
+        JoinConfig::default().with_max_pairs(1_000),
+        JoinConfig::default().with_range(0.0, 0.02),
+    ] {
+        let what = format!("K={:?} Dmax={}", config.max_pairs, config.max_distance);
+        let (swept, s) = run(config, DmaxStrategy::GlobalAll);
+        let (one_sided, o) = run(config, DmaxStrategy::GlobalNodes);
+        assert!(s.sweep_expansions > 0, "{what}: GlobalAll never swept");
+        assert_eq!(o.sweep_expansions, 0, "{what}: GlobalNodes swept");
+        assert!(!swept.is_empty(), "{what}");
+        assert_eq!(swept.len(), one_sided.len(), "{what}");
+        let bits = |r: &[ResultPair]| r.iter().map(|p| p.distance.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&swept), bits(&one_sided), "{what}: distances");
+        let firsts = |r: &[ResultPair]| {
+            let mut ids: Vec<u64> = r.iter().map(|p| p.oid1.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(firsts(&swept), firsts(&one_sided), "{what}: first objects");
+        assert!(
+            s.node_accesses < o.node_accesses,
+            "{what}: node accesses {} vs {}",
+            s.node_accesses,
+            o.node_accesses
+        );
+        assert!(
+            s.pairs_dequeued < o.pairs_dequeued,
+            "{what}: pops {} vs {}",
+            s.pairs_dequeued,
+            o.pairs_dequeued
+        );
+    }
 }

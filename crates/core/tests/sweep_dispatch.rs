@@ -1,14 +1,19 @@
 //! The default traversal's expansion dispatch: under `Even`, an equal-level
 //! node pair of a plain ascending join is opened on both sides by the
 //! plane sweep while the known maximum distance is under half the narrower
-//! node's axis-0 extent, and on one side otherwise. Whichever expansion a
-//! pair gets, the stream must be the
+//! node's axis-0 extent, and on one side otherwise; a leaf/leaf pair of a
+//! `GlobalAll` semi-join is opened on both sides by the semi-join leaf
+//! sweep. Whichever expansion a pair gets, the stream must be the
 //! brute-force answer — checked here over random trees and every kind of
 //! restriction the dispatch reads or the sweep window depends on.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
 use sdj_baselines::nested_loop_topk;
-use sdj_core::{DistanceJoin, JoinConfig, ResultOrder, ResultPair, SemiConfig};
+use sdj_core::{
+    DistanceJoin, DmaxStrategy, JoinConfig, ResultOrder, ResultPair, SemiConfig, SemiFilter,
+};
 use sdj_geom::{Metric, Point, Rect};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 
@@ -128,6 +133,29 @@ fn run(t1: &RTree<2>, t2: &RTree<2>, case: &Case, config: JoinConfig) -> Vec<Res
     out
 }
 
+/// `K` as the case asks for it, against `all` possible results.
+fn k_of(case: &Case, all: usize) -> u64 {
+    match case.k {
+        KKind::One => 1,
+        KKind::Small(k) => k,
+        KKind::Huge => all as u64 + 7,
+    }
+}
+
+/// The case's restrictions as a join configuration, with `K`.
+fn restricted(case: &Case, k: u64) -> JoinConfig {
+    let (lo, hi) = (case.dmin.unwrap_or(0.0), case.dmax.unwrap_or(f64::INFINITY));
+    JoinConfig {
+        exclude_equal_ids: case.exclude_equal_ids,
+        ..JoinConfig::default().with_range(lo, hi).with_max_pairs(k)
+    }
+}
+
+const GLOBAL_ALL: SemiConfig = SemiConfig {
+    filter: SemiFilter::Inside2,
+    dmax: DmaxStrategy::GlobalAll,
+};
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -135,16 +163,9 @@ proptest! {
     fn default_stream_matches_nested_loop(case in arb_case()) {
         let (t1, t2) = (tree(&case.a, case.fanout), tree(&case.b, case.fanout));
         let all = case.a.len() * case.b.len();
-        let k = match case.k {
-            KKind::One => 1,
-            KKind::Small(k) => k,
-            KKind::Huge => all as u64 + 7,
-        };
+        let k = k_of(&case, all);
         let (lo, hi) = (case.dmin.unwrap_or(0.0), case.dmax.unwrap_or(f64::INFINITY));
-        let config = JoinConfig {
-            exclude_equal_ids: case.exclude_equal_ids,
-            ..JoinConfig::default().with_range(lo, hi).with_max_pairs(k)
-        };
+        let config = restricted(&case, k);
 
         // Brute force: every pair of admitted objects, closest first, then
         // the restrictions the baseline does not know about, then `K`.
@@ -185,9 +206,64 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// A `GlobalAll` semi-join, whose leaf pairs the leaf sweep opens, gives
+    /// every admitted first object its nearest qualifying partner — inside
+    /// `window2`, within `[Dmin, Dmax]`, not itself under
+    /// `exclude_equal_ids` — in distance order, cut at `K`. Tied distances
+    /// may order their objects differently, and at the `K` cut may pick
+    /// different ones.
+    #[test]
+    fn global_all_semi_join_matches_brute_force(case in arb_case()) {
+        let (t1, t2) = (tree(&case.a, case.fanout), tree(&case.b, case.fanout));
+        let k = k_of(&case, case.a.len());
+        let (lo, hi) = (case.dmin.unwrap_or(0.0), case.dmax.unwrap_or(f64::INFINITY));
+        let partners = relation(&case.b, &case.window2);
+        let distance = |o1: ObjectId, o2: ObjectId| {
+            Metric::Euclidean.distance(&case.a[o1.0 as usize], &case.b[o2.0 as usize])
+        };
+        let nearest: HashMap<ObjectId, f64> = relation(&case.a, &case.window1)
+            .into_iter()
+            .filter_map(|(o1, _)| {
+                partners
+                    .iter()
+                    .filter(|(o2, _)| !(case.exclude_equal_ids && o1 == *o2))
+                    .map(|(o2, _)| distance(o1, *o2))
+                    .filter(|d| *d >= lo && *d <= hi)
+                    .min_by(f64::total_cmp)
+                    .map(|d| (o1, d))
+            })
+            .collect();
+        let mut expected: Vec<f64> = nearest.values().copied().collect();
+        expected.sort_by(f64::total_cmp);
+        expected.truncate(k as usize);
+
+        let mut join = DistanceJoin::semi(&t1, &t2, restricted(&case, k), GLOBAL_ALL)
+            .with_windows(case.window1, case.window2);
+        let got: Vec<_> = join.by_ref().collect();
+        prop_assert!(join.take_error().is_none());
+        prop_assert_eq!(got.len(), expected.len());
+        let mut firsts = HashSet::new();
+        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            prop_assert!((g.distance - e).abs() < EPS, "rank {}: {} vs {}", i, g.distance, e);
+            prop_assert!(firsts.insert(g.oid1), "first object {:?} reported twice", g.oid1);
+            prop_assert!(partners.iter().any(|(o2, _)| *o2 == g.oid2), "partner outside window2");
+            prop_assert!((g.distance - distance(g.oid1, g.oid2)).abs() < EPS);
+            let want = nearest.get(&g.oid1).copied();
+            prop_assert!(
+                want.is_some_and(|d| (g.distance - d).abs() < EPS),
+                "object {:?}: {} vs nearest {:?}", g.oid1, g.distance, want
+            );
+            prop_assert!(i == 0 || got[i - 1].distance <= g.distance, "distances decreased");
+        }
+    }
+}
+
 /// The dispatch is read from engine state: a bound that is tight against
-/// the nodes' widths makes a plain ascending join sweep, and nothing else
-/// does.
+/// the nodes' widths makes a plain ascending join sweep, a `GlobalAll`
+/// semi-join sweeps its leaf pairs, and nothing else sweeps.
 #[test]
 fn sweep_expansions_follow_the_guard() {
     let a: Vec<_> = (0..300)
@@ -215,12 +291,29 @@ fn sweep_expansions_follow_the_guard() {
     let loose = JoinConfig::default().with_range(0.0, 6.0);
     assert_eq!(sweeps(DistanceJoin::new(&t1, &t2, loose), 50), 0);
     // Semi-joins keep their per-object pruning; descending runs key on
-    // MAXDIST. Both have a bound here and still never sweep.
-    let semi = DistanceJoin::semi(&t1, &t2, k_bounded, SemiConfig::default());
-    assert_eq!(sweeps(semi, 50), 0);
+    // MAXDIST. Both have a bound here and still never take the join's
+    // sweep. A `GlobalAll` semi-join, which stores a bound per first
+    // object, sweeps its leaf pairs; no other semi-join does.
+    let semi = |dmax| SemiConfig {
+        filter: SemiFilter::Inside2,
+        dmax,
+    };
+    for config in [k_bounded, JoinConfig::default()] {
+        let global_all = DistanceJoin::semi(&t1, &t2, config, GLOBAL_ALL);
+        assert!(sweeps(global_all, 50) > 0);
+        for semi in [
+            SemiConfig::default(),
+            semi(DmaxStrategy::None),
+            semi(DmaxStrategy::GlobalNodes),
+        ] {
+            assert_eq!(sweeps(DistanceJoin::semi(&t1, &t2, config, semi), 50), 0);
+        }
+    }
     let descending = JoinConfig {
         order: ResultOrder::Descending,
         ..ranged
     };
     assert_eq!(sweeps(DistanceJoin::new(&t1, &t2, descending), 50), 0);
+    let descending_semi = DistanceJoin::semi(&t1, &t2, descending, semi(DmaxStrategy::None));
+    assert_eq!(sweeps(descending_semi, 50), 0);
 }

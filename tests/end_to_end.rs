@@ -67,7 +67,9 @@ fn incremental_semijoin_agrees_with_nn_baseline() {
 /// A semi-join whose queue passes the compaction floor drops queued pairs
 /// its pop-time filters would drop (first objects already reported, keys
 /// above their first item's `d_max` bound) and still answers exactly the
-/// per-object nearest-neighbour baseline.
+/// per-object nearest-neighbour baseline. Under `GlobalAll` its leaf pairs
+/// are opened by the semi-join leaf sweep; both join orders are checked,
+/// the smaller relation outer and the larger.
 #[test]
 fn compacting_semijoin_agrees_with_nn_baseline() {
     let load = |points: Vec<Point<2>>| {
@@ -84,37 +86,43 @@ fn compacting_semijoin_agrees_with_nn_baseline() {
         filter: SemiFilter::Inside2,
         dmax: DmaxStrategy::GlobalAll,
     };
-    let mut join = DistanceJoin::semi(&tw, &tr, JoinConfig::default(), semi);
-    let mut got: Vec<(u64, f64)> = join.by_ref().map(|r| (r.oid1.0, r.distance)).collect();
-    assert!(join.take_error().is_none());
-    let stats = join.stats();
-    assert!(stats.pairs_discarded > 0, "the queue never compacted");
-    assert_eq!(
-        stats.pairs_enqueued,
-        stats.pairs_dequeued + stats.pairs_discarded + stats.queue_len,
-        "every enqueued pair is dequeued, discarded or still queued"
-    );
-    let mut want: Vec<(u64, f64)> = nn_semijoin(&tw, &tr, Metric::Euclidean)
-        .unwrap()
-        .iter()
-        .map(|p| (p.oid1.0, p.distance))
-        .collect();
-    assert!(
-        got.windows(2).all(|w| w[0].1 <= w[1].1),
-        "stream out of order"
-    );
-    got.sort_by_key(|p| p.0);
-    want.sort_by_key(|p| p.0);
-    assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(&want) {
-        assert_eq!(g.0, w.0);
+    for (name, t1, t2) in [("water x roads", &tw, &tr), ("roads x water", &tr, &tw)] {
+        let mut join = DistanceJoin::semi(t1, t2, JoinConfig::default(), semi);
+        let mut got: Vec<(u64, f64)> = join.by_ref().map(|r| (r.oid1.0, r.distance)).collect();
+        assert!(join.take_error().is_none(), "{name}");
+        let stats = join.stats();
+        assert!(stats.sweep_expansions > 0, "{name}: no leaf pair was swept");
         assert!(
-            (g.1 - w.1).abs() < 1e-9,
-            "object {}: {} vs {}",
-            g.0,
-            g.1,
-            w.1
+            stats.pairs_discarded > 0,
+            "{name}: the queue never compacted"
         );
+        assert_eq!(
+            stats.pairs_enqueued,
+            stats.pairs_dequeued + stats.pairs_discarded + stats.queue_len,
+            "{name}: every enqueued pair is dequeued, discarded or still queued"
+        );
+        let mut want: Vec<(u64, f64)> = nn_semijoin(t1, t2, Metric::Euclidean)
+            .unwrap()
+            .iter()
+            .map(|p| (p.oid1.0, p.distance))
+            .collect();
+        assert!(
+            got.windows(2).all(|w| w[0].1 <= w[1].1),
+            "{name}: stream out of order"
+        );
+        got.sort_by_key(|p| p.0);
+        want.sort_by_key(|p| p.0);
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.0, w.0, "{name}");
+            assert!(
+                (g.1 - w.1).abs() < 1e-9,
+                "{name}: object {}: {} vs {}",
+                g.0,
+                g.1,
+                w.1
+            );
+        }
     }
 }
 
