@@ -146,9 +146,9 @@ fn fig7(env: &Env, out: &mut dyn Write) -> io::Result<()> {
         variants.push(Variant::new(format!("MaxPair {k}"), config).up_to(k));
     }
     writeln!(out, "Figure 7: execution time (s), Water x Roads\n")?;
-    // No `assert_complete` here or in Figure 10: under squared keys, a
-    // MaxDist run can lose the pair that lies exactly at its cut-off.
-    sweep(env, &variants, &sweep_up_to(max), None).print_each(out, &variants, SECS)
+    let grid = sweep(env, &variants, &sweep_up_to(max), None);
+    grid.assert_complete();
+    grid.print_each(out, &variants, SECS)
 }
 
 /// Figure 8: execution time for storing the priority queue entirely in
@@ -274,6 +274,7 @@ fn fig10(env: &Env, out: &mut dyn Write) -> io::Result<()> {
         "Figure 10: distance semi-join (Local), Water semi-join Roads\n"
     )?;
     let grid = sweep(env, &variants, &semi_sweep(total, total), Some(total));
+    grid.assert_complete();
     grid.print_each(out, &variants, SECS)
 }
 

@@ -343,8 +343,8 @@ pub fn build(spec: &ReportSpec) -> Result<RunReport, String> {
         ("sweep_expansions".into(), stats.sweep_expansions),
     ];
     // Registry-side counters from pass 1 (expansions, results, and — when
-    // the bulk path ran — bulk.cells / bulk.cell_pairs_swept /
-    // bulk.pairs_deduped plus the plan.* choice counters).
+    // the bulk path ran — bulk.cells / bulk.cell_pairs_swept plus the
+    // plan.* choice counters).
     let snap1 = ctx1.registry.snapshot();
     for (name, value) in &snap1.counters {
         report.counters.push((name.clone(), *value));

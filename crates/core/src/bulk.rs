@@ -14,27 +14,31 @@
 //!    collected — no queue, no per-pair node re-reads.
 //! 2. **Grid partition**: a uniform grid over the union of the two root
 //!    regions, cell width derived from the `Dmax` restriction and the object
-//!    density (see [`BulkConfig`]). Left entries are replicated into every
-//!    cell their MBR overlaps; right entries into every cell their MBR
-//!    *expanded by `Dmax`* overlaps, so each cell is a self-contained join
-//!    problem: every qualifying pair co-occurs in at least one cell.
+//!    density (see [`BulkConfig`]). Each left entry is *assigned* to the one
+//!    cell holding its `lo` corner, on the finest level of the grid (cell
+//!    width doubled per level) whose cells are as wide as the entry. Each
+//!    right entry is replicated, on every level in use, into the cells
+//!    covering `[R.lo − r − E, R.hi + r]` per axis that hold left entries,
+//!    where `r` is the padded distance image of the `Dmax` key and `E` the
+//!    level's largest left extent on that axis (0 for points): every left
+//!    entry within `Dmax` of `R` has its `lo` corner in that range, so each
+//!    cell is a self-contained join problem.
 //! 3. **Per-cell plane sweep**: inside a cell, right entries are sorted by
 //!    `lo[0]` and each left entry scans only the window whose axis-0 gap can
 //!    stay within `Dmax` — the same sweep the incremental engine uses for
 //!    simultaneous node expansion, evaluated by the batched [`SoaRects`]
 //!    kernels in the configured key domain (no `sqrt`, and bit-identical
 //!    keys to the incremental path).
-//! 4. **Replicate-and-dedup**: a pair that co-occurs in several cells is
-//!    emitted only by its *owner* cell — the cell containing the reference
-//!    point `max(L.lo, min(L.hi, R.lo - Dmax))` (per axis). The reference
-//!    point is a pure function of the pair, lies in every cell range the
-//!    pair was replicated to, and belongs to exactly one cell, so the output
-//!    is an exact multiset without any cross-cell communication.
+//! 4. **No pair twice**: a left entry lives in exactly one cell, so a pair
+//!    is met in at most one cell — the one holding `L.lo` — and the output
+//!    is an exact multiset with no dedup test and no cross-cell
+//!    communication (arXiv 1908.11740's assignment to one tile).
 //!
 //! Cells share nothing — no queue, no bound, no locks — so
 //! [`BulkDistanceJoin::run_with_workers`] sweeps them on a pool of scoped
-//! workers that claim cells off one atomic cursor, sorts each cell's run, and
-//! k-way merges the runs into one distance-ordered stream. The pool joins
+//! workers that claim cells off one atomic cursor, sorts each worker's hits
+//! once, and k-way merges the workers' runs into one distance-ordered
+//! stream. The pool joins
 //! inside that call, before any result is handed out; with one worker the
 //! sweep runs inline on the caller's thread.
 //!
@@ -91,18 +95,23 @@ impl Default for BulkConfig {
 /// Counters specific to the bulk path, alongside the usual [`JoinStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BulkStats {
-    /// Total grid cells.
+    /// Total grid cells, over every grid level in use.
     pub cells: u64,
     /// Cells whose (left slice, right slice) pair was actually swept — both
     /// sides non-empty.
     pub cell_pairs_swept: u64,
-    /// Candidate pairs suppressed by the owner-cell dedup rule (each is a
-    /// replica encounter of a pair owned by another cell).
+    /// Always 0: each left entry lives in one cell, so no pair is met twice
+    /// and nothing is deduplicated. Kept only because the benchmark's
+    /// `core.bulk.dedup_share` reads it; it goes with ROADMAP items 1(e)/3.
     pub pairs_deduped: u64,
-    /// Left-entry replicas across cells (≥ left entry count).
+    /// Left entries placed in cells: exactly the left entry count, since
+    /// each is assigned to the one cell holding its `lo` corner.
     pub replicated1: u64,
-    /// Right-entry replicas across cells (≥ right entry count; grows with
-    /// `Dmax` relative to the cell width).
+    /// Right-entry replicas across cells: each right entry lands in every
+    /// cell that holds left entries and that a left partner's `lo` corner
+    /// can lie in, on every grid level in use, so this grows with `Dmax`
+    /// and each level's largest left extent relative to its cell width
+    /// (at most one cell).
     pub replicated2: u64,
     /// Candidates suppressed by the adaptive handoff's emission-watermark
     /// floor: pairs the incremental prefix already reported (key strictly
@@ -157,8 +166,6 @@ impl BulkHit {
 struct CellTally {
     /// MINDIST kernel evaluations performed.
     distance_calcs: u64,
-    /// Candidates suppressed by the owner-cell dedup rule.
-    deduped: u64,
     /// Candidates rejected by the `[Dmin, Dmax]` restriction.
     pruned_by_range: u64,
     /// Self-pairs dropped by `exclude_equal_ids`.
@@ -172,24 +179,18 @@ struct CellTally {
     swept: u64,
 }
 
-/// What one sweep worker hands back: each claimed cell's sorted run, keyed
-/// by the cell's position in the active-cell list, and the worker's
-/// counters.
-type WorkerSweep = (Vec<(usize, Vec<BulkHit>)>, CellTally);
-
-/// Reusable per-worker scratch for cell sweeps: sorted index slices, the
+/// Reusable per-worker scratch for cell sweeps: the sorted right slice, the
 /// struct-of-arrays window operand and the key column. One instance serves
 /// every cell a worker sweeps — the `ViewCache`/SoA buffer-reuse pattern of
 /// the incremental engine, so steady-state sweeping performs no allocation.
 #[derive(Debug, Default)]
 struct CellScratch<const D: usize> {
-    left: Vec<u32>,
     right: Vec<u32>,
     soa2: SoaRects<D>,
     keys_buf: Vec<f64>,
     /// Per-worker phase-span timer: every cell swept with this scratch
-    /// records Sweep/Kernel/Dedup spans, and its run sorting Merge spans,
-    /// into the context's shared set.
+    /// records Sweep/Kernel spans, and its run sorting Merge spans, into the
+    /// context's shared set.
     spans: Option<SpanTimer>,
 }
 
@@ -204,15 +205,32 @@ struct Grid<const D: usize> {
 }
 
 impl<const D: usize> Grid<D> {
-    /// A single-cell grid (used for empty inputs and unbounded `Dmax`).
-    fn single(origin: [f64; D]) -> Self {
+    /// A grid of `dims` cells of `width` from `origin`. An axis of one cell
+    /// is unbounded, so every entry fits it.
+    fn new(origin: [f64; D], mut width: [f64; D], dims: [usize; D]) -> Self {
+        let mut stride = [0usize; D];
+        let mut total = 1usize;
+        for a in 0..D {
+            stride[a] = total;
+            total *= dims[a];
+            if dims[a] == 1 {
+                width[a] = f64::INFINITY;
+            }
+        }
         Self {
             origin,
-            width: [f64::INFINITY; D],
-            dims: [1; D],
-            stride: [1; D],
-            total: 1,
+            width,
+            dims,
+            stride,
+            total,
         }
+    }
+
+    /// The same grid with every cell twice as wide, so repeated coarsening
+    /// ends in one unbounded cell.
+    fn coarser(&self) -> Self {
+        let dims = self.dims.map(|n| n.div_ceil(2));
+        Self::new(self.origin, self.width.map(|w| 2.0 * w), dims)
     }
 
     fn build(bbox: &Rect<D>, cell_width: f64) -> Self {
@@ -234,25 +252,14 @@ impl<const D: usize> Grid<D> {
                 }
             }
         }
-        let mut stride = [0usize; D];
-        let mut total = 1usize;
-        for a in 0..D {
-            stride[a] = total;
-            total *= dims[a];
-        }
-        Self {
-            origin: *bbox.lo(),
-            width,
-            dims,
-            stride,
-            total,
-        }
+        Self::new(*bbox.lo(), width, dims)
     }
 
     /// Cell coordinate of `x` along axis `a`, clamped into the grid. Cell
     /// indexing is monotone in `x` (subtraction, division and `floor` all
-    /// are), which the owner-cell dedup rule relies on. Non-finite inputs
-    /// (a `Dmax = ∞` expansion) saturate at the clamp.
+    /// are), which puts a left entry's one cell inside every replication
+    /// range that must reach it. Non-finite inputs (a `Dmax = ∞` expansion)
+    /// saturate at the clamp.
     fn cell_axis(&self, a: usize, x: f64) -> usize {
         if self.dims[a] == 1 {
             return 0;
@@ -264,11 +271,6 @@ impl<const D: usize> Grid<D> {
     /// The flat id of the cell with per-axis coordinates `c`.
     fn flat(&self, c: [usize; D]) -> usize {
         c.iter().zip(&self.stride).map(|(&ca, &sa)| ca * sa).sum()
-    }
-
-    /// Per-axis coordinates of flat cell `id`.
-    fn coords(&self, id: usize) -> [usize; D] {
-        std::array::from_fn(|a| (id / self.stride[a]) % self.dims[a])
     }
 
     /// Visits every cell overlapping the per-axis coordinate ranges
@@ -293,6 +295,18 @@ impl<const D: usize> Grid<D> {
     }
 }
 
+/// One level of the grid while [`BulkDistanceJoin::replicate`] places
+/// entries: level `k` is the grid coarsened `k` times.
+struct Level<const D: usize> {
+    grid: Grid<D>,
+    /// Largest extent per axis of the left entries placed on this level.
+    ext: [f64; D],
+    /// Id of the level's first cell; levels in use number theirs in turn.
+    first: usize,
+    /// Level 0 is always in use, a coarser one once a left entry is on it.
+    used: bool,
+}
+
 /// The bulk partition/plane-sweep distance join.
 ///
 /// Constructed from two [`SpatialIndex`]es (the trees are read once, during
@@ -308,8 +322,9 @@ pub struct BulkDistanceJoin<const D: usize> {
     keys: KeySpace,
     min_key: f64,
     max_key: f64,
-    /// `Dmax` in distance units — the geometric expansion radius.
-    dmax: f64,
+    /// The right side's replication radius: `max_key`'s distance image,
+    /// padded ([`replication_radius`]).
+    radius: f64,
     grid: Grid<D>,
     entries1: Vec<(ObjectId, Rect<D>)>,
     entries2: Vec<(ObjectId, Rect<D>)>,
@@ -400,14 +415,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
         I2: SpatialIndex<D> + ?Sized,
     {
         let mut spans = ctx.and_then(SpanTimer::from_context);
-        config.assert_valid();
-        if let Some(w) = bulk_config.cell_width {
-            assert!(
-                w.is_finite() && w > 0.0,
-                "forced cell width must be positive and finite"
-            );
-        }
-        let keys = config.key_space();
         let mut stats = JoinStats::default();
         let io_before = tree1.io_misses() + tree2.io_misses();
 
@@ -423,53 +430,12 @@ impl<const D: usize> BulkDistanceJoin<D> {
         }
         harvested?;
         stats.node_io = (tree1.io_misses() + tree2.io_misses()) - io_before;
-        assert!(
-            entries1.len() <= u32::MAX as usize && entries2.len() <= u32::MAX as usize,
-            "bulk join supports at most u32::MAX objects per side"
-        );
-
-        let dmax = config.max_distance;
-        let grid = if entries1.is_empty() || entries2.is_empty() {
-            Grid::single([0.0; D])
-        } else {
-            let bbox = match (tree1.root_region(), tree2.root_region()) {
-                (Ok(r1), Ok(r2)) => r1.union(&r2),
-                _ => joint_bbox(&entries1, &entries2),
-            };
-            let w = bulk_config.cell_width.unwrap_or_else(|| {
-                derived_cell_width(&bbox, dmax, entries1.len() + entries2.len(), &bulk_config)
-            });
-            Grid::build(&bbox, w)
-        };
-
-        let mut join = Self {
-            config,
-            bulk_config,
-            keys,
-            min_key: keys.to_key(config.min_distance),
-            max_key: keys.to_key(config.max_distance),
-            dmax,
-            grid,
-            entries1,
-            entries2,
-            cells1: Vec::new(),
-            cells2: Vec::new(),
-            active: Vec::new(),
-            floor_key: f64::NEG_INFINITY,
-            floor_ties: Vec::new(),
-            stats,
-            bulk: BulkStats::default(),
-            obs: ctx.cloned(),
-            base_rank: 0,
-            spans,
-        };
-        if let Some(t) = &mut join.spans {
-            t.enter(Phase::Replicate);
-        }
-        join.replicate();
-        if let Some(t) = &mut join.spans {
-            t.exit(Phase::Replicate);
-        }
+        let bbox = tree1
+            .root_region()
+            .and_then(|r1| Ok(r1.union(&tree2.root_region()?)));
+        let (bbox, hint) = (bbox.ok(), f64::INFINITY);
+        let mut join = Self::build(entries1, entries2, config, bulk_config, bbox, hint, ctx);
+        join.stats = stats;
         Ok(join)
     }
 
@@ -487,10 +453,9 @@ impl<const D: usize> BulkDistanceJoin<D> {
     /// * `max_key_hint` — the tightest maximum key the paused engine had
     ///   proven (query bound and estimator, [`crate::JoinFrontier::dmax_hint`]):
     ///   every result still owed lies within it, and everything above it
-    ///   is either out of range or was legitimately pruned. The geometric
-    ///   expansion radius (grid replication, owner-cell rule) is derived
-    ///   from it with a one-sided pad so the `sqrt` round-trip out of the
-    ///   key domain can never under-cover the exact key filter.
+    ///   is either out of range or was legitimately pruned. The right
+    ///   side's replication radius is derived from it exactly as in
+    ///   [`BulkDistanceJoin::new`] ([`replication_radius`]).
     ///
     /// `base_rank` is the number of results the incremental prefix emitted,
     /// so the ranks the run reports into `ctx` continue that stream.
@@ -510,7 +475,31 @@ impl<const D: usize> BulkDistanceJoin<D> {
         ctx: Option<&ObsContext>,
         base_rank: u64,
     ) -> Self {
-        let spans = ctx.and_then(SpanTimer::from_context);
+        let (bbox, hint) = (None, max_key_hint);
+        let mut join = Self::build(entries1, entries2, config, bulk_config, bbox, hint, ctx);
+        if let Some(wm) = floor {
+            join.floor_key = wm.key;
+            join.floor_ties = wm.ties.iter().map(|&(a, b)| (a.0, b.0)).collect();
+            join.floor_ties.sort_unstable();
+            join.floor_ties.dedup();
+        }
+        join.base_rank = base_rank;
+        join
+    }
+
+    /// What both constructors share once the entries are in hand: checks
+    /// the settings, takes the key range (capped at `max_key_hint`) and
+    /// the replication radius, lays the grid over `bbox` (the entries' joint
+    /// box when `None`) and places the entries ([`Phase::Replicate`]).
+    fn build(
+        entries1: Vec<(ObjectId, Rect<D>)>,
+        entries2: Vec<(ObjectId, Rect<D>)>,
+        config: JoinConfig,
+        bulk_config: BulkConfig,
+        bbox: Option<Rect<D>>,
+        max_key_hint: f64,
+        ctx: Option<&ObsContext>,
+    ) -> Self {
         config.assert_valid();
         if let Some(w) = bulk_config.cell_width {
             assert!(
@@ -523,60 +512,41 @@ impl<const D: usize> BulkDistanceJoin<D> {
             "bulk join supports at most u32::MAX objects per side"
         );
         let keys = config.key_space();
-        let max_key = keys.to_key(config.max_distance).min(max_key_hint);
-        // Geometric radius covering the key filter: pad the distance-domain
-        // image of the hint one-sided (sqrt of a squared key rounds to
-        // nearest, ≤ 1 ulp either way) so replication windows and the
-        // owner-cell reference point never exclude a pair the exact
-        // key-domain filter would keep.
-        let hint_dist = keys.to_distance(max_key_hint);
-        let padded = if hint_dist.is_finite() {
-            hint_dist + hint_dist * 1e-9 + f64::MIN_POSITIVE
-        } else {
-            hint_dist
-        };
-        let dmax = config.max_distance.min(padded);
+        let (min_key, max_key) = keys.range_keys(config.min_distance, config.max_distance);
+        let max_key = max_key.min(max_key_hint);
+        let radius = replication_radius(keys, max_key);
 
-        let grid = if entries1.is_empty() || entries2.is_empty() {
-            Grid::single([0.0; D])
+        // An empty side gets one cell: nothing will be swept.
+        let bbox = bbox.unwrap_or_else(|| joint_bbox(&entries1, &entries2));
+        let w = if entries1.is_empty() || entries2.is_empty() {
+            f64::INFINITY
         } else {
-            let bbox = joint_bbox(&entries1, &entries2);
-            let w = bulk_config.cell_width.unwrap_or_else(|| {
-                derived_cell_width(&bbox, dmax, entries1.len() + entries2.len(), &bulk_config)
-            });
-            Grid::build(&bbox, w)
+            bulk_config.cell_width.unwrap_or_else(|| {
+                let n = entries1.len() + entries2.len();
+                derived_cell_width(&bbox, config.max_distance.min(radius), n, &bulk_config)
+            })
         };
-
-        let (floor_key, mut floor_ties) = match floor {
-            Some(wm) => (
-                wm.key,
-                wm.ties.iter().map(|&(a, b)| (a.0, b.0)).collect::<Vec<_>>(),
-            ),
-            None => (f64::NEG_INFINITY, Vec::new()),
-        };
-        floor_ties.sort_unstable();
-        floor_ties.dedup();
 
         let mut join = Self {
             config,
             bulk_config,
             keys,
-            min_key: keys.to_key(config.min_distance),
+            min_key,
             max_key,
-            dmax,
-            grid,
+            radius,
+            grid: Grid::build(&bbox, w),
             entries1,
             entries2,
             cells1: Vec::new(),
             cells2: Vec::new(),
             active: Vec::new(),
-            floor_key,
-            floor_ties,
+            floor_key: f64::NEG_INFINITY,
+            floor_ties: Vec::new(),
             stats: JoinStats::default(),
             bulk: BulkStats::default(),
             obs: ctx.cloned(),
-            base_rank,
-            spans,
+            base_rank: 0,
+            spans: ctx.and_then(SpanTimer::from_context),
         };
         if let Some(t) = &mut join.spans {
             t.enter(Phase::Replicate);
@@ -588,39 +558,74 @@ impl<const D: usize> BulkDistanceJoin<D> {
         join
     }
 
-    /// Distributes both entry sets into the grid cells: left entries over
-    /// the cells their MBR overlaps, right entries over the cells their
-    /// `Dmax`-expanded MBR overlaps — widened by one cell per axis as
-    /// insurance against floating-point boundary rounding (the owner-cell
-    /// rule evaluates `R.lo - Dmax` with the same expression, so a pair's
-    /// owner always falls inside its replication ranges).
+    /// Distributes both entry sets into grid cells. Each left entry `L`
+    /// goes to the one cell holding its `lo` corner on the first level
+    /// (level 0 is the grid, each next one [`Grid::coarser`]) whose cells
+    /// are as wide as `L`. Each right entry `R` goes, on every level in use,
+    /// to the cells holding left entries among those covering `[R.lo − r −
+    /// E, R.hi + r]` per axis: `r` the padded radius, `E` the level's
+    /// largest left extent on the axis, one ulp up so it is never below a
+    /// real extent, and at most a cell. Every `L` within `Dmax` of `R` has
+    /// its `lo` corner in that range, also after rounding (each bound is a
+    /// rounded real value on the right side of a float `L.hi` or `L.lo`),
+    /// and `cell_axis` is monotone, so the pair meets in exactly `L`'s cell
+    /// (DESIGN §12).
     fn replicate(&mut self) {
-        let grid = &self.grid;
-        self.cells1 = std::iter::repeat_with(Vec::new).take(grid.total).collect();
-        self.cells2 = std::iter::repeat_with(Vec::new).take(grid.total).collect();
-        self.bulk.cells = grid.total as u64;
+        let level = |grid, used| Level {
+            grid,
+            ext: [0.0; D],
+            first: 0,
+            used,
+        };
+        let mut levels = vec![level(self.grid.clone(), true)];
+        let mut placed = Vec::with_capacity(self.entries1.len());
+        for (_, r) in &self.entries1 {
+            let mut k = 0;
+            while (0..D).any(|a| r.extent(a) > levels[k].grid.width[a]) {
+                k += 1;
+                if k == levels.len() {
+                    levels.push(level(levels[k - 1].grid.coarser(), false));
+                }
+            }
+            let level = &mut levels[k];
+            let c = std::array::from_fn(|a| {
+                level.ext[a] = level.ext[a].max(r.extent(a));
+                level.grid.cell_axis(a, r.lo()[a])
+            });
+            level.used = true;
+            placed.push((k, level.grid.flat(c)));
+        }
+        let mut total = 0;
+        for level in levels.iter_mut().filter(|l| l.used) {
+            level.first = total;
+            total += level.grid.total;
+            level.ext = level.ext.map(|e| if e > 0.0 { e.next_up() } else { e });
+        }
+        self.cells1 = std::iter::repeat_with(Vec::new).take(total).collect();
+        self.cells2 = std::iter::repeat_with(Vec::new).take(total).collect();
+        self.bulk.cells = total as u64;
 
-        for (i, (_, r)) in self.entries1.iter().enumerate() {
-            let lo = std::array::from_fn(|a| grid.cell_axis(a, r.lo()[a]));
-            let hi = std::array::from_fn(|a| grid.cell_axis(a, r.hi()[a]));
-            grid.for_each_cell(lo, hi, |c| {
-                self.cells1[c].push(i as u32);
-                self.bulk.replicated1 += 1;
-            });
+        for (i, (k, c)) in placed.into_iter().enumerate() {
+            self.cells1[levels[k].first + c].push(i as u32);
         }
-        let dmax = self.dmax;
+        self.bulk.replicated1 = self.entries1.len() as u64;
+        let radius = self.radius;
         for (i, (_, r)) in self.entries2.iter().enumerate() {
-            let lo = std::array::from_fn(|a| grid.cell_axis(a, r.lo()[a] - dmax).saturating_sub(1));
-            let hi = std::array::from_fn(|a| {
-                (grid.cell_axis(a, r.hi()[a] + dmax) + 1).min(grid.dims[a] - 1)
-            });
-            grid.for_each_cell(lo, hi, |c| {
-                self.cells2[c].push(i as u32);
-                self.bulk.replicated2 += 1;
-            });
+            for level in levels.iter().filter(|l| l.used) {
+                let (grid, ext) = (&level.grid, level.ext);
+                let lo = std::array::from_fn(|a| grid.cell_axis(a, r.lo()[a] - radius - ext[a]));
+                let hi = std::array::from_fn(|a| grid.cell_axis(a, r.hi()[a] + radius));
+                grid.for_each_cell(lo, hi, |c| {
+                    let c = level.first + c;
+                    if !self.cells1[c].is_empty() {
+                        self.cells2[c].push(i as u32);
+                        self.bulk.replicated2 += 1;
+                    }
+                });
+            }
         }
-        self.active = (0..grid.total)
-            .filter(|&c| !self.cells1[c].is_empty() && !self.cells2[c].is_empty())
+        self.active = (0..total)
+            .filter(|&c| !self.cells2[c].is_empty())
             .map(|c| c as u32)
             .collect();
     }
@@ -631,7 +636,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         self.stats
     }
 
-    /// Bulk-path counters (cells, sweeps, dedup suppressions, replicas).
+    /// Bulk-path counters (cells, sweeps, replicas).
     #[must_use]
     pub fn bulk_stats(&self) -> BulkStats {
         self.bulk
@@ -642,7 +647,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
         self.stats.distance_calcs += t.distance_calcs;
         self.stats.pruned_by_range += t.pruned_by_range;
         self.stats.filtered_self += t.filtered_self;
-        self.bulk.pairs_deduped += t.deduped;
         self.bulk.below_watermark += t.below_watermark;
         self.bulk.cell_pairs_swept += t.swept;
     }
@@ -686,17 +690,13 @@ impl<const D: usize> BulkDistanceJoin<D> {
             scratch.soa2.push(r);
             max_width2 = max_width2.max(r.extent(0));
         }
-        scratch.left.clear();
-        scratch.left.extend_from_slice(left);
 
-        let cell_coords = self.grid.coords(cell);
         let max_key = self.max_key;
         let min_key = self.min_key;
         let floor_key = self.floor_key;
         let exclude_equal = self.config.exclude_equal_ids;
-        let dmax = self.dmax;
 
-        for &li in &scratch.left {
+        for &li in left {
             let (oid1, r1) = &entries1[li as usize];
             let e1_lo = r1.lo()[0];
             let e1_hi = r1.hi()[0];
@@ -734,28 +734,12 @@ impl<const D: usize> BulkDistanceJoin<D> {
                 t.exit(Phase::Kernel);
             }
             tally.distance_calcs += (end - start) as u64;
-            if let Some(t) = &mut scratch.spans {
-                t.enter(Phase::Dedup);
-            }
             for (w, &key) in (start..end).zip(&scratch.keys_buf) {
-                let ri = scratch.right[w];
-                let (oid2, r2) = &entries2[ri as usize];
-                // Owner-cell dedup: emit only from the cell holding the
-                // pair's reference point. The per-axis clamp into `r1`
-                // keeps the point inside the left replication range even
-                // when `R.lo - Dmax` rounds past `L.hi`.
-                let owned = (0..D).all(|a| {
-                    let p = r1.lo()[a].max(r1.hi()[a].min(r2.lo()[a] - dmax));
-                    self.grid.cell_axis(a, p) == cell_coords[a]
-                });
-                if !owned {
-                    tally.deduped += 1;
-                    continue;
-                }
                 if key > max_key || key < min_key {
                     tally.pruned_by_range += 1;
                     continue;
                 }
+                let oid2 = &entries2[scratch.right[w] as usize].0;
                 if key < floor_key
                     || (key == floor_key
                         && self.floor_ties.binary_search(&(oid1.0, oid2.0)).is_ok())
@@ -774,9 +758,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
                 });
                 tally.emitted += 1;
             }
-            if let Some(t) = &mut scratch.spans {
-                t.exit(Phase::Dedup);
-            }
         }
         if let Some(t) = &mut scratch.spans {
             t.exit(Phase::Sweep);
@@ -790,18 +771,19 @@ impl<const D: usize> BulkDistanceJoin<D> {
     }
 
     /// Sweeps every active cell over `workers` scoped threads — inline on
-    /// the caller's thread, with no spawn, when `workers ≤ 1` — then sorts
-    /// each cell's run, k-way merges the runs into one distance-ordered
-    /// result (ascending or descending per the config) truncated to
-    /// `max_pairs`, and pays the deferred `sqrt`. Workers claim cells off
-    /// one shared cursor and all join before the merge; the stream and every
-    /// counter are the same for any worker count. At most one worker per
-    /// active cell runs ([`BulkStats::sweep_workers`]).
+    /// the caller's thread, with no spawn, when `workers ≤ 1` — then k-way
+    /// merges the workers' sorted runs into one distance-ordered result
+    /// (ascending or descending per the config) truncated to `max_pairs`,
+    /// and pays the deferred `sqrt`. Workers claim cells off one shared
+    /// cursor and all join before the merge; the emission order is total,
+    /// so the stream and every counter are the same for any worker count.
+    /// At most one worker per active cell runs
+    /// ([`BulkStats::sweep_workers`]).
     ///
     /// Built with an [`ObsContext`], the run also records its phase spans,
-    /// one [`Event::WorkerFinished`] per worker, the `bulk.cells`,
-    /// `bulk.cell_pairs_swept` and `bulk.pairs_deduped` registry counters,
-    /// and the sampled [`Event::ResultReported`] ranks.
+    /// one [`Event::WorkerFinished`] per worker, the `bulk.cells` and
+    /// `bulk.cell_pairs_swept` registry counters, and the sampled
+    /// [`Event::ResultReported`] ranks.
     pub fn run_with_workers(&mut self, workers: usize) -> Vec<ResultPair> {
         let ascending = matches!(self.config.order, ResultOrder::Ascending);
         let workers = pool_size(workers, self.active.len());
@@ -821,14 +803,13 @@ impl<const D: usize> BulkDistanceJoin<D> {
             })
         };
 
-        // Runs go back into cell order, whichever worker swept them.
-        let mut runs = vec![Vec::new(); self.active.len()];
-        for (claimed, tally) in swept {
-            self.absorb_tally(&tally);
-            for (i, run) in claimed {
-                runs[i] = run;
-            }
-        }
+        let runs = swept
+            .into_iter()
+            .map(|(run, tally)| {
+                self.absorb_tally(&tally);
+                run
+            })
+            .collect();
         if let Some(t) = &mut self.spans {
             t.enter(Phase::Merge);
         }
@@ -841,41 +822,38 @@ impl<const D: usize> BulkDistanceJoin<D> {
             let counter = |name: &str, n: u64| ctx.registry.counter(name).add(n);
             counter("bulk.cells", self.bulk.cells);
             counter("bulk.cell_pairs_swept", self.bulk.cell_pairs_swept);
-            counter("bulk.pairs_deduped", self.bulk.pairs_deduped);
             report_ranks(ctx, self.base_rank, &results);
         }
         results
     }
 
     /// One sweep worker: claims active cells off `next` until none remain,
-    /// sweeping each into its own run sorted in emission order, then
-    /// announces itself finished as worker `worker`. Its scratch carries its
-    /// own span timer, so workers on any thread record into the same set.
-    fn sweep_worker(&self, worker: usize, next: &AtomicUsize, ascending: bool) -> WorkerSweep {
+    /// appending every cell's hits to one run that it sorts once into
+    /// emission order, then announces itself finished as worker `worker`.
+    /// Its scratch carries its own span timer, so workers on any thread
+    /// record into the same set.
+    fn sweep_worker(
+        &self,
+        worker: usize,
+        next: &AtomicUsize,
+        ascending: bool,
+    ) -> (Vec<BulkHit>, CellTally) {
         let mut scratch = CellScratch {
             spans: self.obs.as_ref().and_then(SpanTimer::from_context),
             ..CellScratch::default()
         };
-        let mut claimed = Vec::new();
+        let mut run = Vec::new();
         let mut tally = CellTally::default();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&cell) = self.active.get(i) else {
-                break;
-            };
-            let mut run = Vec::new();
+        while let Some(&cell) = self.active.get(next.fetch_add(1, Ordering::Relaxed)) {
             self.sweep_cell(cell as usize, &mut scratch, &mut run, &mut tally);
-            if !run.is_empty() {
-                // Per-cell run sorting is part of the merge work.
-                if let Some(t) = &mut scratch.spans {
-                    t.enter(Phase::Merge);
-                }
-                sort_run(&mut run, ascending);
-                if let Some(t) = &mut scratch.spans {
-                    t.exit(Phase::Merge);
-                }
-            }
-            claimed.push((i, run));
+        }
+        // Sorting the run is part of the merge work.
+        if let Some(t) = &mut scratch.spans {
+            t.enter(Phase::Merge);
+        }
+        run.sort_unstable_by_key(|h| h.sort_key(ascending));
+        if let Some(t) = &mut scratch.spans {
+            t.exit(Phase::Merge);
         }
         if let Some(ctx) = &self.obs {
             ctx.sink.emit(&Event::WorkerFinished {
@@ -883,7 +861,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
                 results: tally.emitted,
             });
         }
-        (claimed, tally)
+        (run, tally)
     }
 
     /// Converts hits to reported results, paying the deferred `sqrt` (once
@@ -925,6 +903,21 @@ impl<const D: usize> BulkDistanceJoin<D> {
     }
 }
 
+/// The right side's replication radius for the key filter `key ≤ max_key`:
+/// its distance image, padded one-sided so that every pair the filter keeps
+/// has every axis gap within it. The relative term absorbs the rounding of
+/// the kernel's axis gap, squares, sum and the `sqrt` back; the absolute
+/// term covers gaps below `sqrt(f64::MIN_POSITIVE)`, whose squares underflow
+/// and so lose relative precision (down to a key of 0).
+fn replication_radius(keys: KeySpace, max_key: f64) -> f64 {
+    let d = keys.to_distance(max_key);
+    if d.is_finite() {
+        d + d * 1e-9 + f64::MIN_POSITIVE.sqrt()
+    } else {
+        d
+    }
+}
+
 /// Workers a sweep over up to `threads` threads runs for `cells` active
 /// cells: never more than one per cell, never fewer than one.
 fn pool_size(threads: usize, cells: usize) -> usize {
@@ -946,17 +939,12 @@ fn report_ranks(ctx: &ObsContext, base: u64, results: &[ResultPair]) {
     }
 }
 
-/// Sorts one cell's run into the bulk path's deterministic emission order.
-fn sort_run(run: &mut [BulkHit], ascending: bool) {
-    run.sort_unstable_by_key(|h| h.sort_key(ascending));
-}
-
-/// K-way merges per-cell sorted runs (each ordered by [`sort_run`]) into a
-/// single ordered result, truncated to `max_pairs` if set. Runs must each be
-/// sorted; the merge holds one head per run — the classic tournament the
-/// parallel stream merge uses, minus the channels.
+/// K-way merges per-worker runs, each sorted by [`BulkHit::sort_key`], into
+/// a single ordered result, truncated to `max_pairs` if set. The merge holds
+/// one head per run — the classic tournament the parallel stream merge
+/// uses, minus the channels; a single run is only truncated.
 fn merge_sorted_runs(
-    runs: Vec<Vec<BulkHit>>,
+    mut runs: Vec<Vec<BulkHit>>,
     ascending: bool,
     max_pairs: Option<u64>,
 ) -> Vec<BulkHit> {
@@ -968,6 +956,11 @@ fn merge_sorted_runs(
 
     let total: usize = runs.iter().map(Vec::len).sum();
     let limit = max_pairs.map_or(total, |k| (k as usize).min(total));
+    if runs.len() == 1 {
+        let mut out = runs.pop().unwrap_or_default();
+        out.truncate(limit);
+        return out;
+    }
     let mut out = Vec::with_capacity(limit);
     let mut heap: BinaryHeap<Head> = runs
         .iter()
@@ -1020,7 +1013,8 @@ where
     Ok(())
 }
 
-/// Bounding box fallback when a root region is unavailable.
+/// The bounding box of both entry sets, when the trees' root regions are
+/// not at hand.
 fn joint_bbox<const D: usize>(e1: &[(ObjectId, Rect<D>)], e2: &[(ObjectId, Rect<D>)]) -> Rect<D> {
     let mut bbox = Rect::empty();
     for (_, r) in e1.iter().chain(e2) {
@@ -1118,33 +1112,133 @@ mod tests {
         tree
     }
 
+    /// A forced-width bulk run over `t1 × t2`, checked against the
+    /// incremental engine: the same multiset with bit-equal distances, each
+    /// left entry placed in exactly one cell, and no pair reported twice.
+    fn assert_assigned_once(t1: &RTree<2>, t2: &RTree<2>, config: JoinConfig, width: f64) {
+        let incremental: Vec<ResultPair> = DistanceJoin::new(t1, t2, config).collect();
+        let cells = BulkConfig {
+            cell_width: Some(width),
+            ..BulkConfig::default()
+        };
+        let mut bulk = BulkDistanceJoin::with_bulk_config(t1, t2, config, cells).unwrap();
+        let got = bulk.run();
+        let mut ids: Vec<(u64, u64)> = got.iter().map(|r| (r.oid1.0, r.oid2.0)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), got.len(), "a pair was reported twice");
+        assert_eq!(canon(incremental), canon(got), "width {width}");
+        assert_eq!(bulk.bulk_stats().replicated1, t1.len() as u64);
+        assert_eq!(bulk.bulk_stats().pairs_deduped, 0);
+    }
+
     #[test]
-    fn forced_tiny_cells_still_dedup_exactly() {
-        // Extended MBRs straddle the (deliberately tiny) cells, so left
-        // entries are replicated and the owner-cell rule must suppress the
-        // duplicate encounters.
+    fn forced_tiny_cells_assign_each_left_entry_once() {
+        // Extended MBRs straddle the (deliberately tiny) cells; each left
+        // entry still lives in the one cell holding its `lo` corner.
         let t1 = tree_of_boxes(&grid_points(64), 0.45);
         let t2 = tree_of(&grid_points(64));
+        assert_assigned_once(&t1, &t2, JoinConfig::default().with_range(0.0, 1.5), 0.6);
+    }
+
+    #[test]
+    fn a_left_entry_wider_than_a_cell_moves_to_a_coarser_level() {
+        // One left rectangle covers the whole data set: it lands on a level
+        // of one cell, where each right entry takes one more replica, and
+        // leaves the right entries' ranges on the fine grid as they were.
+        let points = grid_points(64);
+        let t2 = tree_of(&points);
         let config = JoinConfig::default().with_range(0.0, 1.5);
+        let cells = BulkConfig {
+            cell_width: Some(0.6),
+            ..BulkConfig::default()
+        };
+        let replicas = |t1: &RTree<2>| {
+            let bulk = BulkDistanceJoin::with_bulk_config(t1, &t2, config, cells).unwrap();
+            bulk.bulk_stats().replicated2
+        };
+        let mut t1 = tree_of(&points);
+        let alone = replicas(&t1);
+        t1.insert(ObjectId(64), Rect::new([0.0, 0.0], [7.0, 7.0]))
+            .unwrap();
+        assert_eq!(replicas(&t1), alone + t2.len() as u64);
+        assert_assigned_once(&t1, &t2, config, 0.6);
+    }
+
+    #[test]
+    fn pairs_at_exactly_dmax_are_met_across_cell_edges() {
+        let keys = KeySpace::squared(sdj_geom::Metric::Euclidean);
+        let at = |x: f64, y: f64| Rect::new([x, y], [x, y]);
+        // `L1.lo` has an odd mantissa, so a right point `x` just above 0 can
+        // have a gap that rounds down to its reported distance `d` and an
+        // `x + d` that rounds below `L1.lo`, while the pair's key passes the
+        // `Dmax = d` filter: the replication radius must be padded past `d`.
+        let l1 = Rect::new([1.0f64.next_up(), 0.1], [1.001, 0.101]);
+        let x = (1..64)
+            .map(|i| f64::from(i) * 2f64.powi(-54))
+            .find(|&x| {
+                let key = keys.mindist_rect_rect(&l1, &at(x, 0.1));
+                let d = keys.to_distance(key);
+                x + d < l1.lo()[0] && key <= keys.range_keys(0.0, d).1
+            })
+            .expect("some gap rounds down to a distance that falls short of it");
+        let d = keys.to_distance(keys.mindist_rect_rect(&l1, &at(x, 0.1)));
+        // `L2` spans many cells, so it sits on a coarser level of the grid.
+        // Right points sit at exactly `d` from it on both axes (right of
+        // `L2.hi` needs `E`), and the anchor at the origin and `(2, _)` fix
+        // the bounding box to `[0, 2] × [0, 1.8]`.
+        let l2 = Rect::new([0.25, 0.5], [0.75, 0.8]);
+        let left = [l1, l2, at(0.0, 0.1)];
+        let right = [
+            at(x, 0.1),
+            at(2.0, 0.1),
+            at(0.75 + d, 0.6),
+            at(0.5, 0.8 + d),
+        ];
+        let bbox = left
+            .iter()
+            .chain(&right)
+            .fold(Rect::empty(), |b, r| b.union(r));
+        // A forced width whose grid puts a cell edge between `x + d` and
+        // `L1.lo`, with cells wide enough to keep `L1` on that grid.
+        let width = (1..=512)
+            .map(|n| 2.0 / f64::from(n))
+            .find(|&w| {
+                let grid = Grid::<2>::build(&bbox, w);
+                grid.cell_axis(0, x + d) < grid.cell_axis(0, l1.lo()[0])
+                    && (0..2).all(|a| l1.extent(a) <= grid.width[a])
+            })
+            .expect("some grid splits `x + d` from `L1.lo`");
+        let build = |rects: &[Rect<2>]| {
+            let mut tree = RTree::new(RTreeConfig::small(4));
+            for (i, r) in rects.iter().enumerate() {
+                tree.insert(ObjectId(i as u64), *r).unwrap();
+            }
+            tree
+        };
+        let (t1, t2) = (build(&left), build(&right));
+        let config = JoinConfig::default().with_range(0.0, d);
         let incremental: Vec<ResultPair> = DistanceJoin::new(&t1, &t2, config).collect();
-        let mut bulk = BulkDistanceJoin::with_bulk_config(
-            &t1,
-            &t2,
-            config,
-            BulkConfig {
-                cell_width: Some(0.6),
-                ..BulkConfig::default()
-            },
-        )
-        .unwrap();
-        let got = bulk.run();
-        assert_eq!(canon(incremental), canon(got));
-        // Tiny cells force replication, hence duplicate suppression.
-        assert!(
-            bulk.bulk_stats().pairs_deduped > 0,
-            "{:?}",
-            bulk.bulk_stats()
-        );
+        for pair in [(0, 0), (1, 2), (1, 3)] {
+            assert!(
+                incremental.iter().any(|r| (r.oid1.0, r.oid2.0) == pair),
+                "{pair:?} is not at distance ≤ {d}"
+            );
+        }
+        for width in [width, 0.125, 0.25] {
+            assert_assigned_once(&t1, &t2, config, width);
+        }
+    }
+
+    #[test]
+    fn a_key_that_underflows_to_zero_still_meets_its_partner() {
+        // The gap 1e-170 squares to 0, so `Dmax = 0` keeps the pair
+        // (reported at distance 0) across 100 cells of width 1e-172.
+        let t1 = tree_of(&[(1e-170, 0.0)]);
+        let t2 = tree_of(&[(0.0, 0.0)]);
+        let config = JoinConfig::default().with_range(0.0, 0.0);
+        assert_eq!(DistanceJoin::new(&t1, &t2, config).count(), 1);
+        assert_assigned_once(&t1, &t2, config, 1e-172);
     }
 
     #[test]
@@ -1200,5 +1294,8 @@ mod tests {
         let merged = merge_sorted_runs(runs, false, Some(3));
         let got: Vec<f64> = merged.iter().map(|h| h.key).collect();
         assert_eq!(got, vec![4.0, 3.5, 2.0]);
+        let merged = merge_sorted_runs(vec![mk(&[0.5, 1.0, 2.0])], true, Some(2));
+        let got: Vec<f64> = merged.iter().map(|h| h.key).collect();
+        assert_eq!(got, vec![0.5, 1.0]);
     }
 }

@@ -251,9 +251,10 @@ where
     /// The key space every internal distance lives in (squared Euclidean by
     /// default); see the module docs.
     keys: KeySpace,
-    /// `config.min_distance` mapped into the key domain.
+    /// `config.min_distance` mapped into the key domain, rounded outward
+    /// ([`KeySpace::range_keys`]).
     min_key: f64,
-    /// `config.max_distance` mapped into the key domain.
+    /// `config.max_distance` mapped into the key domain, rounded outward.
     max_key: f64,
     queue: JoinQueue<D>,
     estimator: Option<Estimator>,
@@ -470,6 +471,7 @@ where
             SemiState::new(sc, tree1.len())
         });
         let keys = config.key_space();
+        let (min_key, max_key) = keys.range_keys(config.min_distance, config.max_distance);
         let estimator = match (config.max_pairs, config.order) {
             (Some(k), ResultOrder::Ascending) => Some(Estimator::new(
                 if semi.is_some() {
@@ -480,7 +482,7 @@ where
                 k,
                 // The estimator is domain-agnostic: it only compares and
                 // stores values the join feeds it, all of which are keys.
-                keys.to_key(config.max_distance),
+                max_key,
             )),
             _ => None,
         };
@@ -499,8 +501,8 @@ where
             oracle,
             config,
             keys,
-            min_key: keys.to_key(config.min_distance),
-            max_key: keys.to_key(config.max_distance),
+            min_key,
+            max_key,
             queue: JoinQueue::new(&config.queue, config.layout, keys),
             estimator,
             semi,

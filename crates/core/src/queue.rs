@@ -30,7 +30,7 @@
 use std::sync::Arc;
 
 use sdj_obs::Gauge;
-use sdj_pqueue::{Codec, FlatHeap, HybridQueue, KeyScale, PairingHeap};
+use sdj_pqueue::{Codec, FlatHeap, HybridQueue, PairingHeap};
 use sdj_storage::codec::{PageReader, PageWriter};
 use sdj_storage::DiskStats;
 
@@ -146,9 +146,8 @@ impl<const D: usize> JoinQueue<D> {
     /// domain. `layout` picks the memory backend's heap; the hybrid backend
     /// always runs the flat layout ([`crate::JoinConfig::validate`] refuses
     /// it any other). The hybrid backend's `D_T` is expressed in distance
-    /// units; its tier boundaries are mapped into the key domain via
-    /// [`KeyScale`], so the same config tiers identically under squared and
-    /// plain keys.
+    /// units; its tier boundaries are mapped into `keys`'s domain, so the
+    /// same config tiers identically under squared and plain keys.
     #[must_use]
     pub fn new(backend: &QueueBackend, layout: QueueLayout, keys: sdj_geom::KeySpace) -> Self {
         let backend = match (backend, layout) {
@@ -157,17 +156,10 @@ impl<const D: usize> JoinQueue<D> {
                 heap: FlatHeap::new(),
                 arena: ItemArena::new(),
             },
-            (QueueBackend::Hybrid(config), _) => {
-                let scale = if keys.is_squared() {
-                    KeyScale::Squared
-                } else {
-                    KeyScale::Identity
-                };
-                Backend::Hybrid {
-                    queue: Box::new(HybridQueue::new(config.with_key_scale(scale))),
-                    arena: ItemArena::new(),
-                }
-            }
+            (QueueBackend::Hybrid(config), _) => Backend::Hybrid {
+                queue: Box::new(HybridQueue::new(config.with_keys(keys))),
+                arena: ItemArena::new(),
+            },
         };
         Self {
             backend,

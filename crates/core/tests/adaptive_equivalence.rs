@@ -20,8 +20,8 @@ use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, ExpansionPath, JoinConfig, JoinCursor,
     QueueBackend,
 };
-use sdj_geom::{Metric, Rect};
-use sdj_pqueue::{HybridConfig, KeyScale};
+use sdj_geom::{KeySpace, Metric, Rect};
+use sdj_pqueue::HybridConfig;
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 use sdj_storage::{FaultConfig, FaultInjector};
 
@@ -58,7 +58,7 @@ fn hybrid_backend(dt: f64) -> QueueBackend {
         dt,
         page_size: 256,
         buffer_frames: 2,
-        key_scale: KeyScale::Squared,
+        keys: KeySpace::squared(Metric::Euclidean),
     })
 }
 

@@ -219,7 +219,8 @@ fn bulk_harvest_performs_zero_read_copies() {
 }
 
 /// Degenerate grids: a forced sliver-thin cell width exercises the
-/// per-axis cell-count cap and maximal replication; output must not change.
+/// per-axis cell-count cap and maximal right-side replication; output must
+/// not change, and each left entry still lives in exactly one cell.
 #[test]
 fn sliver_cells_match_default_grid() {
     let rects: Vec<Rect<2>> = (0..200)
@@ -257,8 +258,17 @@ fn sliver_cells_match_default_grid() {
         .iter()
         .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
         .collect();
+    let mut c: Vec<_> = DistanceJoin::new(&t1, &t2, config)
+        .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
+        .collect();
     a.sort_unstable();
     b.sort_unstable();
+    c.sort_unstable();
     assert_eq!(a, b);
-    assert!(sliver.bulk_stats().pairs_deduped > 0);
+    assert_eq!(b, c);
+    // Each left entry sits in one sliver cell, so no pair is met twice.
+    let mut ids: Vec<_> = b.iter().map(|&(_, o1, o2)| (o1, o2)).collect();
+    ids.dedup();
+    assert_eq!(ids.len(), b.len(), "a pair was reported twice");
+    assert_eq!(sliver.bulk_stats().replicated1, rects.len() as u64);
 }

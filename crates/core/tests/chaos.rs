@@ -17,8 +17,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use sdj_core::{DistanceJoin, JoinConfig, QueueBackend, SemiConfig};
 use sdj_datagen::tiger;
-use sdj_geom::Point;
-use sdj_pqueue::{HybridConfig, KeyScale};
+use sdj_geom::{KeySpace, Metric, Point};
+use sdj_pqueue::HybridConfig;
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 use sdj_storage::{FaultConfig, FaultInjector, StorageError};
 
@@ -44,7 +44,7 @@ fn hybrid_backend(dt: f64) -> QueueBackend {
         dt,
         page_size: 256,
         buffer_frames: 2,
-        key_scale: KeyScale::Squared,
+        keys: KeySpace::squared(Metric::Euclidean),
     })
 }
 

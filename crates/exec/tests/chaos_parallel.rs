@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use sdj_core::{DistanceJoin, JoinConfig, QueueBackend, SemiConfig};
 use sdj_exec::{ParallelConfig, ParallelDistanceJoin};
-use sdj_geom::Point;
-use sdj_pqueue::{HybridConfig, KeyScale};
+use sdj_geom::{KeySpace, Metric, Point};
+use sdj_pqueue::HybridConfig;
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 use sdj_storage::FaultConfig;
 
@@ -41,7 +41,7 @@ fn spilly_config() -> JoinConfig {
             dt: 0.05,
             page_size: 256,
             buffer_frames: 2,
-            key_scale: KeyScale::Squared,
+            keys: KeySpace::squared(Metric::Euclidean),
         }),
         ..JoinConfig::default()
     }

@@ -148,7 +148,7 @@ fn adaptive_handoff_keeps_one_rank_series() {
     };
     let bulk_counters = |ctx: &ObsContext| -> Vec<u64> {
         let snapshot = ctx.registry.snapshot();
-        ["bulk.cells", "bulk.cell_pairs_swept", "bulk.pairs_deduped"]
+        ["bulk.cells", "bulk.cell_pairs_swept"]
             .iter()
             .map(|name| snapshot.counter(name).unwrap_or(0))
             .collect()
@@ -186,6 +186,6 @@ fn adaptive_handoff_keeps_one_rank_series() {
     assert_eq!(
         bulk_counters(&ctx),
         pooled_counters,
-        "bulk.cells / cell_pairs_swept / pairs_deduped"
+        "bulk.cells / cell_pairs_swept"
     );
 }

@@ -284,6 +284,40 @@ impl KeySpace {
         }
     }
 
+    /// The key range of the closed distance range `[dmin, dmax]`, rounded
+    /// outward: `(min_key, max_key)` where `min_key` is the smallest key
+    /// whose [`KeySpace::to_distance`] is `≥ dmin` and `max_key` the largest
+    /// whose distance is `≤ dmax`. So a key `k` passes `min_key ≤ k ≤
+    /// max_key` exactly when the distance reported for it lies in `[dmin,
+    /// dmax]`. Plain [`KeySpace::to_key`] is `d * d`, which rounds below the
+    /// largest such key (or above the smallest) for about a quarter of
+    /// distances and so loses pairs lying exactly on a bound. `sqrt` is
+    /// monotone and correctly rounded, so the answer is `d * d` moved by a
+    /// few ulps. Identity domains return `(dmin, dmax)`.
+    #[must_use]
+    pub fn range_keys(self, dmin: f64, dmax: f64) -> (f64, f64) {
+        if !self.squared {
+            return (dmin, dmax);
+        }
+        let mut lo = dmin * dmin;
+        while lo > 0.0 && lo.next_down().sqrt() >= dmin {
+            lo = lo.next_down();
+        }
+        while lo.sqrt() < dmin {
+            lo = lo.next_up();
+        }
+        let mut hi = dmax * dmax;
+        if dmax.is_finite() {
+            while hi.sqrt() > dmax {
+                hi = hi.next_down();
+            }
+            while hi.next_up().sqrt() <= dmax {
+                hi = hi.next_up();
+            }
+        }
+        (lo, hi)
+    }
+
     /// Maps a key back to a distance. This is the *only* place a `sqrt` is
     /// paid in the squared domain.
     #[must_use]
@@ -738,6 +772,22 @@ mod tests {
         ) {
             let ks = KeySpace::squared(m);
             prop_assert_eq!(ks.axis_gap_exceeds(gap, ks.to_key(d)), gap > d);
+        }
+
+        /// `range_keys` is the exact key image of a closed distance range:
+        /// the bounds pass their own keys, and one ulp further out fails.
+        #[test]
+        fn range_keys_round_outward(m in arb_metric(), a in 0.0..50.0f64, b in 0.0..50.0f64) {
+            let ks = KeySpace::squared(m);
+            let (dmin, dmax) = (a.min(b), a.max(b));
+            let (lo, hi) = ks.range_keys(dmin, dmax);
+            prop_assert!(ks.to_distance(lo) >= dmin && ks.to_distance(hi) <= dmax);
+            prop_assert!(lo == 0.0 || ks.to_distance(lo.next_down()) < dmin);
+            prop_assert!(ks.to_distance(hi.next_up()) > dmax);
+            // Squaring a reported distance and feeding it back keeps it.
+            let d = ks.to_distance(ks.to_key(a));
+            let (lo, hi) = ks.range_keys(d, d);
+            prop_assert!(lo <= ks.to_key(a) && ks.to_key(a) <= hi);
         }
 
         /// MINMAXDIST point/rect agrees with a brute-force evaluation of the

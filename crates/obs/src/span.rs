@@ -57,8 +57,9 @@ use crate::ObsContext;
 ///
 /// Incremental engine: `QueuePop`, `QueuePush`, `Expand`, `Kernel`,
 /// `Sweep`, `Emit`. Hybrid queue: `Spill`, `Reload`. Buffer pool: `Io`.
-/// Bulk path: `Partition`, `Replicate`, `Sweep`, `Dedup`, `Merge`, `Emit`
-/// (`Kernel` nests inside `Sweep`). Parallel executor: `Merge`.
+/// Bulk path: `Partition`, `Replicate`, `Sweep`, `Merge`, `Emit` (`Kernel`
+/// nests inside `Sweep`). Semi-join pop filters: `Dedup`. Parallel
+/// executor: `Merge`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Phase {
@@ -84,9 +85,9 @@ pub enum Phase {
     Emit = 9,
     /// Bulk path: leaf harvest and grid partitioning.
     Partition = 10,
-    /// Bulk path: entry replication into overlapping cells.
+    /// Bulk path: entry assignment and replication into grid cells.
     Replicate = 11,
-    /// Duplicate filtering (bulk owner-cell test; semi-join seen-set).
+    /// Duplicate filtering (semi-join seen-set and pop filters).
     Dedup = 12,
 }
 

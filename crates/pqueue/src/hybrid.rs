@@ -13,11 +13,14 @@
 //! because the pour only ever lands in an empty heap.
 //!
 //! The window boundaries are maintained as an integer bucket counter
-//! (`D1 = w·D_T`, `D2 = (w+1)·D_T`) so repeated advancement cannot drift.
+//! (`D1 = w·D_T`, `D2 = (w+1)·D_T`) so repeated advancement cannot drift,
+//! and are mapped into the producer's key domain ([`HybridConfig::keys`])
+//! once per window move.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use sdj_geom::{KeySpace, Metric};
 use sdj_obs::{Event, EventSink, Gauge, LeafSpan, Registry, Tier};
 use sdj_storage::codec::{PageReader, PageWriter};
 use sdj_storage::{BufferPool, DiskStats, FaultInjector, PageId, Pager, PoolStats, StorageError};
@@ -34,58 +37,28 @@ const BUCKET_HEADER: usize = 6;
 /// so an unmarked header can only be corruption.
 const SPILL_V2_MARK: u16 = 0x8000;
 
-/// How queue keys relate to the distance units `D_T` is expressed in.
-///
-/// The join pushes *keys*, which under the sqrt-free Euclidean key domain
-/// are squared distances. `D_T` stays meaningful as a distance: the tier
-/// boundaries are mapped *into* key space (`D1 = (w·D_T)²`, `D2 =
-/// ((w+1)·D_T)²` under [`KeyScale::Squared`]), so `HybridConfig::default()`'s
-/// `dt: 1.0` selects the same physical window no matter which key domain the
-/// producer uses. The inverse map (one `sqrt` per key) is only evaluated on
-/// the spill path, where a disk write dominates it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KeyScale {
-    /// Keys are distances.
-    #[default]
-    Identity,
-    /// Keys are squared distances (the Euclidean squared-key domain).
-    Squared,
-}
-
-impl KeyScale {
-    /// Maps a distance into key space.
-    #[must_use]
-    pub fn to_key(self, d: f64) -> f64 {
-        match self {
-            Self::Identity => d,
-            Self::Squared => d * d,
-        }
-    }
-
-    /// Maps a key back to a distance (used only when bucketing spills).
-    #[must_use]
-    pub fn from_key(self, k: f64) -> f64 {
-        match self {
-            Self::Identity => k,
-            Self::Squared => k.sqrt(),
-        }
-    }
-}
-
 /// Configuration of a [`HybridQueue`].
 #[derive(Clone, Copy, Debug)]
 pub struct HybridConfig {
     /// The fixed distance increment `D_T` that sizes the in-memory window
     /// and the disk buckets. The paper chooses it per data set (§3.2).
-    /// Always expressed in *distance* units; [`HybridConfig::key_scale`]
+    /// Always expressed in *distance* units; [`HybridConfig::keys`]
     /// translates it into the key domain the producer pushes in.
     pub dt: f64,
     /// Page size of the spill area.
     pub page_size: usize,
     /// Buffer frames for the spill area.
     pub buffer_frames: usize,
-    /// The key domain of pushed keys (see [`KeyScale`]).
-    pub key_scale: KeyScale,
+    /// The key domain of pushed keys. The join pushes squared distances
+    /// under the Euclidean [`KeySpace::squared`] domain; `D_T` stays a
+    /// distance, and each tier boundary `w·D_T` is mapped into key space
+    /// as the smallest key whose distance is `≥ w·D_T`
+    /// ([`KeySpace::range_keys`]), so `dt: 1.0` selects the same physical
+    /// window in either domain. The boundaries are computed when the window
+    /// moves; a push only compares. Bucketing a spilled key maps it back
+    /// with [`KeySpace::to_distance`] (one `sqrt` under squared keys), on
+    /// the spill path only, where a page write dwarfs it.
+    pub keys: KeySpace,
 }
 
 impl Default for HybridConfig {
@@ -94,7 +67,7 @@ impl Default for HybridConfig {
             dt: 1.0,
             page_size: 1024,
             buffer_frames: 64,
-            key_scale: KeyScale::Identity,
+            keys: KeySpace::plain(Metric::Euclidean),
         }
     }
 }
@@ -109,10 +82,10 @@ impl HybridConfig {
         }
     }
 
-    /// Returns the configuration with its key scale replaced.
+    /// Returns the configuration with its key domain replaced.
     #[must_use]
-    pub fn with_key_scale(mut self, key_scale: KeyScale) -> Self {
-        self.key_scale = key_scale;
+    pub fn with_keys(mut self, keys: KeySpace) -> Self {
+        self.keys = keys;
         self
     }
 }
@@ -202,10 +175,15 @@ pub struct HybridQueue<K, V> {
     /// Resident bytes of the spill buffer pool (frames × page size).
     pool_bytes: usize,
     dt: f64,
-    scale: KeyScale,
+    keys: KeySpace,
     /// Window counter: in distance terms the heap covers `[0, w·dt)` and the
     /// list `[w·dt, (w+1)·dt)`; both boundaries are compared in key space.
+    /// Moved only by [`HybridQueue::set_window`], which keeps `d1`/`d2`.
     window: u64,
+    /// Lower tier boundary `w·dt`, in key space.
+    d1: f64,
+    /// Upper tier boundary `(w+1)·dt`, in key space.
+    d2: f64,
     records_per_page: usize,
     len: usize,
     max_len: usize,
@@ -241,21 +219,25 @@ where
         );
         let records_per_page = (config.page_size - BUCKET_HEADER) / Self::RECORD;
         let pool = BufferPool::new(Pager::new(config.page_size), config.buffer_frames);
-        Self {
+        let mut queue = Self {
             mem: FlatHeap::new(),
             buckets: BTreeMap::new(),
             pool,
             pool_bytes: config.page_size * config.buffer_frames,
             dt: config.dt,
-            scale: config.key_scale,
-            window: 1,
+            keys: config.keys,
+            window: 0,
+            d1: 0.0,
+            d2: 0.0,
             records_per_page,
             len: 0,
             max_len: 0,
             mem_peak: 0,
             stats: HybridStats::default(),
             obs: None,
-        }
+        };
+        queue.set_window(1);
+        queue
     }
 
     /// Attaches observability: every tier migration (spill, bucket reload,
@@ -359,23 +341,21 @@ where
         }
     }
 
-    /// Lower tier boundary, in key space.
-    fn d1(&self) -> f64 {
-        self.scale.to_key(self.window as f64 * self.dt)
-    }
-
-    /// Upper tier boundary, in key space.
-    fn d2(&self) -> f64 {
-        self.scale.to_key((self.window + 1) as f64 * self.dt)
+    /// Moves the window to `w` and maps its two boundaries into key space:
+    /// each is the smallest key whose distance is `≥` the boundary, so a
+    /// key sits at or above a boundary exactly when its distance does.
+    fn set_window(&mut self, w: u64) {
+        let boundary = |w: u64| self.keys.range_keys(w as f64 * self.dt, f64::INFINITY).0;
+        self.d1 = boundary(w);
+        self.d2 = boundary(w.saturating_add(1));
+        self.window = w;
     }
 
     fn bucket_index(&self, key: f64) -> u64 {
         debug_assert!(key >= 0.0);
         // `as` saturates, which handles +inf keys (pairs that can never
-        // produce results sort into the last bucket). Under a squared key
-        // scale this takes a sqrt, but only spilled elements pay it and the
-        // accompanying page write dwarfs it.
-        (self.scale.from_key(key) / self.dt) as u64
+        // produce results sort into the last bucket).
+        (self.keys.to_distance(key) / self.dt) as u64
     }
 
     fn spill(&mut self, key: K, value: V) -> sdj_storage::Result<()> {
@@ -549,7 +529,7 @@ where
                 let Some(&k) = self.buckets.keys().next() else {
                     return Ok(());
                 };
-                self.window = k;
+                self.set_window(k);
                 self.reload_bucket(k)?;
             }
             let drained = self.mem.promote_staged();
@@ -559,7 +539,7 @@ where
             }
             // Advance the window and pull the next bucket into the list.
             // (Saturating: +inf keys land in bucket u64::MAX.)
-            self.window = self.window.saturating_add(1);
+            self.set_window(self.window.saturating_add(1));
             self.reload_bucket(self.window)?;
             self.note_memory();
         }
@@ -577,9 +557,9 @@ where
     pub fn push(&mut self, key: K, value: V) -> sdj_storage::Result<()> {
         let d = key.distance();
         assert!(d >= 0.0, "distance keys must be non-negative");
-        if d < self.d1() {
+        if d < self.d1 {
             self.mem.push(key, value);
-        } else if d < self.d2() {
+        } else if d < self.d2 {
             self.mem.stage(key, value);
         } else {
             self.spill(key, value)?;
@@ -650,7 +630,7 @@ mod tests {
             dt,
             page_size: 128,
             buffer_frames: 4,
-            key_scale: KeyScale::Identity,
+            keys: KeySpace::plain(Metric::Euclidean),
         })
     }
 
@@ -761,16 +741,16 @@ mod tests {
     /// be identical between the two key scales.
     #[test]
     fn tier_boundaries_match_between_key_scales() {
-        let mk = |scale| {
+        let mk = |keys| {
             HybridQueue::<OrdF64, u64>::new(HybridConfig {
                 dt: 1.5,
                 page_size: 128,
                 buffer_frames: 4,
-                key_scale: scale,
+                keys,
             })
         };
-        let mut plain = mk(KeyScale::Identity);
-        let mut squared = mk(KeyScale::Squared);
+        let mut plain = mk(KeySpace::plain(Metric::Euclidean));
+        let mut squared = mk(KeySpace::squared(Metric::Euclidean));
         let mut rng = StdRng::seed_from_u64(7);
         let ds: Vec<f64> = (0..400).map(|_| rng.random_range(0.0..30.0)).collect();
         for (i, d) in ds.iter().enumerate() {
@@ -975,7 +955,7 @@ mod tests {
                 dt,
                 page_size: 256,
                 buffer_frames: 2,
-                key_scale: KeyScale::Identity,
+                keys: KeySpace::plain(Metric::Euclidean),
             });
             for (i, d) in ds.iter().enumerate() {
                 q.push(OrdF64::new(*d), i as u64).unwrap();
@@ -999,7 +979,7 @@ mod tests {
             dt in 0.1..20.0f64,
         ) {
             let mut q: HybridQueue<OrdF64, u64> = HybridQueue::new(
-                HybridConfig::with_dt(dt).with_key_scale(KeyScale::Squared),
+                HybridConfig::with_dt(dt).with_keys(KeySpace::squared(Metric::Euclidean)),
             );
             for (i, d) in ds.iter().enumerate() {
                 q.push(OrdF64::new(d * d), i as u64).unwrap();

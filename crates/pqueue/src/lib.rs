@@ -27,8 +27,8 @@
 //! pushes *squared* Euclidean distances (a monotone transform, so the pop
 //! order is unchanged); the [`HybridQueue`] is the one structure that
 //! interprets key magnitudes (its tier boundaries), so [`HybridConfig`]
-//! carries a [`KeyScale`] translating its distance-valued `D_T` into the
-//! producer's key domain.
+//! carries the producer's [`sdj_geom::KeySpace`] to translate its
+//! distance-valued `D_T` into that key domain.
 
 mod flat;
 mod hybrid;
@@ -36,6 +36,6 @@ mod pairing;
 mod traits;
 
 pub use flat::{FlatHeap, ARITY};
-pub use hybrid::{HybridConfig, HybridQueue, HybridStats, KeyScale, TierGauges};
+pub use hybrid::{HybridConfig, HybridQueue, HybridStats, TierGauges};
 pub use pairing::PairingHeap;
 pub use traits::{f64_from_order_bits, f64_order_bits, Codec, QueueKey};

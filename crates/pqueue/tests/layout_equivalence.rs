@@ -8,16 +8,16 @@
 //! the queue's length.
 
 use proptest::prelude::*;
-use sdj_geom::OrdF64;
+use sdj_geom::{KeySpace, Metric, OrdF64};
 use sdj_obs::Registry;
-use sdj_pqueue::{HybridConfig, HybridQueue, KeyScale, PairingHeap, TierGauges};
+use sdj_pqueue::{HybridConfig, HybridQueue, PairingHeap, TierGauges};
 
 fn queue(dt: f64, page_size: usize) -> HybridQueue<OrdF64, u64> {
     HybridQueue::new(HybridConfig {
         dt,
         page_size,
         buffer_frames: 2,
-        key_scale: KeyScale::Identity,
+        keys: KeySpace::plain(Metric::Euclidean),
     })
 }
 

@@ -22,8 +22,8 @@ use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, ConfigError, DistanceJoin, JoinConfig, PlanChoice,
     QueueBackend, QueueLayout, ResultOrder,
 };
-use sdj_geom::Rect;
-use sdj_pqueue::{HybridConfig, KeyScale};
+use sdj_geom::{KeySpace, Metric, Rect};
+use sdj_pqueue::HybridConfig;
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 use sdj_service::{drain_round_robin, JoinService, ServiceConfig, ServiceError, SessionConfig};
 
@@ -64,7 +64,7 @@ fn hybrid_backend() -> QueueBackend {
         dt: 0.2,
         page_size: 256,
         buffer_frames: 2,
-        key_scale: KeyScale::Squared,
+        keys: KeySpace::squared(Metric::Euclidean),
     })
 }
 

@@ -5,7 +5,8 @@ use incremental_distance_join::baselines::{nested_loop_topk, nn_semijoin, within
 use incremental_distance_join::datagen::tiger;
 use incremental_distance_join::geom::{Metric, Point};
 use incremental_distance_join::join::{
-    DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig, SemiConfig, SemiFilter,
+    BulkConfig, BulkDistanceJoin, DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig,
+    SemiConfig, SemiFilter,
 };
 use incremental_distance_join::query::{
     CmpOp, DistanceQuery, FilterPlacement, Predicate, Relation, Value,
@@ -138,6 +139,54 @@ fn incremental_range_join_agrees_with_within_baseline() {
     assert_eq!(incremental.len(), baseline.len());
     for (a, b) in incremental.iter().zip(&baseline) {
         assert!((a - b.distance).abs() < 1e-9);
+    }
+}
+
+/// The bulk partition/sweep path over overlapping rectangles (left extents
+/// above 0), on its derived grid and on a forced fine one: the same pairs
+/// as the within-distance baseline with bit-equal distances, the bound
+/// being a reported distance so the pair on it must survive, and each left
+/// entry assigned to exactly one cell.
+#[test]
+fn bulk_range_join_over_rectangles_agrees_with_within_baseline() {
+    let boxes = |points: &[Point<2>], half: f64| -> RTree<2> {
+        let items = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let (x, y) = (p.coord(0), p.coord(1));
+                let r = sdj_geom::Rect::new([x - half, y - half], [x + half, y + half]);
+                (ObjectId(i as u64), r)
+            })
+            .collect();
+        RTree::bulk_load(RTreeConfig::default(), items)
+    };
+    let t1 = boxes(&tiger::water_like(400, 3), 0.004);
+    let t2 = boxes(&tiger::roads_like(1_500, 3), 0.001);
+    let wide = within_join(&t1, &t2, Metric::Euclidean, 0.0, 0.01).unwrap();
+    let dmax = wide[wide.len() * 3 / 4].distance;
+    let mut want: Vec<(u64, u64, u64)> = within_join(&t1, &t2, Metric::Euclidean, 0.0, dmax)
+        .unwrap()
+        .iter()
+        .map(|p| (p.distance.to_bits(), p.oid1.0, p.oid2.0))
+        .collect();
+    want.sort_unstable();
+    assert!(want.iter().any(|&(d, ..)| d == dmax.to_bits()));
+    let config = JoinConfig::default().with_range(0.0, dmax);
+    for cell_width in [None, Some(0.003)] {
+        let cells = BulkConfig {
+            cell_width,
+            ..BulkConfig::default()
+        };
+        let mut bulk = BulkDistanceJoin::with_bulk_config(&t1, &t2, config, cells).unwrap();
+        let mut got: Vec<(u64, u64, u64)> = bulk
+            .run()
+            .iter()
+            .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "cell width {cell_width:?}");
+        assert_eq!(bulk.bulk_stats().replicated1, t1.len() as u64);
     }
 }
 
