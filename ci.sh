@@ -23,7 +23,8 @@ echo "==> cargo clippy (panic-free library tier)"
 # Fault injection must end in a typed error, never a panic: the crates a
 # faulted read or a hostile config passes through hold no unwrap/expect in
 # library code.
-cargo clippy -p sdj-obs -p sdj-storage -p sdj-pqueue -p sdj-core -p sdj-service -p sdj-query \
+cargo clippy -p sdj-geom -p sdj-obs -p sdj-storage -p sdj-pqueue -p sdj-core -p sdj-service \
+    -p sdj-query \
     --lib --no-deps --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 

@@ -42,23 +42,29 @@
 //! inside that call, before any result is handed out; with one worker the
 //! sweep runs inline on the caller's thread.
 //!
+//! The sort and the merge compare integers only: each hit carries the
+//! monotone `u64` order image of its key (complemented in descending runs)
+//! followed by its object ids, and the key is recovered from that image,
+//! bit for bit, when the result is reported.
+//!
 //! # Correctness contract
 //!
 //! The output is multiset-equal to the incremental engine's and reports
 //! bitwise-identical distances in the same order: final pair keys come from
 //! the same axis-major kernel fold as the engine's, and the single `sqrt`
 //! per reported pair is deferred exactly the same way. Equal-distance pairs
-//! are emitted in a deterministic (object-id) order that may differ from the
-//! incremental engine's tie order — the same contract the parallel
-//! executor's merged stream has. That order is a total order over the pairs,
-//! so the stream and every counter are the same for any worker count.
-//! `crates/core/tests/bulk_equivalence.rs` enforces these properties under
-//! proptest.
+//! are emitted in ascending `(oid1, oid2)` order, in both directions, which
+//! may differ from the incremental engine's tie order — the same contract
+//! the parallel executor's merged stream has. That order is a total order
+//! over the pairs, so the stream and every counter are the same for any
+//! worker count. `crates/core/tests/bulk_equivalence.rs` enforces these
+//! properties under proptest, and `tests/end_to_end.rs` pins the tie order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sdj_geom::{KeySpace, OrdF64, Rect, SoaRects};
+use sdj_geom::{KeySpace, Rect, SoaRects};
 use sdj_obs::{Event, ObsContext, Phase, SpanTimer};
+use sdj_pqueue::{f64_from_order_bits, f64_order_bits};
 use sdj_rtree::ObjectId;
 
 use crate::config::{JoinConfig, ResultOrder};
@@ -140,11 +146,19 @@ impl BulkStats {
     }
 }
 
-/// One qualifying pair in the key domain, before the deferred `sqrt`.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// One qualifying pair before the deferred `sqrt`, ordered for emission.
+///
+/// The derived order on `(image, oid1, oid2)` is the bulk path's emission
+/// order: distance first, in the run's direction, then object ids — the
+/// equal-distance tie order, ascending in both directions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct BulkHit {
-    /// The pair's distance key ([`JoinConfig::key_space`] domain).
-    key: f64,
+    /// Order image of the pair's key ([`JoinConfig::key_space`] domain):
+    /// [`f64_order_bits`] of the key, XOR the run's [`direction_mask`].
+    /// The map is monotone and equates -0.0 with +0.0, as a float compare
+    /// does; kernel keys are never -0.0 or NaN, so [`BulkHit::key`]
+    /// recovers each key bit for bit.
+    image: u64,
     /// Object from the first relation.
     oid1: ObjectId,
     /// Object from the second relation.
@@ -152,11 +166,34 @@ struct BulkHit {
 }
 
 impl BulkHit {
-    /// The deterministic merge key: distance first (negated for descending
-    /// runs), then object ids — the bulk path's equal-distance tie order.
-    fn sort_key(&self, ascending: bool) -> (OrdF64, u64, u64) {
-        let k = if ascending { self.key } else { -self.key };
-        (OrdF64::new(k), self.oid1.0, self.oid2.0)
+    /// The hit of pair `(oid1, oid2)` at `key`, in the direction `mask`.
+    fn new(key: f64, oid1: ObjectId, oid2: ObjectId, mask: u64) -> Self {
+        let hit = Self {
+            image: f64_order_bits(key) ^ mask,
+            oid1,
+            oid2,
+        };
+        debug_assert!(
+            !key.is_nan() && hit.key(mask).to_bits() == key.to_bits(),
+            "key {key:e} has no exact order image"
+        );
+        hit
+    }
+
+    /// The key this hit was made from, given the same `mask`.
+    fn key(&self, mask: u64) -> f64 {
+        f64_from_order_bits(self.image ^ mask)
+    }
+}
+
+/// XOR mask from a key's ascending order image to its image in a run of
+/// `order`: none for ascending runs; for descending runs the bitwise
+/// complement, which reverses the integer order. Negating the key instead
+/// would turn a 0.0 key into -0.0, whose `sqrt` is a -0.0 distance.
+fn direction_mask(order: ResultOrder) -> u64 {
+    match order {
+        ResultOrder::Ascending => 0,
+        ResultOrder::Descending => u64::MAX,
     }
 }
 
@@ -695,6 +732,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         let min_key = self.min_key;
         let floor_key = self.floor_key;
         let exclude_equal = self.config.exclude_equal_ids;
+        let mask = direction_mask(self.config.order);
 
         for &li in left {
             let (oid1, r1) = &entries1[li as usize];
@@ -751,11 +789,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
                     tally.filtered_self += 1;
                     continue;
                 }
-                out.push(BulkHit {
-                    key,
-                    oid1: *oid1,
-                    oid2: *oid2,
-                });
+                out.push(BulkHit::new(key, *oid1, *oid2, mask));
                 tally.emitted += 1;
             }
         }
@@ -785,16 +819,15 @@ impl<const D: usize> BulkDistanceJoin<D> {
     /// `bulk.cell_pairs_swept` registry counters, and the sampled
     /// [`Event::ResultReported`] ranks.
     pub fn run_with_workers(&mut self, workers: usize) -> Vec<ResultPair> {
-        let ascending = matches!(self.config.order, ResultOrder::Ascending);
         let workers = pool_size(workers, self.active.len());
         let next = AtomicUsize::new(0);
         let swept = if workers == 1 {
-            vec![self.sweep_worker(1, &next, ascending)]
+            vec![self.sweep_worker(1, &next)]
         } else {
             let (join, next) = (&*self, &next);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (1..=workers)
-                    .map(|w| scope.spawn(move || join.sweep_worker(w, next, ascending)))
+                    .map(|w| scope.spawn(move || join.sweep_worker(w, next)))
                     .collect();
                 handles
                     .into_iter()
@@ -813,7 +846,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         if let Some(t) = &mut self.spans {
             t.enter(Phase::Merge);
         }
-        let merged = merge_sorted_runs(runs, ascending, self.config.max_pairs);
+        let merged = merge_sorted_runs(runs, self.config.max_pairs);
         if let Some(t) = &mut self.spans {
             t.exit(Phase::Merge);
         }
@@ -832,12 +865,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
     /// emission order, then announces itself finished as worker `worker`.
     /// Its scratch carries its own span timer, so workers on any thread
     /// record into the same set.
-    fn sweep_worker(
-        &self,
-        worker: usize,
-        next: &AtomicUsize,
-        ascending: bool,
-    ) -> (Vec<BulkHit>, CellTally) {
+    fn sweep_worker(&self, worker: usize, next: &AtomicUsize) -> (Vec<BulkHit>, CellTally) {
         let mut scratch = CellScratch {
             spans: self.obs.as_ref().and_then(SpanTimer::from_context),
             ..CellScratch::default()
@@ -851,7 +879,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         if let Some(t) = &mut scratch.spans {
             t.enter(Phase::Merge);
         }
-        run.sort_unstable_by_key(|h| h.sort_key(ascending));
+        run.sort_unstable();
         if let Some(t) = &mut scratch.spans {
             t.exit(Phase::Merge);
         }
@@ -872,6 +900,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         }
         let keys = self.keys;
         let squared = keys.is_squared();
+        let mask = direction_mask(self.config.order);
         let mut out = Vec::with_capacity(hits.len());
         for h in hits {
             if squared {
@@ -881,7 +910,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
             out.push(ResultPair {
                 oid1: h.oid1,
                 oid2: h.oid2,
-                distance: keys.to_distance(h.key),
+                distance: keys.to_distance(h.key(mask)),
             });
         }
         if let Some(t) = &mut self.spans {
@@ -939,20 +968,16 @@ fn report_ranks(ctx: &ObsContext, base: u64, results: &[ResultPair]) {
     }
 }
 
-/// K-way merges per-worker runs, each sorted by [`BulkHit::sort_key`], into
-/// a single ordered result, truncated to `max_pairs` if set. The merge holds
+/// K-way merges per-worker runs, each sorted in [`BulkHit`] order, into a
+/// single ordered result, truncated to `max_pairs` if set. The merge holds
 /// one head per run — the classic tournament the parallel stream merge
 /// uses, minus the channels; a single run is only truncated.
-fn merge_sorted_runs(
-    mut runs: Vec<Vec<BulkHit>>,
-    ascending: bool,
-    max_pairs: Option<u64>,
-) -> Vec<BulkHit> {
+fn merge_sorted_runs(mut runs: Vec<Vec<BulkHit>>, max_pairs: Option<u64>) -> Vec<BulkHit> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    /// `(sort key, run index)` tournament entry.
-    type Head = Reverse<((OrdF64, u64, u64), usize)>;
+    /// `(head hit, run index)` tournament entry.
+    type Head = Reverse<(BulkHit, usize)>;
 
     let total: usize = runs.iter().map(Vec::len).sum();
     let limit = max_pairs.map_or(total, |k| (k as usize).min(total));
@@ -966,18 +991,17 @@ fn merge_sorted_runs(
         .iter()
         .enumerate()
         .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((r[0].sort_key(ascending), i)))
+        .map(|(i, r)| Reverse((r[0], i)))
         .collect();
     let mut cursors = vec![0usize; runs.len()];
     while out.len() < limit {
-        let Some(Reverse((_, i))) = heap.pop() else {
+        let Some(Reverse((hit, i))) = heap.pop() else {
             break;
         };
-        let pos = cursors[i];
-        out.push(runs[i][pos]);
-        cursors[i] = pos + 1;
-        if pos + 1 < runs[i].len() {
-            heap.push(Reverse((runs[i][pos + 1].sort_key(ascending), i)));
+        out.push(hit);
+        cursors[i] += 1;
+        if let Some(&next) = runs[i].get(cursors[i]) {
+            heap.push(Reverse((next, i)));
         }
     }
     out
@@ -1048,254 +1072,4 @@ fn derived_cell_width<const D: usize>(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::join::DistanceJoin;
-    use sdj_geom::Point;
-    use sdj_rtree::{RTree, RTreeConfig};
-
-    fn tree_of(points: &[(f64, f64)]) -> RTree<2> {
-        let mut tree = RTree::new(RTreeConfig::small(4));
-        for (i, &(x, y)) in points.iter().enumerate() {
-            tree.insert(ObjectId(i as u64), Point::xy(x, y).to_rect())
-                .unwrap();
-        }
-        tree
-    }
-
-    fn grid_points(n: usize) -> Vec<(f64, f64)> {
-        (0..n).map(|i| ((i % 8) as f64, (i / 8) as f64)).collect()
-    }
-
-    fn canon(mut v: Vec<ResultPair>) -> Vec<(u64, u64, u64)> {
-        let mut out: Vec<(u64, u64, u64)> = v
-            .drain(..)
-            .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    #[test]
-    fn bulk_matches_incremental_on_a_grid() {
-        let t1 = tree_of(&grid_points(64));
-        let t2 = tree_of(&grid_points(64));
-        let config = JoinConfig::default().with_range(0.0, 2.5);
-        let incremental: Vec<ResultPair> = DistanceJoin::new(&t1, &t2, config).collect();
-        let mut bulk = BulkDistanceJoin::new(&t1, &t2, config).unwrap();
-        let got = bulk.run();
-        assert_eq!(canon(incremental), canon(got));
-        assert!(bulk.bulk_stats().cell_pairs_swept >= 1);
-    }
-
-    #[test]
-    fn ordered_run_reports_identical_distances() {
-        let t1 = tree_of(&grid_points(48));
-        let t2 = tree_of(&grid_points(40));
-        let config = JoinConfig::default().with_range(0.5, 3.0);
-        let incremental: Vec<ResultPair> = DistanceJoin::new(&t1, &t2, config).collect();
-        let mut bulk = BulkDistanceJoin::new(&t1, &t2, config).unwrap();
-        let got = bulk.run();
-        assert_eq!(incremental.len(), got.len());
-        for (a, b) in incremental.iter().zip(&got) {
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-        }
-        assert_eq!(canon(incremental), canon(got));
-    }
-
-    fn tree_of_boxes(points: &[(f64, f64)], half: f64) -> RTree<2> {
-        let mut tree = RTree::new(RTreeConfig::small(4));
-        for (i, &(x, y)) in points.iter().enumerate() {
-            let r = Rect::new([x - half, y - half], [x + half, y + half]);
-            tree.insert(ObjectId(i as u64), r).unwrap();
-        }
-        tree
-    }
-
-    /// A forced-width bulk run over `t1 × t2`, checked against the
-    /// incremental engine: the same multiset with bit-equal distances, each
-    /// left entry placed in exactly one cell, and no pair reported twice.
-    fn assert_assigned_once(t1: &RTree<2>, t2: &RTree<2>, config: JoinConfig, width: f64) {
-        let incremental: Vec<ResultPair> = DistanceJoin::new(t1, t2, config).collect();
-        let cells = BulkConfig {
-            cell_width: Some(width),
-            ..BulkConfig::default()
-        };
-        let mut bulk = BulkDistanceJoin::with_bulk_config(t1, t2, config, cells).unwrap();
-        let got = bulk.run();
-        let mut ids: Vec<(u64, u64)> = got.iter().map(|r| (r.oid1.0, r.oid2.0)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), got.len(), "a pair was reported twice");
-        assert_eq!(canon(incremental), canon(got), "width {width}");
-        assert_eq!(bulk.bulk_stats().replicated1, t1.len() as u64);
-        assert_eq!(bulk.bulk_stats().pairs_deduped, 0);
-    }
-
-    #[test]
-    fn forced_tiny_cells_assign_each_left_entry_once() {
-        // Extended MBRs straddle the (deliberately tiny) cells; each left
-        // entry still lives in the one cell holding its `lo` corner.
-        let t1 = tree_of_boxes(&grid_points(64), 0.45);
-        let t2 = tree_of(&grid_points(64));
-        assert_assigned_once(&t1, &t2, JoinConfig::default().with_range(0.0, 1.5), 0.6);
-    }
-
-    #[test]
-    fn a_left_entry_wider_than_a_cell_moves_to_a_coarser_level() {
-        // One left rectangle covers the whole data set: it lands on a level
-        // of one cell, where each right entry takes one more replica, and
-        // leaves the right entries' ranges on the fine grid as they were.
-        let points = grid_points(64);
-        let t2 = tree_of(&points);
-        let config = JoinConfig::default().with_range(0.0, 1.5);
-        let cells = BulkConfig {
-            cell_width: Some(0.6),
-            ..BulkConfig::default()
-        };
-        let replicas = |t1: &RTree<2>| {
-            let bulk = BulkDistanceJoin::with_bulk_config(t1, &t2, config, cells).unwrap();
-            bulk.bulk_stats().replicated2
-        };
-        let mut t1 = tree_of(&points);
-        let alone = replicas(&t1);
-        t1.insert(ObjectId(64), Rect::new([0.0, 0.0], [7.0, 7.0]))
-            .unwrap();
-        assert_eq!(replicas(&t1), alone + t2.len() as u64);
-        assert_assigned_once(&t1, &t2, config, 0.6);
-    }
-
-    #[test]
-    fn pairs_at_exactly_dmax_are_met_across_cell_edges() {
-        let keys = KeySpace::squared(sdj_geom::Metric::Euclidean);
-        let at = |x: f64, y: f64| Rect::new([x, y], [x, y]);
-        // `L1.lo` has an odd mantissa, so a right point `x` just above 0 can
-        // have a gap that rounds down to its reported distance `d` and an
-        // `x + d` that rounds below `L1.lo`, while the pair's key passes the
-        // `Dmax = d` filter: the replication radius must be padded past `d`.
-        let l1 = Rect::new([1.0f64.next_up(), 0.1], [1.001, 0.101]);
-        let x = (1..64)
-            .map(|i| f64::from(i) * 2f64.powi(-54))
-            .find(|&x| {
-                let key = keys.mindist_rect_rect(&l1, &at(x, 0.1));
-                let d = keys.to_distance(key);
-                x + d < l1.lo()[0] && key <= keys.range_keys(0.0, d).1
-            })
-            .expect("some gap rounds down to a distance that falls short of it");
-        let d = keys.to_distance(keys.mindist_rect_rect(&l1, &at(x, 0.1)));
-        // `L2` spans many cells, so it sits on a coarser level of the grid.
-        // Right points sit at exactly `d` from it on both axes (right of
-        // `L2.hi` needs `E`), and the anchor at the origin and `(2, _)` fix
-        // the bounding box to `[0, 2] × [0, 1.8]`.
-        let l2 = Rect::new([0.25, 0.5], [0.75, 0.8]);
-        let left = [l1, l2, at(0.0, 0.1)];
-        let right = [
-            at(x, 0.1),
-            at(2.0, 0.1),
-            at(0.75 + d, 0.6),
-            at(0.5, 0.8 + d),
-        ];
-        let bbox = left
-            .iter()
-            .chain(&right)
-            .fold(Rect::empty(), |b, r| b.union(r));
-        // A forced width whose grid puts a cell edge between `x + d` and
-        // `L1.lo`, with cells wide enough to keep `L1` on that grid.
-        let width = (1..=512)
-            .map(|n| 2.0 / f64::from(n))
-            .find(|&w| {
-                let grid = Grid::<2>::build(&bbox, w);
-                grid.cell_axis(0, x + d) < grid.cell_axis(0, l1.lo()[0])
-                    && (0..2).all(|a| l1.extent(a) <= grid.width[a])
-            })
-            .expect("some grid splits `x + d` from `L1.lo`");
-        let build = |rects: &[Rect<2>]| {
-            let mut tree = RTree::new(RTreeConfig::small(4));
-            for (i, r) in rects.iter().enumerate() {
-                tree.insert(ObjectId(i as u64), *r).unwrap();
-            }
-            tree
-        };
-        let (t1, t2) = (build(&left), build(&right));
-        let config = JoinConfig::default().with_range(0.0, d);
-        let incremental: Vec<ResultPair> = DistanceJoin::new(&t1, &t2, config).collect();
-        for pair in [(0, 0), (1, 2), (1, 3)] {
-            assert!(
-                incremental.iter().any(|r| (r.oid1.0, r.oid2.0) == pair),
-                "{pair:?} is not at distance ≤ {d}"
-            );
-        }
-        for width in [width, 0.125, 0.25] {
-            assert_assigned_once(&t1, &t2, config, width);
-        }
-    }
-
-    #[test]
-    fn a_key_that_underflows_to_zero_still_meets_its_partner() {
-        // The gap 1e-170 squares to 0, so `Dmax = 0` keeps the pair
-        // (reported at distance 0) across 100 cells of width 1e-172.
-        let t1 = tree_of(&[(1e-170, 0.0)]);
-        let t2 = tree_of(&[(0.0, 0.0)]);
-        let config = JoinConfig::default().with_range(0.0, 0.0);
-        assert_eq!(DistanceJoin::new(&t1, &t2, config).count(), 1);
-        assert_assigned_once(&t1, &t2, config, 1e-172);
-    }
-
-    #[test]
-    fn unbounded_dmax_degenerates_to_one_cell() {
-        let t1 = tree_of(&grid_points(16));
-        let t2 = tree_of(&grid_points(16));
-        let mut bulk = BulkDistanceJoin::new(&t1, &t2, JoinConfig::default()).unwrap();
-        assert_eq!(bulk.grid_dims(), [1, 1]);
-        let got = bulk.run();
-        assert_eq!(got.len(), 16 * 16);
-    }
-
-    #[test]
-    fn max_pairs_truncates_the_ordered_stream() {
-        let t1 = tree_of(&grid_points(32));
-        let t2 = tree_of(&grid_points(32));
-        let config = JoinConfig::default().with_max_pairs(10);
-        let incremental: Vec<ResultPair> = DistanceJoin::new(&t1, &t2, config).collect();
-        let mut bulk = BulkDistanceJoin::new(&t1, &t2, config).unwrap();
-        let got = bulk.run();
-        assert_eq!(got.len(), 10);
-        for (a, b) in incremental.iter().zip(&got) {
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-        }
-    }
-
-    #[test]
-    fn empty_side_yields_no_results() {
-        let t1 = tree_of(&grid_points(8));
-        let t2: RTree<2> = RTree::new(RTreeConfig::small(4));
-        let mut bulk = BulkDistanceJoin::new(&t1, &t2, JoinConfig::default()).unwrap();
-        assert!(bulk.run().is_empty());
-        assert_eq!(bulk.stats().pairs_reported, 0);
-    }
-
-    #[test]
-    fn merge_sorted_runs_is_a_total_order_merge() {
-        let mk = |keys: &[f64]| -> Vec<BulkHit> {
-            keys.iter()
-                .enumerate()
-                .map(|(i, &k)| BulkHit {
-                    key: k,
-                    oid1: ObjectId(i as u64),
-                    oid2: ObjectId(0),
-                })
-                .collect()
-        };
-        let runs = vec![mk(&[0.5, 2.0, 3.5]), mk(&[1.0, 1.5]), mk(&[])];
-        let merged = merge_sorted_runs(runs, true, None);
-        let got: Vec<f64> = merged.iter().map(|h| h.key).collect();
-        assert_eq!(got, vec![0.5, 1.0, 1.5, 2.0, 3.5]);
-        let runs = vec![mk(&[3.5, 2.0]), mk(&[4.0, 1.0])];
-        let merged = merge_sorted_runs(runs, false, Some(3));
-        let got: Vec<f64> = merged.iter().map(|h| h.key).collect();
-        assert_eq!(got, vec![4.0, 3.5, 2.0]);
-        let merged = merge_sorted_runs(vec![mk(&[0.5, 1.0, 2.0])], true, Some(2));
-        let got: Vec<f64> = merged.iter().map(|h| h.key).collect();
-        assert_eq!(got, vec![0.5, 1.0]);
-    }
-}
+mod tests;

@@ -47,7 +47,10 @@ impl PartialOrd for OrdF64 {
 
 impl Ord for OrdF64 {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.partial_cmp(&other.0).expect("OrdF64 is never NaN")
+        // The constructor rejects NaN, so `partial_cmp` always answers; the
+        // fallback is unreachable. `total_cmp` would split -0.0 from +0.0,
+        // which the derived `PartialEq` treats as equal.
+        self.0.partial_cmp(&other.0).unwrap_or(Ordering::Equal)
     }
 }
 
@@ -85,6 +88,7 @@ mod tests {
         assert!(OrdF64::new(-1.0) < OrdF64::ZERO);
         assert!(OrdF64::new(1e308) < OrdF64::INFINITY);
         assert_eq!(OrdF64::new(3.5), OrdF64::new(3.5));
+        assert_eq!(OrdF64::new(-0.0).cmp(&OrdF64::ZERO), Ordering::Equal);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use incremental_distance_join::datagen::tiger;
 use incremental_distance_join::geom::{Metric, Point};
 use incremental_distance_join::join::{
     BulkConfig, BulkDistanceJoin, DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig,
-    SemiConfig, SemiFilter,
+    ResultOrder, SemiConfig, SemiFilter,
 };
 use incremental_distance_join::query::{
     CmpOp, DistanceQuery, FilterPlacement, Predicate, Relation, Value,
@@ -331,6 +331,73 @@ fn grid_with_duplicates(n: u64, stride: u64, side: u64) -> Items {
             (ObjectId(i), p.to_rect())
         })
         .collect()
+}
+
+/// Ordered bulk runs over relations full of exact distance ties: ascending
+/// and descending, K = 1, a K that cuts a tie group and all pairs, on one
+/// worker and on two. The distances must be the nested loop's (reversed for
+/// descending), every equal-distance group must come out in ascending
+/// `(oid1, oid2)` order, and both worker counts must give the same stream:
+/// the tie order the bulk module promises.
+#[test]
+fn ordered_bulk_runs_break_distance_ties_by_object_ids() {
+    let a = grid_with_duplicates(90, 7, 6);
+    let b = grid_with_duplicates(70, 3, 5);
+    let ta = RTree::bulk_load(RTreeConfig::small(4), a.clone());
+    let tb = RTree::bulk_load(RTreeConfig::small(4), b.clone());
+    let all: Vec<u64> = nested_loop_topk(&a, &b, Metric::Euclidean, a.len() * b.len())
+        .iter()
+        .map(|p| p.distance.to_bits())
+        .collect();
+    assert_eq!(all.len(), a.len() * b.len());
+    // `Dmax` above every distance, over cells narrower than the data, so
+    // every pair qualifies and two workers share the cells.
+    let cells = BulkConfig {
+        cell_width: Some(1.5),
+        ..BulkConfig::default()
+    };
+    for order in [ResultOrder::Ascending, ResultOrder::Descending] {
+        let want: Vec<u64> = match order {
+            ResultOrder::Ascending => all.clone(),
+            ResultOrder::Descending => all.iter().rev().copied().collect(),
+        };
+        // A K inside a tie group: the distance at K - 1 recurs at K.
+        let cut = (want.len() / 3..want.len())
+            .find(|&k| want[k - 1] == want[k])
+            .expect("the relations have ties");
+        for k in [1, cut, want.len()] {
+            let config = JoinConfig {
+                order,
+                ..JoinConfig::default()
+            }
+            .with_range(0.0, 10.0)
+            .with_max_pairs(k as u64);
+            let label = format!("{order:?} K={k}");
+            let streams: Vec<Vec<(u64, u64, u64)>> = [1, 2]
+                .into_iter()
+                .map(|workers| {
+                    let mut bulk =
+                        BulkDistanceJoin::with_bulk_config(&ta, &tb, config, cells).unwrap();
+                    let stream = bulk
+                        .run_with_workers(workers)
+                        .iter()
+                        .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
+                        .collect();
+                    assert_eq!(bulk.bulk_stats().sweep_workers(workers), workers);
+                    stream
+                })
+                .collect();
+            assert_eq!(streams[0], streams[1], "{label}: worker counts disagree");
+            let got = &streams[0];
+            let dists: Vec<u64> = got.iter().map(|&(d, ..)| d).collect();
+            assert_eq!(dists, want[..k], "{label}");
+            for w in got.windows(2) {
+                if w[0].0 == w[1].0 {
+                    assert!(w[0] < w[1], "{label}: tie out of id order: {w:?}");
+                }
+            }
+        }
+    }
 }
 
 /// K-bounded joins whose §2.2.4 estimate is decided by ties: with exact
