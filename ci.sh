@@ -24,7 +24,7 @@ echo "==> cargo clippy (panic-free library tier)"
 # faulted read or a hostile config passes through hold no unwrap/expect in
 # library code.
 cargo clippy -p sdj-geom -p sdj-obs -p sdj-storage -p sdj-pqueue -p sdj-core -p sdj-service \
-    -p sdj-query \
+    -p sdj-query -p sdj-exec \
     --lib --no-deps --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 

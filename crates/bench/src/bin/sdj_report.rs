@@ -166,16 +166,6 @@ fn render_profile(p: &ProfileSection, report: &RunReport) {
             max_queue
         );
     }
-    if let Some((_, util)) = report
-        .metrics
-        .iter()
-        .find(|(name, _)| name == "worker_utilization")
-    {
-        println!(
-            "worker utilization: {:.1}% (busy / wall x workers)",
-            util * 100.0
-        );
-    }
     if let Some(c) = &report.calibration {
         println!(
             "calibration: chose {}{}, predicted cost ratio {:.3} \

@@ -40,7 +40,8 @@ pub struct ReportSpec {
     pub n: usize,
     /// Pairs pass 1 takes (`--k`).
     pub k: u64,
-    /// Pass 1's worker threads (`--threads`).
+    /// Pass 1's bulk sweep workers, for the bulk plan and the adaptive
+    /// plan's bulk tail (`--threads`).
     pub threads: usize,
     /// Where `sdj-report` writes the report (`--out`).
     pub out: String,
@@ -267,9 +268,8 @@ pub fn build(spec: &ReportSpec) -> Result<RunReport, String> {
     }
 
     // Pass 2: the same join restricted to `[0, dmax]`, drained to
-    // exhaustion through the *serial* engine — the single priority queue
-    // whose size curve is the paper's Figure 6 (parallel workers each own a
-    // shard queue, which is a different quantity).
+    // exhaustion through the incremental engine — the single priority
+    // queue whose size curve is the paper's Figure 6.
     eprintln!("# pass 2: drain join restricted to [0, {dmax:.6}] ...");
     let ctx2 = ObsContext::new(sink_for(&queue_rec))
         .with_pop_sample_every(64)
@@ -372,25 +372,14 @@ pub fn build(spec: &ReportSpec) -> Result<RunReport, String> {
     ];
 
     // EXPLAIN-ANALYZE profile of pass 1. The self-time budget is one lane
-    // per spawned worker plus the main thread (whose Merge spans measure
-    // what the consumer waited for, overlapping the workers' own time).
-    let workers = run.workers_spawned;
-    let profile_threads = (workers + 1) as u64;
-    let profile = ProfileSection::from_snapshot(&snap1, seconds, profile_threads);
-    // Worker utilization: total busy time over the spawned workers' share
-    // of the wall clock (exec.worker_busy_ns spans thread start to stream
-    // end, so send-stalls count as busy — this measures imbalance, not CPU).
-    if workers > 0 {
-        if let Some(h) = snap1.histogram("exec.worker_busy_ns") {
-            let budget = seconds * 1e9 * workers as f64;
-            if budget > 0.0 && h.count > 0 {
-                report
-                    .metrics
-                    .push(("worker_utilization".into(), (h.sum / budget).min(1.0)));
-            }
-        }
-    }
-    report.profile = Some(profile);
+    // per spawned sweep worker plus the calling thread, which runs the
+    // incremental engine and the bulk merge.
+    let profile_threads = (run.workers_spawned + 1) as u64;
+    report.profile = Some(ProfileSection::from_snapshot(
+        &snap1,
+        seconds,
+        profile_threads,
+    ));
     report.calibration = Some(CalibrationSection {
         choice: executed.to_string(),
         forced: run.forced,

@@ -18,10 +18,10 @@
 //! frontier estimate *ratcheted up* by what the run has actually staged
 //! ([`crate::plan::replan`]). When the model says the remaining incremental
 //! work exceeds a frontier-seeded bulk run by at least a hysteresis margin,
-//! the engine is paused, its queue exported ([`DistanceJoin::into_frontier`]
-//! with one shard), the frontier's items harvested down to object entries,
-//! and the remainder of the query handed to a [`BulkDistanceJoin`] seeded
-//! with exactly those entries.
+//! the engine is paused, its queue exported (`DistanceJoin::into_frontier`),
+//! the frontier's items harvested down to object entries, and the
+//! remainder of the query handed to a [`BulkDistanceJoin`] seeded with
+//! exactly those entries.
 //!
 //! # Why the handoff is exact
 //!
@@ -40,7 +40,7 @@
 //!   same kernels in the same key domain, no `sqrt` round-trip.
 //! * **Estimator-pruned** — the engine's maximum-distance bound only ever
 //!   tightens, so a pair pruned at any earlier bound also exceeds the
-//!   final bound exported as [`JoinFrontier::dmax_hint`]; the seeded run
+//!   final bound exported as the frontier's `dmax_hint`; the seeded run
 //!   applies that hint as its maximum key.
 //! * **Range-restricted / self pairs** — the bulk sweep re-applies
 //!   `[Dmin, Dmax]` and `exclude_equal_ids` to every candidate.
@@ -54,7 +54,7 @@
 //! Consequently `prefix ++ seeded-bulk` reproduces the pure incremental
 //! stream's distance sequence bit-for-bit (tie order within an
 //! equal-distance group follows the bulk path's deterministic merge, the
-//! same contract the forced-bulk and parallel paths already have) — the
+//! same contract the forced-bulk path already has) — the
 //! property `crates/core/tests/adaptive_equivalence.rs` fuzzes with handoffs
 //! forced at arbitrary checkpoints. The seeded remainder is swept by
 //! [`BulkDistanceJoin::run_with_workers`], so
@@ -485,8 +485,7 @@ where
             return None;
         };
         let floor = join.watermark().cloned();
-        let mut frontier = join.into_frontier(1, 0);
-        self.buf.extend(frontier.prefix);
+        let frontier = join.into_frontier();
         self.stats = frontier.stats;
         self.pending_error = frontier.error;
         if self.pending_error.is_some() || frontier.exhausted {
@@ -494,10 +493,9 @@ where
         }
 
         let driver = &self.driver;
-        let shard = frontier.shards.pop().unwrap_or_default();
         let mut side1 = HarvestSide::default();
         let mut side2 = HarvestSide::default();
-        for (_, pair) in &shard {
+        for (_, pair) in &frontier.shard {
             let harvested = side1
                 .collect(driver.tree1, &pair.item1, &mut self.stats)
                 .and_then(|()| side2.collect(driver.tree2, &pair.item2, &mut self.stats));

@@ -54,9 +54,8 @@
 //! the same axis-major kernel fold as the engine's, and the single `sqrt`
 //! per reported pair is deferred exactly the same way. Equal-distance pairs
 //! are emitted in ascending `(oid1, oid2)` order, in both directions, which
-//! may differ from the incremental engine's tie order — the same contract
-//! the parallel executor's merged stream has. That order is a total order
-//! over the pairs, so the stream and every counter are the same for any
+//! may differ from the incremental engine's tie order. That order is a
+//! total order over the pairs, so the stream and every counter are the same for any
 //! worker count. `crates/core/tests/bulk_equivalence.rs` enforces these
 //! properties under proptest, and `tests/end_to_end.rs` pins the tie order.
 
@@ -488,7 +487,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
     ///   emission is monotone), candidates at exactly its key are dropped
     ///   iff they are in its tie set.
     /// * `max_key_hint` — the tightest maximum key the paused engine had
-    ///   proven (query bound and estimator, [`crate::JoinFrontier::dmax_hint`]):
+    ///   proven (query bound and estimator, the frontier's `dmax_hint`):
     ///   every result still owed lies within it, and everything above it
     ///   is either out of range or was legitimately pruned. The right
     ///   side's replication radius is derived from it exactly as in

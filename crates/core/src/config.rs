@@ -315,7 +315,7 @@ impl JoinConfig {
     }
 
     /// The key space implied by `metric` and `key_domain`: all queue keys,
-    /// shared bounds, and range restrictions live in this space.
+    /// bounds, and range restrictions live in this space.
     #[must_use]
     pub fn key_space(&self) -> sdj_geom::KeySpace {
         match self.key_domain {

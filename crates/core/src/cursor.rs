@@ -15,12 +15,9 @@
 //!   afterwards. It is also the tail of an adaptive cursor after a
 //!   handoff, so "sweep, then drain" exists once.
 //!
-//! [`open_cursor`] is the one place a [`PlanChoice`] becomes a serial engine.
-//! The parallel incremental executor in `sdj-exec` keeps its scoped-closure
-//! API: its worker threads stream results while the consumer pulls, so they
-//! must be joined before the call returns, which a cursor that outlives the
-//! call cannot promise. The bulk sweep's workers join inside the first pull,
-//! before any result is handed out, so they need no such API.
+//! [`open_cursor`] is the one place a [`PlanChoice`] becomes a cursor. The
+//! bulk sweep's workers join inside the first pull, before any result is
+//! handed out, so a cursor can own them.
 
 use std::collections::VecDeque;
 
@@ -212,9 +209,9 @@ where
     }
 }
 
-/// Opens the serial engine `plan` names as a boxed [`JoinCursor`] — the only
-/// place outside `sdj-exec`'s parallel executors where a [`PlanChoice`] turns
-/// into an engine.
+/// Opens the engine `plan` names as a boxed [`JoinCursor`] — the only place
+/// besides `sdj-exec`'s `run_planned` where a [`PlanChoice`] turns into an
+/// engine.
 ///
 /// `gauges` registers the cursor's queue gauges as `{prefix}pq.*` in the
 /// context's registry (a session service passes `session.<id>.`); the bulk

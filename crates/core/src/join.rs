@@ -16,9 +16,9 @@
 //! # Key domain
 //!
 //! All internal distances — queue keys, range restrictions, estimator and
-//! semi-join bounds, the shared cross-worker bound — live in the
-//! configuration's *key space* ([`JoinConfig::key_space`]). Under the
-//! default [`crate::config::KeyDomain::Squared`] these are squared Euclidean
+//! semi-join bounds — live in the configuration's *key space*
+//! ([`JoinConfig::key_space`]). Under the default
+//! [`crate::config::KeyDomain::Squared`] these are squared Euclidean
 //! distances: the monotone `x ↦ x²` map preserves every comparison, so the
 //! pop order is untouched while MINDIST/MAXDIST evaluations skip their
 //! `sqrt`. The single root per result is paid in [`DistanceJoin::report`],
@@ -30,7 +30,6 @@ use sdj_obs::{ObsContext, Phase};
 use sdj_rtree::{ObjectId, RTree};
 use sdj_storage::StorageError;
 
-use crate::bound::SharedDistanceBound;
 use crate::config::{EstimationBound, ExpansionPath, JoinConfig, ResultOrder, TraversalPolicy};
 use crate::estimate::{Estimator, EstimatorMode, NO_SLOT};
 use crate::index::{IndexEntry, NodeId, SpatialIndex};
@@ -38,7 +37,7 @@ use crate::obs::JoinObs;
 use crate::oracle::{DistanceOracle, MbrOracle};
 use crate::pair::{Item, ItemId, Pair, PairKey};
 use crate::queue::JoinQueue;
-use crate::semi::{SeenSet, SemiConfig, SemiState};
+use crate::semi::{SemiConfig, SemiState};
 use crate::stats::JoinStats;
 use crate::view::{NodeView, ViewCache, VIEW_CACHE_CAP};
 
@@ -50,16 +49,14 @@ const COMPACT_FLOOR: usize = 4096;
 
 /// The tests a pair faces when it is popped, before it is reported or
 /// expanded (Figure 3's dequeue step plus §2.3's semi-join filters):
-/// the §2.2.4 estimate, a parallel run's shared bound, the reported set `S`
-/// and the pair's first item's `d_max` bound. Each only ever tightens, so a
-/// queued pair one of them drops now would be dropped when popped, which is
-/// what lets [`DistanceJoin::compact_queue`] apply them early.
+/// the §2.2.4 estimate, the reported set `S` and the pair's first item's
+/// `d_max` bound. Each only ever tightens, so a queued pair one of them
+/// drops now would be dropped when popped, which is what lets
+/// [`DistanceJoin::compact_queue`] apply them early.
 struct PopFilter<'s> {
     /// The §2.2.4 estimate, or +∞ without an estimator (which only an
     /// ascending run has).
     estimate: f64,
-    /// A parallel run's shared bound, or +∞.
-    shared: f64,
     semi: Option<&'s SemiState>,
 }
 
@@ -78,7 +75,6 @@ struct FilterState {
 #[derive(Clone, Copy)]
 enum Dropped {
     Estimate,
-    Shared,
     Seen,
     Dmax,
 }
@@ -88,7 +84,6 @@ impl Dropped {
     fn counter(self, stats: &mut JoinStats) -> &mut u64 {
         match self {
             Self::Estimate => &mut stats.pruned_by_estimate,
-            Self::Shared => &mut stats.pruned_by_shared,
             Self::Seen => &mut stats.filtered_seen,
             Self::Dmax => &mut stats.pruned_by_dmax,
         }
@@ -96,10 +91,9 @@ impl Dropped {
 }
 
 impl<'s> PopFilter<'s> {
-    fn new(estimator: Option<&Estimator>, semi: Option<&'s SemiState>, shared: f64) -> Self {
+    fn new(estimator: Option<&Estimator>, semi: Option<&'s SemiState>) -> Self {
         Self {
             estimate: estimator.map_or(f64::INFINITY, Estimator::current_dmax),
-            shared,
             semi,
         }
     }
@@ -110,9 +104,6 @@ impl<'s> PopFilter<'s> {
     fn test(&self, key: f64, limit: impl FnOnce() -> f64) -> Option<Dropped> {
         if key > self.estimate {
             return Some(Dropped::Estimate);
-        }
-        if key > self.shared {
-            return Some(Dropped::Shared);
         }
         self.semi?;
         let limit = limit();
@@ -270,12 +261,9 @@ where
     /// §2.2.5 spatial selection: second-relation objects must fall inside
     /// this window.
     window2: Option<Rect<D>>,
-    /// Cross-worker maximum-distance bound of a parallel run (ascending
-    /// order only): read for pruning, written from the estimator.
-    shared_bound: Option<&'a SharedDistanceBound>,
-    /// The estimator bound last handed to the shared bound and the obs
-    /// handle; [`publish_shared_bound`](Self::publish_shared_bound) is a
-    /// no-op until the estimate drops below it.
+    /// The estimator bound last handed to the obs handle;
+    /// [`publish_bound`](Self::publish_bound) is a no-op until the estimate
+    /// drops below it.
     published_key: f64,
     /// Instrumentation handle; `None` (the default) keeps the hot path to a
     /// single branch per hook site. Boxed: its local histograms would
@@ -360,34 +348,23 @@ enum StepOutcome {
     Exhausted,
 }
 
-/// A partition of an in-flight join produced by
-/// [`DistanceJoin::into_frontier`]: the results already reported while the
-/// queue was grown (globally the closest — every later result is at least as
-/// far), and the queue split into shards whose descendant object-pair sets
-/// are pairwise disjoint, so independent engines resumed from them
-/// ([`DistanceJoin::resume`]) jointly produce exactly the remaining results.
-pub struct JoinFrontier<const D: usize> {
-    /// Results reported during partitioning, in order.
-    pub prefix: Vec<ResultPair>,
-    /// Disjoint queue shards (round-robin dealt, so distances are spread
-    /// evenly across them).
-    pub shards: Vec<Vec<(PairKey, Pair<D>)>>,
-    /// Semi-join: snapshot of the reported set at the split point.
-    pub seen: Option<SeenSet>,
-    /// Tightest maximum distance proven at the split point (query bound and
-    /// estimator); seeds a parallel run's shared bound. Expressed in the
-    /// join's key domain (squared under the default squared Euclidean keys),
-    /// matching what resumed workers compare queue keys against.
-    pub dmax_hint: f64,
-    /// Results still owed after the prefix, when `max_pairs` was set.
-    pub remaining_pairs: Option<u64>,
-    /// Counters of the partitioning run.
-    pub stats: JoinStats,
-    /// I/O error that stopped partitioning early, if any.
-    pub error: Option<sdj_storage::StorageError>,
-    /// True when the serial run finished during partitioning (all shards are
-    /// then empty and `prefix` is the complete result).
-    pub exhausted: bool,
+/// An in-flight join's state as [`DistanceJoin::into_frontier`] exports it
+/// for the adaptive handoff: the queued pairs, whose descendant object
+/// pairs are exactly the results still owed, and what the engine had proven.
+pub(crate) struct JoinFrontier<const D: usize> {
+    /// Every queued pair, in no particular order.
+    pub(crate) shard: Vec<(PairKey, Pair<D>)>,
+    /// Tightest maximum distance proven at the export (query bound and
+    /// estimator), in the join's key domain.
+    pub(crate) dmax_hint: f64,
+    /// Results still owed, when `max_pairs` was set.
+    pub(crate) remaining_pairs: Option<u64>,
+    /// Counters of the run up to the export.
+    pub(crate) stats: JoinStats,
+    /// I/O error that stopped the run or the export, if any.
+    pub(crate) error: Option<StorageError>,
+    /// True when the join had already finished (the shard is then empty).
+    pub(crate) exhausted: bool,
 }
 
 impl<'a, const D: usize, I1, I2> DistanceJoin<'a, D, MbrOracle, I1, I2>
@@ -509,13 +486,12 @@ where
             stats: JoinStats::default(),
             io_baseline,
             reported: 0,
-            // `STOP AFTER 0` asks for nothing, seeded or resumed; otherwise
-            // `done` is only set once a report reaches the limit.
+            // `STOP AFTER 0` asks for nothing; otherwise `done` is only set
+            // once a report reaches the limit.
             done: config.max_pairs == Some(0),
             error: None,
             window1: None,
             window2: None,
-            shared_bound: None,
             published_key: f64::INFINITY,
             obs: None,
             flushed_bytes: 0,
@@ -543,154 +519,42 @@ where
         }
     }
 
-    /// Resumes the join from one shard of a [`JoinFrontier`]. The shard's
-    /// pairs enter the queue verbatim (their ancestors' filters already ran),
-    /// holding no slot in this engine's fresh estimator;
-    /// `config` should carry the frontier's `remaining_pairs` as `max_pairs`
-    /// and `seen` should be the frontier's snapshot so already-reported
-    /// first objects are not searched again.
-    #[must_use]
-    pub fn resume(
-        tree1: &'a I1,
-        tree2: &'a I2,
-        oracle: O,
-        config: JoinConfig,
-        semi_config: Option<SemiConfig>,
-        shard: Vec<(PairKey, Pair<D>)>,
-        seen: Option<SeenSet>,
-    ) -> Self {
-        let mut join = Self::assemble(tree1, tree2, oracle, config, semi_config);
-        if let (Some(semi), Some(seen)) = (join.semi.as_mut(), seen) {
-            semi.seen = seen;
-        }
-        // Shard pairs were counted as enqueued by the partitioning run; do
-        // not recount them here so merged parallel stats keep push/pop
-        // symmetry.
-        let shard = shard.into_iter().map(|(key, pair)| (key, pair, NO_SLOT));
-        if let Err(e) = join.queue.push_batch(shard) {
-            join.error = Some(e);
-            join.done = true;
-        }
-        join
-    }
-
-    /// Attaches a cross-worker distance bound (parallel execution, ascending
-    /// order): dequeued or considered pairs beyond the bound are pruned, and
-    /// bounds proven by this engine's estimator are published to it.
-    #[must_use]
-    pub fn with_shared_bound(mut self, bound: &'a SharedDistanceBound) -> Self {
-        self.shared_bound = Some(bound);
-        // A bound proven while seeding reaches the new listener at the next
-        // publish site.
-        self.published_key = f64::INFINITY;
-        self
-    }
-
     /// Instruments the engine: pops, expansions, results, bound tightenings
     /// and queue depth feed the context's sink and registry (published at
-    /// the pop-sampling stride, see [`JoinObs`]), and the hybrid queue
+    /// the pop-sampling stride, see `JoinObs`), and the hybrid queue
     /// backend (if selected) reports tier migrations and occupancy.
     #[must_use]
-    pub fn with_obs(self, ctx: &ObsContext) -> Self {
-        let obs = JoinObs::new(ctx);
-        self.with_obs_handle(ctx, obs)
-    }
-
-    /// Like [`with_obs`](Self::with_obs) but with a caller-built handle
-    /// (the parallel executor passes per-worker handles).
-    #[must_use]
-    pub fn with_obs_handle(mut self, ctx: &ObsContext, obs: JoinObs) -> Self {
+    pub fn with_obs(mut self, ctx: &ObsContext) -> Self {
         self.queue.attach_obs(ctx);
         self.publish_queue_gauges(self.flushed_bytes);
-        self.obs = Some(Box::new(obs));
+        self.obs = Some(Box::new(JoinObs::new(ctx)));
         // The fresh handle has announced no bound yet.
         self.published_key = f64::INFINITY;
         self
     }
 
-    /// A mutable borrow of the attached instrumentation handle, if any.
-    pub fn obs_mut(&mut self) -> Option<&mut JoinObs> {
-        self.obs.as_deref_mut()
-    }
-
-    /// Runs the serial engine until the queue holds at least
-    /// `shards * min_pairs_per_shard` pairs (or the join finishes), then
-    /// splits the queue into `shards` disjoint shards. Results produced on
-    /// the way are returned as the frontier's ordered prefix.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn into_frontier(mut self, shards: usize, min_pairs_per_shard: usize) -> JoinFrontier<D> {
-        assert!(shards >= 1, "a frontier needs at least one shard");
-        let target = shards.saturating_mul(min_pairs_per_shard).max(shards);
-        let mut prefix = Vec::new();
-        let mut exhausted = false;
-        while !self.done && self.queue.len() < target {
-            match self.step() {
-                Ok(StepOutcome::Result(r)) => prefix.push(r),
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Exhausted) => {
-                    exhausted = true;
-                    break;
-                }
-                Err(e) => {
-                    self.error = Some(e);
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        // `done` set by the K-limit also finishes the run: the queue's
-        // remainder is dead weight, not work to hand out.
-        exhausted |= self.done;
-        let mut shard_vecs: Vec<Vec<(PairKey, Pair<D>)>> = Vec::with_capacity(shards);
-        let per_shard = self.queue.len().div_ceil(shards);
-        shard_vecs.resize_with(shards, || Vec::with_capacity(per_shard));
+    /// Ends the incremental run for the adaptive handoff: drains the queue
+    /// into the exported [`JoinFrontier`], unless the join has already
+    /// finished. Between steps every staged pair has been flushed, so the
+    /// queue holds all the remaining work.
+    pub(crate) fn into_frontier(mut self) -> JoinFrontier<D> {
+        let exhausted = self.done || self.queue.is_empty();
+        let mut shard = Vec::new();
         if !exhausted {
             self.span_enter(Phase::QueuePop);
-            if shards == 1 {
-                // A single shard needs no round-robin balance and its order
-                // is irrelevant (resume re-heapifies, the adaptive handoff
-                // harvests): drain without re-sorting work. The flat layout
-                // walks its entry arrays straight off the slab.
-                let shard = &mut shard_vecs[0];
-                if let Err(e) = self
-                    .queue
-                    .drain_unordered(|key, pair, _| shard.push((key, pair)))
-                {
-                    if self.error.is_none() {
-                        self.error = Some(e);
-                    }
-                }
-            } else {
-                let mut next = 0usize;
-                loop {
-                    match self.queue.pop() {
-                        Ok(Some(entry)) => {
-                            shard_vecs[next].push(entry);
-                            next = (next + 1) % shards;
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            // A fault while draining the queue loses the
-                            // shards' completeness; surface the error so the
-                            // executor aborts instead of running an
-                            // incomplete partition.
-                            if self.error.is_none() {
-                                self.error = Some(e);
-                            }
-                            break;
-                        }
-                    }
-                }
+            // The adaptive handoff harvests the pairs in any order, so the
+            // queue is drained without re-sorting: the flat layout walks its
+            // entry arrays straight off the slab.
+            if let Err(e) = self
+                .queue
+                .drain_unordered(|key, pair, _| shard.push((key, pair)))
+            {
+                self.error.get_or_insert(e);
             }
             self.span_exit(Phase::QueuePop);
         }
         JoinFrontier {
-            prefix,
-            shards: shard_vecs,
-            seen: self.semi.as_ref().map(|s| s.seen.clone()),
+            shard,
             dmax_hint: self.effective_max_key(),
             remaining_pairs: self
                 .config
@@ -834,8 +698,8 @@ where
             .saturating_sub(self.io_baseline)
             + self.queue.disk_stats().reads
             + self.queue.disk_stats().writes;
-        // The queue's own high-water mark covers single pushes and resumed
-        // shards; the flush-time sample covers batch insertions. Take the
+        // The queue's own high-water mark covers single pushes; the
+        // flush-time sample covers batch insertions. Take the
         // max so neither path can under-report.
         s.max_queue = s.max_queue.max(self.queue.max_len());
         s.queue_bytes_peak = s.queue_bytes_peak.max(self.queue.queue_bytes());
@@ -911,7 +775,7 @@ where
 
     /// Registers this join's queue gauges under `{prefix}pq.*` in the
     /// context's registry (see [`JoinQueue::attach_obs_prefixed`]), without
-    /// installing the engine-level [`JoinObs`] handle. The session service
+    /// installing the engine-level `JoinObs` handle. The session service
     /// uses `session.<id>.` prefixes so concurrent cursors stay
     /// distinguishable in one registry.
     pub fn attach_queue_obs_prefixed(&mut self, ctx: &ObsContext, prefix: &str) {
@@ -925,19 +789,13 @@ where
         matches!(self.config.order, ResultOrder::Ascending)
     }
 
-    /// The tightest known maximum key (query bound, estimator, and — for
-    /// ascending runs — the cross-worker shared bound), in the key domain.
+    /// The tightest known maximum key (query bound and estimator), in the
+    /// key domain.
     pub(crate) fn effective_max_key(&self) -> f64 {
-        let mut max = match &self.estimator {
+        match &self.estimator {
             Some(est) => self.max_key.min(est.current_dmax()),
             None => self.max_key,
-        };
-        if matches!(self.config.order, ResultOrder::Ascending) {
-            if let Some(shared) = self.shared_bound {
-                max = max.min(shared.get());
-            }
         }
-        max
     }
 
     /// Whether `Even` traversal opens *both* nodes of the equal-level `pair`
@@ -985,28 +843,12 @@ where
             && self.ascending()
     }
 
-    /// The shared bound's current value (a key), when one is attached and
-    /// applies (ascending order only — descending runs key on MAXDIST,
-    /// where a maximum-distance bound proves nothing about rank).
-    fn shared_max(&self) -> f64 {
-        match self.shared_bound {
-            Some(shared) if matches!(self.config.order, ResultOrder::Ascending) => shared.get(),
-            _ => f64::INFINITY,
-        }
-    }
-
-    /// Publishes the estimator's proven maximum key to the shared
-    /// cross-worker bound (both live in the key domain). A bound proven from
-    /// this engine's queue alone holds for the whole parallel run: the
-    /// merged result set is a superset of this shard's, so "K results within
-    /// d exist here" implies the global K-th result is within d too.
-    ///
-    /// Both listeners act only on a strict decrease (`fetch_min`,
-    /// [`JoinObs::on_bound`]), so an estimate that has not dropped since
-    /// the last publish is not re-sent: on a parallel run that saves one
-    /// atomic on a cache line shared by every worker per offer.
-    fn publish_shared_bound(&mut self) {
-        let Some(est) = &self.estimator else {
+    /// Announces the estimator's proven maximum key to the obs handle as a
+    /// distance. The handle emits only on a strict decrease
+    /// ([`JoinObs::on_bound`]), so an estimate that has not dropped since
+    /// the last announcement is not converted again.
+    fn publish_bound(&mut self) {
+        let (Some(est), Some(obs)) = (&self.estimator, &mut self.obs) else {
             return;
         };
         let dmax = est.current_dmax();
@@ -1014,18 +856,9 @@ where
             return;
         }
         self.published_key = dmax;
-        if let Some(shared) = self.shared_bound {
-            shared.tighten(dmax);
-        }
-        if self.obs.is_some() {
-            // Instrumentation reports real distances; convert only when
-            // someone is listening (uncounted by `stats.sqrt_calls`,
-            // which tracks the result path).
-            let dist = self.keys.to_distance(dmax);
-            if let Some(obs) = &mut self.obs {
-                obs.on_bound(dist);
-            }
-        }
+        // Instrumentation reports real distances (uncounted by
+        // `stats.sqrt_calls`, which tracks the result path).
+        obs.on_bound(self.keys.to_distance(dmax));
     }
 
     /// True when the item's rectangle is a *minimal* bounding rectangle
@@ -1267,7 +1100,7 @@ where
                     slot = est.offer(pair.item1.identity(), pair.item2.identity(), bound, count);
                 }
             }
-            self.publish_shared_bound();
+            self.publish_bound();
         }
 
         let key_dist = if self.ascending() {
@@ -1288,7 +1121,7 @@ where
     /// The filters [`consider`](Self::consider) applies to a non-final
     /// `pair` with MINDIST key `mind` before it is offered and pushed, in
     /// their order and with their counters: the windows, `Dmax`, the
-    /// estimate, the shared bound, `Dmin` and the first item's stored
+    /// estimate, `Dmin` and the first item's stored
     /// semi-join bound. `None` when the pair is dropped; otherwise the
     /// MAXDIST key the `Dmin` test computed, if it ran. Inlined, so that
     /// `consider`, which every join runs per pair, keeps the code it had
@@ -1315,10 +1148,6 @@ where
                 self.stats.pruned_by_estimate += 1;
                 return None;
             }
-        }
-        if mind > self.shared_max() {
-            self.stats.pruned_by_shared += 1;
-            return None;
         }
 
         // Minimum-distance pruning: a pair none of whose results can reach
@@ -1371,10 +1200,6 @@ where
                 return;
             }
         }
-        if key > self.shared_max() {
-            self.stats.pruned_by_shared += 1;
-            return;
-        }
         if let Some(oid1) = pair.item1.object_id() {
             if self.seen(oid1) {
                 self.stats.filtered_seen += 1;
@@ -1395,7 +1220,7 @@ where
         if let Some(est) = &mut self.estimator {
             if ascending && key >= self.min_key && key <= est.current_dmax() {
                 slot = est.offer(pair.item1.identity(), pair.item2.identity(), key, 1);
-                self.publish_shared_bound();
+                self.publish_bound();
             }
         }
         let key_dist = if ascending { key } else { -key };
@@ -1480,10 +1305,9 @@ where
     /// dropped at its pop, and the survivors pop in the order they would
     /// have anyway.
     ///
-    /// Two differences from the pop: a parallel run's shared bound is not
-    /// used (a pair above it may still hold a member of this engine's `M`),
-    /// and a pair whose slot holds a live member of `M` is kept, so the
-    /// estimator is owed no [`Estimator::on_dequeue`]. Only a semi-join can
+    /// One difference from the pop: a pair whose slot holds a live member of
+    /// `M` is kept, so the estimator is owed no [`Estimator::on_dequeue`].
+    /// Only a semi-join can
     /// hold one: its `M` is keyed by first item, while a join's members all
     /// have keys at or below the estimate (debug builds assert it).
     ///
@@ -1497,7 +1321,7 @@ where
             return;
         }
         self.compacted_state = state;
-        let filter = PopFilter::new(self.estimator.as_ref(), self.semi.as_ref(), f64::INFINITY);
+        let filter = PopFilter::new(self.estimator.as_ref(), self.semi.as_ref());
         let estimator = self.estimator.as_ref();
         let semi = self.semi.is_some();
         let discarded = self.queue.discard(|key, queued| {
@@ -2120,7 +1944,7 @@ where
         if let Some(est) = &mut self.estimator {
             est.on_report();
         }
-        self.publish_shared_bound();
+        self.publish_bound();
         self.stats.pairs_reported += 1;
         self.reported += 1;
         if let Some(obs) = &mut self.obs {
@@ -2139,8 +1963,8 @@ where
     }
 
     /// Processes exactly one queue element, flushing staged insertions
-    /// afterwards so the queue is consistent between steps (the frontier
-    /// partitioner measures `queue.len()` at step granularity).
+    /// afterwards so the queue is consistent between steps (the adaptive
+    /// handoff exports it between steps).
     fn step(&mut self) -> sdj_storage::Result<StepOutcome> {
         let outcome = self.step_inner();
         let flushed = self.flush_pending();
@@ -2220,11 +2044,7 @@ where
         if dedup {
             self.span_enter(Phase::Dedup);
         }
-        let filter = PopFilter::new(
-            self.estimator.as_ref(),
-            self.semi.as_ref(),
-            self.shared_max(),
-        );
+        let filter = PopFilter::new(self.estimator.as_ref(), self.semi.as_ref());
         let dropped = filter.test(key.dist.get(), || filter.item_limit(pair.item1.identity()));
         if dedup {
             self.span_exit(Phase::Dedup);

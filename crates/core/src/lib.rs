@@ -56,7 +56,6 @@
 
 pub mod adaptive;
 pub mod apps;
-mod bound;
 pub mod bulk;
 mod config;
 mod cursor;
@@ -79,7 +78,6 @@ mod view;
 pub use adaptive::{
     AdaptiveConfig, AdaptiveCursor, AdaptiveDistanceJoin, AdaptiveRun, ReplanInfo, ReplanSignals,
 };
-pub use bound::SharedDistanceBound;
 pub use bulk::{BulkConfig, BulkDistanceJoin, BulkStats};
 pub use config::{
     ConfigError, EstimationBound, ExpansionPath, JoinConfig, KeyDomain, QueueBackend, QueueLayout,
@@ -88,9 +86,8 @@ pub use config::{
 pub use cursor::{open_cursor, BulkCursor, JoinCursor};
 pub use index::{IndexEntry, IndexNode, NodeId, SpatialIndex};
 pub use intersect::{IntersectionPair, OrderedIntersectionJoin};
-pub use join::{DistanceJoin, DistanceSemiJoin, EmissionWatermark, JoinFrontier, ResultPair};
+pub use join::{DistanceJoin, DistanceSemiJoin, EmissionWatermark, ResultPair};
 pub use nn::{nearest_neighbors, IndexNearestNeighbors, IndexNeighbor};
-pub use obs::JoinObs;
 pub use oracle::{DistanceOracle, MbrOracle, SliceOracle};
 pub use pair::{Item, ItemId, Pair, PairKey};
 pub use plan::{plan, plan_for_trees, Plan, PlanChoice, PlanInputs};

@@ -5,10 +5,10 @@
 //! [`with_obs`](crate::DistanceJoin::with_obs). It counts in plain fields
 //! and adds the deltas to instruments it looked up once, at the pop-sampling
 //! stride (the first pop, then every `pop_sample_every` pops), when the
-//! stream ends, at [`finish`](JoinObs::finish) and on drop. So the hot path
-//! writes no shared atomic, a publish takes no registry lock, and a live
-//! registry lags by at most one stride. The uninstrumented engine stores
-//! `None` and pays a single branch per hook site.
+//! stream ends and on drop. So the hot path writes no shared atomic, a
+//! publish takes no registry lock, and a live registry lags by at most one
+//! stride. The uninstrumented engine stores `None` and pays a single branch
+//! per hook site.
 
 use std::mem::take;
 use std::sync::Arc;
@@ -29,18 +29,12 @@ struct Published {
     queue_depth: Arc<Gauge>,
 }
 
-/// Instrumentation state carried by one join engine (serial run, frontier
-/// partitioner, or parallel worker).
-pub struct JoinObs {
+/// Instrumentation state carried by one join engine.
+pub(crate) struct JoinObs {
     sink: Arc<dyn EventSink>,
     published: Published,
     pop_sample_every: u64,
     result_sample_every: u64,
-    /// Emit `ResultReported` events (disabled for parallel workers, whose
-    /// per-shard ranks would interleave; the executor emits them from the
-    /// merged stream instead).
-    emit_results: bool,
-    worker: u32,
     pops: u64,
     /// Last bound announced via `BoundTightened`; only strict improvements
     /// emit again.
@@ -65,15 +59,7 @@ pub struct JoinObs {
 }
 
 impl JoinObs {
-    /// Handle for a serial engine (worker id 0).
-    #[must_use]
-    pub fn new(ctx: &ObsContext) -> Self {
-        Self::for_worker(ctx, 0)
-    }
-
-    /// Handle for parallel worker `worker` (0 = the partitioner).
-    #[must_use]
-    pub fn for_worker(ctx: &ObsContext, worker: u32) -> Self {
+    pub(crate) fn new(ctx: &ObsContext) -> Self {
         let r = &ctx.registry;
         Self {
             sink: Arc::clone(&ctx.sink),
@@ -89,8 +75,6 @@ impl JoinObs {
             },
             pop_sample_every: ctx.pop_sample_every,
             result_sample_every: ctx.result_sample_every,
-            emit_results: true,
-            worker,
             pops: 0,
             last_bound: f64::INFINITY,
             rank: 0,
@@ -122,31 +106,6 @@ impl JoinObs {
         if let Some(t) = &mut self.spans {
             t.exit(phase);
         }
-    }
-
-    /// Suppresses per-engine `ResultReported` events (counters still
-    /// accumulate). Used by the parallel executor, which reports ranks from
-    /// the merged stream.
-    #[must_use]
-    pub fn suppress_result_events(mut self) -> Self {
-        self.emit_results = false;
-        self
-    }
-
-    /// The worker id this handle reports under.
-    #[must_use]
-    pub fn worker(&self) -> u32 {
-        self.worker
-    }
-
-    /// Publishes the counts and emits a `WorkerFinished` event; called by
-    /// the executor when a worker's result stream ends.
-    pub fn finish(&mut self, results: u64) {
-        self.publish();
-        self.sink.emit(&Event::WorkerFinished {
-            worker: self.worker,
-            results,
-        });
     }
 
     /// Adds the counts gathered since the last publish to the registry.
@@ -194,7 +153,7 @@ impl JoinObs {
     pub(crate) fn on_result(&mut self, rank: u64, dist: f64) {
         self.rank = rank;
         self.result_distance.record(dist);
-        if self.emit_results && rank.is_multiple_of(self.result_sample_every) {
+        if rank.is_multiple_of(self.result_sample_every) {
             self.sink.emit(&Event::ResultReported { rank, dist });
         }
     }
@@ -214,10 +173,8 @@ impl JoinObs {
         if bound < self.last_bound {
             self.last_bound = bound;
             self.bound_tightenings += 1;
-            self.sink.emit(&Event::BoundTightened {
-                worker: self.worker,
-                bound,
-            });
+            // A join is one engine, which the event schema numbers 0.
+            self.sink.emit(&Event::BoundTightened { worker: 0, bound });
         }
     }
 }
@@ -231,7 +188,6 @@ impl Drop for JoinObs {
 impl std::fmt::Debug for JoinObs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JoinObs")
-            .field("worker", &self.worker)
             .field("pops", &self.pops)
             .finish_non_exhaustive()
     }

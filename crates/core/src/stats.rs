@@ -54,8 +54,6 @@ pub struct JoinStats {
     /// during expansion or at the pop. A queued pair the compaction dropped
     /// first is counted in `pairs_discarded` instead.
     pub pruned_by_dmax: u64,
-    /// Pairs rejected by the executor's shared cross-worker distance bound.
-    pub pruned_by_shared: u64,
     /// Pairs dropped because their first object already produced a
     /// semi-join result, at the push, during expansion, at the pop or at
     /// the report. A queued pair the compaction dropped first is counted in
@@ -90,13 +88,13 @@ impl JoinStats {
         self.pruned_by_range
             + self.pruned_by_estimate
             + self.pruned_by_dmax
-            + self.pruned_by_shared
             + self.filtered_seen
             + self.filtered_self
     }
 
     /// Accumulates `other` into `self`: counters and queue lengths add,
-    /// high-water marks take the maximum. Used to aggregate per-worker stats of a parallel run.
+    /// high-water marks take the maximum. Used to add an adaptive run's bulk
+    /// tail to its incremental prefix.
     pub fn merge(&mut self, other: &JoinStats) {
         self.distance_calcs += other.distance_calcs;
         self.object_distance_calcs += other.object_distance_calcs;
@@ -112,7 +110,6 @@ impl JoinStats {
         self.pruned_by_range += other.pruned_by_range;
         self.pruned_by_estimate += other.pruned_by_estimate;
         self.pruned_by_dmax += other.pruned_by_dmax;
-        self.pruned_by_shared += other.pruned_by_shared;
         self.filtered_seen += other.filtered_seen;
         self.filtered_self += other.filtered_self;
         self.sqrt_calls += other.sqrt_calls;
@@ -149,7 +146,7 @@ mod tests {
             distance_calcs: 5,
             pairs_reported: 1,
             max_queue: 12,
-            pruned_by_shared: 3,
+            pruned_by_dmax: 3,
             pairs_discarded: 4,
             queue_len: 9,
             ..JoinStats::default()
@@ -159,6 +156,6 @@ mod tests {
         assert_eq!((a.pairs_discarded, a.queue_len), (4, 9));
         assert_eq!(a.pairs_reported, 3);
         assert_eq!(a.max_queue, 12);
-        assert_eq!(a.pruned_by_shared, 3);
+        assert_eq!(a.pruned_by_dmax, 3);
     }
 }

@@ -4,8 +4,8 @@
 //!   multiset-equal to the incremental stream (same pairs, bitwise-same
 //!   distances).
 //! * **Order**: the bulk merge reports a bitwise-identical distance
-//!   sequence (equal-distance *tie order* may differ — the same contract
-//!   the parallel executor's merged stream has) and the same pair multiset.
+//!   sequence (equal-distance *tie order* may differ) and the same pair
+//!   multiset.
 //!
 //! Fuzzed across grid cell widths (including degenerate slivers that force
 //! heavy replication), `[Dmin, Dmax]` restrictions, all three metrics, both

@@ -1,23 +1,24 @@
 //! The planned entry point: the cost model picks the execution path and
-//! [`run_planned`] runs it with [`ParallelConfig::threads`] workers.
+//! [`run_planned`] runs it.
 //!
 //! Each path is its engine's own constructor plus one call: the incremental
-//! path is [`ParallelDistanceJoin`], the bulk path
-//! `BulkDistanceJoin::run_with_workers` (whose scoped sweep pool lives in
+//! path is the serial `DistanceJoin`, on the calling thread; the bulk path
+//! is `BulkDistanceJoin::run_with_workers` (whose scoped sweep pool lives in
 //! `sdj_core::bulk`), and the adaptive path
 //! `AdaptiveDistanceJoin::run_with_workers`, which hands a mid-run switch's
-//! remainder to that same bulk sweep.
+//! remainder to that same bulk sweep. Only the sweeps use
+//! [`ParallelConfig::threads`].
 
 use sdj_core::bulk::{BulkConfig, BulkDistanceJoin, BulkStats};
 use sdj_core::plan::{plan_for_trees, Plan, PlanChoice};
 use sdj_core::{
-    AdaptiveConfig, AdaptiveDistanceJoin, JoinConfig, JoinStats, ReplanInfo, ResultPair,
-    SpatialIndex,
+    AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, JoinStats, ReplanInfo,
+    ResultPair, SpatialIndex,
 };
 use sdj_obs::{Event, ObsContext};
 use sdj_storage::StorageError;
 
-use crate::{ParallelConfig, ParallelDistanceJoin};
+use crate::ParallelConfig;
 
 /// Execution-path override for [`run_planned`]: `None` lets the cost model
 /// decide, `Some(choice)` forces a path (the `--force-plan` flag).
@@ -45,14 +46,15 @@ pub struct PlannedRun {
     pub replanned: Option<ReplanInfo>,
     /// First storage error, if any.
     pub error: Option<StorageError>,
-    /// Worker threads spawned by the executed path.
+    /// Sweep worker threads spawned by the executed path (0 for the
+    /// incremental path, which runs on the calling thread).
     pub workers_spawned: usize,
 }
 
 /// Plans and runs a distance join: consults the cost model (or the
 /// `force` override), emits the `PlanChosen` event and `plan.*` registry
-/// instruments, then executes the chosen path in parallel and collects the
-/// ordered results.
+/// instruments, then executes the chosen path and collects the ordered
+/// results.
 ///
 /// The adaptive knobs are an explicit per-call parameter, not process
 /// state: two queries in the same process may run with different strides
@@ -69,8 +71,8 @@ pub fn run_planned<const D: usize, I1, I2>(
     obs: Option<ObsContext>,
 ) -> PlannedRun
 where
-    I1: SpatialIndex<D> + Sync,
-    I2: SpatialIndex<D> + Sync,
+    I1: SpatialIndex<D>,
+    I2: SpatialIndex<D>,
 {
     let plan = plan_for_trees(tree1, tree2, &config);
     let executed = force.unwrap_or(plan.choice);
@@ -116,19 +118,12 @@ where
     let threads = parallel.threads;
     let (results, stats, bulk, replanned, error, workers_spawned) = match executed {
         PlanChoice::Incremental => {
-            let mut join = ParallelDistanceJoin::new(tree1, tree2, config, parallel);
+            let mut join = DistanceJoin::new(tree1, tree2, config);
             if let Some(ctx) = &obs {
-                join = join.with_obs(ctx.clone());
+                join = join.with_obs(ctx);
             }
-            let out = join.collect();
-            (
-                out.value,
-                out.stats,
-                None,
-                None,
-                out.error,
-                out.workers_spawned,
-            )
+            let results = join.by_ref().collect();
+            (results, join.stats(), None, None, join.take_error(), 0)
         }
         PlanChoice::Bulk => {
             match BulkDistanceJoin::with_bulk_config_obs(

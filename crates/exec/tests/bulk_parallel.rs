@@ -9,8 +9,8 @@
 //!   engine's result multiset, and the ordered distance sequence bitwise.
 //! * **Planned runs**: `run_planned` executes the forced path, both paths
 //!   agree, and the obs wiring records `plan_chosen` / `plan.*` / `bulk.*`.
-//! * **`STOP AFTER 0`**: the parallel incremental executor, the pooled bulk
-//!   sweep, and `run_planned` under each forced plan return an empty stream
+//! * **`STOP AFTER 0`**: the pooled bulk sweep and `run_planned` under each
+//!   forced plan return an empty stream
 //!   without an error (the serial engines behind `open_cursor` are covered by
 //!   `sdj-core`'s `open_cursor_streams_every_plan_at_every_batch_size`).
 
@@ -19,9 +19,9 @@ use std::sync::Arc;
 use sdj_core::bulk::{BulkConfig, BulkDistanceJoin};
 use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, PlanChoice, ResultOrder,
-    ResultPair, SemiConfig,
+    ResultPair,
 };
-use sdj_exec::{run_planned, ParallelConfig, ParallelDistanceJoin};
+use sdj_exec::{run_planned, ParallelConfig};
 use sdj_geom::{Point, Rect};
 use sdj_obs::{ObsContext, RingRecorder};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
@@ -251,11 +251,6 @@ fn stop_after_zero_yields_nothing_in_parallel() {
     let config = JoinConfig::default().with_max_pairs(0);
     for threads in [1, 3] {
         let parallel = ParallelConfig::with_threads(threads);
-        let join = ParallelDistanceJoin::new(&t1, &t2, config, parallel).collect();
-        assert!(join.value.is_empty() && join.error.is_none());
-        let semi =
-            ParallelDistanceJoin::semi(&t1, &t2, config, SemiConfig::default(), parallel).collect();
-        assert!(semi.value.is_empty() && semi.error.is_none());
         let mut bulk = BulkDistanceJoin::new(&t1, &t2, config.with_range(0.0, 2.0)).unwrap();
         assert!(bulk.run_with_workers(threads).is_empty());
         for plan in PlanChoice::ALL {

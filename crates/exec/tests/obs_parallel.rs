@@ -1,13 +1,13 @@
-//! Observability of a parallel run: every spawned worker announces
-//! `WorkerFinished`, the merged stream reports strictly increasing global
-//! ranks with non-decreasing distances, and the per-worker result counts
-//! reconcile with the merged output.
+//! Observability of planned runs: the incremental plan reports the serial
+//! engine's ranks at the context's cadence, and an adaptive run whose bulk
+//! tail is swept by a worker pool keeps one rank series across the handoff
+//! and records the same `bulk.*` counters as the serial tail.
 
 use std::sync::Arc;
 
 use sdj_core::bulk::BulkConfig;
 use sdj_core::{AdaptiveConfig, AdaptiveDistanceJoin, JoinConfig, PlanChoice};
-use sdj_exec::{run_planned, ParallelConfig, ParallelDistanceJoin};
+use sdj_exec::{run_planned, ParallelConfig};
 use sdj_geom::Point;
 use sdj_obs::{Event, ObsContext, RingRecorder, RunRecorder, RunReport};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
@@ -21,99 +21,43 @@ fn tree(n: u64, stride: f64, offset: f64) -> RTree<2> {
     t
 }
 
-#[test]
-fn parallel_run_reports_workers_and_global_ranks() {
-    let t1 = tree(400, 1.0, 0.0);
-    let t2 = tree(400, 1.0, 0.25);
-    let recorder = Arc::new(RingRecorder::new(65_536));
-    let ctx = ObsContext::new(recorder.clone() as Arc<dyn sdj_obs::EventSink>);
-
-    let config = JoinConfig::default().with_max_pairs(500);
-    let parallel = ParallelConfig {
-        threads: 3,
-        frontier_factor: 8,
-        channel_capacity: 64,
-    };
-    let run = ParallelDistanceJoin::new(&t1, &t2, config, parallel)
-        .with_obs(ctx.clone())
-        .collect();
-    assert_eq!(run.error, None);
-    assert_eq!(run.value.len(), 500);
-    assert_eq!(recorder.dropped(), 0, "ring must be large enough");
-
-    let events = recorder.events();
-
-    // Every spawned worker finished, and their result counts cover at least
-    // the merged (non-prefix) output: semi-join dedup aside (this is a full
-    // join), each merged result was sent by exactly one worker, but workers
-    // may send results the consumer never drains after `max_pairs` is hit.
-    let finished: Vec<(u32, u64)> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::WorkerFinished { worker, results } => Some((*worker, *results)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        finished.len(),
-        run.workers_spawned,
-        "one WorkerFinished per spawned worker"
-    );
-    for (worker, _) in &finished {
-        assert!(*worker >= 1, "spawned workers report ids 1..");
-    }
-
-    // ResultReported ranks are globally strictly increasing, contiguous
-    // from 1, and distances never decrease (ascending run).
-    let reported: Vec<(u64, f64)> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::ResultReported { rank, dist } => Some((*rank, *dist)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(reported.len(), 500, "cadence 1 reports every result");
-    let mut last_dist = 0.0f64;
-    for (i, (rank, dist)) in reported.iter().enumerate() {
-        assert_eq!(*rank, i as u64 + 1, "ranks contiguous from 1");
-        assert!(*dist >= last_dist, "distances non-decreasing");
-        last_dist = *dist;
-    }
-    // The reported distances are exactly the collected stream's.
-    for (r, (_, dist)) in run.value.iter().zip(&reported) {
-        assert_eq!(r.distance.to_bits(), dist.to_bits());
-    }
-
-    // The counters saw every result exactly once across all engines.
-    let snap = ctx.registry.snapshot();
-    assert!(snap.counter("join.results").unwrap_or(0) >= 500);
-    assert!(snap.counter("join.expansions").unwrap_or(0) > 0);
-}
-
+/// `run_planned`'s incremental plan reports every result's global rank and
+/// distance at cadence 1, and every 50th rank at cadence 50.
 #[test]
 fn sampled_cadence_thins_result_events() {
     let t1 = tree(200, 1.0, 0.0);
     let t2 = tree(200, 1.0, 0.5);
-    let recorder = Arc::new(RingRecorder::new(8192));
-    let ctx = ObsContext::new(recorder.clone() as Arc<dyn sdj_obs::EventSink>)
-        .with_result_sample_every(50);
-
     let config = JoinConfig::default().with_max_pairs(300);
-    let run = ParallelDistanceJoin::new(&t1, &t2, config, ParallelConfig::with_threads(2))
-        .with_obs(ctx)
-        .collect();
-    assert_eq!(run.error, None);
-    assert_eq!(run.value.len(), 300);
-
-    let ranks: Vec<u64> = recorder
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::ResultReported { rank, .. } => Some(*rank),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(ranks, vec![50, 100, 150, 200, 250, 300]);
+    for every in [1, 50] {
+        let recorder = Arc::new(RingRecorder::new(8192));
+        let ctx = ObsContext::new(recorder.clone() as Arc<dyn sdj_obs::EventSink>)
+            .with_result_sample_every(every);
+        let run = run_planned(
+            &t1,
+            &t2,
+            config,
+            ParallelConfig::with_threads(2),
+            BulkConfig::default(),
+            AdaptiveConfig::default(),
+            Some(PlanChoice::Incremental),
+            Some(ctx),
+        );
+        assert_eq!(run.error, None);
+        assert_eq!(run.results.len(), 300);
+        let reported: Vec<(u64, u64)> = recorder
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::ResultReported { rank, dist } => Some((*rank, dist.to_bits())),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<(u64, u64)> = (1..=300u64)
+            .filter(|rank| rank % every == 0)
+            .map(|rank| (rank, run.results[rank as usize - 1].distance.to_bits()))
+            .collect();
+        assert_eq!(reported, want, "cadence {every}");
+    }
 }
 
 /// An adaptive run that hands off after its first results reports one rank

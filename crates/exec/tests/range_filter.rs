@@ -1,8 +1,7 @@
 //! Range as a filter: the paper's distance range is closed (§2.2.3,
 //! `Dmin ≤ d ≤ Dmax`), so a run restricted by `with_range(lo, hi)` must
 //! equal the unrestricted stream filtered by `lo ≤ d ≤ hi`, pair for pair,
-//! on every engine: incremental, bulk, adaptive, parallel, semi and the
-//! hybrid queue. Bounds are drawn from reported distances — the values a
+//! on every engine: incremental, bulk, adaptive, semi and the hybrid queue. Bounds are drawn from reported distances — the values a
 //! caller feeds back as a cut-off — which is exactly where a bound rounded
 //! inward into the squared key domain loses the pair lying on it.
 
@@ -12,7 +11,6 @@ use sdj_core::{
     AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, DmaxStrategy, JoinConfig, QueueBackend,
     ResultPair, SemiConfig, SemiFilter,
 };
-use sdj_exec::{ParallelConfig, ParallelDistanceJoin};
 use sdj_geom::Rect;
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 
@@ -98,11 +96,6 @@ proptest! {
             .run();
         prop_assert!(run.error.is_none());
         same_stream(&run.results, &want)?;
-
-        let parallel = ParallelDistanceJoin::new(&t1, &t2, config, ParallelConfig::with_threads(2))
-            .collect();
-        prop_assert_eq!(parallel.error, None);
-        same_stream(&parallel.value, &want)?;
 
         // A bucket increment at a reported distance puts tier boundaries on
         // result distances.

@@ -87,19 +87,18 @@ pub enum Event {
         /// True if the victim was dirty and had to be written back.
         writeback: bool,
     },
-    /// A maximum-distance bound tightened (estimator progress, or a worker
-    /// publishing to the shared cross-worker bound).
+    /// An incremental join's §2.2.4 maximum-distance estimate tightened.
     BoundTightened {
-        /// Worker id (0 = the serial engine / partitioner).
+        /// Always 0: the incremental engine is one worker.
         worker: u32,
         /// The new, tighter bound.
         bound: f64,
     },
-    /// A parallel worker's result stream finished.
+    /// A bulk sweep worker finished its cells.
     WorkerFinished {
-        /// Worker id (1-based; 0 is the partitioner).
+        /// Worker id (1-based).
         worker: u32,
-        /// Results the worker emitted.
+        /// Hits the worker swept.
         results: u64,
     },
     /// A storage operation failed under the buffer pool (injected or real).

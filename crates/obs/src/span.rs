@@ -77,7 +77,7 @@ pub enum Phase {
     Kernel = 5,
     /// Plane-sweep window scan (both-nodes expansion; bulk cell sweep).
     Sweep = 6,
-    /// Ordered merge (worker-stream watermark merge; bulk run merge).
+    /// Ordered merge of the bulk sweep workers' runs.
     Merge = 7,
     /// Buffer-pool page I/O (demand fault, retry loop, prefetch read).
     Io = 8,

@@ -331,7 +331,7 @@ impl Shard {
 ///
 /// Methods take `&self`: the pool uses interior mutability so that read-only
 /// index traversals can fault pages without exclusive access to the tree,
-/// and so the parallel executor's workers can share it. Lock order is
+/// and so concurrent sessions and bulk sweep workers can share it. Lock order is
 /// always shard → pager; hits take only the shard lock.
 pub struct BufferPool {
     shards: Box<[Shard]>,

@@ -13,7 +13,7 @@
 //! | [`pqueue`] | `sdj-pqueue` | pairing heap + hybrid memory/disk queue |
 //! | [`quadtree`] | `sdj-quadtree` | PR quadtree (non-minimal regions) |
 //! | [`join`] | `sdj-core` | **the paper's algorithms** |
-//! | [`exec`] | `sdj-exec` | parallel executor with ordered stream merge |
+//! | [`exec`] | `sdj-exec` | `run_planned`, the cost-based entry point over every path |
 //! | [`baselines`] | `sdj-baselines` | nested loop, NN semi-join, within-join |
 //! | [`datagen`] | `sdj-datagen` | seeded TIGER-like workload generators |
 //! | [`query`] | `sdj-query` | relations, predicates, `STOP AFTER` queries |

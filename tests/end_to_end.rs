@@ -3,11 +3,13 @@
 
 use incremental_distance_join::baselines::{nested_loop_topk, nn_semijoin, within_join};
 use incremental_distance_join::datagen::tiger;
+use incremental_distance_join::exec::{run_planned, ParallelConfig, ParallelDistanceJoin};
 use incremental_distance_join::geom::{Metric, Point};
 use incremental_distance_join::join::{
-    BulkConfig, BulkDistanceJoin, DistanceJoin, DmaxStrategy, EstimationBound, JoinConfig,
-    ResultOrder, SemiConfig, SemiFilter,
+    AdaptiveConfig, BulkConfig, BulkDistanceJoin, DistanceJoin, DmaxStrategy, EstimationBound,
+    JoinConfig, PlanChoice, ResultOrder, ResultPair, SemiConfig, SemiFilter,
 };
+use incremental_distance_join::obs::ObsContext;
 use incremental_distance_join::query::{
     CmpOp, DistanceQuery, FilterPlacement, Predicate, Relation, Value,
 };
@@ -281,6 +283,54 @@ fn pipelining_pays_only_for_what_is_consumed() {
         "ten pairs should cost a small fraction of the full join \
          ({cost_ten} vs {cost_all})"
     );
+}
+
+/// `run_planned`'s incremental plan is the serial engine on the calling
+/// thread: at any thread count, instrumented or not, it returns the stream
+/// and the queue counts of `DistanceJoin::new(..).collect()` and spawns no
+/// worker. The `ParallelDistanceJoin` shim returns the same stream.
+#[test]
+fn planned_incremental_runs_are_the_serial_engine() {
+    let (tw, tr, ..) = env();
+    let config = JoinConfig::default().with_max_pairs(2_000);
+    let bits = |rs: &[ResultPair]| -> Vec<(u64, u64, u64)> {
+        rs.iter()
+            .map(|r| (r.distance.to_bits(), r.oid1.0, r.oid2.0))
+            .collect()
+    };
+    let mut serial = DistanceJoin::new(&tw, &tr, config);
+    let want: Vec<ResultPair> = serial.by_ref().collect();
+    let want_stats = serial.stats();
+    assert_eq!(want.len(), 2_000);
+    for threads in [1, 2] {
+        for obs in [None, Some(ObsContext::noop())] {
+            let what = format!("threads={threads} obs={}", obs.is_some());
+            let run = run_planned(
+                &tw,
+                &tr,
+                config,
+                ParallelConfig::with_threads(threads),
+                BulkConfig::default(),
+                AdaptiveConfig::default(),
+                Some(PlanChoice::Incremental),
+                obs,
+            );
+            assert!(run.error.is_none(), "{what}");
+            assert_eq!(run.executed, PlanChoice::Incremental, "{what}");
+            assert_eq!(bits(&run.results), bits(&want), "{what}: stream");
+            assert_eq!(
+                (run.stats.pairs_dequeued, run.stats.pairs_enqueued),
+                (want_stats.pairs_dequeued, want_stats.pairs_enqueued),
+                "{what}: queue counts"
+            );
+            assert_eq!(run.workers_spawned, 0, "{what}: workers");
+        }
+        let shim =
+            ParallelDistanceJoin::new(&tw, &tr, config, ParallelConfig::with_threads(threads))
+                .collect();
+        assert!(shim.error.is_none());
+        assert_eq!(bits(&shim.value), bits(&want), "shim at threads={threads}");
+    }
 }
 
 #[test]
