@@ -24,7 +24,7 @@ use sdj_rtree::ObjectId;
 use sdj_storage::StorageError;
 
 use crate::config::{QueueBackend, QueueLayout};
-use crate::index::{IndexNode, SpatialIndex};
+use crate::index::{IndexEntry, IndexNode, SpatialIndex};
 use crate::pair::{Item, Pair, PairKey, TiePolicy};
 use crate::queue::JoinQueue;
 
@@ -154,9 +154,7 @@ where
         };
         if read.is_ok() {
             soa.clear();
-            for e in &node.entries {
-                soa.push(e.rect());
-            }
+            soa.extend(node.entries.iter().map(IndexEntry::rect));
             kbuf.clear();
             soa.focus_intersection_keys(
                 self.keys,

@@ -1652,9 +1652,7 @@ where
         entries2.sort_by(|a, b| a.rect().lo()[0].total_cmp(&b.rect().lo()[0]));
         let mut soa2 = std::mem::take(&mut self.scratch_soa2);
         soa2.clear();
-        for e in &entries2 {
-            soa2.push(e.rect());
-        }
+        soa2.extend(entries2.iter().map(IndexEntry::rect));
         let max_width2 = entries2
             .iter()
             .map(|e| e.rect().extent(0))

@@ -138,9 +138,7 @@ impl<'a, const D: usize, I: SpatialIndex<D>> IndexNearestNeighbors<'a, D, I> {
                     let read = self.index.read_node_into(id, &mut node);
                     if read.is_ok() {
                         soa.clear();
-                        for e in &node.entries {
-                            soa.push(e.rect());
-                        }
+                        soa.extend(node.entries.iter().map(IndexEntry::rect));
                         kbuf.clear();
                         soa.point_mindist_keys(self.keys, &self.query, 0..soa.len(), &mut kbuf);
                         for (entry, &k) in node.entries.iter().zip(&kbuf) {

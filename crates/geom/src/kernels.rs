@@ -89,6 +89,21 @@ impl<const D: usize> SoaRects<D> {
         self.len += 1;
     }
 
+    /// Appends `rects` in order, one column at a time. Each column is one
+    /// tight copy loop; a [`SoaRects::push`] per rectangle instead updates
+    /// `2·D` vector lengths per rectangle and costs several times more.
+    pub fn extend<'a>(&mut self, rects: impl ExactSizeIterator<Item = &'a Rect<D>> + Clone) {
+        debug_assert!(
+            rects.clone().all(|r| !r.is_empty()),
+            "SoaRects holds non-empty rectangles only"
+        );
+        self.len += rects.len();
+        for a in 0..D {
+            self.lo[a].extend(rects.clone().map(|r| r.lo()[a]));
+            self.hi[a].extend(rects.clone().map(|r| r.hi()[a]));
+        }
+    }
+
     /// The `lo` column of one axis (used by the plane sweep, which keeps the
     /// batch sorted by `lo[0]` and binary-searches its window bounds here).
     #[must_use]
@@ -350,6 +365,24 @@ mod tests {
             soa.push(r);
         }
         (soa, rects)
+    }
+
+    #[test]
+    fn extend_appends_like_push() {
+        let (pushed, rects) = batch();
+        let mut soa = SoaRects::new();
+        soa.push(&rects[0]);
+        soa.extend(rects[1..].iter());
+        assert_eq!(soa.len(), pushed.len());
+        for (i, r) in rects.iter().enumerate() {
+            assert_eq!(soa.get(i), *r);
+        }
+        for a in 0..2 {
+            assert_eq!(soa.lo_axis(a), pushed.lo_axis(a));
+        }
+        soa.clear();
+        soa.extend(rects.iter());
+        assert_eq!(soa.get(3), rects[3]);
     }
 
     #[test]

@@ -102,13 +102,9 @@ impl<const D: usize> Node<D> {
 
     /// Deserializes a node from a page buffer.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        let (level, count) = Self::decode_header(buf)?;
-        let mut r = PageReader::new(buf);
-        r.skip(HEADER_SIZE)?;
+        let (_, count) = Self::decode_header(buf)?;
         let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(Self::decode_entry(&mut r, level)?);
-        }
+        let level = Self::scan(buf, |_, e| entries.push(*e))?;
         Ok(Self { level, entries })
     }
 
@@ -117,14 +113,37 @@ impl<const D: usize> Node<D> {
     ///
     /// This is the allocation-free read path: callers with a reusable buffer
     /// (the join's struct-of-arrays node views) decode a page without any
-    /// per-read heap traffic.
+    /// per-read heap traffic. Entries are fixed-stride runs of eight-byte
+    /// words, read straight off the page; every entry is validated before
+    /// `f` sees it, so a corrupt entry ends the scan with
+    /// [`StorageError::Corrupt`] after its valid predecessors were streamed.
     pub fn scan(buf: &[u8], mut f: impl FnMut(u8, &Entry<D>)) -> Result<u8> {
         let (level, count) = Self::decode_header(buf)?;
-        let mut r = PageReader::new(buf);
-        r.skip(HEADER_SIZE)?;
-        for _ in 0..count {
-            let entry = Self::decode_entry(&mut r, level)?;
-            f(level, &entry);
+        let body = buf
+            .get(HEADER_SIZE..HEADER_SIZE + count * entry_size::<D>())
+            .ok_or(StorageError::Corrupt("node body runs past the page"))?;
+        let (words, _) = body.as_chunks::<8>();
+        for w in words.chunks_exact(1 + 2 * D) {
+            let lo: [f64; D] = std::array::from_fn(|a| f64::from_le_bytes(w[1 + a]));
+            let hi: [f64; D] = std::array::from_fn(|a| f64::from_le_bytes(w[1 + D + a]));
+            if !(0..D).all(|a| lo[a].is_finite() && hi[a].is_finite() && lo[a] <= hi[a]) {
+                return Err(StorageError::Corrupt("invalid entry rectangle"));
+            }
+            let ptr_bits = u64::from_le_bytes(w[0]);
+            let ptr = if level == 0 {
+                EntryPtr::Object(ObjectId(ptr_bits))
+            } else {
+                let page = u32::try_from(ptr_bits)
+                    .map_err(|_| StorageError::Corrupt("child page id exceeds u32"))?;
+                EntryPtr::Child(PageId(page))
+            };
+            f(
+                level,
+                &Entry {
+                    mbr: Rect::new(lo, hi),
+                    ptr,
+                },
+            );
         }
         Ok(level)
     }
@@ -139,33 +158,6 @@ impl<const D: usize> Node<D> {
             return Err(StorageError::Corrupt("node entry count exceeds capacity"));
         }
         Ok((level, count))
-    }
-
-    /// Parses one entry at the reader's position for a node at `level`.
-    fn decode_entry(r: &mut PageReader<'_>, level: u8) -> Result<Entry<D>> {
-        let ptr_bits = r.get_u64()?;
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for v in &mut lo {
-            *v = r.get_f64()?;
-        }
-        for v in &mut hi {
-            *v = r.get_f64()?;
-        }
-        for a in 0..D {
-            if !lo[a].is_finite() || !hi[a].is_finite() || lo[a] > hi[a] {
-                return Err(StorageError::Corrupt("invalid entry rectangle"));
-            }
-        }
-        let mbr = Rect::new(lo, hi);
-        let ptr = if level == 0 {
-            EntryPtr::Object(ObjectId(ptr_bits))
-        } else {
-            let page = u32::try_from(ptr_bits)
-                .map_err(|_| StorageError::Corrupt("child page id exceeds u32"))?;
-            EntryPtr::Child(PageId(page))
-        };
-        Ok(Entry { mbr, ptr })
     }
 }
 

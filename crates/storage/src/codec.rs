@@ -41,36 +41,112 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
+/// Bytes per lane of the four-lane kernel; a block is four lanes.
+const LANE: usize = 256;
+const BLOCK: usize = 4 * LANE;
+
+/// `CRC32_ADVANCE_LANE[k][b]` is the checksum state that byte `b` in byte
+/// `k` of the state becomes after [`LANE`] zero bytes. The state update is
+/// linear over GF(2), so advancing a whole state is the XOR of its four
+/// bytes' entries; [`crc32`] uses it to fold independent lanes.
+const CRC32_ADVANCE_LANE: [[u32; 256]; 4] = {
+    // Advance each of the 32 single-bit states, then combine bits per byte.
+    let mut basis = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut c = 1u32 << bit;
+        let mut n = 0;
+        while n < LANE {
+            c = CRC32_TABLES[0][(c & 0xFF) as usize] ^ (c >> 8);
+            n += 1;
+        }
+        basis[bit] = c;
+        bit += 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut c = 0u32;
+            let mut j = 0;
+            while j < 8 {
+                if b & (1 << j) != 0 {
+                    c ^= basis[8 * k + j];
+                }
+                j += 1;
+            }
+            tables[k][b] = c;
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// One byte-at-a-time step of the checksum state.
 #[inline]
 fn crc32_step(c: u32, b: u8) -> u32 {
     CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
 }
 
+/// One slicing-by-8 step: the state after the eight bytes of `w`.
+#[inline(always)]
+fn crc32_word(c: u32, w: &[u8; 8]) -> u32 {
+    let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    CRC32_TABLES[7][(lo & 0xFF) as usize]
+        ^ CRC32_TABLES[6][((lo >> 8) & 0xFF) as usize]
+        ^ CRC32_TABLES[5][((lo >> 16) & 0xFF) as usize]
+        ^ CRC32_TABLES[4][(lo >> 24) as usize]
+        ^ CRC32_TABLES[3][(hi & 0xFF) as usize]
+        ^ CRC32_TABLES[2][((hi >> 8) & 0xFF) as usize]
+        ^ CRC32_TABLES[1][((hi >> 16) & 0xFF) as usize]
+        ^ CRC32_TABLES[0][(hi >> 24) as usize]
+}
+
+/// The state `c` advanced over [`LANE`] zero bytes.
+#[inline(always)]
+fn crc32_advance_lane(c: u32) -> u32 {
+    CRC32_ADVANCE_LANE[0][(c & 0xFF) as usize]
+        ^ CRC32_ADVANCE_LANE[1][((c >> 8) & 0xFF) as usize]
+        ^ CRC32_ADVANCE_LANE[2][((c >> 16) & 0xFF) as usize]
+        ^ CRC32_ADVANCE_LANE[3][(c >> 24) as usize]
+}
+
 /// CRC-32 (IEEE) of `data`. Used as the per-page checksum: computed on every
 /// write, verified on every read from the simulated disk.
 ///
-/// Processes eight bytes per step through eight lookup tables; the tail
-/// (and any input shorter than eight bytes) goes through the bytewise step.
+/// Each 1 KiB block is split into four 256-byte lanes checksummed
+/// independently, eight bytes per step, so the four table-lookup chains
+/// overlap instead of waiting on one another. The state update is linear:
+/// the state after `A ‖ B` is the state after `A` advanced over `|B|` zero
+/// bytes, XOR the state of `B` alone from zero. The lanes are folded that
+/// way through [`CRC32_ADVANCE_LANE`]. What is left after the last block
+/// takes eight bytes per step, and its last `< 8` bytes the bytewise step.
 /// The result is bit-identical to the bytewise loop for every input, so
 /// pages persisted by earlier versions keep verifying.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = CRC32_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC32_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC32_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC32_TABLES[4][(lo >> 24) as usize]
-            ^ CRC32_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC32_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC32_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC32_TABLES[0][(hi >> 24) as usize];
+    let (blocks, rest) = data.as_chunks::<BLOCK>();
+    for block in blocks {
+        let (lanes, _) = block.as_chunks::<LANE>();
+        let [l0, l1, l2, l3] = [0, 1, 2, 3].map(|k| lanes[k].as_chunks::<8>().0);
+        let (mut c0, mut c1, mut c2, mut c3) = (c, 0u32, 0u32, 0u32);
+        for (((w0, w1), w2), w3) in l0.iter().zip(l1).zip(l2).zip(l3) {
+            c0 = crc32_word(c0, w0);
+            c1 = crc32_word(c1, w1);
+            c2 = crc32_word(c2, w2);
+            c3 = crc32_word(c3, w3);
+        }
+        c = crc32_advance_lane(crc32_advance_lane(crc32_advance_lane(c0) ^ c1) ^ c2) ^ c3;
     }
-    for &b in words.remainder() {
+    let (words, tail) = rest.as_chunks::<8>();
+    for w in words {
+        c = crc32_word(c, w);
+    }
+    for &b in tail {
         c = crc32_step(c, b);
     }
     !c
@@ -329,25 +405,61 @@ mod tests {
         !data.iter().fold(0xFFFF_FFFFu32, |c, &b| crc32_step(c, b))
     }
 
+    /// `len` pseudo-random bytes from `seed` (xorshift).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Longest input the reference checks cover: four whole 1 KiB blocks of
+    /// the four-lane kernel plus every tail length after them.
+    const MAX_CHECKED_LEN: usize = 5_000;
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length() {
+        // Every length from 0 to several blocks: each count of whole
+        // blocks, each lane boundary and every tail length.
+        let buf = noise(0x5EED, MAX_CHECKED_LEN);
+        for len in 0..=MAX_CHECKED_LEN {
+            let data = &buf[..len];
+            assert_eq!(crc32(data), crc32_bytewise(data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_page_size() {
+        // The page sizes the workspace builds: `RTreeConfig::default()`
+        // (2 048), `RTreeConfig::small(m)` (4 + 40·m bytes, m ∈ {4, 5, 6,
+        // 8, 10}), the hybrid queue's and the quadtree's default spill and
+        // node pages (1 024) and the small hybrid test pages (128, 256).
+        for size in [2048, 164, 204, 244, 324, 404, 1024, 128, 256] {
+            for seed in 1..=4u64 {
+                let page = noise(seed.wrapping_mul(size as u64), size);
+                assert_eq!(crc32(&page), crc32_bytewise(&page), "page {size}");
+            }
+            let zeros = vec![0u8; size];
+            assert_eq!(crc32(&zeros), crc32_bytewise(&zeros), "zero page {size}");
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn crc32_matches_bytewise_reference(
             seed in proptest::prelude::any::<u64>(),
-            len in 0usize..=4100,
+            len in 0usize..=MAX_CHECKED_LEN,
             skip in 0usize..16,
             drop_tail in 0usize..16,
         ) {
             // Random contents; the sub-slice starts and ends at arbitrary
             // (unaligned) offsets inside the buffer.
-            let mut x = seed | 1;
-            let buf: Vec<u8> = (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x >> 24) as u8
-                })
-                .collect();
+            let buf = noise(seed, len);
             let lo = skip.min(len);
             let hi = len.saturating_sub(drop_tail).max(lo);
             let data = &buf[lo..hi];
