@@ -3,10 +3,16 @@
 //! Packs a static data set into a tree bottom-up: entries are sorted by
 //! center along axis 0, tiled into slabs, each slab sorted along the next
 //! axis, and so on; runs of `capacity` entries become nodes. Loading is much
-//! faster than repeated insertion and yields well-clustered leaves, at the
-//! cost of not guaranteeing the R* minimum fill in the final node of each
-//! run (the paper's trees are insertion-built; benches use bulk loading only
-//! where tree construction is not the quantity being measured).
+//! faster than repeated insertion and yields well-clustered leaves (the
+//! paper's trees are insertion-built; benches use bulk loading only where
+//! tree construction is not the quantity being measured).
+//!
+//! Every node but the root keeps the R* minimum fill, as an insertion-built
+//! tree's do: a last slab too small for a node joins the slab before it, and
+//! a last node under the minimum shares the entries of the node before it.
+//! The join's §2.2.4 estimator counts a subtree's objects from that minimum
+//! (`RTree::min_subtree_objects`); an underfull leaf let it prove pairs that
+//! do not exist and prune results.
 
 use sdj_geom::Rect;
 
@@ -30,6 +36,7 @@ impl<const D: usize> RTree<D> {
             assert!(mbr.is_finite(), "object MBR must be finite and non-empty");
         }
         let capacity = tree.max_entries();
+        let min = tree.min_entries();
         let len = items.len();
 
         // Pack leaf entries into leaf nodes.
@@ -40,7 +47,7 @@ impl<const D: usize> RTree<D> {
         let mut level: u8 = 0;
         let mut current: Vec<Entry<D>> = entries;
         loop {
-            let groups = str_tile(current, capacity, 0);
+            let groups = str_tile(current, capacity, min, 0);
             let mut parent_entries: Vec<Entry<D>> = Vec::with_capacity(groups.len());
             let single = groups.len() == 1;
             for group in groups {
@@ -67,10 +74,12 @@ impl<const D: usize> RTree<D> {
 }
 
 /// Recursively tiles `entries` into groups of at most `capacity`, sorted by
-/// MBR center along `axis`, then sub-tiled along the following axes.
+/// MBR center along `axis`, then sub-tiled along the following axes. When
+/// `entries` fills more than one group, each holds at least `min`.
 fn str_tile<const D: usize>(
     mut entries: Vec<Entry<D>>,
     capacity: usize,
+    min: usize,
     axis: usize,
 ) -> Vec<Vec<Entry<D>>> {
     if entries.len() <= capacity {
@@ -84,7 +93,16 @@ fn str_tile<const D: usize>(
             .expect("finite centers")
     });
     if axis + 1 == D {
-        return chunk(entries, capacity);
+        let mut groups = chunk(entries, capacity);
+        if let [.., prev, last] = groups.as_mut_slice() {
+            if last.len() < min {
+                // `capacity + last.len()` entries, at least `2 · min` since
+                // the R* minimum is at most half the capacity: two halves.
+                prev.append(last);
+                *last = prev.split_off(prev.len() / 2);
+            }
+        }
+        return groups;
     }
     // Number of capacity-sized pages this set needs, spread over the
     // remaining axes: S = ceil(P^(1/r)) slabs on this axis, each sized to
@@ -93,9 +111,16 @@ fn str_tile<const D: usize>(
     let remaining = D - axis;
     let slabs = (pages as f64).powf(1.0 / remaining as f64).ceil() as usize;
     let per_slab = slabs.pow(remaining as u32 - 1) * capacity;
+    let mut slabs = chunk(entries, per_slab);
+    if let [.., prev, last] = slabs.as_mut_slice() {
+        if last.len() < min {
+            prev.append(last);
+            slabs.pop();
+        }
+    }
     let mut out = Vec::new();
-    for slab in chunk(entries, per_slab) {
-        out.extend(str_tile(slab, capacity, axis + 1));
+    for slab in slabs {
+        out.extend(str_tile(slab, capacity, min, axis + 1));
     }
     out
 }
@@ -206,10 +231,22 @@ mod tests {
         assert!((first.distance - best).abs() < 1e-9);
     }
 
+    /// Every node but the root holds the R* minimum: `validate` checks it,
+    /// with minimal MBRs and the object count, at sizes that leave a short
+    /// last slab, a short last node, or both.
+    #[test]
+    fn bulk_loaded_trees_keep_the_minimum_fill() {
+        for fanout in [4, 6, 10] {
+            for n in (1..=400).chain([999, 1000, 1001, 2005, 2237]) {
+                let tree = RTree::bulk_load(RTreeConfig::small(fanout), points(n));
+                tree.validate()
+                    .unwrap_or_else(|e| panic!("fan-out {fanout}, {n} objects: {e}"));
+            }
+        }
+    }
+
     #[test]
     fn bulk_tree_mbr_containment_holds() {
-        // Bulk trees skip the min-fill rule but must still have minimal,
-        // containing MBRs; check by hand since validate() enforces min fill.
         let tree = RTree::bulk_load(RTreeConfig::small(6), points(300));
         let root = tree.read_node(tree.root_id()).unwrap();
         let mut stack = vec![(tree.root_id(), root)];
