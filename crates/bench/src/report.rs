@@ -341,6 +341,8 @@ pub fn build(spec: &ReportSpec) -> Result<RunReport, String> {
         ("node_accesses".into(), stats.node_accesses),
         ("node_io".into(), stats.node_io),
         ("sweep_expansions".into(), stats.sweep_expansions),
+        ("band_deferred".into(), stats.band_deferred),
+        ("band_reexpanded".into(), stats.band_reexpanded),
     ];
     // Registry-side counters from pass 1 (expansions, results, and — when
     // the bulk path ran — bulk.cells / bulk.cell_pairs_swept plus the

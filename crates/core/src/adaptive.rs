@@ -715,12 +715,17 @@ mod tests {
     use sdj_pqueue::HybridConfig;
     use sdj_rtree::{ObjectId, RTreeConfig};
 
+    /// 1 500 uniform points and one far object, which stretches the root
+    /// over a 100 × 100 box. That puts the distance bands' first ceiling
+    /// (`DESIGN.md` §22) far above a K-th distance, so the queue holds the
+    /// pairs the estimate comes to kill, as it would without bands.
     fn tree(seed: u64) -> RTree<2> {
-        let items = uniform_points(1_500, &unit_box(), seed)
+        let mut items: Vec<_> = uniform_points(1_500, &unit_box(), seed)
             .iter()
             .enumerate()
             .map(|(i, p)| (ObjectId(i as u64), p.to_rect()))
             .collect();
+        items.push((ObjectId(1_500), Rect::new([100.0, 100.0], [100.0, 100.0])));
         RTree::bulk_load(RTreeConfig::small(8), items)
     }
 

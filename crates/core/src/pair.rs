@@ -188,6 +188,13 @@ pub enum TiePolicy {
     BreadthFirst,
 }
 
+/// Tie rank of a deferred copy (`DESIGN.md` §22) whose first expansion
+/// opened one side; `DEFERRED_TIE + 1` marks one whose first expansion was
+/// the plane sweep. A fresh pair ranks at most `DEFERRED_TIE - 1`, so the
+/// rank alone tells a copy apart when it is popped, and a copy pops after
+/// every fresh pair of equal distance.
+const DEFERRED_TIE: u8 = u8::MAX - 1;
+
 /// The composite priority-queue key: primary distance, then the
 /// tie-breaking rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -209,20 +216,38 @@ impl PairKey {
             (None, None) => None,
             (a, b) => Some(a.unwrap_or(u8::MAX).min(b.unwrap_or(u8::MAX))),
         };
-        let tie = match node_level {
+        // Ranks `1..DEFERRED_TIE`; a level no real index reaches (past 252)
+        // shares the last one.
+        let tie = match node_level.map(|level| level.min(DEFERRED_TIE - 2)) {
             // Objects and obrs ahead of everything.
             None => 0,
             Some(level) => match tie_policy {
                 // Deeper level (smaller value) first.
                 TiePolicy::DepthFirst => 1 + level,
                 // Shallower level first.
-                TiePolicy::BreadthFirst => u8::MAX - level,
+                TiePolicy::BreadthFirst => DEFERRED_TIE - 1 - level,
             },
         };
         Self {
             dist: OrdF64::new(dist),
             tie,
         }
+    }
+
+    /// The key of a deferred copy whose band starts at `dist`; `swept`
+    /// records that the expansion which deferred it was the plane sweep, so
+    /// that the copy re-expands with the same shape.
+    pub(crate) fn deferred(dist: f64, swept: bool) -> Self {
+        Self {
+            dist: OrdF64::new(dist),
+            tie: DEFERRED_TIE + u8::from(swept),
+        }
+    }
+
+    /// `Some(swept)` for a [`deferred`](Self::deferred) copy's key, `None`
+    /// for a fresh pair's.
+    pub(crate) fn deferred_shape(self) -> Option<bool> {
+        (self.tie >= DEFERRED_TIE).then_some(self.tie > DEFERRED_TIE)
     }
 }
 
@@ -331,6 +356,26 @@ mod tests {
         let pair = Pair::new(node(1, 4), obr(2));
         let key = PairKey::new(0.0, &pair, TiePolicy::DepthFirst);
         assert_eq!(key.tie, 5);
+    }
+
+    #[test]
+    fn deferred_copies_rank_apart_from_fresh_pairs() {
+        for policy in [TiePolicy::DepthFirst, TiePolicy::BreadthFirst] {
+            for level in [0, 1, 7, 200, 252, 253, u8::MAX] {
+                let key = PairKey::new(1.0, &Pair::new(node(1, level), node(2, level)), policy);
+                assert_eq!(key.deferred_shape(), None, "{policy:?} level {level}");
+                assert!(
+                    key < PairKey::deferred(1.0, false),
+                    "{policy:?} level {level}"
+                );
+            }
+        }
+        assert_eq!(PairKey::deferred(2.0, false).deferred_shape(), Some(false));
+        assert_eq!(PairKey::deferred(2.0, true).deferred_shape(), Some(true));
+        assert!(
+            PairKey::deferred(1.0, true)
+                < PairKey::new(1.5, &Pair::new(obr(1), obr(2)), TiePolicy::DepthFirst)
+        );
     }
 
     #[test]

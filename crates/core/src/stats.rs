@@ -75,10 +75,23 @@ pub struct JoinStats {
     /// Node/node pairs opened on both sides at once by the §2.2.2 plane
     /// sweep: every node pair under `TraversalPolicy::Simultaneous`, and
     /// under the default `Even` the equal-level pairs of a plain ascending
-    /// join popped while the known maximum distance was under half the
-    /// narrower node's axis-0 extent. Zero for semi-joins, descending runs
-    /// and bound-less runs under `Even`.
+    /// join popped while the known maximum distance — at a leaf pair of a
+    /// K-bounded join, the band ceiling when it is lower (`DESIGN.md` §22)
+    /// — was under half the narrower node's axis-0 extent, and the deferred
+    /// copies of swept pairs. Zero for semi-joins, descending runs and
+    /// bound-less runs under `Even`.
     pub sweep_expansions: u64,
+    /// Deferred copies queued by a K-bounded ascending join's distance
+    /// bands (`DESIGN.md` §22): expansions that left children keyed at or
+    /// above the band ceiling, and within the proven bound, for later. Each
+    /// copy is one of `pairs_enqueued`, and leaves the queue as any pair
+    /// does: popped, discarded by the compaction once the estimate falls
+    /// below its key, or still queued. Zero for every other join.
+    pub band_deferred: u64,
+    /// Deferred copies popped and re-expanded for the next band: the
+    /// frontier reached a ceiling the estimate had not yet pruned. Zero
+    /// whenever the first ceiling is above the K-th distance.
+    pub band_reexpanded: u64,
 }
 
 impl JoinStats {
@@ -115,6 +128,8 @@ impl JoinStats {
         self.sqrt_calls += other.sqrt_calls;
         self.prefetch_hints += other.prefetch_hints;
         self.sweep_expansions += other.sweep_expansions;
+        self.band_deferred += other.band_deferred;
+        self.band_reexpanded += other.band_reexpanded;
     }
 }
 
@@ -149,9 +164,12 @@ mod tests {
             pruned_by_dmax: 3,
             pairs_discarded: 4,
             queue_len: 9,
+            band_deferred: 6,
+            band_reexpanded: 2,
             ..JoinStats::default()
         };
         a.merge(&b);
+        assert_eq!((a.band_deferred, a.band_reexpanded), (6, 2));
         assert_eq!(a.distance_calcs, 15);
         assert_eq!((a.pairs_discarded, a.queue_len), (4, 9));
         assert_eq!(a.pairs_reported, 3);

@@ -481,3 +481,68 @@ fn signals_record_the_single_switch() {
     }
     assert!(run.bulk_stats.is_some());
 }
+
+/// A handoff forced after the distance bands (`DESIGN.md` §22) have queued
+/// deferred copies. The export hands each copy over as its whole pair,
+/// next to the children its first band queued; the harvest keeps each
+/// object once per side and the seeded bulk run skips what was emitted, so
+/// the merged stream must be the serial engine's, distances bit for bit
+/// and pairs as a multiset. Two clusters
+/// about 8 apart, with the roots overlapping across the whole box, put the
+/// first ceiling far below the K-th distance; every pop count up to 120 is
+/// forced in turn, past the first queued copy and past re-expanded ones.
+#[test]
+fn handoff_after_a_deferral_matches_incremental() {
+    let mut state = 0x5eed_u64;
+    let mut unit = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let point = |x: f64, y: f64| Rect::new([x, y], [x, y]);
+    let mut a: Vec<Rect<2>> = (0..60).map(|_| point(unit(), unit())).collect();
+    let mut b: Vec<Rect<2>> = (0..60).map(|_| point(9.0 + unit(), unit())).collect();
+    a.push(point(10.0, 10.0));
+    b.push(point(0.0, 10.0));
+    let mut deferred_before_handoff = 0;
+    for force_at in 1..=120 {
+        let case = Case {
+            a: a.clone(),
+            b: b.clone(),
+            fanout: 4,
+            metric: Metric::Euclidean,
+            range: None,
+            max_pairs: Some(30),
+            exclude_equal_ids: false,
+            lanes: false,
+            hybrid_dt: None,
+            force_at,
+            pop_stride: 1,
+        };
+        let reference = incremental_stream(&case);
+        let t1 = tree(&case.a, case.fanout);
+        let t2 = tree(&case.b, case.fanout);
+        let run = AdaptiveDistanceJoin::with_configs(
+            &t1,
+            &t2,
+            config_of(&case),
+            BulkConfig::default(),
+            adaptive_config_of(&case),
+        )
+        .run();
+        assert!(run.error.is_none(), "force_at={force_at}");
+        if run.replanned.is_some() && run.stats.band_deferred > 0 {
+            deferred_before_handoff += 1;
+        }
+        let got = triples(&run.results);
+        let ref_dists: Vec<u64> = reference.iter().map(|r| r.0).collect();
+        let got_dists: Vec<u64> = got.iter().map(|r| r.0).collect();
+        assert_eq!(got_dists, ref_dists, "force_at={force_at}");
+        assert_eq!(canon(&got), canon(&reference), "force_at={force_at}");
+    }
+    assert!(
+        deferred_before_handoff > 50,
+        "{deferred_before_handoff} handoffs followed a deferral"
+    );
+}

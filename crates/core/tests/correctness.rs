@@ -696,7 +696,7 @@ fn default_layout_stats_repeat_exactly() {
 /// the pairs compaction dropped on the hybrid queue and filters them there,
 /// so its pops and its three pop-filter counts may differ too, by the same
 /// amount. Every run accounts for each enqueued pair as dequeued, discarded
-/// or still queued.
+/// or still queued, deferred copies of the distance bands included.
 #[test]
 fn estimator_slots_survive_every_queue_backend() {
     let (a, b) = sample_sets();
@@ -719,14 +719,20 @@ fn estimator_slots_survive_every_queue_backend() {
         uniform_points(4_000, &unit_box(), 52),
     );
     let (t7, t8) = (build_tree(&g, 8), build_tree(&h, 8));
-    let backends = [
-        (QueueBackend::Memory, QueueLayout::FlatDary),
-        (QueueBackend::Memory, QueueLayout::Pairing),
-        (
-            QueueBackend::Hybrid(HybridConfig::with_dt(0.01)),
-            QueueLayout::FlatDary,
-        ),
-    ];
+    // A K = 1 join queues only the pairs under its band ceiling
+    // (`DESIGN.md` §22), about 0.004 here, so its hybrid queue spills only
+    // with a `D_T` below that.
+    let backends = |k: Option<u64>| {
+        let dt = if k == Some(1) { 0.000_5 } else { 0.01 };
+        [
+            (QueueBackend::Memory, QueueLayout::FlatDary),
+            (QueueBackend::Memory, QueueLayout::Pairing),
+            (
+                QueueBackend::Hybrid(HybridConfig::with_dt(dt)),
+                QueueLayout::FlatDary,
+            ),
+        ]
+    };
     let semi = |filter, dmax| Some(SemiConfig { filter, dmax });
     // (trees, brute-force distances, estimation bound, K, semi-join)
     let sample = ((&t1, &t2), Some(&want));
@@ -800,10 +806,10 @@ fn estimator_slots_survive_every_queue_backend() {
         s
     };
     let pop_filtered = |s: &JoinStats| s.filtered_seen + s.pruned_by_dmax + s.pruned_by_estimate;
-    let mut discarded = 0;
+    let (mut discarded, mut deferred) = (0, 0);
     for (((t1, t2), want), bound, k, semi) in queries {
         let mut reference = None;
-        for (queue, layout) in backends {
+        for (queue, layout) in backends(k) {
             let config = JoinConfig {
                 estimation: bound,
                 queue,
@@ -837,6 +843,13 @@ fn estimator_slots_survive_every_queue_backend() {
                 stats.pairs_dequeued + stats.pairs_discarded + stats.queue_len,
                 "{what}: every enqueued pair is dequeued, discarded or queued"
             );
+            // A join's deferred copies are among those pairs, and only a
+            // queued copy can be re-expanded; a semi-join defers nothing.
+            assert!(stats.band_reexpanded <= stats.band_deferred, "{what}");
+            if semi.is_some() {
+                assert_eq!(stats.band_deferred, 0, "{what}: a semi-join deferred");
+            }
+            deferred += stats.band_deferred;
             let hybrid = matches!(queue, QueueBackend::Hybrid(_));
             if hybrid {
                 assert_eq!(stats.pairs_discarded, 0, "{what}: compacted");
@@ -873,6 +886,7 @@ fn estimator_slots_survive_every_queue_backend() {
         }
     }
     assert!(discarded > 0, "no query compacted its queue");
+    assert!(deferred > 0, "no join deferred a band");
 }
 
 /// A `GlobalAll` semi-join sweeps its leaf pairs; `GlobalNodes` expands them

@@ -1,7 +1,10 @@
 //! The default traversal's expansion dispatch: under `Even`, an equal-level
 //! node pair of a plain ascending join is opened on both sides by the
 //! plane sweep while the known maximum distance is under half the narrower
-//! node's axis-0 extent, and on one side otherwise; a leaf/leaf pair of a
+//! node's axis-0 extent, and on one side otherwise. At a leaf/leaf pair of
+//! a K-bounded join the dispatch reads the distance band's ceiling when it
+//! is below that distance, and a deferred copy re-expands with the shape
+//! its pair first took (`DESIGN.md` §22). A leaf/leaf pair of a
 //! `GlobalAll` semi-join is opened on both sides by the semi-join leaf
 //! sweep. Whichever expansion a pair gets, the stream must be the
 //! brute-force answer — checked here over random trees and every kind of

@@ -50,6 +50,67 @@ fn incremental_join_agrees_with_nested_loop_baseline() {
     }
 }
 
+/// A K-bounded drain under distance bands (`DESIGN.md` §22) at small scale:
+/// 3 000 × 3 000 uniform points and K = 3 000, the shape of the benchmark's
+/// `drain_ordered`, then the same K over two clusters about 8 apart whose
+/// roots overlap, where the first band ceiling is far too small. Each
+/// stream is the nested loop's top K, distances bit for bit and pairs as a
+/// set (uniform coordinates tie nowhere), and each run accounts for its
+/// deferred copies: uniform data re-expands none, the clusters several.
+#[test]
+fn banded_drain_agrees_with_nested_loop_baseline() {
+    use incremental_distance_join::datagen::uniform_points;
+    use incremental_distance_join::geom::Rect;
+    let items = |points: Vec<Point<2>>| -> Items {
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (ObjectId(i as u64), p.to_rect()))
+            .collect()
+    };
+    let apart = |seed, x0: f64| {
+        let mut points = uniform_points(1_500, &Rect::new([x0, 0.0], [x0 + 1.0, 1.0]), seed);
+        points.push(Point::xy(10.0 - x0, 10.0));
+        items(points)
+    };
+    let unit = Rect::new([0.0, 0.0], [1.0, 1.0]);
+    let k = 3_000;
+    for (name, i1, i2, reexpands) in [
+        (
+            "uniform",
+            items(uniform_points(3_000, &unit, 5)),
+            items(uniform_points(3_000, &unit, 6)),
+            false,
+        ),
+        ("apart", apart(7, 0.0), apart(8, 9.0), true),
+    ] {
+        let t1 = RTree::bulk_load(RTreeConfig::default(), i1.clone());
+        let t2 = RTree::bulk_load(RTreeConfig::default(), i2.clone());
+        let mut join = DistanceJoin::new(&t1, &t2, JoinConfig::default().with_max_pairs(k));
+        let got: Vec<ResultPair> = join.by_ref().collect();
+        assert!(join.take_error().is_none(), "{name}");
+        let want = nested_loop_topk(&i1, &i2, Metric::Euclidean, k as usize);
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.distance.to_bits(), w.distance.to_bits(), "{name}");
+        }
+        let pairs = |v: Vec<(u64, u64)>| v.into_iter().collect::<std::collections::HashSet<_>>();
+        assert_eq!(
+            pairs(got.iter().map(|r| (r.oid1.0, r.oid2.0)).collect()),
+            pairs(want.iter().map(|r| (r.oid1.0, r.oid2.0)).collect()),
+            "{name}"
+        );
+        let stats = join.stats();
+        assert!(stats.band_deferred > 0, "{name}: nothing was deferred");
+        assert_eq!(stats.band_reexpanded > 0, reexpands, "{name}: {stats:?}");
+        assert_eq!(
+            stats.pairs_enqueued,
+            stats.pairs_dequeued + stats.pairs_discarded + stats.queue_len,
+            "{name}: every enqueued pair is dequeued, discarded or still queued"
+        );
+    }
+}
+
 #[test]
 fn incremental_semijoin_agrees_with_nn_baseline() {
     let (tw, tr, ..) = env();
