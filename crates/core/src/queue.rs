@@ -13,13 +13,13 @@
 //! slot. All three backends realise the same `(key, arrival)` total order,
 //! so result streams are bit-identical across them.
 //!
-//! Every entry also carries a `u32` *slot*: the §2.2.4 estimator's handle
-//! on the member of `M` its pair was offered into
+//! Every entry also carries a `u32` *slot*: the §2.2.4 estimator's bucket
+//! that its pair's count went to when it was offered to `M`
 //! (`crate::estimate::Estimator::offer`), or `NO_SLOT`. The queue never
 //! reads it; it stores it next to the payload, spills and reloads it with
-//! the entry, and hands it back at the pop, so the estimator finds a popped
-//! pair's member without a lookup. Under the flat layout that makes the
-//! inline value 12 bytes.
+//! the entry, and hands it back at the pop, so the estimator takes the
+//! popped pair's count out of the right bucket without a lookup. Under the
+//! flat layout that makes the inline value 12 bytes.
 //!
 //! The flat backends keep the last popped pair's arena references until the
 //! next [`JoinQueue::push_batch`] (or pop): the expansion that follows a pop

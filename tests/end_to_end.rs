@@ -111,6 +111,94 @@ fn banded_drain_agrees_with_nested_loop_baseline() {
     }
 }
 
+/// K-bounded joins over points snapped to an integer grid, so that every
+/// squared distance and every node pair's squared `d_max` is an integer and
+/// the §2.2.4 estimator's buckets, the top 17 bits of a squared key
+/// (`DESIGN.md` §19), each hold whole groups of them: from a squared key of
+/// 64 on, two or more integers share a bucket. K is put on both sides of a
+/// bucket edge: the K-th distance is the last of its bucket, then the first
+/// of the next. Each stream's distances are the nested loop's bit for bit,
+/// the pairs strictly closer than the K-th distance are the nested loop's,
+/// and the estimate never falls below the K-th distance.
+#[test]
+fn k_bounded_join_over_crowded_buckets_agrees_with_nested_loop() {
+    use incremental_distance_join::datagen::uniform_points;
+    use incremental_distance_join::geom::Rect;
+    let snapped = |seed| -> Items {
+        uniform_points(400, &Rect::new([0.0, 0.0], [24.0, 24.0]), seed)
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let q = Point::xy(p.x().floor(), p.y().floor());
+                (ObjectId(i as u64), q.to_rect())
+            })
+            .collect()
+    };
+    let (i1, i2) = (snapped(11), snapped(12));
+    let t1 = RTree::bulk_load(RTreeConfig::default(), i1.clone());
+    let t2 = RTree::bulk_load(RTreeConfig::default(), i2.clone());
+    let bucket = |distance: f64| (distance * distance).round().to_bits() >> 47;
+    let all = nested_loop_topk(&i1, &i2, Metric::Euclidean, i1.len() * i2.len());
+    // The first bucket edge past 50 000 pairs, at a squared distance
+    // above 64, where a bucket spans more than one integer.
+    let edge = (50_000..all.len())
+        .find(|&k| bucket(all[k - 1].distance) != bucket(all[k].distance))
+        .expect("an edge");
+    assert!(all[edge].distance.powi(2) > 64.0);
+    for estimation in [EstimationBound::AllPairs, EstimationBound::ExistsPair] {
+        for k in [edge, edge + 1] {
+            let label = format!("{estimation:?} K={k}");
+            let config = JoinConfig {
+                estimation,
+                ..JoinConfig::default()
+            }
+            .with_max_pairs(k as u64);
+            let kth = all[k - 1].distance;
+            let mut join = DistanceJoin::new(&t1, &t2, config);
+            let mut got = Vec::new();
+            while let Some(r) = join.next() {
+                got.push(r);
+                let estimate = join.estimated_max_distance().expect("K-bounded");
+                assert!(estimate >= kth, "{label}: estimate {estimate} < {kth}");
+            }
+            assert!(join.take_error().is_none(), "{label}");
+            assert_eq!(got.len(), k, "{label}");
+            for (g, w) in got.iter().zip(&all) {
+                assert_eq!(g.distance.to_bits(), w.distance.to_bits(), "{label}");
+            }
+            let closer = |pairs: Vec<(u64, u64, f64)>| -> std::collections::HashSet<(u64, u64)> {
+                pairs
+                    .into_iter()
+                    .filter(|&(.., d)| d < kth)
+                    .map(|(a, b, _)| (a, b))
+                    .collect()
+            };
+            assert_eq!(
+                closer(
+                    got.iter()
+                        .map(|r| (r.oid1.0, r.oid2.0, r.distance))
+                        .collect()
+                ),
+                closer(
+                    all[..k]
+                        .iter()
+                        .map(|r| (r.oid1.0, r.oid2.0, r.distance))
+                        .collect()
+                ),
+                "{label}"
+            );
+            let distinct: std::collections::HashSet<_> =
+                got.iter().map(|r| (r.oid1, r.oid2)).collect();
+            assert_eq!(distinct.len(), k, "{label}: a pair repeated");
+            for r in &got {
+                let exact = Metric::Euclidean
+                    .mindist_rect_rect(&i1[r.oid1.0 as usize].1, &i2[r.oid2.0 as usize].1);
+                assert_eq!(r.distance.to_bits(), exact.to_bits(), "{label}");
+            }
+        }
+    }
+}
+
 #[test]
 fn incremental_semijoin_agrees_with_nn_baseline() {
     let (tw, tr, ..) = env();
@@ -511,9 +599,9 @@ fn ordered_bulk_runs_break_distance_ties_by_object_ids() {
     }
 }
 
-/// K-bounded joins whose §2.2.4 estimate is decided by ties: with exact
-/// distance ties inside the estimator's set `M`, which equal-`d_max` member
-/// is evicted first is the only thing that varies. Every K from one pair to
+/// K-bounded joins whose §2.2.4 estimate is decided by ties: exact distance
+/// ties inside the estimator's set `M` share a bucket, so the crossing that
+/// sets the bound falls inside a tie group. Every K from one pair to
 /// more than all pairs, with and without `Dmin`, and a self-join with
 /// `exclude_equal_ids`, under both estimation bounds, must return exactly
 /// the nested loop's distances; a K-bounded semi-join must return the
